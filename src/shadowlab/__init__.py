@@ -4,7 +4,7 @@ Submodules:
   linalg       permutation operators, symmetric projectors, partial traces
   ensembles    seeded Haar sampling and the joint-measurement outcome law
   measurement  joint and single-copy measurement primitives
-  estimators   affine/linear/quadratic shadows and median-of-means planning
+  estimators   outcome-array estimator kernel, dense reference shadows, batch planning
   observables  bounded-norm observables and optimal state discrimination
   moments      closed-form moments/covariances with brute-force oracles
   bhm          Boolean Hidden Matching instances and the one-way protocol
@@ -16,6 +16,7 @@ from .estimators import (
     BatchPlan,
     Shadow,
     affine_shadow,
+    batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
@@ -32,6 +33,7 @@ __all__ = [
     "RngStream",
     "Shadow",
     "affine_shadow",
+    "batch_estimates",
     "choose_estimator",
     "distinguishing_observable",
     "measure_independent",

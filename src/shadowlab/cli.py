@@ -26,15 +26,9 @@ import numpy as np
 from . import bhm as bhm_mod
 from . import moments
 from .ensembles import RngStream, sample_haar_state
-from .estimators import (
-    BatchPlan,
-    affine_shadow,
-    choose_estimator,
-    median_estimate,
-    plan_batches,
-)
+from .estimators import BatchPlan, batch_estimates, choose_estimator, plan_batches
 from .linalg import Permutation, kappa, perm_operator, sym_projector
-from .measurement import JointOutcome, measure_joint_batch, measure_independent_batch
+from .measurement import measure_joint_batch, measure_independent_batch
 from .moments import MomentReport
 from .observables import random_observable, random_signature_observable
 
@@ -44,7 +38,6 @@ RESULT_FIELDS = (
 )
 
 DEFAULT_SEED = 0
-BATCH_P = 0.25
 
 
 @dataclass
@@ -114,35 +107,24 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 def plan_linear_batches(B: float, eps: float, delta: float):
     """Batch plan for the per-copy linear estimator: (B + 8)/s <= p eps^2."""
     plan = plan_batches(B, eps, delta)
-    s = max(1, math.ceil((B + 8) / (BATCH_P * eps * eps)))
+    s = max(1, math.ceil((B + 8) / (plan.p * eps * eps)))
     return BatchPlan(s=s, k=plan.k, p=plan.p)
 
 
 def plan_quadratic_batches(B: float, d: int, eps: float, delta: float):
     """Batch plan for the quadratic estimator: 16(Bd/s^2 + 1/s) <= p eps^2."""
     plan = plan_batches(B, eps, delta)
-    target = BATCH_P * eps * eps
+    target = plan.p * eps * eps
     s = max(2, math.ceil((16 + math.sqrt(256 + 64 * B * d * target)) / (2 * target)))
     while s > 2 and 16 * (B * d / (s - 1) ** 2 + 1 / (s - 1)) <= target:
         s -= 1
     return BatchPlan(s=s, k=plan.k, p=plan.p)
 
 
-def _im_batch_estimates(phi, O, d, s, k, rng, kind):
-    """Per-batch Tr(O shadow) values for k batches of s single-copy outcomes.
-
-    Expands the single-copy shadows through their projector sums, so only
-    one (k, d, d) accumulation is needed per sweep trial.
-    """
-    psis = measure_independent_batch(phi, rng, k * s).reshape(k, s, d)
-    P = np.einsum("ksi,ksj->kij", psis, psis.conj())
-    I = np.eye(d)
-    S = (d + 1) * P - s * I  # sum of shadows
-    if kind == "linear":
-        return np.real(np.einsum("ij,kji->k", O, S)) / s
-    Q = ((d + 1) ** 2 - 2 * (d + 1)) * P + s * I  # sum of squared shadows
-    num = np.einsum("kij,kjl->kil", S, S) - Q
-    return np.real(np.einsum("ij,kji->k", O, num)) / (s * (s - 1))
+def _im_batch_estimates(phi, O, s, k, rng, kind):
+    """Per-batch estimates from k batches of s fresh single-copy outcomes."""
+    psis = measure_independent_batch(phi, rng, k * s).reshape(k, s, phi.shape[0])
+    return batch_estimates(O, psis, kind)
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
@@ -171,15 +153,13 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
         rng = RngStream(config.seed, t + 1)
         phi = sample_haar_state(d, rng)
         O = random_observable(d, B, rng).matrix
-        rho = np.outer(phi, phi.conj())
-        truth = float(np.trace(O @ rho).real)
+        truth = float(np.vdot(phi, O @ phi).real)
         if mode == "jm":
             outcomes = measure_joint_batch(phi, plan.s, rng, plan.k)
-            shadows = [affine_shadow(JointOutcome(psi=p, s=plan.s), d) for p in outcomes]
-            est = median_estimate(O, shadows)
+            vals = batch_estimates(O, outcomes, "affine_joint", copies=plan.s)
         else:
-            vals = _im_batch_estimates(phi, O, d, plan.s, plan.k, rng, mode[3:])
-            est = float(np.sort(vals)[plan.k // 2])
+            vals = _im_batch_estimates(phi, O, plan.s, plan.k, rng, mode[3:])
+        est = float(np.sort(vals)[plan.k // 2])
         err = abs(est - truth)
         rows.append(
             ResultRow(mode, d, B, eps, delta, plan.s, plan.k, t, est, truth, err, err < eps)
@@ -204,9 +184,9 @@ def compare_estimators(d: int, B: float, eps: float, N: int, seed: int,
     rows = []
     for i, s in enumerate(s_grid):
         trial_rng = RngStream(seed, i + 1)
-        lin = _im_batch_estimates(phi, O, d, s, N, trial_rng, "linear")
+        lin = _im_batch_estimates(phi, O, s, N, trial_rng, "linear")
         trial_rng2 = RngStream(seed, 100 + i)
-        quad = _im_batch_estimates(phi, O, d, s, N, trial_rng2, "quadratic")
+        quad = _im_batch_estimates(phi, O, s, N, trial_rng2, "quadratic")
         var_l = float(lin.var(ddof=1))
         var_q = float(quad.var(ddof=1))
         rows.append((s, var_l, var_q, var_q / var_l, B / s, B * d / s**2 + 1 / s))
@@ -434,18 +414,18 @@ def main(argv=None) -> int:
             phi = sample_haar_state(args.d, rng)
             rho = np.outer(phi, phi.conj())
             O = random_observable(args.d, args.d, rng).matrix
-            rows, bad = [], 0
+            rows = []  # every pattern first, so an error prints no partial verdicts
             for pattern in moments.COV_PATTERNS:
                 exact = moments.exact_covariance(pattern, rho, O, args.d)
                 mc, stderr = moments.mc_covariance(pattern, rho, O, args.d, args.trials, rng)
                 ok = abs(exact - mc) <= max(6 * stderr, 1e-6)
-                bad += not ok
                 rows.append((pattern, exact, mc, stderr, ok))
+            for pattern, exact, mc, stderr, ok in rows:
                 print(f"{'PASS' if ok else 'FAIL'}  {pattern:9s} exact={exact:+.6f} "
                       f"mc={mc:+.6f} stderr={stderr:.6f}")
             if args.out:
                 write_rows(args.out, rows, header=("pattern", "exact", "mc", "stderr", "ok"))
-            return 1 if bad else 0
+            return 0 if all(ok for *_, ok in rows) else 1
 
         if args.cmd == "compare":
             seed = _resolve_seed(args)

@@ -31,10 +31,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, k: int) -> "RngStream":
-        """Derived stream, disjoint from this one and from other k values."""
-        return RngStream(self.seed, (self.stream_id << 20) ^ (k + 1))
-
 
 @dataclass(frozen=True)
 class OverlapSample:

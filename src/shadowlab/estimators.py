@@ -7,6 +7,11 @@ Three unbiased estimators of a pure state rho from measurement outcomes:
 * quadratic            average of rho_i rho_j over ordered pairs i != j,
   unbiased only for pure states (rho^2 = rho) and of unconstrained trace.
 
+batch_estimates is the estimator kernel: it maps the outcome vectors and O
+straight to the per-batch estimates Tr(O rhohat), never forming a d x d
+shadow per outcome.  The Shadow constructors below are the dense reference
+forms of the same estimators.
+
 Batch planning converts a per-batch Chebyshev bound into a sample count and
 an odd batch count for the median-of-means step.
 """
@@ -20,9 +25,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .linalg import hermitize
-from .measurement import JointOutcome
+from .measurement import UNIT_NORM_TOL, JointOutcome
 
 ShadowKind = Literal["affine_joint", "linear_single", "quadratic"]
+EstimateKind = Literal["affine_joint", "linear", "quadratic"]
 
 # Per-batch failure budget used throughout; k is forced odd so the median is
 # always one of the batch estimates.
@@ -85,6 +91,49 @@ def plan_batches(B: float, eps: float, delta: float, p: float = BATCH_FAILURE_P)
         k += 1
     k = max(k, 1)
     return BatchPlan(s=s, k=k, p=p)
+
+
+def batch_estimates(
+    O: np.ndarray, outcomes: np.ndarray, kind: EstimateKind, copies: int = 1
+) -> np.ndarray:
+    """Per-batch estimates Tr(O rhohat) computed from the outcome vectors alone.
+
+    affine_joint: outcomes (k, d), one joint outcome psi per batch from
+    `copies` copies; the estimate is ((d+s) <psi|O|psi> - Tr O)/s with s = copies.
+    linear, quadratic: outcomes (k, s, d), s single-copy outcomes per batch.
+    With P = sum_i |psi_i><psi_i|, the shadow sums are S = (d+1) P - s I and
+    Q = ((d+1)^2 - 2(d+1)) P + s I; linear is Tr(O S)/s and quadratic is
+    Tr(O (S^2 - Q))/(s(s-1)).  Equals Tr(O shadow) of affine_shadow,
+    linear_mean_shadow and quadratic_shadow.
+    """
+    if kind not in ("affine_joint", "linear", "quadratic"):
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    outcomes = np.ascontiguousarray(outcomes, dtype=complex)
+    want_ndim = 2 if kind == "affine_joint" else 3
+    if outcomes.ndim != want_ndim or outcomes.shape[0] < 1:
+        raise ValueError(f"{kind} needs a non-empty outcome array with {want_ndim} axes")
+    if kind == "affine_joint" and copies < 1:
+        raise ValueError("copies must be >= 1")
+    if kind == "quadratic" and outcomes.shape[1] < 2:
+        raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
+    # |psi|^2 from the real and imaginary parts, without a complex temporary
+    flat = outcomes.view(float)
+    sq_norms = np.einsum("...i,...i->...", flat, flat)
+    if np.abs(np.sqrt(sq_norms) - 1.0).max() > UNIT_NORM_TOL:
+        raise ValueError("outcome states must be unit norm")
+    d = outcomes.shape[-1]
+    tr_o = np.trace(O).real
+    if kind == "affine_joint":
+        o_psi = ((outcomes.conj() @ O) * outcomes).real.sum(axis=1)
+        return ((d + copies) * o_psi - tr_o) / copies
+    s = outcomes.shape[1]
+    P = outcomes.transpose(0, 2, 1) @ outcomes.conj()
+    I = np.eye(d)
+    S = (d + 1) * P - s * I
+    if kind == "linear":
+        return np.einsum("ij,kji->k", O, S).real / s
+    Q = ((d + 1) ** 2 - 2 * (d + 1)) * P + s * I
+    return np.einsum("ij,kji->k", O, S @ S - Q).real / (s * (s - 1))
 
 
 def affine_shadow(outcome: JointOutcome, d: int) -> Shadow:

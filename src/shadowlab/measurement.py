@@ -17,6 +17,7 @@ from .ensembles import RngStream, sample_posterior_state, sample_posterior_state
 from .linalg import hermitize, is_hermitian
 
 PURITY_TOL = 1e-8
+UNIT_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -29,20 +30,32 @@ class JointOutcome:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be >= 1")
-        if abs(np.linalg.norm(self.psi) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(self.psi) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("outcome state must be unit norm")
 
 
 def as_state_vector(state: np.ndarray) -> np.ndarray:
-    """Accept a state vector or a pure density matrix; reject mixed states."""
+    """Accept a state vector or a pure density matrix; reject mixed states.
+
+    Non-finite entries, a zero vector and a matrix without unit trace (the
+    zero matrix included) raise ValueError: normalizing them would yield NaN
+    or a vector that is not the input state.
+    """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        return state / np.linalg.norm(state)
+        norm = np.linalg.norm(state)
+        if not 0 < norm < np.inf:  # zero, NaN, or an entry too large to square
+            raise ValueError(f"state vector norm {norm} cannot be normalized")
+        return state / norm
     if state.ndim != 2 or state.shape[0] != state.shape[1]:
         raise ValueError(f"expected vector or square matrix, got shape {state.shape}")
+    if not np.isfinite(state).all():
+        raise ValueError("density matrix has non-finite entries")
     if not is_hermitian(state):
         raise ValueError("density matrix must be Hermitian")
     rho = hermitize(state)
+    if abs(np.trace(rho).real - 1.0) > PURITY_TOL:
+        raise ValueError("density matrix must have trace 1")
     if np.abs(rho @ rho - rho).max() > PURITY_TOL:
         raise ValueError("mixed states are not supported; input must be pure")
     evals, evecs = np.linalg.eigh(rho)

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import shadowlab
+from shadowlab import linalg
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -81,6 +83,34 @@ def test_run_sweep_deterministic(tmp_path):
     write_rows(str(a), run_sweep(ExperimentConfig(**cfg)))
     write_rows(str(b), run_sweep(ExperimentConfig(**cfg)))
     assert a.read_bytes() == b.read_bytes()
+
+
+# Estimates and truths of the per-outcome Shadow and einsum code that the
+# estimator kernel replaced, at the same seeds; the kernel must keep them.
+PINNED_SWEEPS = {
+    ("jm", 4.0, 0.3, 11): (
+        (0.2879732806763617, 0.4922231706849389, 0.27395275876138203),
+        (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
+    ),
+    ("im-linear", 2.0, 0.4, 12): (
+        (0.1884189813358136, 0.42657176956926207, 0.2624413908899293),
+        (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
+    ),
+    ("im-quadratic", 4.0, 0.4, 13): (
+        (0.636276904294825, 0.6616054912914824, 0.291575175430441),
+        (0.6267327873824926, 0.7073847317351589, 0.3441464177756939),
+    ),
+}
+
+
+def test_run_sweep_fixed_seed_estimates_pinned():
+    for (mode, B, eps, seed), (estimates, truths) in PINNED_SWEEPS.items():
+        rows = run_sweep(
+            ExperimentConfig(mode=mode, d=8, B=B, eps=eps, delta=0.1, trials=3, seed=seed)
+        )
+        assert [r.mode for r in rows] == [mode] * 3
+        assert np.abs(np.array([r.estimate for r in rows]) - estimates).max() <= 1e-12
+        assert np.abs(np.array([r.truth for r in rows]) - truths).max() <= 1e-12
 
 
 def test_run_sweep_im_modes():
@@ -169,6 +199,15 @@ def test_cli_cov_check_subcommand():
     assert main(["cov-check", "--d", "2", "--trials", "20000", "--seed", "9"]) == 0
 
 
+def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
+    # with d^3 over budget the last dense pattern fails after three succeed
+    monkeypatch.setattr(linalg, "DIM_BUDGET", 30)
+    assert main(["cov-check", "--d", "4", "--trials", "1000", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert "exceeds budget" in err
+
+
 def test_cli_compare_subcommand(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--d", "8", "--B", "8", "--trials", "300",
@@ -177,11 +216,14 @@ def test_cli_compare_subcommand(tmp_path):
 
 
 def test_console_entry_point():
-    # the installed script must resolve; run the module form for portability
+    # the installed script must resolve; run the module form for portability,
+    # from the same source tree this test imported shadowlab from
+    src = os.path.dirname(os.path.dirname(shadowlab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     res = subprocess.run(
         [sys.executable, "-m", "shadowlab.cli", "jm", "--d", "4", "--B", "2",
          "--eps", "0.4", "--trials", "1", "--seed", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0
     assert "trials=1" in res.stdout

@@ -39,12 +39,6 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_substreams_are_distinct():
-    root = RngStream(1, 0)
-    draws = {tuple(root.substream(k).gen.standard_normal(3)) for k in range(20)}
-    assert len(draws) == 20
-
-
 def test_overlap_sample_range_check():
     with pytest.raises(ValueError):
         OverlapSample(t=1.5, theta=0.0)

@@ -9,6 +9,7 @@ from shadowlab.estimators import (
     BatchPlan,
     Shadow,
     affine_shadow,
+    batch_estimates,
     choose_estimator,
     implied_trace_distance_bound,
     linear_mean_shadow,
@@ -235,6 +236,58 @@ def test_quadratic_shadow_needs_two():
     phi = sample_haar_state(2, rng)
     with pytest.raises(ValueError):
         quadratic_shadow(singles_from(phi, rng, 1))
+
+
+# ---------------------------------------------------------- estimator kernel
+
+
+def random_hermitian_unit_norm(d, rng):
+    z = rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
+    h = (z + z.conj().T) / 2
+    return h / np.abs(np.linalg.eigvalsh(h)).max()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    s=st.integers(2, 7),
+    k=st.integers(1, 4),
+    copies=st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
+    rng = RngStream(seed)
+    O = random_hermitian_unit_norm(d, rng)
+    joint = sample_haar_state(d, rng, size=k)
+    dense = [np.trace(O @ affine_shadow(JointOutcome(psi=p, s=copies), d).matrix).real
+             for p in joint]
+    assert np.abs(batch_estimates(O, joint, "affine_joint", copies) - dense).max() < 1e-12
+
+    psis = sample_haar_state(d, rng, size=k * s).reshape(k, s, d)
+    batches = [[single_copy_shadow(JointOutcome(psi=p, s=1), d) for p in b] for b in psis]
+    for kind, oracle in (("linear", linear_mean_shadow), ("quadratic", quadratic_shadow)):
+        dense = [np.trace(O @ oracle(b).matrix).real for b in batches]
+        assert np.abs(batch_estimates(O, psis, kind) - dense).max() < 1e-12
+
+
+def test_batch_estimates_validation():
+    O = np.diag([1.0, 0.0]).astype(complex)
+    unit = np.array([[1, 0], [0, 1]], dtype=complex)
+    assert np.allclose(batch_estimates(O, unit, "affine_joint", 1), [2.0, -1.0])
+    with pytest.raises(ValueError):  # one outcome off unit norm is enough
+        batch_estimates(O, np.array([[1, 0], [1, 1]], dtype=complex), "affine_joint")
+    with pytest.raises(ValueError):
+        batch_estimates(O, unit[None] * 1.001, "linear")
+    with pytest.raises(ValueError):  # affine wants (k, d), the others (k, s, d)
+        batch_estimates(O, unit[None], "affine_joint")
+    with pytest.raises(ValueError):
+        batch_estimates(O, unit, "linear")
+    with pytest.raises(ValueError):
+        batch_estimates(O, unit[:, None, :], "quadratic")  # s = 1
+    with pytest.raises(ValueError):
+        batch_estimates(O, unit, "affine_joint", copies=0)
+    with pytest.raises(ValueError):
+        batch_estimates(O, unit, "median")
 
 
 # ------------------------------------------------------------------- selection

@@ -36,6 +36,22 @@ def test_as_state_vector_rejects_mixed():
         as_state_vector(np.eye(2) / 2)
 
 
+def test_as_state_vector_rejects_zero_and_non_finite():
+    # each of these once normalized to NaN (or passed as a state) and sent
+    # the orthogonal-complement resampler into an endless loop
+    for bad in (np.zeros(4), np.array([np.nan, 1.0]), np.array([np.inf, 0.0]),
+                np.full(2, 1e200)):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            as_state_vector(bad)
+    for bad in (np.zeros((2, 2)), np.eye(2), np.array([[np.nan, 0], [0, 1]])):
+        with pytest.raises(ValueError):
+            as_state_vector(bad)
+    with pytest.raises(ValueError):
+        measure_independent_batch(np.zeros(4), RngStream(1), 2)
+    with pytest.raises(ValueError):
+        measure_joint_batch(np.zeros((4, 4)), 3, RngStream(1), 2)
+
+
 def test_measure_joint_first_moment():
     # E[Psi] = (I + s rho)/(d + s) at d=4, s=3
     d, s, n = 4, 3, 100_000
