@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Linear vs. quadratic estimator variance comparison across batch sizes.
 
-Equivalent to: shadowlab compare --d 16 --B 16 --eps 0.2 --trials 2000
+Equivalent to: shadowlab compare --d 16 --B 16 --trials 2000
 """
 
 import sys
@@ -15,7 +15,6 @@ if __name__ == "__main__":
                 "compare",
                 "--d", "16",
                 "--B", "16",
-                "--eps", "0.2",
                 "--trials", "2000",
                 "--seed", "20260825",
                 "--out", "estimator_comparison.csv",

@@ -74,20 +74,18 @@ def matching_observable(
     """Rank-(alpha n) projector built from the matched vertex pairs.
 
     Each edge contributes the projector onto (|i> - (-1)^{w_k} |j>)/sqrt(2);
-    disjoint edges make the terms orthogonal, so the sum is a projector with
-    Tr(O^2) = alpha n and operator norm 1.
+    disjoint edges make these vectors orthonormal, so they are the factor of
+    a projector with Tr(O^2) = alpha n and operator norm 1.
     """
     flat = [v for edge in matching for v in edge]
     if len(set(flat)) != len(flat):
         raise ValueError("matching edges overlap")
-    O = np.zeros((n, n), dtype=complex)
-    for (i, j), wk in zip(matching, w):
-        sign = (-1.0) ** wk
-        O[i, i] += 0.5
-        O[j, j] += 0.5
-        O[i, j] -= 0.5 * sign
-        O[j, i] -= 0.5 * sign
-    return Observable(matrix=O, b_budget=float(len(matching)))
+    m = len(matching)
+    vecs = np.zeros((n, m))
+    for k, ((i, j), wk) in enumerate(zip(matching, w)):
+        vecs[i, k] = 1 / math.sqrt(2)
+        vecs[j, k] = -((-1.0) ** wk) / math.sqrt(2)
+    return Observable(vecs=vecs, evals=np.ones(m), b_budget=float(m))
 
 
 def expected_value(inst: BHMInstance) -> float:

@@ -152,8 +152,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     for t in range(config.trials):
         rng = RngStream(config.seed, t + 1)
         phi = sample_haar_state(d, rng)
-        O = random_observable(d, B, rng).matrix
-        truth = float(np.vdot(phi, O @ phi).real)
+        O = random_observable(d, B, rng)
+        truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
         if mode == "jm":
             outcomes = measure_joint_batch(phi, plan.s, rng, plan.k)
             vals = batch_estimates(O, outcomes, "affine_joint", copies=plan.s)
@@ -167,8 +167,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def compare_estimators(d: int, B: float, eps: float, N: int, seed: int,
-                       s_grid=(8, 16, 32, 64)):
+def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 64)):
     """Empirical variance of the linear vs. quadratic estimate at equal s.
 
     Returns rows (s, var_linear, var_quadratic, ratio, pred_linear,
@@ -180,7 +179,7 @@ def compare_estimators(d: int, B: float, eps: float, N: int, seed: int,
     """
     rng = RngStream(seed, 0)
     phi = sample_haar_state(d, rng)
-    O = random_signature_observable(d, B, rng).matrix
+    O = random_signature_observable(d, B, rng)
     rows = []
     for i, s in enumerate(s_grid):
         trial_rng = RngStream(seed, i + 1)
@@ -259,7 +258,7 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
     for d in (2, 3):
         phi = sample_haar_state(d, rng)
         rho = np.outer(phi, phi.conj())
-        O = random_observable(d, d, rng).matrix
+        O = random_signature_observable(d, d, rng).matrix
         for pattern in ("ij_jk", "ij_kj", "ij_ji", "ij_ij"):
             exact = moments.exact_covariance(pattern, rho, O, d)
             bound = moments.covariance_bound(pattern, rho, O, d)
@@ -371,7 +370,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare")
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--B", type=float, default=16.0)
-    p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", type=str)
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
             rng = RngStream(seed, 5)
             phi = sample_haar_state(args.d, rng)
             rho = np.outer(phi, phi.conj())
-            O = random_observable(args.d, args.d, rng).matrix
+            O = random_signature_observable(args.d, args.d, rng).matrix
             rows = []  # every pattern first, so an error prints no partial verdicts
             for pattern in moments.COV_PATTERNS:
                 exact = moments.exact_covariance(pattern, rho, O, args.d)
@@ -429,7 +427,7 @@ def main(argv=None) -> int:
 
         if args.cmd == "compare":
             seed = _resolve_seed(args)
-            rows = compare_estimators(args.d, args.B, args.eps, args.trials, seed)
+            rows = compare_estimators(args.d, args.B, args.trials, seed)
             header = ("s", "var_linear", "var_quadratic", "ratio", "pred_linear", "pred_quadratic")
             print(("{:>6s}" + "{:>16s}" * 5).format(*header))
             for row in rows:

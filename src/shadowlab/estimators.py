@@ -7,10 +7,10 @@ Three unbiased estimators of a pure state rho from measurement outcomes:
 * quadratic            average of rho_i rho_j over ordered pairs i != j,
   unbiased only for pure states (rho^2 = rho) and of unconstrained trace.
 
-batch_estimates is the estimator kernel: it maps the outcome vectors and O
-straight to the per-batch estimates Tr(O rhohat), never forming a d x d
-shadow per outcome.  The Shadow constructors below are the dense reference
-forms of the same estimators.
+batch_estimates is the estimator kernel: it maps the outcome vectors and the
+spectral factor of O straight to the per-batch estimates Tr(O rhohat),
+never forming a d x d shadow or O itself.  The Shadow constructors below
+are the dense reference forms of the same estimators.
 
 Batch planning converts a per-batch Chebyshev bound into a sample count and
 an odd batch count for the median-of-means step.
@@ -26,6 +26,7 @@ import numpy as np
 
 from .linalg import hermitize
 from .measurement import UNIT_NORM_TOL, JointOutcome
+from .observables import Observable
 
 ShadowKind = Literal["affine_joint", "linear_single", "quadratic"]
 EstimateKind = Literal["affine_joint", "linear", "quadratic"]
@@ -94,7 +95,7 @@ def plan_batches(B: float, eps: float, delta: float, p: float = BATCH_FAILURE_P)
 
 
 def batch_estimates(
-    O: np.ndarray, outcomes: np.ndarray, kind: EstimateKind, copies: int = 1
+    O: Observable, outcomes: np.ndarray, kind: EstimateKind, copies: int = 1
 ) -> np.ndarray:
     """Per-batch estimates Tr(O rhohat) computed from the outcome vectors alone.
 
@@ -105,6 +106,10 @@ def batch_estimates(
     Q = ((d+1)^2 - 2(d+1)) P + s I; linear is Tr(O S)/s and quadratic is
     Tr(O (S^2 - Q))/(s(s-1)).  Equals Tr(O shadow) of affine_shadow,
     linear_mean_shadow and quadratic_shadow.
+
+    Everything runs on the factor O = V diag(lam) V^H: with C_ij = <psi_i|v_j>,
+    <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
+    where S V = (d+1) Psi^T C - s V.  The cost is O(k s d r) for rank r.
     """
     if kind not in ("affine_joint", "linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -122,18 +127,20 @@ def batch_estimates(
     if np.abs(np.sqrt(sq_norms) - 1.0).max() > UNIT_NORM_TOL:
         raise ValueError("outcome states must be unit norm")
     d = outcomes.shape[-1]
-    tr_o = np.trace(O).real
+    V, lam = O.vecs, O.evals
+    tr_o = lam.sum()
+    C = np.conj(outcomes @ V.conj())
+    o_psi = (C.real**2 + C.imag**2) @ lam  # <psi|O|psi> per outcome
     if kind == "affine_joint":
-        o_psi = ((outcomes.conj() @ O) * outcomes).real.sum(axis=1)
         return ((d + copies) * o_psi - tr_o) / copies
     s = outcomes.shape[1]
-    P = outcomes.transpose(0, 2, 1) @ outcomes.conj()
-    I = np.eye(d)
-    S = (d + 1) * P - s * I
+    tr_op = o_psi.sum(axis=1)  # Tr(O P)
     if kind == "linear":
-        return np.einsum("ij,kji->k", O, S).real / s
-    Q = ((d + 1) ** 2 - 2 * (d + 1)) * P + s * I
-    return np.einsum("ij,kji->k", O, S @ S - Q).real / (s * (s - 1))
+        return ((d + 1) * tr_op - s * tr_o) / s
+    SV = (d + 1) * (outcomes.transpose(0, 2, 1) @ C) - s * V
+    tr_os2 = (SV.real**2 + SV.imag**2).sum(axis=1) @ lam
+    tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + s * tr_o
+    return (tr_os2 - tr_oq) / (s * (s - 1))
 
 
 def affine_shadow(outcome: JointOutcome, d: int) -> Shadow:

@@ -1,14 +1,18 @@
 """Observables with unit operator norm and bounded squared Frobenius norm.
 
-Random rank-r projectors saturate the norm constraints exactly, and the
-eigenprojector construction gives the optimal distinguishing observable
-between two states (gap equal to the trace distance).
+An Observable is stored as its spectral factor O = V diag(evals) V^H, the
+form every constructor here already holds, so building one never
+re-diagonalises a d x d matrix.  Random rank-r projectors saturate the norm
+constraints exactly, and the eigenprojector construction gives the optimal
+distinguishing observable between two states (gap equal to the trace
+distance).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,23 +20,56 @@ from .ensembles import RngStream
 from .linalg import hermitize, is_hermitian
 
 EIGENVALUE_CUTOFF = 1e-10
+SPECTRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian O with ||O|| = 1 and Tr(O^2) <= b_budget."""
+    """Hermitian O = V diag(evals) V^H with ||O|| = 1 and Tr(O^2) <= b_budget.
 
-    matrix: np.ndarray
+    vecs is (d, r) with orthonormal columns and evals is (r,) and real, so
+    evals are eigenvalues of O and the checks below are the eigenvalue
+    checks, at O(d r^2) cost.  Eigenvalues of O outside the factor are 0.
+    """
+
+    vecs: np.ndarray
+    evals: np.ndarray
     b_budget: float
 
     def __post_init__(self):
-        if not is_hermitian(self.matrix):
-            raise ValueError("observable must be Hermitian")
-        evals = np.linalg.eigvalsh(self.matrix)
-        if abs(np.abs(evals).max() - 1.0) > 1e-9:
+        vecs, evals = np.asarray(self.vecs), np.asarray(self.evals)
+        if vecs.ndim != 2 or evals.shape != (vecs.shape[1],) or evals.size == 0:
+            raise ValueError("need vecs of shape (d, r) and evals of shape (r,), r >= 1")
+        if np.iscomplexobj(evals):
+            raise ValueError("eigenvalues must be real")
+        # the negated comparisons also reject NaN
+        if not np.abs(vecs.conj().T @ vecs - np.eye(evals.size)).max() <= SPECTRAL_TOL:
+            raise ValueError("eigenvectors must be orthonormal")
+        if not abs(np.abs(evals).max() - 1.0) <= SPECTRAL_TOL:
             raise ValueError("operator norm must equal 1")
-        if (evals**2).sum() > self.b_budget + 1e-9:
+        if not (evals**2).sum() <= self.b_budget + SPECTRAL_TOL:
             raise ValueError("Tr(O^2) exceeds budget")
+        object.__setattr__(self, "vecs", vecs)
+        object.__setattr__(self, "evals", evals)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, b_budget: float) -> Observable:
+        """Factor a dense Hermitian matrix, keeping every eigenpair."""
+        if not is_hermitian(matrix):
+            raise ValueError("observable must be Hermitian")
+        evals, vecs = np.linalg.eigh(matrix)
+        return cls(vecs=vecs, evals=evals, b_budget=b_budget)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d matrix, formed on first use."""
+        return hermitize((self.vecs * self.evals) @ self.vecs.conj().T)
+
+
+def _haar_frame(d: int, r: int, rng: RngStream) -> np.ndarray:
+    """Orthonormal (d, r) basis of a Haar-random r-dimensional subspace."""
+    z = rng.gen.standard_normal((d, r)) + 1j * rng.gen.standard_normal((d, r))
+    return np.linalg.qr(z)[0]
 
 
 def random_projector_observable(d: int, r: int, rng: RngStream) -> Observable:
@@ -42,9 +79,7 @@ def random_projector_observable(d: int, r: int, rng: RngStream) -> Observable:
     """
     if not 1 <= r <= d:
         raise ValueError(f"rank r={r} out of range [1, {d}]")
-    z = rng.gen.standard_normal((d, r)) + 1j * rng.gen.standard_normal((d, r))
-    q, _ = np.linalg.qr(z)
-    return Observable(matrix=hermitize(q @ q.conj().T), b_budget=float(r))
+    return Observable(vecs=_haar_frame(d, r, rng), evals=np.ones(r), b_budget=float(r))
 
 
 def random_observable(d: int, B: float, rng: RngStream) -> Observable:
@@ -61,10 +96,8 @@ def random_signature_observable(d: int, B: float, rng: RngStream) -> Observable:
     can be tiny.
     """
     r = max(1, min(d, math.floor(B)))
-    z = rng.gen.standard_normal((d, r)) + 1j * rng.gen.standard_normal((d, r))
-    q, _ = np.linalg.qr(z)
     evals = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
-    return Observable(matrix=hermitize((q * evals) @ q.conj().T), b_budget=float(r))
+    return Observable(vecs=_haar_frame(d, r, rng), evals=evals, b_budget=float(r))
 
 
 def traceless_part(O: np.ndarray) -> np.ndarray:
@@ -89,15 +122,13 @@ def distinguishing_observable(
         raise ValueError("states are equal; no distinguishing observable")
     pos = evals > EIGENVALUE_CUTOFF
     neg = evals < -EIGENVALUE_CUTOFF
-    o_pos = hermitize(evecs[:, pos] @ evecs[:, pos].conj().T)
-    o_neg = hermitize(evecs[:, neg] @ evecs[:, neg].conj().T)
     gap = float(evals[pos].sum())  # = half the trace norm of the difference
     use_neg = pick_low_rank and neg.sum() < pos.sum()
-    mat = o_neg if use_neg else o_pos
-    if mat.size == 0 or np.abs(mat).max() == 0:
-        mat = o_pos if use_neg else o_neg
-    rank = int(np.round(np.trace(mat).real))
-    return Observable(matrix=mat, b_budget=float(rank)), gap
+    keep = neg if use_neg else pos
+    if not keep.any():
+        keep = pos if use_neg else neg
+    rank = int(keep.sum())
+    return Observable(vecs=evecs[:, keep], evals=np.ones(rank), b_budget=float(rank)), gap
 
 
 def helstrom_success(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import shadowlab
-from shadowlab import linalg
+from shadowlab import linalg, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -113,6 +113,20 @@ def test_run_sweep_fixed_seed_estimates_pinned():
         assert np.abs(np.array([r.truth for r in rows]) - truths).max() <= 1e-12
 
 
+def test_run_sweep_never_diagonalises(monkeypatch):
+    # observables carry their eigen-factor, so the sweep path needs no eigh
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition on the sweep path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for mode in ("jm", "im-linear", "im-quadratic"):
+        rows = run_sweep(
+            ExperimentConfig(mode=mode, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3)
+        )
+        assert [r.mode for r in rows] == [mode] * 2
+
+
 def test_run_sweep_im_modes():
     for mode, kind in (("im-linear", "im-linear"), ("im-quadratic", "im-quadratic")):
         rows = run_sweep(
@@ -127,7 +141,7 @@ def test_run_sweep_im_modes():
 
 
 def test_compare_estimators_s2_runs():
-    rows = compare_estimators(d=4, B=4.0, eps=0.5, N=200, seed=1, s_grid=(2, 8))
+    rows = compare_estimators(d=4, B=4.0, N=200, seed=1, s_grid=(2, 8))
     assert len(rows) == 2
     assert rows[0][0] == 2 and all(np.isfinite(v) for v in rows[0][1:])
 
@@ -135,7 +149,7 @@ def test_compare_estimators_s2_runs():
 def test_compare_estimators_ratio_trend():
     # quadratic/linear variance ratio falls as s grows, tracking
     # (Bd/s^2 + 1/s) vs B/s
-    rows = compare_estimators(d=16, B=16.0, eps=0.2, N=1500, seed=7)
+    rows = compare_estimators(d=16, B=16.0, N=1500, seed=7)
     ratios = [r[3] for r in rows]
     assert ratios == sorted(ratios, reverse=True)
     assert rows[-1][2] <= rows[-1][1]  # quadratic wins at s=64, B=d
@@ -199,6 +213,16 @@ def test_cli_cov_check_subcommand():
     assert main(["cov-check", "--d", "2", "--trials", "20000", "--seed", "9"]) == 0
 
 
+def test_cli_cov_check_sees_a_nontrivial_observable(monkeypatch):
+    # an exact covariance taken at O = I must disagree with the Monte Carlo
+    # estimate, which it cannot do if the gate itself only draws O = I
+    exact = moments.exact_covariance
+    monkeypatch.setattr(
+        moments, "exact_covariance", lambda pattern, rho, O, d: exact(pattern, rho, np.eye(d), d)
+    )
+    assert main(["cov-check", "--d", "3", "--trials", "20000"]) == 1
+
+
 def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
     # with d^3 over budget the last dense pattern fails after three succeed
     monkeypatch.setattr(linalg, "DIM_BUDGET", 30)
@@ -213,6 +237,12 @@ def test_cli_compare_subcommand(tmp_path):
     assert main(["compare", "--d", "8", "--B", "8", "--trials", "300",
                  "--seed", "3", "--out", str(out)]) == 0
     assert len(read_csv(str(out))) == 5
+
+
+def test_cli_compare_has_no_eps_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--eps", "0.2"])
+    assert exc.value.code == 2
 
 
 def test_console_entry_point():

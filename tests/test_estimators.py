@@ -20,6 +20,7 @@ from shadowlab.estimators import (
 )
 from shadowlab.linalg import density, trace_distance
 from shadowlab.measurement import JointOutcome, measure_independent_batch, measure_joint_batch
+from shadowlab.observables import Observable
 
 
 def singles_from(phi, rng, count):
@@ -258,20 +259,21 @@ def random_hermitian_unit_norm(d, rng):
 def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     rng = RngStream(seed)
     O = random_hermitian_unit_norm(d, rng)
+    obs = Observable.from_matrix(O, d)
     joint = sample_haar_state(d, rng, size=k)
     dense = [np.trace(O @ affine_shadow(JointOutcome(psi=p, s=copies), d).matrix).real
              for p in joint]
-    assert np.abs(batch_estimates(O, joint, "affine_joint", copies) - dense).max() < 1e-12
+    assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
 
     psis = sample_haar_state(d, rng, size=k * s).reshape(k, s, d)
     batches = [[single_copy_shadow(JointOutcome(psi=p, s=1), d) for p in b] for b in psis]
     for kind, oracle in (("linear", linear_mean_shadow), ("quadratic", quadratic_shadow)):
         dense = [np.trace(O @ oracle(b).matrix).real for b in batches]
-        assert np.abs(batch_estimates(O, psis, kind) - dense).max() < 1e-12
+        assert np.abs(batch_estimates(obs, psis, kind) - dense).max() < 1e-12
 
 
 def test_batch_estimates_validation():
-    O = np.diag([1.0, 0.0]).astype(complex)
+    O = Observable.from_matrix(np.diag([1.0, 0.0]), 1.0)
     unit = np.array([[1, 0], [0, 1]], dtype=complex)
     assert np.allclose(batch_estimates(O, unit, "affine_joint", 1), [2.0, -1.0])
     with pytest.raises(ValueError):  # one outcome off unit norm is enough
@@ -288,6 +290,8 @@ def test_batch_estimates_validation():
         batch_estimates(O, unit, "affine_joint", copies=0)
     with pytest.raises(ValueError):
         batch_estimates(O, unit, "median")
+    with pytest.raises(ValueError):  # O is 2 x 2, the outcomes live in d = 3
+        batch_estimates(O, np.eye(3, dtype=complex), "affine_joint")
 
 
 # ------------------------------------------------------------------- selection

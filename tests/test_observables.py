@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import density, trace_distance
@@ -21,11 +22,69 @@ PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 def test_observable_validation():
     with pytest.raises(ValueError):
-        Observable(matrix=np.diag([2.0, 0.0]).astype(complex), b_budget=4.0)
+        Observable.from_matrix(np.diag([2.0, 0.0]).astype(complex), b_budget=4.0)
     with pytest.raises(ValueError):
-        Observable(matrix=np.eye(3, dtype=complex), b_budget=2.0)  # Tr(O^2)=3 > 2
+        Observable.from_matrix(np.eye(3, dtype=complex), b_budget=2.0)  # Tr(O^2)=3 > 2
     with pytest.raises(ValueError):
-        Observable(matrix=np.array([[0, 1], [0, 0]], dtype=complex), b_budget=2.0)
+        Observable.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex), b_budget=2.0)
+
+
+@pytest.mark.parametrize(
+    "vecs, evals, budget",
+    [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 2.0),  # not orthonormal
+        (np.eye(2) * (1 + 1e-8), np.array([1.0, 0.0]), 2.0),  # columns off unit norm
+        (np.eye(2), np.array([1.0, 0.5j]), 2.0),  # complex eigenvalues
+        (np.eye(3)[:, :2], np.ones(3), 3.0),  # shape mismatch
+        (np.ones(3), np.ones(1), 1.0),  # vecs not (d, r)
+        (np.eye(3)[:, :0], np.ones(0), 1.0),  # empty factor
+        (np.eye(2), np.array([0.5, 0.5]), 2.0),  # max |lambda| != 1
+        (np.eye(2), np.array([1.0, -1.0 - 2e-9]), 3.0),  # max |lambda| just past 1
+        (np.eye(3), np.ones(3), 2.0),  # Tr(O^2) = 3 > 2
+        (np.eye(2), np.array([1.0, np.nan]), 2.0),  # NaN eigenvalue
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 2.0),  # NaN eigenvector
+    ],
+)
+def test_observable_rejects_bad_factors(vecs, evals, budget):
+    with pytest.raises(ValueError):
+        Observable(vecs=vecs, evals=evals, b_budget=budget)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    norm_offset=st.sampled_from((-1e-6, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 1e-6)),
+    budget_offset=st.sampled_from((-1.0, -2e-9, -5e-10, 0.0, 5e-10, 1.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_from_matrix_accepts_exactly_the_eigvalsh_rule(seed, d, norm_offset, budget_offset):
+    # offsets sit well clear of the 1e-9 tolerance, so rounding cannot flip a verdict
+    rng = RngStream(seed)
+    z = rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
+    M = (z + z.conj().T) / 2
+    M *= (1 + norm_offset) / np.abs(np.linalg.eigvalsh(M)).max()
+    budget = float(np.trace(M @ M).real) + budget_offset
+    evals = np.linalg.eigvalsh(M)
+    old_rule = abs(np.abs(evals).max() - 1) <= 1e-9 and (evals**2).sum() <= budget + 1e-9
+    try:
+        obs = Observable.from_matrix(M, budget)
+    except ValueError:
+        assert not old_rule
+    else:
+        assert old_rule
+        assert np.abs(obs.matrix - M).max() < 1e-12
+
+
+def test_constructors_carry_their_factor():
+    rng = RngStream(40)
+    proj = random_projector_observable(8, 3, rng)
+    assert proj.vecs.shape == (8, 3) and np.array_equal(proj.evals, np.ones(3))
+    sig = random_signature_observable(8, 5, rng)
+    assert sig.vecs.shape == (8, 5) and np.array_equal(sig.evals, [1, -1, 1, -1, 1])
+    obs, _ = distinguishing_observable(
+        density(sample_haar_state(5, rng)), density(sample_haar_state(5, rng))
+    )
+    assert obs.vecs.shape == (5, 1)
 
 
 def test_random_projector_eigenvalues():
