@@ -1,9 +1,13 @@
 """Simulation and validation toolkit for pure-state classical shadows.
 
+The classical record of a batch of measurements is the (n, d) outcome array
+from measurement.measure_joint_batch or measure_independent_batch;
+batch_estimates maps it and an Observable to the per-batch estimates.
+
 Submodules:
   linalg       permutation operators, symmetric projectors, partial traces
   ensembles    seeded Haar sampling and the joint-measurement outcome law
-  measurement  joint and single-copy measurement primitives
+  measurement  joint and single-copy measurements, as (n, d) outcome arrays
   estimators   outcome-array estimator kernel, dense reference shadows, batch planning
   observables  bounded-norm observables and optimal state discrimination
   moments      closed-form moments/covariances with brute-force oracles
@@ -11,7 +15,7 @@ Submodules:
   cli          experiment sweeps, verification suites, CSV reporting
 """
 
-from .ensembles import RngStream, sample_haar_state, sample_posterior_state
+from .ensembles import RngStream, sample_haar_state
 from .estimators import (
     BatchPlan,
     Shadow,
@@ -23,7 +27,7 @@ from .estimators import (
     quadratic_shadow,
     single_copy_shadow,
 )
-from .measurement import JointOutcome, measure_independent, measure_joint
+from .measurement import JointOutcome
 from .observables import Observable, distinguishing_observable, random_observable
 
 __all__ = [
@@ -36,14 +40,11 @@ __all__ = [
     "batch_estimates",
     "choose_estimator",
     "distinguishing_observable",
-    "measure_independent",
-    "measure_joint",
     "median_estimate",
     "plan_batches",
     "quadratic_shadow",
     "random_observable",
     "sample_haar_state",
-    "sample_posterior_state",
     "single_copy_shadow",
 ]
 

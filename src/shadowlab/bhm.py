@@ -102,16 +102,6 @@ def expected_value(inst: BHMInstance) -> float:
     return trace_val
 
 
-def pad_state(psi: np.ndarray, d: int) -> np.ndarray:
-    """Embed an n-dimensional state into dimension d >= n with zero amplitudes."""
-    n = psi.shape[0]
-    if d < n:
-        raise ValueError("target dimension smaller than the state")
-    out = np.zeros(d, dtype=complex)
-    out[:n] = psi
-    return out
-
-
 def alice_shadows(x: Sequence[int], plan: BatchPlan, rng: RngStream) -> list[Shadow]:
     """Alice's side: measure batches of the sign state, keep only the shadows."""
     n = len(x)

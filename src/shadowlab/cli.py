@@ -26,7 +26,9 @@ import numpy as np
 from . import bhm as bhm_mod
 from . import moments
 from .ensembles import RngStream, sample_haar_state
-from .estimators import BatchPlan, batch_estimates, choose_estimator, plan_batches
+from .estimators import (
+    BATCH_FAILURE_P, BatchPlan, batch_estimates, choose_estimator, plan_batches,
+)
 from .linalg import Permutation, kappa, perm_operator, sym_projector
 from .measurement import measure_joint_batch, measure_independent_batch
 from .moments import MomentReport
@@ -107,18 +109,18 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 def plan_linear_batches(B: float, eps: float, delta: float):
     """Batch plan for the per-copy linear estimator: (B + 8)/s <= p eps^2."""
     plan = plan_batches(B, eps, delta)
-    s = max(1, math.ceil((B + 8) / (plan.p * eps * eps)))
-    return BatchPlan(s=s, k=plan.k, p=plan.p)
+    s = max(1, math.ceil((B + 8) / (BATCH_FAILURE_P * eps * eps)))
+    return BatchPlan(s=s, k=plan.k)
 
 
 def plan_quadratic_batches(B: float, d: int, eps: float, delta: float):
     """Batch plan for the quadratic estimator: 16(Bd/s^2 + 1/s) <= p eps^2."""
     plan = plan_batches(B, eps, delta)
-    target = plan.p * eps * eps
+    target = BATCH_FAILURE_P * eps * eps
     s = max(2, math.ceil((16 + math.sqrt(256 + 64 * B * d * target)) / (2 * target)))
     while s > 2 and 16 * (B * d / (s - 1) ** 2 + 1 / (s - 1)) <= target:
         s -= 1
-    return BatchPlan(s=s, k=plan.k, p=plan.p)
+    return BatchPlan(s=s, k=plan.k)
 
 
 def _im_batch_estimates(phi, O, s, k, rng, kind):
@@ -175,8 +177,11 @@ def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 6
     observable is a balanced +1/-1 signature with Tr(O^2) = floor(B), so
     the linear estimator's variance actually scales like B/s (a rank-B
     projector with B near d is close to the identity and would make the
-    comparison vacuous).
+    comparison vacuous).  A variance needs N >= 2 batches, and the
+    predictions hold only for 1 <= B <= d.
     """
+    if N < 2 or not 1 <= B <= d:
+        raise ValueError("compare needs trials >= 2 and 1 <= B <= d")
     rng = RngStream(seed, 0)
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)
@@ -193,11 +198,10 @@ def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 6
 
 
 def _moment_grid():
-    for d in (2, 3):
-        for s in (1, 2, 3):
-            yield s, d
     for s in (1, 2, 3, 4):
         yield s, 2
+    for s in (1, 2, 3):
+        yield s, 3
 
 
 def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False) -> int:
@@ -300,8 +304,8 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_CONFIG_TYPES = {
-    "mode": str, "d": int, "B": float, "eps": float, "delta": float,
+_CONFIG_TYPES = {  # no "mode": the subcommand alone picks the sweep
+    "d": int, "B": float, "eps": float, "delta": float,
     "trials": int, "seed": int, "out": str, "estimator": str,
 }
 

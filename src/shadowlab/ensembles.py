@@ -32,18 +32,6 @@ class RngStream:
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class OverlapSample:
-    """Squared overlap t = |<psi|phi>|^2 and relative phase theta."""
-
-    t: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"overlap t={self.t} outside [0, 1]")
-
-
 def sample_haar_state(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Haar-random unit vectors in C^d; shape (d,) or (size, d).
 
@@ -67,20 +55,6 @@ def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
     t = g1 / (g1 + g2)
     theta = rng.gen.uniform(0.0, 2 * np.pi, size=n)
     return t, theta
-
-
-def sample_posterior_overlap(s: int, d: int, rng: RngStream) -> OverlapSample:
-    """Draw the squared overlap between measurement outcome and true state.
-
-    t has density proportional to t^s (1-t)^(d-2) on [0, 1], with mean
-    (s+1)/(s+d); theta is uniform on [0, 2*pi).
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    t, theta = _sample_overlaps(s, d, rng, 1)
-    return OverlapSample(float(t[0]), float(theta[0]))
 
 
 def _orthogonal_complement_states(phi: np.ndarray, rng: RngStream, n: int) -> np.ndarray:
@@ -109,8 +83,3 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
     chi = _orthogonal_complement_states(phi, rng, size)
     amp = np.exp(1j * theta) * np.sqrt(t)
     return amp[:, None] * phi[None, :] + np.sqrt(1 - t)[:, None] * chi
-
-
-def sample_posterior_state(phi: np.ndarray, s: int, rng: RngStream) -> np.ndarray:
-    """One outcome of the joint measurement on phi^(x s)."""
-    return sample_posterior_states(phi, s, rng, 1)[0]

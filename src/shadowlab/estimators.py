@@ -55,32 +55,30 @@ class Shadow:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Samples per batch s, odd batch count k, per-batch failure budget p."""
+    """Samples per batch s and odd batch count k."""
 
     s: int
     k: int
-    p: float = BATCH_FAILURE_P
 
     def __post_init__(self):
         if self.k % 2 != 1 or self.s < 1:
             raise ValueError("k must be odd and s >= 1")
-        if not 0 < self.p < 0.5:
-            raise ValueError("p must lie in (0, 1/2)")
 
     @property
     def total(self) -> int:
         return self.s * self.k
 
 
-def plan_batches(B: float, eps: float, delta: float, p: float = BATCH_FAILURE_P) -> BatchPlan:
+def plan_batches(B: float, eps: float, delta: float) -> BatchPlan:
     """Smallest (s, k) meeting the per-batch and median failure targets.
 
-    s is the least integer with (B + 8s)/s^2 <= p * eps^2, so each batch
-    estimate misses by >= eps with probability at most p; k is the least odd
-    integer with sqrt(4p(1-p))^k <= delta.
+    With p = BATCH_FAILURE_P, s is the least integer with (B + 8s)/s^2 <=
+    p * eps^2, so each batch estimate misses by >= eps with probability at
+    most p; k is the least odd integer with sqrt(4p(1-p))^k <= delta.
     """
     if B < 1 or not 0 < eps <= 1 or not 0 < delta < 1:
         raise ValueError("require B >= 1, eps in (0,1], delta in (0,1)")
+    p = BATCH_FAILURE_P
     target = p * eps * eps
     # (B + 8s) <= target * s^2; quadratic formula gives the crossover, then
     # walk to the exact least integer.
@@ -91,7 +89,7 @@ def plan_batches(B: float, eps: float, delta: float, p: float = BATCH_FAILURE_P)
     if k % 2 == 0:
         k += 1
     k = max(k, 1)
-    return BatchPlan(s=s, k=k, p=p)
+    return BatchPlan(s=s, k=k)
 
 
 def batch_estimates(
@@ -198,13 +196,3 @@ def quadratic_shadow(singles: Sequence[Shadow]) -> Shadow:
 def choose_estimator(B: float, d: int, eps: float) -> Literal["linear", "quadratic"]:
     """Quadratic wins iff eps <= sqrt(B/d); ties go to quadratic."""
     return "quadratic" if eps <= math.sqrt(B / d) else "linear"
-
-
-def implied_trace_distance_bound(e_rho: float) -> float:
-    """Trace-distance bound sqrt(8 |1 - E|) implied by an estimate E of Tr(rho rhohat).
-
-    If the protocol's estimate at observable O = rho is within eps of 1, the
-    learned state is within sqrt(8 eps) of rho in trace distance (via the
-    pure-state fidelity identity and the Fuchs-van de Graaf inequality).
-    """
-    return math.sqrt(8 * abs(1 - e_rho))

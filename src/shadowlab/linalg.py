@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -167,33 +167,6 @@ def partial_trace(M: np.ndarray, d: int, s: int, keep: Iterable[int]):
     return res.reshape(d**k, d**k)
 
 
-def cycle_trace(pi: Permutation, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate Tr_{-0}(W_pi (A_0 x ... x A_{n-1})) for a single n-cycle pi.
-
-    The result is the product of the A_i in reverse order of traversal of the
-    cycle starting from position 0, without ever materializing a d^n operator.
-    For the canonical cycle this is A_{n-1} ... A_1 A_0.
-    """
-    n = pi.size
-    if len(mats) != n:
-        raise ValueError("need one matrix per tensor factor")
-    d = mats[0].shape[0]
-    for A in mats:
-        if A.shape != (d, d):
-            raise ValueError("all matrices must be square of equal dimension")
-    if len(pi.cycles()) != 1:
-        raise ValueError("permutation must be a single n-cycle")
-    order = [0]
-    j = pi(0)
-    while j != 0:
-        order.append(j)
-        j = pi(j)
-    prod = np.eye(d, dtype=complex)
-    for p in order:
-        prod = mats[p] @ prod
-    return prod
-
-
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^dag)/2 to stop Hermiticity drift after arithmetic."""
     return (M + M.conj().T) / 2
@@ -212,19 +185,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.abs(evals).sum() / 2)
 
 
-def fidelity_pure(psi: np.ndarray, phi: np.ndarray) -> float:
-    """|<psi|phi>|^2 for state vectors."""
-    return float(np.abs(np.vdot(psi, phi)) ** 2)
-
-
 def density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a state vector."""
     return np.outer(psi, psi.conj())
-
-
-def purity_trace_identity_check(rho: np.ndarray, O: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether Tr((O rho)^2) == Tr(O rho)^2, exact for pure rho."""
-    prod = O @ rho
-    lhs = np.trace(prod @ prod)
-    rhs = np.trace(prod) ** 2
-    return bool(abs(lhs - rhs) <= tol)

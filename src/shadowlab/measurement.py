@@ -1,10 +1,10 @@
 """The two measurement primitives on copies of an unknown pure state.
 
-measure_joint simulates the symmetric joint POVM on s copies at once;
-measure_independent is the single-copy special case.  Outcomes are sampled
-directly from the known outcome law (see ensembles), never by constructing
-the d^s-dimensional POVM.  For pure inputs the POVM's "fail" element has
-probability zero and never occurs.
+measure_joint_batch simulates the symmetric joint POVM on s copies, n times;
+measure_independent_batch is the single-copy special case.  The record is an
+(n, d) array of outcome states, sampled directly from the known outcome law
+(see ensembles), never by constructing the d^s-dimensional POVM.  For pure
+inputs the POVM's "fail" element has probability zero and never occurs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RngStream, sample_posterior_state, sample_posterior_states
+from .ensembles import RngStream, sample_posterior_states
 from .linalg import hermitize, is_hermitian
 
 PURITY_TOL = 1e-8
@@ -62,24 +62,11 @@ def as_state_vector(state: np.ndarray) -> np.ndarray:
     return evecs[:, -1]
 
 
-def measure_joint(phi: np.ndarray, s: int, rng: RngStream) -> JointOutcome:
-    """Measure phi^(x s) with the symmetric joint POVM on s copies."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    vec = as_state_vector(phi)
-    return JointOutcome(psi=sample_posterior_state(vec, s, rng), s=s)
-
-
 def measure_joint_batch(phi: np.ndarray, s: int, rng: RngStream, n: int) -> np.ndarray:
     """n independent joint-measurement outcomes, as an (n, d) array."""
     if s < 1:
         raise ValueError("s must be >= 1")
     return sample_posterior_states(as_state_vector(phi), s, rng, n)
-
-
-def measure_independent(phi: np.ndarray, rng: RngStream) -> JointOutcome:
-    """Measure a single copy of phi with the s=1 POVM."""
-    return measure_joint(phi, 1, rng)
 
 
 def measure_independent_batch(phi: np.ndarray, rng: RngStream, n: int) -> np.ndarray:

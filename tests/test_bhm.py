@@ -11,7 +11,6 @@ from shadowlab.bhm import (
     expected_value,
     gen_instance,
     matching_observable,
-    pad_state,
     run_protocol,
     sign_state,
 )
@@ -85,16 +84,6 @@ def test_expected_value_is_2_alpha_b():
 def test_expected_value_b1_quarter():
     inst = gen_instance(16, 0.25, 1, RngStream(73))
     assert expected_value(inst) == pytest.approx(0.5)  # 2 * 1/4 * 1
-
-
-def test_pad_state():
-    psi = sign_state((0, 1))
-    padded = pad_state(psi, 5)
-    assert padded.shape == (5,)
-    assert np.abs(padded[2:]).max() == 0
-    assert abs(np.linalg.norm(padded) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        pad_state(psi, 1)
 
 
 def test_noiseless_shadows_always_round_correctly():

@@ -11,6 +11,7 @@ from shadowlab import linalg, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
+    _moment_grid,
     compare_estimators,
     main,
     plan_linear_batches,
@@ -20,6 +21,7 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
+from shadowlab.estimators import plan_batches
 
 
 def read_csv(path):
@@ -54,6 +56,32 @@ def test_plan_helpers_meet_their_targets():
         quad = plan_quadratic_batches(B, 8, eps, 0.05)
         assert 16 * (B * 8 / quad.s**2 + 1 / quad.s) <= p * eps**2 + 1e-12
         assert 16 * (B * 8 / (quad.s - 1) ** 2 + 1 / (quad.s - 1)) > p * eps**2
+
+
+# (B, d, eps, delta) -> (s, k) of plan_batches, plan_linear_batches and
+# plan_quadratic_batches; the benchmark's sweep operating points are among
+# them, so a planner change that moves a plan changes what they measure
+PINNED_PLANS = [
+    ((1.0, 4, 0.5, 0.05), (129, 21), (144, 21), (260, 21)),
+    ((4.0, 8, 0.4, 0.1), (201, 17), (300, 17), (430, 17)),
+    ((4.0, 256, 0.2, 0.05), (801, 21), (1200, 21), (2310, 21)),
+    ((4.0, 64, 0.3, 0.05), (357, 21), (534, 21), (911, 21)),
+    ((4.0, 32, 0.2, 0.05), (801, 21), (1200, 21), (1720, 21)),
+    ((2.5, 16, 0.33, 0.2), (295, 13), (386, 13), (626, 13)),
+    ((16.0, 64, 0.1, 0.001), (3202, 49), (9600, 49), (7298, 49)),
+    ((1.0, 2, 1.0, 0.5), (33, 5), (36, 5), (66, 5)),
+]
+
+
+@pytest.mark.parametrize("point, joint, linear, quadratic", PINNED_PLANS)
+def test_plans_pinned(point, joint, linear, quadratic):
+    B, d, eps, delta = point
+    plans = (plan_batches(B, eps, delta), plan_linear_batches(B, eps, delta),
+             plan_quadratic_batches(B, d, eps, delta))
+    assert [(p.s, p.k) for p in plans] == [joint, linear, quadratic]
+    # the linear s is the least one meeting (B + 8)/s <= eps^2 / 4
+    s = plans[1].s
+    assert (B + 8) / s <= 0.25 * eps**2 and (s == 1 or (B + 8) / (s - 1) > 0.25 * eps**2)
 
 
 def test_run_sweep_success_predicate_and_schema(tmp_path):
@@ -155,6 +183,25 @@ def test_compare_estimators_ratio_trend():
     assert rows[-1][2] <= rows[-1][1]  # quadratic wins at s=64, B=d
 
 
+def test_compare_rejects_inputs_it_cannot_handle(capsys):
+    # one batch has no sample variance, and with B > d the observable drawn
+    # has Tr(O^2) <= d, not the B the pred_* columns assume
+    for kwargs in (dict(d=4, B=2.0, N=1), dict(d=4, B=9.0, N=50), dict(d=4, B=0.5, N=50)):
+        with pytest.raises(ValueError):
+            compare_estimators(seed=0, s_grid=(2,), **kwargs)
+    for argv in (["--d", "4", "--B", "2", "--trials", "1"], ["--d", "4", "--B", "9"]):
+        capsys.readouterr()
+        assert main(["compare", *argv, "--seed", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+
+def test_moment_grid_checks_each_pair_once():
+    grid = list(_moment_grid())
+    assert len(grid) == len(set(grid))
+    assert set(grid) == {(s, 2) for s in (1, 2, 3, 4)} | {(s, 3) for s in (1, 2, 3)}
+
+
 def test_verify_all_passes_and_fault_injection():
     assert verify_all(quiet=True) == 0
     assert verify_all(perturbation=1e-3, quiet=True) == 1
@@ -185,6 +232,11 @@ def test_cli_config_file_and_flag_override(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
     assert main(["jm", "--config", str(bad)]) == 2
+    # so is mode: the subcommand alone picks the sweep
+    bad.write_text("mode = im\n" + cfg.read_text())
+    out3 = tmp_path / "three.csv"
+    assert main(["jm", "--config", str(bad), "--out", str(out3)]) == 2
+    assert not out3.exists()
 
 
 def test_cli_env_seed_fallback(tmp_path, monkeypatch):

@@ -3,11 +3,9 @@ import pytest
 from scipy import stats
 
 from shadowlab.ensembles import (
-    OverlapSample,
     RngStream,
+    _sample_overlaps,
     sample_haar_state,
-    sample_posterior_overlap,
-    sample_posterior_state,
     sample_posterior_states,
 )
 
@@ -40,8 +38,13 @@ def test_rng_stream_reproducible():
 
 
 def test_overlap_sample_range_check():
-    with pytest.raises(ValueError):
-        OverlapSample(t=1.5, theta=0.0)
+    # t in [0, 1] and theta in [0, 2 pi), at the extreme shapes s = 0 and
+    # s >> d as well
+    rng = RngStream(1)
+    for s, d in ((0, 2), (1, 2), (500, 2), (0, 64)):
+        t, theta = _sample_overlaps(s, d, rng, 2000)
+        assert t.min() >= 0 and t.max() <= 1
+        assert theta.min() >= 0 and theta.max() < 2 * np.pi
 
 
 def test_haar_state_norm_and_shape():
@@ -76,23 +79,17 @@ def test_haar_overlap_marginal_ks():
 def test_posterior_overlap_mean():
     # E[t] = (s+1)/(s+d); at d=2, s=1 this is the 2/3 diagonal of the
     # first-moment formula
-    from shadowlab.ensembles import _sample_overlaps
-
     rng = RngStream(4)
     n = 50_000
     for s, d in ((1, 2), (3, 5), (0, 4)):
         ts, _ = _sample_overlaps(s, d, rng, n)
         expected = (s + 1) / (s + d)
         assert abs(ts.mean() - expected) < 5 * ts.std() / np.sqrt(n)
-    single = sample_posterior_overlap(1, 2, rng)
-    assert 0 <= single.t <= 1 and 0 <= single.theta < 2 * np.pi
 
 
 def test_posterior_overlap_distribution_ks():
     s, d = 3, 5
     rng = RngStream(5)
-    from shadowlab.ensembles import _sample_overlaps
-
     ts, thetas = _sample_overlaps(s, d, rng, N_BIG)
     oracle = rejection_sample_overlap(s, d, np.random.default_rng(123), N_BIG)
     assert stats.ks_2samp(ts, oracle).statistic < 0.01
@@ -139,9 +136,9 @@ def test_posterior_phase_covariance():
 def test_posterior_single_draw():
     rng = RngStream(10)
     phi = sample_haar_state(2, rng)
-    psi = sample_posterior_state(phi, 5, rng)
-    assert psi.shape == (2,)
-    assert abs(np.linalg.norm(psi) - 1) < 1e-10
+    psis = sample_posterior_states(phi, 5, rng, 1)
+    assert psis.shape == (1, 2)
+    assert abs(np.linalg.norm(psis[0]) - 1) < 1e-10
 
 
 def test_dimension_guard():

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.estimators import (
+    BATCH_FAILURE_P,
     BatchPlan,
     Shadow,
     affine_shadow,
     batch_estimates,
     choose_estimator,
-    implied_trace_distance_bound,
     linear_mean_shadow,
     median_estimate,
     plan_batches,
@@ -38,6 +38,8 @@ def test_batch_plan_validation():
     with pytest.raises(ValueError):
         BatchPlan(s=0, k=1)
     assert BatchPlan(s=3, k=5).total == 15
+    with pytest.raises(TypeError):  # the failure budget is fixed, not a field
+        BatchPlan(s=3, k=5, p=0.25)
 
 
 def test_plan_batches_frozen_values():
@@ -52,7 +54,7 @@ def test_plan_batches_frozen_values():
 def test_plan_batches_s_is_minimal():
     for B, eps in ((1, 0.5), (4, 0.2), (16, 0.1), (2.5, 0.33)):
         plan = plan_batches(B, eps, 0.05)
-        p = plan.p
+        p = BATCH_FAILURE_P
         s = plan.s
         assert (B + 8 * s) / s**2 <= p * eps**2
         if s > 1:
@@ -301,11 +303,6 @@ def test_choose_estimator_threshold():
     assert choose_estimator(B=4, d=4, eps=1.0) == "quadratic"  # threshold 1
     assert choose_estimator(B=1, d=100, eps=0.5) == "linear"
     assert choose_estimator(B=1, d=4, eps=0.5) == "quadratic"  # tie -> quadratic
-
-
-def test_implied_trace_distance_bound():
-    assert implied_trace_distance_bound(1.0) == 0
-    assert implied_trace_distance_bound(0.98) == pytest.approx(0.4)
 
 
 def test_fidelity_trace_distance_inequality():

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,17 +10,14 @@ from shadowlab.linalg import (
     DimensionOverflowError,
     Permutation,
     all_permutations,
-    cycle_trace,
     density,
-    fidelity_pure,
-    hermitize,
     kappa,
     partial_trace,
     perm_operator,
-    purity_trace_identity_check,
     sym_projector,
     trace_distance,
 )
+from shadowlab.moments import _perm_trace_keep
 
 RNG = np.random.default_rng(1234)
 
@@ -166,47 +164,57 @@ def test_swap_product_partial_trace_identity():
 
 
 # ----------------------------------------------------------------- cycle trace
+# moments._perm_trace_keep, the cycle-by-cycle evaluation the brute-force
+# oracles run on, against the dense W_pi (A_0 x ... x A_{n-1}) it replaces.
 
 
 def test_cycle_trace_identity_matrices():
     pi = Permutation.cycle(3)
-    out = cycle_trace(pi, [np.eye(2, dtype=complex)] * 3)
-    assert abs(np.trace(out) - 2) < 1e-12  # one cycle -> Tr I = d
+    kept, scalar = _perm_trace_keep(pi, [np.eye(2, dtype=complex)] * 3, ())
+    assert kept == [] and abs(scalar - 2) < 1e-12  # one cycle -> Tr I = d
+    (m0,), scalar = _perm_trace_keep(pi, [np.eye(2, dtype=complex)] * 3, (1,))
+    assert np.abs(m0 - np.eye(2)).max() < 1e-12 and scalar == 1
 
 
 def test_cycle_trace_diagonal_example():
     # three copies of diag(1,2) along a 3-cycle: full trace is Tr(A^3) = 9
     A = np.diag([1.0, 2.0]).astype(complex)
-    out = cycle_trace(Permutation.cycle(3), [A, A, A])
-    assert abs(np.trace(out) - 9) < 1e-12
+    _, scalar = _perm_trace_keep(Permutation.cycle(3), [A, A, A], ())
+    assert abs(scalar - 9) < 1e-12
 
 
 def test_cycle_trace_matches_dense_partial_trace():
+    # every pi in S_3: a kept position inside a 2- or 3-cycle or a fixed
+    # point, and the fully traced scalar
     rng = np.random.default_rng(11)
-    for _ in range(5):
+    for _ in range(3):
         mats = [
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             for _ in range(3)
         ]
-        pi = Permutation.cycle(3)
-        dense = partial_trace(
-            perm_operator(pi, 2) @ np.kron(np.kron(mats[0], mats[1]), mats[2]),
-            2, 3, {0},
-        )
-        assert np.abs(cycle_trace(pi, mats) - dense).max() < 1e-10
+        for pi in all_permutations(3):
+            M = perm_operator(pi, 2) @ reduce(np.kron, mats)
+            _, scalar = _perm_trace_keep(pi, mats, ())
+            assert abs(scalar - partial_trace(M, 2, 3, ())) < 1e-10
+            for p in range(3):
+                (m,), scalar = _perm_trace_keep(pi, mats, (p,))
+                assert np.abs(scalar * m - partial_trace(M, 2, 3, {p})).max() < 1e-10
 
 
 def test_cycle_trace_two_factor_case():
     A, B = random_complex(3), random_complex(3)
     pi = Permutation.cycle(2)
     dense = partial_trace(perm_operator(pi, 3) @ np.kron(A, B), 3, 2, {0})
-    assert np.abs(cycle_trace(pi, [A, B]) - dense).max() < 1e-10
-    assert np.abs(cycle_trace(pi, [A, B]) - B @ A).max() < 1e-10
+    (m0,), scalar = _perm_trace_keep(pi, [A, B], (0,))
+    assert scalar == 1
+    assert np.abs(m0 - dense).max() < 1e-10
+    assert np.abs(m0 - B @ A).max() < 1e-10
 
 
-def test_cycle_trace_rejects_non_cycle():
+def test_perm_trace_keep_rejects_shared_cycle():
+    # two kept positions on one cycle do not factor into per-position matrices
     with pytest.raises(ValueError):
-        cycle_trace(Permutation.identity(2), [np.eye(2)] * 2)
+        _perm_trace_keep(Permutation.cycle(2), [np.eye(2)] * 2, (0, 1))
 
 
 # ------------------------------------------------------------------- distances
@@ -229,7 +237,7 @@ def test_trace_distance_pure_state_fidelity_relation():
     for _ in range(20):
         a, b = random_pure(4), random_pure(4)
         td = trace_distance(density(a), density(b))
-        assert abs(td - math.sqrt(1 - fidelity_pure(a, b))) < 1e-9
+        assert abs(td - math.sqrt(1 - abs(np.vdot(a, b)) ** 2)) < 1e-9
 
 
 def test_trace_distance_rejects_non_hermitian():
@@ -250,17 +258,3 @@ def test_trace_distance_metric_properties(salt):
     assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-9
     assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
 
-
-def test_purity_trace_identity():
-    rho = density(random_pure(8))
-    O = hermitize(random_complex(8))
-    assert purity_trace_identity_check(rho, O)
-    assert purity_trace_identity_check(density(random_pure(2)), np.eye(2))
-
-
-def test_purity_trace_identity_fails_for_mixed():
-    # mixed = diag(3/4, 1/4), O = diag(1, -1):
-    # Tr((O rho)^2) = 5/8 but Tr(O rho)^2 = 1/4
-    mixed = np.diag([0.75, 0.25]).astype(complex)
-    O = np.diag([1.0, -1.0]).astype(complex)
-    assert not purity_trace_identity_check(mixed, O)

@@ -6,9 +6,7 @@ from shadowlab.linalg import density
 from shadowlab.measurement import (
     JointOutcome,
     as_state_vector,
-    measure_independent,
     measure_independent_batch,
-    measure_joint,
     measure_joint_batch,
 )
 from shadowlab.moments import exact_second_moment
@@ -86,12 +84,12 @@ def test_measure_joint_second_moment():
 
 
 def test_measure_independent_is_s1():
-    rng = RngStream(24)
-    phi = sample_haar_state(3, rng)
-    out = measure_independent(phi, rng)
-    assert out.s == 1
-    out2 = measure_joint(phi, 2, rng)
-    assert out2.s == 2
+    # the same draws as the joint measurement on one copy
+    phi = sample_haar_state(3, RngStream(24))
+    out = measure_independent_batch(phi, RngStream(24, 1), 5)
+    assert out.shape == (5, 3)
+    assert np.array_equal(out, measure_joint_batch(phi, 1, RngStream(24, 1), 5))
+    assert not np.array_equal(out, measure_joint_batch(phi, 2, RngStream(24, 1), 5))
 
 
 def test_independent_streams_uncorrelated():
@@ -108,5 +106,6 @@ def test_independent_streams_uncorrelated():
 
 def test_measure_joint_rejects_bad_s():
     phi = sample_haar_state(2, RngStream(28))
-    with pytest.raises(ValueError):
-        measure_joint(phi, 0, RngStream(28))
+    for s in (0, -1):
+        with pytest.raises(ValueError):
+            measure_joint_batch(phi, s, RngStream(28), 1)
