@@ -27,12 +27,10 @@ from .estimators import (
     quadratic_shadow,
     single_copy_shadow,
 )
-from .measurement import JointOutcome
 from .observables import Observable, distinguishing_observable, random_observable
 
 __all__ = [
     "BatchPlan",
-    "JointOutcome",
     "Observable",
     "RngStream",
     "Shadow",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensembles import RngStream
 from .estimators import BatchPlan, Shadow, affine_shadow, median_estimate, plan_batches
-from .measurement import JointOutcome, measure_joint_batch
+from .measurement import measure_joint_batch
 from .observables import Observable
 
 
@@ -106,7 +106,7 @@ def alice_shadows(x: Sequence[int], plan: BatchPlan, rng: RngStream) -> list[Sha
     """Alice's side: measure batches of the sign state, keep only the shadows."""
     n = len(x)
     outcomes = measure_joint_batch(sign_state(x), plan.s, rng, plan.k)
-    return [affine_shadow(JointOutcome(psi=psi, s=plan.s), n) for psi in outcomes]
+    return [affine_shadow(psi, plan.s, n) for psi in outcomes]
 
 
 def bob_guess(

@@ -27,7 +27,7 @@ from . import bhm as bhm_mod
 from . import moments
 from .ensembles import RngStream, sample_haar_state
 from .estimators import (
-    BATCH_FAILURE_P, BatchPlan, batch_estimates, choose_estimator, plan_batches,
+    batch_estimates, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
 from .measurement import measure_joint_batch, measure_independent_batch
@@ -44,7 +44,7 @@ DEFAULT_SEED = 0
 
 @dataclass
 class ExperimentConfig:
-    mode: str
+    mode: str  # jm | im
     d: int = 8
     B: float = 4.0
     eps: float = 0.2
@@ -55,6 +55,12 @@ class ExperimentConfig:
     estimator: str = "auto"  # im only: auto | linear | quadratic
 
     def __post_init__(self):
+        if self.mode not in ("jm", "im"):
+            raise ValueError(f"mode must be jm or im, not {self.mode!r}")
+        if self.estimator not in ("auto", "linear", "quadratic"):
+            raise ValueError(f"estimator must be auto, linear or quadratic: {self.estimator!r}")
+        if self.mode == "jm" and self.estimator != "auto":
+            raise ValueError("jm always uses the affine joint estimator; estimator must be auto")
         if self.d < 2 or not 1 <= self.B <= self.d:
             raise ValueError("require d >= 2 and 1 <= B <= d")
         if not 0 < self.eps <= 1 or not 0 < self.delta < 1 or self.trials < 0:
@@ -63,7 +69,7 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    mode: str
+    mode: str  # jm, im-linear or im-quadratic: the estimator that ran
     d: int
     B: float
     eps: float
@@ -106,23 +112,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return center - half, center + half
 
 
-def plan_linear_batches(B: float, eps: float, delta: float):
-    """Batch plan for the per-copy linear estimator: (B + 8)/s <= p eps^2."""
-    plan = plan_batches(B, eps, delta)
-    s = max(1, math.ceil((B + 8) / (BATCH_FAILURE_P * eps * eps)))
-    return BatchPlan(s=s, k=plan.k)
-
-
-def plan_quadratic_batches(B: float, d: int, eps: float, delta: float):
-    """Batch plan for the quadratic estimator: 16(Bd/s^2 + 1/s) <= p eps^2."""
-    plan = plan_batches(B, eps, delta)
-    target = BATCH_FAILURE_P * eps * eps
-    s = max(2, math.ceil((16 + math.sqrt(256 + 64 * B * d * target)) / (2 * target)))
-    while s > 2 and 16 * (B * d / (s - 1) ** 2 + 1 / (s - 1)) <= target:
-        s -= 1
-    return BatchPlan(s=s, k=plan.k)
-
-
 def _im_batch_estimates(phi, O, s, k, rng, kind):
     """Per-batch estimates from k batches of s fresh single-copy outcomes."""
     psis = measure_independent_batch(phi, rng, k * s).reshape(k, s, phi.shape[0])
@@ -131,24 +120,19 @@ def _im_batch_estimates(phi, O, s, k, rng, kind):
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs."""
-    mode = config.mode
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
-    if mode == "jm":
-        plan = plan_batches(B, eps, delta)
-    elif mode in ("im", "im-linear", "im-quadratic"):
-        kind = {"im-linear": "linear", "im-quadratic": "quadratic"}.get(mode)
-        if kind is None:
-            kind = config.estimator
+    if config.mode == "jm":
+        kind, label, plan = "affine_joint", "jm", plan_batches(B, eps, delta)
+    else:
+        kind = config.estimator
         if kind == "auto":
             kind = choose_estimator(B, d, eps)
+        label = f"im-{kind}"
         plan = (
             plan_linear_batches(B, eps, delta)
             if kind == "linear"
             else plan_quadratic_batches(B, d, eps, delta)
         )
-        mode = f"im-{kind}"
-    else:
-        raise ValueError(f"run_sweep does not handle mode {mode!r}")
 
     rows = []
     for t in range(config.trials):
@@ -156,15 +140,15 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
         phi = sample_haar_state(d, rng)
         O = random_observable(d, B, rng)
         truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
-        if mode == "jm":
+        if kind == "affine_joint":
             outcomes = measure_joint_batch(phi, plan.s, rng, plan.k)
-            vals = batch_estimates(O, outcomes, "affine_joint", copies=plan.s)
+            vals = batch_estimates(O, outcomes, kind, copies=plan.s)
         else:
-            vals = _im_batch_estimates(phi, O, plan.s, plan.k, rng, mode[3:])
+            vals = _im_batch_estimates(phi, O, plan.s, plan.k, rng, kind)
         est = float(np.sort(vals)[plan.k // 2])
         err = abs(est - truth)
         rows.append(
-            ResultRow(mode, d, B, eps, delta, plan.s, plan.k, t, est, truth, err, err < eps)
+            ResultRow(label, d, B, eps, delta, plan.s, plan.k, t, est, truth, err, err < eps)
         )
     return rows
 
@@ -390,6 +374,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.cmd == "bhm":
+            if args.runs < 0:
+                raise ValueError(f"--runs must be >= 0, got {args.runs}")
             seed = _resolve_seed(args)
             rows = []
             correct = 0

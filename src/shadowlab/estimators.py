@@ -12,8 +12,9 @@ spectral factor of O straight to the per-batch estimates Tr(O rhohat),
 never forming a d x d shadow or O itself.  The Shadow constructors below
 are the dense reference forms of the same estimators.
 
-Batch planning converts a per-batch Chebyshev bound into a sample count and
-an odd batch count for the median-of-means step.
+Batch planning converts each estimator's per-batch Chebyshev bound into a
+sample count and an odd batch count for the median-of-means step, through
+one search shared by the three planners.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .linalg import hermitize
-from .measurement import UNIT_NORM_TOL, JointOutcome
 from .observables import Observable
 
 ShadowKind = Literal["affine_joint", "linear_single", "quadratic"]
@@ -34,6 +34,9 @@ EstimateKind = Literal["affine_joint", "linear", "quadratic"]
 # Per-batch failure budget used throughout; k is forced odd so the median is
 # always one of the batch estimates.
 BATCH_FAILURE_P = 0.25
+
+# Largest | ||psi|| - 1 | accepted for an outcome state.
+UNIT_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,27 +72,41 @@ class BatchPlan:
         return self.s * self.k
 
 
-def plan_batches(B: float, eps: float, delta: float) -> BatchPlan:
-    """Smallest (s, k) meeting the per-batch and median failure targets.
+def _plan(bound, s_min: int, B: float, eps: float, delta: float) -> BatchPlan:
+    """Least s >= s_min with bound(s) <= p eps^2, and the least odd k with
+    sqrt(4p(1-p))^k <= delta, at p = BATCH_FAILURE_P.
 
-    With p = BATCH_FAILURE_P, s is the least integer with (B + 8s)/s^2 <=
-    p * eps^2, so each batch estimate misses by >= eps with probability at
-    most p; k is the least odd integer with sqrt(4p(1-p))^k <= delta.
+    bound(s) is a per-batch Chebyshev variance bound, non-increasing in s, so
+    each batch estimate misses by >= eps with probability at most p; doubling
+    brackets the least s and bisection finds it.
     """
     if B < 1 or not 0 < eps <= 1 or not 0 < delta < 1:
         raise ValueError("require B >= 1, eps in (0,1], delta in (0,1)")
     p = BATCH_FAILURE_P
     target = p * eps * eps
-    # (B + 8s) <= target * s^2; quadratic formula gives the crossover, then
-    # walk to the exact least integer.
-    s = max(1, math.floor((8 + math.sqrt(64 + 4 * target * B)) / (2 * target)) - 2)
-    while (B + 8 * s) / (s * s) > target:
-        s += 1
-    k = math.ceil(math.log(1 / delta) / math.log(1 / math.sqrt(4 * p * (1 - p))))
-    if k % 2 == 0:
-        k += 1
-    k = max(k, 1)
-    return BatchPlan(s=s, k=k)
+    lo, hi = s_min - 1, s_min  # hi meets the target once the doubling stops; lo never does
+    while bound(hi) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= target else (mid, hi)
+    x = math.log(1 / delta) / math.log(1 / math.sqrt(4 * p * (1 - p)))
+    return BatchPlan(s=hi, k=2 * math.ceil((x - 1) / 2) + 1)
+
+
+def plan_batches(B: float, eps: float, delta: float) -> BatchPlan:
+    """Plan for the affine joint estimator: (B + 8s)/s^2 <= p eps^2."""
+    return _plan(lambda s: (B + 8 * s) / (s * s), 1, B, eps, delta)
+
+
+def plan_linear_batches(B: float, eps: float, delta: float) -> BatchPlan:
+    """Plan for the per-copy linear estimator: (B + 8)/s <= p eps^2."""
+    return _plan(lambda s: (B + 8) / s, 1, B, eps, delta)
+
+
+def plan_quadratic_batches(B: float, d: int, eps: float, delta: float) -> BatchPlan:
+    """Plan for the quadratic estimator: 16(Bd/s^2 + 1/s) <= p eps^2, s >= 2."""
+    return _plan(lambda s: 16 * (B * d / s**2 + 1 / s), 2, B, eps, delta)
 
 
 def batch_estimates(
@@ -122,7 +139,7 @@ def batch_estimates(
     # |psi|^2 from the real and imaginary parts, without a complex temporary
     flat = outcomes.view(float)
     sq_norms = np.einsum("...i,...i->...", flat, flat)
-    if np.abs(np.sqrt(sq_norms) - 1.0).max() > UNIT_NORM_TOL:
+    if not np.abs(np.sqrt(sq_norms) - 1.0).max() <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError("outcome states must be unit norm")
     d = outcomes.shape[-1]
     V, lam = O.vecs, O.evals
@@ -141,20 +158,25 @@ def batch_estimates(
     return (tr_os2 - tr_oq) / (s * (s - 1))
 
 
-def affine_shadow(outcome: JointOutcome, d: int) -> Shadow:
-    """Unbiased trace-1 shadow ((d+s) |psi><psi| - I)/s from a joint outcome."""
-    s = outcome.s
-    proj = np.outer(outcome.psi, outcome.psi.conj())
-    mat = ((d + s) * proj - np.eye(d)) / s
+def _outcome_projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| for one outcome row, which must be a unit vector."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError("outcome state must be unit norm")
+    return np.outer(psi, np.conj(psi))
+
+
+def affine_shadow(psi: np.ndarray, s: int, d: int) -> Shadow:
+    """Unbiased trace-1 shadow ((d+s) |psi><psi| - I)/s from a joint outcome on s copies."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    mat = ((d + s) * _outcome_projector(psi) - np.eye(d)) / s
     return Shadow(matrix=hermitize(mat), kind="affine_joint", s_used=s)
 
 
-def single_copy_shadow(outcome: JointOutcome, d: int) -> Shadow:
+def single_copy_shadow(psi: np.ndarray, d: int) -> Shadow:
     """Unbiased shadow (d+1) |psi><psi| - I from one single-copy outcome."""
-    if outcome.s != 1:
-        raise ValueError("single-copy shadow needs an s=1 outcome")
-    proj = np.outer(outcome.psi, outcome.psi.conj())
-    return Shadow(matrix=hermitize((d + 1) * proj - np.eye(d)), kind="linear_single", s_used=1)
+    mat = (d + 1) * _outcome_projector(psi) - np.eye(d)
+    return Shadow(matrix=hermitize(mat), kind="linear_single", s_used=1)
 
 
 def median_estimate(O: np.ndarray, shadows: Sequence[Shadow]) -> float:

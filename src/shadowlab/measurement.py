@@ -9,29 +9,12 @@ inputs the POVM's "fail" element has probability zero and never occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ensembles import RngStream, sample_posterior_states
 from .linalg import hermitize, is_hermitian
 
 PURITY_TOL = 1e-8
-UNIT_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class JointOutcome:
-    """Measurement record: the outcome state psi and copies consumed."""
-
-    psi: np.ndarray
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
-        if abs(np.linalg.norm(self.psi) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("outcome state must be unit norm")
 
 
 def as_state_vector(state: np.ndarray) -> np.ndarray:

@@ -47,7 +47,12 @@ class MomentReport:
 
 
 def _check_pure(rho: np.ndarray, tol: float = 1e-8):
-    if np.abs(rho @ rho - rho).max() > tol:
+    """Reject anything but a Hermitian, unit-trace, idempotent matrix."""
+    if (
+        abs(np.trace(rho) - 1) > tol
+        or np.abs(rho - rho.conj().T).max() > tol
+        or np.abs(rho @ rho - rho).max() > tol
+    ):
         raise ValueError("rho must be a pure density matrix")
 
 
@@ -57,7 +62,7 @@ def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     return (np.eye(d) + s * rho) / (d + s)
 
 
-def _cycle_product(pi: Permutation, mats, cycle) -> np.ndarray:
+def _cycle_product(mats, cycle) -> np.ndarray:
     """Product of mats along one cycle, in reverse traversal order."""
     d = mats[0].shape[0]
     prod = np.eye(d, dtype=complex)
@@ -87,9 +92,9 @@ def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
             while j != start:
                 order.append(j)
                 j = pi(j)
-            kept_mats[start] = _cycle_product(pi, mats, order)
+            kept_mats[start] = _cycle_product(mats, order)
         else:
-            scalar *= np.trace(_cycle_product(pi, mats, cycle))
+            scalar *= np.trace(_cycle_product(mats, cycle))
     return [kept_mats[p] for p in keep], scalar
 
 

@@ -1,13 +1,15 @@
 import csv
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shadowlab
-from shadowlab import linalg, moments
+from shadowlab import cli, linalg, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -38,6 +40,18 @@ def test_config_validation():
         ExperimentConfig(mode="jm", eps=0.0)
     cfg = ExperimentConfig(mode="jm", d=4, B=2.0, eps=0.3, trials=5)
     assert cfg.delta == 0.05
+    # mode is jm or im; estimator picks the im kind, and jm takes only auto
+    for mode in ("jm", "im"):
+        for estimator in ("auto", "linear", "quadratic", "bogus"):
+            ok = estimator == "auto" or (mode == "im" and estimator != "bogus")
+            if ok:
+                ExperimentConfig(mode=mode, estimator=estimator)
+            else:
+                with pytest.raises(ValueError):
+                    ExperimentConfig(mode=mode, estimator=estimator)
+    for mode in ("im-linear", "im-quadratic", "bhm", ""):
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode=mode)
 
 
 def test_wilson_interval_basics():
@@ -48,14 +62,29 @@ def test_wilson_interval_basics():
     assert lo == pytest.approx(0.0, abs=1e-12)
 
 
-def test_plan_helpers_meet_their_targets():
-    p = 0.25
-    for B, eps in ((1, 0.4), (4, 0.25)):
-        lin = plan_linear_batches(B, eps, 0.05)
-        assert (B + 8) / lin.s <= p * eps**2 + 1e-12
-        quad = plan_quadratic_batches(B, 8, eps, 0.05)
-        assert 16 * (B * 8 / quad.s**2 + 1 / quad.s) <= p * eps**2 + 1e-12
-        assert 16 * (B * 8 / (quad.s - 1) ** 2 + 1 / (quad.s - 1)) > p * eps**2
+@given(
+    d=st.integers(2, 4096),
+    b_frac=st.floats(0, 1),
+    eps=st.floats(1e-3, 1),
+    delta=st.floats(1e-12, 0.999),
+)
+@settings(max_examples=300, deadline=None)
+def test_plan_helpers_meet_their_targets(d, b_frac, eps, delta):
+    B = 1 + b_frac * (d - 1)
+    target = 0.25 * eps**2
+    r = math.sqrt(4 * 0.25 * 0.75)  # sqrt(4p(1-p)) at p = 1/4
+    planners = (
+        (plan_batches(B, eps, delta), lambda s: (B + 8 * s) / s**2, 1),
+        (plan_linear_batches(B, eps, delta), lambda s: (B + 8) / s, 1),
+        (plan_quadratic_batches(B, d, eps, delta), lambda s: 16 * (B * d / s**2 + 1 / s), 2),
+    )
+    for plan, bound, s_min in planners:
+        # s is the least s >= s_min meeting the per-batch bound
+        assert plan.s >= s_min and bound(plan.s) <= target
+        assert plan.s == s_min or bound(plan.s - 1) > target
+        # k is the least odd count with r^k <= delta
+        assert plan.k % 2 == 1 and r**plan.k <= delta
+        assert plan.k == 1 or r ** (plan.k - 2) > delta
 
 
 # (B, d, eps, delta) -> (s, k) of plan_batches, plan_linear_batches and
@@ -132,11 +161,13 @@ PINNED_SWEEPS = {
 
 
 def test_run_sweep_fixed_seed_estimates_pinned():
-    for (mode, B, eps, seed), (estimates, truths) in PINNED_SWEEPS.items():
-        rows = run_sweep(
-            ExperimentConfig(mode=mode, d=8, B=B, eps=eps, delta=0.1, trials=3, seed=seed)
-        )
-        assert [r.mode for r in rows] == [mode] * 3
+    for (label, B, eps, seed), (estimates, truths) in PINNED_SWEEPS.items():
+        mode, _, estimator = label.partition("-")  # "im-linear" -> im with linear
+        rows = run_sweep(ExperimentConfig(
+            mode=mode, estimator=estimator or "auto",
+            d=8, B=B, eps=eps, delta=0.1, trials=3, seed=seed,
+        ))
+        assert [r.mode for r in rows] == [label] * 3
         assert np.abs(np.array([r.estimate for r in rows]) - estimates).max() <= 1e-12
         assert np.abs(np.array([r.truth for r in rows]) - truths).max() <= 1e-12
 
@@ -148,19 +179,21 @@ def test_run_sweep_never_diagonalises(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    for mode in ("jm", "im-linear", "im-quadratic"):
-        rows = run_sweep(
-            ExperimentConfig(mode=mode, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3)
-        )
-        assert [r.mode for r in rows] == [mode] * 2
+    for mode, estimator, label in (
+        ("jm", "auto", "jm"), ("im", "linear", "im-linear"), ("im", "quadratic", "im-quadratic")
+    ):
+        rows = run_sweep(ExperimentConfig(
+            mode=mode, estimator=estimator, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
+        ))
+        assert [r.mode for r in rows] == [label] * 2
 
 
 def test_run_sweep_im_modes():
-    for mode, kind in (("im-linear", "im-linear"), ("im-quadratic", "im-quadratic")):
-        rows = run_sweep(
-            ExperimentConfig(mode=mode, d=4, B=2.0, eps=0.4, delta=0.1, trials=4, seed=2)
-        )
-        assert all(r.mode == kind for r in rows)
+    for estimator in ("linear", "quadratic"):
+        rows = run_sweep(ExperimentConfig(
+            mode="im", estimator=estimator, d=4, B=2.0, eps=0.4, delta=0.1, trials=4, seed=2,
+        ))
+        assert all(r.mode == f"im-{estimator}" for r in rows)
     # auto selection: eps <= sqrt(B/d) -> quadratic
     rows = run_sweep(
         ExperimentConfig(mode="im", d=4, B=4.0, eps=0.5, delta=0.1, trials=2, seed=2)
@@ -207,17 +240,23 @@ def test_verify_all_passes_and_fault_injection():
     assert verify_all(perturbation=1e-3, quiet=True) == 1
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4",
                  "--trials", "2", "--seed", "1"]) == 0
     # usage error: invalid config value
     assert main(["jm", "--d", "4", "--B", "9", "--trials", "1"]) == 2
+    # a negative run count is a usage error that prints no result line
+    capsys.readouterr()
+    assert main(["bhm", "--runs", "-3", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert main(["bhm", "--runs", "0", "--seed", "1"]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
 
 
-def test_cli_config_file_and_flag_override(tmp_path):
+def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("d = 4\nB = 2\neps = 0.4\ndelta = 0.1\ntrials = 3\nseed = 11\n")
     out1 = tmp_path / "one.csv"
@@ -237,6 +276,15 @@ def test_cli_config_file_and_flag_override(tmp_path):
     out3 = tmp_path / "three.csv"
     assert main(["jm", "--config", str(bad), "--out", str(out3)]) == 2
     assert not out3.exists()
+    # an unknown estimator, or one under jm, fails before anything is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a state for an invalid config")
+
+    monkeypatch.setattr(cli, "sample_haar_state", refuse)
+    for cmd, estimator in (("im", "bogus"), ("jm", "quadratic")):
+        bad.write_text(f"estimator = {estimator}\n" + cfg.read_text())
+        assert main([cmd, "--config", str(bad), "--out", str(out3)]) == 2
+        assert not out3.exists()
 
 
 def test_cli_env_seed_fallback(tmp_path, monkeypatch):

@@ -19,14 +19,14 @@ from shadowlab.estimators import (
     single_copy_shadow,
 )
 from shadowlab.linalg import density, trace_distance
-from shadowlab.measurement import JointOutcome, measure_independent_batch, measure_joint_batch
+from shadowlab.measurement import measure_independent_batch, measure_joint_batch
 from shadowlab.observables import Observable
 
 
 def singles_from(phi, rng, count):
     d = phi.shape[0]
     psis = measure_independent_batch(phi, rng, count)
-    return [single_copy_shadow(JointOutcome(psi=p, s=1), d) for p in psis]
+    return [single_copy_shadow(p, d) for p in psis]
 
 
 # ------------------------------------------------------------------ batch plan
@@ -90,8 +90,7 @@ def test_plan_batches_range_checks():
 
 def test_affine_shadow_basis_case():
     # d=2, s=1, psi=|0>: ((d+s) psi psi^dag - I)/s = diag(2, -1)
-    out = JointOutcome(psi=np.array([1, 0], dtype=complex), s=1)
-    sh = affine_shadow(out, 2)
+    sh = affine_shadow(np.array([1, 0], dtype=complex), 1, 2)
     assert np.abs(sh.matrix - np.diag([2.0, -1.0])).max() < 1e-12
     assert sh.kind == "affine_joint"
 
@@ -101,7 +100,7 @@ def test_affine_shadow_trace_one():
     for d, s in ((2, 1), (4, 7), (8, 3)):
         phi = sample_haar_state(d, rng)
         psi = measure_joint_batch(phi, s, rng, 1)[0]
-        sh = affine_shadow(JointOutcome(psi=psi, s=s), d)
+        sh = affine_shadow(psi, s, d)
         assert abs(np.trace(sh.matrix).real - 1) < 1e-9
 
 
@@ -117,9 +116,15 @@ def test_affine_shadow_unbiased():
     assert np.abs(mean_shadow - rho).max() < 5 * (d + s) / s / np.sqrt(n)
 
 
-def test_single_copy_shadow_requires_s1():
+def test_shadow_constructors_check_their_outcome():
+    # the outcome row must be a unit vector, and a joint outcome needs s >= 1
+    for psi in (np.array([1, 1], dtype=complex), np.zeros(2), np.array([np.nan, 0])):
+        with pytest.raises(ValueError):
+            affine_shadow(psi, 1, 2)
+        with pytest.raises(ValueError):
+            single_copy_shadow(psi, 2)
     with pytest.raises(ValueError):
-        single_copy_shadow(JointOutcome(psi=np.array([1, 0], dtype=complex), s=2), 2)
+        affine_shadow(np.array([1, 0], dtype=complex), 0, 2)
 
 
 def test_shadow_trace_validation():
@@ -160,9 +165,7 @@ def test_median_estimate_empty():
 
 
 def test_linear_mean_trivial_cases():
-    sh = single_copy_shadow(
-        JointOutcome(psi=np.array([1, 0], dtype=complex), s=1), 2
-    )
+    sh = single_copy_shadow(np.array([1, 0], dtype=complex), 2)
     assert np.abs(linear_mean_shadow([sh]).matrix - sh.matrix).max() < 1e-12
     assert np.abs(linear_mean_shadow([sh, sh, sh]).matrix - sh.matrix).max() < 1e-12
 
@@ -263,12 +266,11 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     O = random_hermitian_unit_norm(d, rng)
     obs = Observable.from_matrix(O, d)
     joint = sample_haar_state(d, rng, size=k)
-    dense = [np.trace(O @ affine_shadow(JointOutcome(psi=p, s=copies), d).matrix).real
-             for p in joint]
+    dense = [np.trace(O @ affine_shadow(p, copies, d).matrix).real for p in joint]
     assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
 
     psis = sample_haar_state(d, rng, size=k * s).reshape(k, s, d)
-    batches = [[single_copy_shadow(JointOutcome(psi=p, s=1), d) for p in b] for b in psis]
+    batches = [[single_copy_shadow(p, d) for p in b] for b in psis]
     for kind, oracle in (("linear", linear_mean_shadow), ("quadratic", quadratic_shadow)):
         dense = [np.trace(O @ oracle(b).matrix).real for b in batches]
         assert np.abs(batch_estimates(obs, psis, kind) - dense).max() < 1e-12
@@ -282,6 +284,8 @@ def test_batch_estimates_validation():
         batch_estimates(O, np.array([[1, 0], [1, 1]], dtype=complex), "affine_joint")
     with pytest.raises(ValueError):
         batch_estimates(O, unit[None] * 1.001, "linear")
+    with pytest.raises(ValueError):  # a NaN outcome is not a unit vector either
+        batch_estimates(O, np.array([[1, 0], [np.nan, 0]], dtype=complex), "affine_joint")
     with pytest.raises(ValueError):  # affine wants (k, d), the others (k, s, d)
         batch_estimates(O, unit[None], "affine_joint")
     with pytest.raises(ValueError):

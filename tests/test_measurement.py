@@ -4,19 +4,11 @@ import pytest
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import density
 from shadowlab.measurement import (
-    JointOutcome,
     as_state_vector,
     measure_independent_batch,
     measure_joint_batch,
 )
 from shadowlab.moments import exact_second_moment
-
-
-def test_joint_outcome_validation():
-    with pytest.raises(ValueError):
-        JointOutcome(psi=np.array([1.0, 1.0], dtype=complex), s=1)
-    with pytest.raises(ValueError):
-        JointOutcome(psi=np.array([1.0, 0.0], dtype=complex), s=0)
 
 
 def test_as_state_vector_accepts_both_forms():

@@ -59,6 +59,17 @@ def test_first_moment_rejects_mixed():
         exact_first_moment(np.eye(2) / 2, 1, 2)
 
 
+def test_moments_reject_idempotents_that_are_not_states():
+    # 0 and I satisfy rho^2 = rho without unit trace; the oblique projector
+    # [[1, 1], [0, 0]] has trace 1 but is not Hermitian
+    I = np.eye(2, dtype=complex)
+    for rho in (np.zeros((2, 2), dtype=complex), I, np.array([[1, 1], [0, 0]], dtype=complex)):
+        with pytest.raises(ValueError):
+            exact_first_moment(rho, 1, 2)
+        with pytest.raises(ValueError):
+            exact_covariance("ij_jk", rho, I, 2)
+
+
 @pytest.mark.parametrize("s,d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (4, 2)])
 def test_first_moment_formula_vs_brute(s, d):
     rho = rand_rho(d, 50 + 10 * s + d)
