@@ -170,11 +170,10 @@ def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 6
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)
     rows = []
+    n = len(s_grid)  # stream ids: 0 above, 1..n linear, n+1..2n quadratic
     for i, s in enumerate(s_grid):
-        trial_rng = RngStream(seed, i + 1)
-        lin = _im_batch_estimates(phi, O, s, N, trial_rng, "linear")
-        trial_rng2 = RngStream(seed, 100 + i)
-        quad = _im_batch_estimates(phi, O, s, N, trial_rng2, "quadratic")
+        lin = _im_batch_estimates(phi, O, s, N, RngStream(seed, i + 1), "linear")
+        quad = _im_batch_estimates(phi, O, s, N, RngStream(seed, n + 1 + i), "quadratic")
         var_l = float(lin.var(ddof=1))
         var_q = float(quad.var(ddof=1))
         rows.append((s, var_l, var_q, var_q / var_l, B / s, B * d / s**2 + 1 / s))
@@ -197,7 +196,7 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
     reports: list[tuple[MomentReport, float]] = []
 
     def check(name, formula, brute, tol):
-        rep = MomentReport.compare(name, formula, brute, )
+        rep = MomentReport.compare(name, formula, brute)
         reports.append((rep, tol))
 
     rng = RngStream(rng_seed, 777)

@@ -2,10 +2,15 @@
 
 The outcome of the symmetric joint measurement on s copies of a pure state
 phi is a state psi whose density w.r.t. Haar is proportional to
-|<psi|phi>|^(2s).  Decomposing psi = e^(i theta) sqrt(t) phi + sqrt(1-t) chi
-with chi Haar in the orthogonal complement, the squared overlap t follows a
-Beta(s+1, d-1) law, theta is uniform, and chi is unreweighted.  We sample
-that decomposition directly, so cost is O(d) per outcome independent of s.
+|<psi|phi>|^(2s).  Writing psi = e^(i theta) sqrt(t) phi + sqrt(1-t) chi
+with chi in the orthogonal complement, the squared overlap t follows a
+Beta(s+1, d-1) law, theta is uniform, and chi is Haar in the complement.
+One draw gives all three: G ~ Gamma(s+1), theta uniform and one complex
+Gaussian vector g with N(0, 1) real and imaginary parts; psi is the
+normalised e^(i theta) sqrt(2G) phi + h, where h is g with its phi
+component removed.  |h|^2/2 ~ Gamma(d-1) independently of h's direction,
+so t = G/(G + |h|^2/2) is Beta(s+1, d-1) exactly.  There is no rejection
+step, and the cost is O(d) per outcome independent of s.
 """
 
 from __future__ import annotations
@@ -46,40 +51,23 @@ def sample_haar_state(d: int, rng: RngStream, size: int | None = None) -> np.nda
     return z[0] if size is None else z
 
 
-def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
-    """Vectorized (t, theta) arrays for the outcome overlap law."""
-    # t = G1/(G1+G2) with G1 ~ Gamma(s+1), G2 ~ Gamma(d-1) is an exact
-    # (non-rejection) Beta(s+1, d-1) sampler for any s, d.
-    g1 = rng.gen.gamma(s + 1, size=n)
-    g2 = rng.gen.gamma(d - 1, size=n)
-    t = g1 / (g1 + g2)
-    theta = rng.gen.uniform(0.0, 2 * np.pi, size=n)
-    return t, theta
-
-
-def _orthogonal_complement_states(phi: np.ndarray, rng: RngStream, n: int) -> np.ndarray:
-    """Haar-random unit vectors orthogonal to phi; shape (n, d)."""
-    d = phi.shape[0]
-    if d < 2:
-        raise ValueError("orthogonal complement is empty for d < 2")
-    out = np.empty((n, d), dtype=complex)
-    todo = np.arange(n)
-    while todo.size:
-        raw = sample_haar_state(d, rng, size=todo.size)
-        raw -= np.outer(raw @ phi.conj(), phi)
-        norms = np.linalg.norm(raw, axis=1)
-        ok = norms > 1e-12
-        out[todo[ok]] = raw[ok] / norms[ok, None]
-        todo = todo[~ok]  # measure-zero event; resample
-    return out
-
-
 def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) -> np.ndarray:
-    """size outcomes of the joint measurement on phi^(x s); shape (size, d)."""
+    """size outcomes of the joint measurement on phi^(x s); shape (size, d).
+
+    phi must be a unit vector.
+    """
     if s < 0:
         raise ValueError("s must be >= 0")
     d = phi.shape[0]
-    t, theta = _sample_overlaps(s, d, rng, size)
-    chi = _orthogonal_complement_states(phi, rng, size)
-    amp = np.exp(1j * theta) * np.sqrt(t)
-    return amp[:, None] * phi[None, :] + np.sqrt(1 - t)[:, None] * chi
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    big_g = rng.gen.gamma(s + 1, size=size)
+    theta = rng.gen.uniform(0.0, 2 * np.pi, size=size)
+    g = rng.gen.standard_normal((size, 2 * d)).view(complex)
+    # psi = g + (a - <phi|g>) phi with a = e^(i theta) sqrt(2 G): the phi
+    # component of g is replaced by a, and the rest h = g - <phi|g> phi
+    # stays, so |h|^2 / 2 ~ Gamma(d-1)
+    g += (np.exp(1j * theta) * np.sqrt(2 * big_g) - g @ phi.conj())[:, None] * phi
+    flat = g.view(float)
+    g /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    return g

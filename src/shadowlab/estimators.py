@@ -38,6 +38,11 @@ BATCH_FAILURE_P = 0.25
 # Largest | ||psi|| - 1 | accepted for an outcome state.
 UNIT_NORM_TOL = 1e-10
 
+# Largest batch size a plan may ask for: beyond 2^53 an integer s is no
+# longer exact as a float.  It bounds the planner's search, so an eps too
+# small to plan for is a ValueError rather than an endless doubling.
+MAX_PLAN_S = 2**53
+
 
 @dataclass(frozen=True)
 class Shadow:
@@ -78,15 +83,19 @@ def _plan(bound, s_min: int, B: float, eps: float, delta: float) -> BatchPlan:
 
     bound(s) is a per-batch Chebyshev variance bound, non-increasing in s, so
     each batch estimate misses by >= eps with probability at most p; doubling
-    brackets the least s and bisection finds it.
+    brackets the least s and bisection finds it.  No plan has s > MAX_PLAN_S.
     """
     if B < 1 or not 0 < eps <= 1 or not 0 < delta < 1:
         raise ValueError("require B >= 1, eps in (0,1], delta in (0,1)")
     p = BATCH_FAILURE_P
     target = p * eps * eps
+    if not target > 0:
+        raise ValueError(f"eps = {eps!r} is too small to plan for: p eps^2 underflows to 0")
     lo, hi = s_min - 1, s_min  # hi meets the target once the doubling stops; lo never does
     while bound(hi) > target:
         lo, hi = hi, 2 * hi
+        if hi > MAX_PLAN_S:
+            raise ValueError(f"eps = {eps!r} needs more than {MAX_PLAN_S} samples per batch")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if bound(mid) <= target else (mid, hi)

@@ -23,6 +23,7 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
+from shadowlab.ensembles import RngStream
 from shadowlab.estimators import plan_batches
 
 
@@ -142,19 +143,20 @@ def test_run_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Estimates and truths of the per-outcome Shadow and einsum code that the
-# estimator kernel replaced, at the same seeds; the kernel must keep them.
+# Estimates of the one-draw outcome sampler, and truths carried over from the
+# per-outcome Shadow code before it.  phi and O are drawn before any outcome,
+# so a change of sampler moves the estimates but never the truths.
 PINNED_SWEEPS = {
     ("jm", 4.0, 0.3, 11): (
-        (0.2879732806763617, 0.4922231706849389, 0.27395275876138203),
+        (0.28618264703661433, 0.5165678108435449, 0.25552724751425504),
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.1884189813358136, 0.42657176956926207, 0.2624413908899293),
+        (0.15768556383573923, 0.45586742573447825, 0.2487167468953244),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
-        (0.636276904294825, 0.6616054912914824, 0.291575175430441),
+        (0.6409636388485609, 0.6699137713164638, 0.3438932469854821),
         (0.6267327873824926, 0.7073847317351589, 0.3441464177756939),
     ),
 }
@@ -207,6 +209,19 @@ def test_compare_estimators_s2_runs():
     assert rows[0][0] == 2 and all(np.isfinite(v) for v in rows[0][1:])
 
 
+def test_compare_estimators_stream_ids_are_distinct(monkeypatch):
+    # 150 grid entries: the linear and quadratic stream ids must not meet
+    seen = []
+
+    def recorder(seed, stream_id=0):
+        seen.append(stream_id)
+        return RngStream(seed, stream_id)
+
+    monkeypatch.setattr(cli, "RngStream", recorder)
+    compare_estimators(d=2, B=2.0, N=2, seed=0, s_grid=(2,) * 150)
+    assert len(seen) == 301 and len(set(seen)) == len(seen)
+
+
 def test_compare_estimators_ratio_trend():
     # quadratic/linear variance ratio falls as s grows, tracking
     # (Bd/s^2 + 1/s) vs B/s
@@ -254,6 +269,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("eps", ["1e-160", "1e-170", "5e-324"])
+@pytest.mark.parametrize("cmd", ["jm", "im"])
+def test_cli_sweep_at_unplannable_eps_exits_2_with_no_output(tmp_path, capsys, cmd, eps):
+    out = tmp_path / "never.csv"
+    assert main([cmd, "--d", "4", "--B", "2", "--eps", eps, "--trials", "1",
+                 "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "error:" in err and "eps" in err
+    assert not out.exists()
 
 
 def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from shadowlab.ensembles import (
-    RngStream,
-    _sample_overlaps,
-    sample_haar_state,
-    sample_posterior_states,
-)
+from oracles import sample_posterior_states as oracle_posterior_states
+from shadowlab.ensembles import RngStream, sample_haar_state, sample_posterior_states
 
 N_BIG = 100_000
 
@@ -37,12 +33,18 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
+def overlaps(phi, s, rng, n):
+    """(t, theta): |<phi|psi>|^2 and arg <phi|psi> in [0, 2 pi) of n outcomes."""
+    amp = sample_posterior_states(phi, s, rng, n) @ phi.conj()
+    return np.abs(amp) ** 2, np.mod(np.angle(amp), 2 * np.pi)
+
+
 def test_overlap_sample_range_check():
     # t in [0, 1] and theta in [0, 2 pi), at the extreme shapes s = 0 and
     # s >> d as well
     rng = RngStream(1)
     for s, d in ((0, 2), (1, 2), (500, 2), (0, 64)):
-        t, theta = _sample_overlaps(s, d, rng, 2000)
+        t, theta = overlaps(sample_haar_state(d, rng), s, rng, 2000)
         assert t.min() >= 0 and t.max() <= 1
         assert theta.min() >= 0 and theta.max() < 2 * np.pi
 
@@ -82,7 +84,7 @@ def test_posterior_overlap_mean():
     rng = RngStream(4)
     n = 50_000
     for s, d in ((1, 2), (3, 5), (0, 4)):
-        ts, _ = _sample_overlaps(s, d, rng, n)
+        ts, _ = overlaps(sample_haar_state(d, rng), s, rng, n)
         expected = (s + 1) / (s + d)
         assert abs(ts.mean() - expected) < 5 * ts.std() / np.sqrt(n)
 
@@ -90,11 +92,28 @@ def test_posterior_overlap_mean():
 def test_posterior_overlap_distribution_ks():
     s, d = 3, 5
     rng = RngStream(5)
-    ts, thetas = _sample_overlaps(s, d, rng, N_BIG)
+    ts, thetas = overlaps(sample_haar_state(d, rng), s, rng, N_BIG)
     oracle = rejection_sample_overlap(s, d, np.random.default_rng(123), N_BIG)
     assert stats.ks_2samp(ts, oracle).statistic < 0.01
     # theta uniform on [0, 2 pi)
     assert stats.kstest(thetas / (2 * np.pi), "uniform").statistic < 0.01
+
+
+@pytest.mark.parametrize("s, d", [(0, 2), (1, 8), (3, 64), (500, 16)])
+def test_posterior_states_match_oracle_sampler(s, d):
+    # two-sample KS tests against the two-Gamma, complement-resampling
+    # sampler: on t = |<phi|psi>|^2, and on |<psi|v>|^2 for a fixed unit
+    # v orthogonal to phi, which sees the law of the complement direction
+    n = 20_000
+    phi = sample_haar_state(d, RngStream(20))
+    v = sample_haar_state(d, RngStream(21))
+    v -= (phi.conj() @ v) * phi
+    v /= np.linalg.norm(v)
+    new = sample_posterior_states(phi, s, RngStream(22, s), n)
+    old = oracle_posterior_states(phi, s, RngStream(23, s), n)
+    for w in (phi, v):
+        p = stats.ks_2samp(np.abs(new @ w.conj()) ** 2, np.abs(old @ w.conj()) ** 2).pvalue
+        assert p > 1e-3
 
 
 def test_posterior_state_overlap_matches_t_by_construction():
@@ -144,3 +163,7 @@ def test_posterior_single_draw():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         sample_haar_state(1, RngStream(0))
+    with pytest.raises(ValueError):
+        sample_posterior_states(np.ones(1, dtype=complex), 1, RngStream(0), 3)
+    with pytest.raises(ValueError):
+        sample_posterior_states(np.array([1, 0], dtype=complex), -1, RngStream(0), 3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.estimators import (
     BATCH_FAILURE_P,
+    MAX_PLAN_S,
     BatchPlan,
     Shadow,
     affine_shadow,
@@ -15,6 +16,8 @@ from shadowlab.estimators import (
     linear_mean_shadow,
     median_estimate,
     plan_batches,
+    plan_linear_batches,
+    plan_quadratic_batches,
     quadratic_shadow,
     single_copy_shadow,
 )
@@ -49,6 +52,27 @@ def test_plan_batches_frozen_values():
     # delta=0.001: least odd k with (3/4)^(k/2) <= delta is 49
     assert plan.k == 49
     assert plan_batches(B=1, eps=0.5, delta=0.05).k == 21
+
+
+@pytest.mark.parametrize("eps", [1e-160, 1e-170, 5e-324])
+def test_planners_refuse_an_eps_too_small_to_plan_for(eps):
+    # p eps^2 is subnormal at 1e-160 (s would pass MAX_PLAN_S) and 0 below
+    for plan in (
+        lambda: plan_batches(4.0, eps, 0.05),
+        lambda: plan_linear_batches(4.0, eps, 0.05),
+        lambda: plan_quadratic_batches(4.0, 8, eps, 0.05),
+    ):
+        with pytest.raises(ValueError, match="eps"):
+            plan()
+
+
+def test_planners_reach_the_ceiling():
+    # (B+8)/s at B = 8 meets p eps^2 at s = 16 / (p eps^2): just under
+    # MAX_PLAN_S is planned, four times it is refused
+    eps = 1.001 * math.sqrt(16 / (BATCH_FAILURE_P * MAX_PLAN_S))
+    assert MAX_PLAN_S // 2 < plan_linear_batches(8.0, eps, 0.05).s <= MAX_PLAN_S
+    with pytest.raises(ValueError):
+        plan_linear_batches(8.0, eps / 2, 0.05)
 
 
 def test_plan_batches_s_is_minimal():
