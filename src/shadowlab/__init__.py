@@ -3,12 +3,15 @@
 The classical record of a batch of measurements is the (n, d) outcome array
 from measurement.measure_joint_batch or measure_independent_batch;
 batch_estimates maps it and an Observable to the per-batch estimates.
+affine_shadow and median_estimate are the dense d x d form of the affine
+joint estimator, kept for the Boolean Hidden Matching protocol; a shadow
+there is a plain ndarray.
 
 Submodules:
-  linalg       permutation operators, symmetric projectors, partial traces
+  linalg       permutation operators, symmetric projectors, state distances
   ensembles    seeded Haar sampling and the joint-measurement outcome law
   measurement  joint and single-copy measurements, as (n, d) outcome arrays
-  estimators   outcome-array estimator kernel, dense reference shadows, batch planning
+  estimators   outcome-array estimator kernel, dense affine shadows, batch planning
   observables  bounded-norm observables and optimal state discrimination
   moments      closed-form moments/covariances with brute-force oracles
   bhm          Boolean Hidden Matching instances and the one-way protocol
@@ -18,14 +21,11 @@ Submodules:
 from .ensembles import RngStream, sample_haar_state
 from .estimators import (
     BatchPlan,
-    Shadow,
     affine_shadow,
     batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
-    quadratic_shadow,
-    single_copy_shadow,
 )
 from .observables import Observable, distinguishing_observable, random_observable
 
@@ -33,17 +33,14 @@ __all__ = [
     "BatchPlan",
     "Observable",
     "RngStream",
-    "Shadow",
     "affine_shadow",
     "batch_estimates",
     "choose_estimator",
     "distinguishing_observable",
     "median_estimate",
     "plan_batches",
-    "quadratic_shadow",
     "random_observable",
     "sample_haar_state",
-    "single_copy_shadow",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import RngStream
-from .estimators import BatchPlan, Shadow, affine_shadow, median_estimate, plan_batches
+from .estimators import BatchPlan, affine_shadow, median_estimate, plan_batches
 from .measurement import measure_joint_batch
 from .observables import Observable
 
@@ -102,15 +102,15 @@ def expected_value(inst: BHMInstance) -> float:
     return trace_val
 
 
-def alice_shadows(x: Sequence[int], plan: BatchPlan, rng: RngStream) -> list[Shadow]:
-    """Alice's side: measure batches of the sign state, keep only the shadows."""
+def alice_shadows(x: Sequence[int], plan: BatchPlan, rng: RngStream) -> list[np.ndarray]:
+    """Alice's side: measure batches of the sign state, keep only the n x n shadows."""
     n = len(x)
     outcomes = measure_joint_batch(sign_state(x), plan.s, rng, plan.k)
     return [affine_shadow(psi, plan.s, n) for psi in outcomes]
 
 
 def bob_guess(
-    shadows: Sequence[Shadow],
+    shadows: Sequence[np.ndarray],
     matching: Sequence[tuple[int, int]],
     w: Sequence[int],
     n: int,

@@ -9,7 +9,8 @@ Subcommands:
   compare        linear vs. quadratic estimator variance across batch sizes
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  The seed comes from
---seed, falling back to the SHADOWLAB_SEED environment variable.
+--seed, then the seed key of a jm or im --config file, then the
+SHADOWLAB_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -287,36 +288,29 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_CONFIG_TYPES = {  # no "mode": the subcommand alone picks the sweep
+# Config-file keys of jm and im, each also a flag except estimator (im only).
+# No "mode": the subcommand alone picks the sweep.
+_SWEEP_KEYS = {
     "d": int, "B": float, "eps": float, "delta": float,
     "trials": int, "seed": int, "out": str, "estimator": str,
 }
 
 
 def _build_config(args, mode: str) -> ExperimentConfig:
+    """Flags beat the config file; a seed set by neither comes from _resolve_seed."""
     values = {"mode": mode}
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _load_config(args.config).items():
-            if key not in _CONFIG_TYPES:
+            if key not in _SWEEP_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_TYPES[key](raw)
-    for name in ("d", "B", "eps", "delta", "trials", "out", "estimator"):
-        v = getattr(args, name, None)
+            values[key] = _SWEEP_KEYS[key](raw)
+    for key in _SWEEP_KEYS:
+        v = getattr(args, key, None)
         if v is not None:
-            values[name] = v
-    values["seed"] = _resolve_seed(args)
+            values[key] = v
+    if "seed" not in values:
+        values["seed"] = _resolve_seed(args)
     return ExperimentConfig(**values)
-
-
-def _add_sweep_flags(p):
-    p.add_argument("--d", type=int)
-    p.add_argument("--B", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
 
 
 def _report_sweep(rows, delta):
@@ -333,7 +327,10 @@ def main(argv=None) -> int:
 
     for name in ("jm", "im"):
         p = sub.add_parser(name)
-        _add_sweep_flags(p)
+        for key, typ in _SWEEP_KEYS.items():
+            if key != "estimator":
+                p.add_argument(f"--{key}", type=typ)
+        p.add_argument("--config", type=str)
         if name == "im":
             p.add_argument("--estimator", choices=["auto", "linear", "quadratic"])
 
@@ -407,22 +404,22 @@ def main(argv=None) -> int:
                 mc, stderr = moments.mc_covariance(pattern, rho, O, args.d, args.trials, rng)
                 ok = abs(exact - mc) <= max(6 * stderr, 1e-6)
                 rows.append((pattern, exact, mc, stderr, ok))
+            if args.out:
+                write_rows(args.out, rows, header=("pattern", "exact", "mc", "stderr", "ok"))
             for pattern, exact, mc, stderr, ok in rows:
                 print(f"{'PASS' if ok else 'FAIL'}  {pattern:9s} exact={exact:+.6f} "
                       f"mc={mc:+.6f} stderr={stderr:.6f}")
-            if args.out:
-                write_rows(args.out, rows, header=("pattern", "exact", "mc", "stderr", "ok"))
             return 0 if all(ok for *_, ok in rows) else 1
 
         if args.cmd == "compare":
             seed = _resolve_seed(args)
             rows = compare_estimators(args.d, args.B, args.trials, seed)
             header = ("s", "var_linear", "var_quadratic", "ratio", "pred_linear", "pred_quadratic")
+            if args.out:
+                write_rows(args.out, rows, header=header)
             print(("{:>6s}" + "{:>16s}" * 5).format(*header))
             for row in rows:
                 print(f"{row[0]:6d}" + "".join(f"{v:16.6g}" for v in row[1:]))
-            if args.out:
-                write_rows(args.out, rows, header=header)
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Shadow construction and observable estimation.
+"""Observable estimation from measurement outcomes, and batch planning.
 
 Three unbiased estimators of a pure state rho from measurement outcomes:
 
@@ -9,8 +9,9 @@ Three unbiased estimators of a pure state rho from measurement outcomes:
 
 batch_estimates is the estimator kernel: it maps the outcome vectors and the
 spectral factor of O straight to the per-batch estimates Tr(O rhohat),
-never forming a d x d shadow or O itself.  The Shadow constructors below
-are the dense reference forms of the same estimators.
+never forming a d x d shadow or O itself.  affine_shadow and
+median_estimate are the dense matrix form of the affine joint estimator,
+which the Boolean Hidden Matching protocol still runs on.
 
 Batch planning converts each estimator's per-batch Chebyshev bound into a
 sample count and an odd batch count for the median-of-means step, through
@@ -28,7 +29,6 @@ import numpy as np
 from .linalg import hermitize
 from .observables import Observable
 
-ShadowKind = Literal["affine_joint", "linear_single", "quadratic"]
 EstimateKind = Literal["affine_joint", "linear", "quadratic"]
 
 # Per-batch failure budget used throughout; k is forced odd so the median is
@@ -42,23 +42,6 @@ UNIT_NORM_TOL = 1e-10
 # longer exact as a float.  It bounds the planner's search, so an eps too
 # small to plan for is a ValueError rather than an endless doubling.
 MAX_PLAN_S = 2**53
-
-
-@dataclass(frozen=True)
-class Shadow:
-    """One batch estimate of rho; trace 1 except for the quadratic kind."""
-
-    matrix: np.ndarray
-    kind: ShadowKind
-    s_used: int
-
-    def __post_init__(self):
-        scale = max(np.abs(self.matrix).max(), 1.0)
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-9 * scale:
-            raise ValueError("shadow matrix must be Hermitian")
-        if self.kind in ("affine_joint", "linear_single"):
-            if abs(np.trace(self.matrix).real - 1.0) > 1e-9:
-                raise ValueError(f"{self.kind} shadow must have trace 1")
 
 
 @dataclass(frozen=True)
@@ -128,8 +111,8 @@ def batch_estimates(
     linear, quadratic: outcomes (k, s, d), s single-copy outcomes per batch.
     With P = sum_i |psi_i><psi_i|, the shadow sums are S = (d+1) P - s I and
     Q = ((d+1)^2 - 2(d+1)) P + s I; linear is Tr(O S)/s and quadratic is
-    Tr(O (S^2 - Q))/(s(s-1)).  Equals Tr(O shadow) of affine_shadow,
-    linear_mean_shadow and quadratic_shadow.
+    Tr(O (S^2 - Q))/(s(s-1)).  The affine_joint estimates equal
+    Tr(O affine_shadow(psi, s, d)).
 
     Everything runs on the factor O = V diag(lam) V^H: with C_ij = <psi_i|v_j>,
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
@@ -174,54 +157,23 @@ def _outcome_projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, np.conj(psi))
 
 
-def affine_shadow(psi: np.ndarray, s: int, d: int) -> Shadow:
-    """Unbiased trace-1 shadow ((d+s) |psi><psi| - I)/s from a joint outcome on s copies."""
+def affine_shadow(psi: np.ndarray, s: int, d: int) -> np.ndarray:
+    """Unbiased trace-1 shadow ((d+s) |psi><psi| - I)/s from a joint outcome on s copies.
+
+    The hermitize is not a no-op: numpy's complex products leave |psi><psi|
+    off Hermitian in the last bit.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
-    mat = ((d + s) * _outcome_projector(psi) - np.eye(d)) / s
-    return Shadow(matrix=hermitize(mat), kind="affine_joint", s_used=s)
+    return hermitize(((d + s) * _outcome_projector(psi) - np.eye(d)) / s)
 
 
-def single_copy_shadow(psi: np.ndarray, d: int) -> Shadow:
-    """Unbiased shadow (d+1) |psi><psi| - I from one single-copy outcome."""
-    mat = (d + 1) * _outcome_projector(psi) - np.eye(d)
-    return Shadow(matrix=hermitize(mat), kind="linear_single", s_used=1)
-
-
-def median_estimate(O: np.ndarray, shadows: Sequence[Shadow]) -> float:
-    """Middle order statistic of Tr(O shadow_i) over the batch shadows."""
+def median_estimate(O: np.ndarray, shadows: Sequence[np.ndarray]) -> float:
+    """Middle order statistic of Tr(O shadow_i) over the batch shadow matrices."""
     if not shadows:
         raise ValueError("need at least one shadow")
-    vals = sorted(float(np.trace(O @ sh.matrix).real) for sh in shadows)
+    vals = sorted(float(np.trace(O @ sh).real) for sh in shadows)
     return vals[len(vals) // 2]
-
-
-def linear_mean_shadow(singles: Sequence[Shadow]) -> Shadow:
-    """Arithmetic mean of single-copy shadows (the plain linear estimator)."""
-    if not singles:
-        raise ValueError("need at least one single-copy shadow")
-    if any(sh.kind != "linear_single" for sh in singles):
-        raise ValueError("inputs must be single-copy shadows")
-    mean = sum(sh.matrix for sh in singles) / len(singles)
-    return Shadow(matrix=hermitize(mean), kind="linear_single", s_used=len(singles))
-
-
-def quadratic_shadow(singles: Sequence[Shadow]) -> Shadow:
-    """Average of rho_i rho_j over ordered pairs i != j; unbiased for pure rho.
-
-    Computed as (S^2 - Q)/(s(s-1)) with S = sum_i rho_i and Q = sum_i rho_i^2,
-    which is algebraically identical to the pair sum at linear cost in s.
-    The i,j and j,i terms are mutual adjoints, so the result is Hermitian.
-    """
-    s = len(singles)
-    if s < 2:
-        raise ValueError("quadratic estimator needs at least 2 single-copy shadows")
-    if any(sh.kind != "linear_single" for sh in singles):
-        raise ValueError("inputs must be single-copy shadows")
-    S = sum(sh.matrix for sh in singles)
-    Q = sum(sh.matrix @ sh.matrix for sh in singles)
-    mat = (S @ S - Q) / (s * (s - 1))
-    return Shadow(matrix=hermitize(mat), kind="quadratic", s_used=s)
 
 
 def choose_estimator(B: float, d: int, eps: float) -> Literal["linear", "quadratic"]:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-Permutation operators on tensor powers, symmetric-subspace projectors,
-partial traces, and state-distance functionals.  Everything that builds an
-explicit operator on (C^d)^s is a brute-force oracle and is capped by
-DIM_BUDGET; protocol-scale code works in dimension d only.
+Permutation operators on tensor powers, symmetric-subspace projectors and
+state-distance functionals.  Everything that builds an explicit operator on
+(C^d)^s is a brute-force oracle and is capped by DIM_BUDGET; protocol-scale
+code works in dimension d only.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -140,31 +140,6 @@ def sym_projector(s: int, d: int) -> np.ndarray:
         P += perm_operator(pi, d)
     P /= math.factorial(s)
     return hermitize(P)
-
-
-def partial_trace(M: np.ndarray, d: int, s: int, keep: Iterable[int]):
-    """Trace out all tensor factors of M on (C^d)^s except those in keep.
-
-    keep is a set of 0-based positions.  An empty keep returns the scalar
-    trace; otherwise the result is a matrix on the kept factors, in
-    ascending position order.
-    """
-    keep = sorted(set(keep))
-    if any(p < 0 or p >= s for p in keep):
-        raise IndexError(f"keep positions {keep} out of range for s={s}")
-    dim = d**s
-    if M.shape != (dim, dim):
-        raise ValueError(f"expected {dim}x{dim} matrix, got {M.shape}")
-    if not keep:
-        return complex(np.trace(M))
-    T = M.reshape((d,) * (2 * s))
-    # Row index of factor p is axis p, column index is axis s + p.
-    row_sub = list(range(s))
-    col_sub = [s + p if p in keep else p for p in range(s)]
-    out_sub = [p for p in keep] + [s + p for p in keep]
-    res = np.einsum(T, row_sub + col_sub, out_sub)
-    k = len(keep)
-    return res.reshape(d**k, d**k)
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:

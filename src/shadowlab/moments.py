@@ -24,6 +24,7 @@ from .linalg import (
     perm_operator,
     sym_projector,
 )
+from .measurement import pure_state_vector
 
 # Brute-force enumeration cap; these oracles are test-only.
 ENUM_BUDGET = 1_000_000
@@ -44,19 +45,9 @@ class MomentReport:
         return cls(name, dev)
 
 
-def _check_pure(rho: np.ndarray, tol: float = 1e-8):
-    """Reject anything but a Hermitian, unit-trace, idempotent matrix."""
-    if (
-        abs(np.trace(rho) - 1) > tol
-        or np.abs(rho - rho.conj().T).max() > tol
-        or np.abs(rho @ rho - rho).max() > tol
-    ):
-        raise ValueError("rho must be a pure density matrix")
-
-
 def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """E[Psi] = (I + s rho)/(d + s) for the joint measurement on s copies."""
-    _check_pure(rho)
+    pure_state_vector(rho)
     return (np.eye(d) + s * rho) / (d + s)
 
 
@@ -98,7 +89,7 @@ def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
 
 def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """Permutation-sum evaluation of E[Psi] over all of S_{s+1}."""
-    _check_pure(rho)
+    pure_state_vector(rho)
     if math.factorial(s + 1) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
@@ -112,7 +103,7 @@ def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
 
 def exact_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """E[Psi x Psi] on C^(d^2) for the joint measurement on s copies."""
-    _check_pure(rho)
+    pure_state_vector(rho)
     I = np.eye(d)
     a = I + s * rho
     M = np.kron(a, a) - (s * (s + 1) / 2) * np.kron(rho, rho)
@@ -127,7 +118,7 @@ def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     directly; the others are handled by pulling a swap of the two kept
     factors out of the partial trace.
     """
-    _check_pure(rho)
+    pure_state_vector(rho)
     if math.factorial(s + 2) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
@@ -166,7 +157,7 @@ def ab_bijection_check(n: int) -> bool:
 
 def single_shadow_second_moment(rho: np.ndarray, d: int) -> np.ndarray:
     """E[rhohat x rhohat] for one single-copy shadow rhohat = (d+1) Psi - I."""
-    _check_pure(rho)
+    pure_state_vector(rho)
     I = np.eye(d)
     pre = np.kron(I, I) + np.kron(I, rho) + np.kron(rho, I)
     swap = perm_operator(Permutation.transposition(2, 0, 1), d)
@@ -181,7 +172,7 @@ def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> floa
     traces of d x d products, so this stays cheap even when d^2 matrices
     would not.
     """
-    _check_pure(rho)
+    pure_state_vector(rho)
     a = O @ (np.eye(d) + s * rho)
     o_rho = np.trace(O @ rho).real
     cross = np.trace(O @ rho @ O @ rho).real  # = Tr(O rho)^2 for pure rho
@@ -213,7 +204,7 @@ def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
     fully-repeated pattern uses a three-factor swap identity to decouple the
     two second moments.
     """
-    _check_pure(rho)
+    pure_state_vector(rho)
     if pattern == "distinct":
         return 0.0
     _pattern_indices(pattern)
@@ -237,6 +228,7 @@ def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
 
 def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
     """Closed-form upper bound on the covariance for each pattern."""
+    pure_state_vector(rho)
     o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
     tr_o2 = float(np.trace(O @ O).real)
     if pattern == "ij_jk":
@@ -277,11 +269,9 @@ def mc_covariance(
     """
     if N < 1000:
         raise ValueError("need N >= 1000 for a stable covariance estimate")
-    _check_pure(rho)
+    phi = pure_state_vector(rho)
     (a, b), (c, e) = _pattern_indices(pattern)
     n_shadows = max(a, b, c, e) + 1
-    evals, evecs = np.linalg.eigh(rho)
-    phi = evecs[:, -1]
     psis = sample_posterior_states(phi, 1, rng, N * n_shadows).reshape(N, n_shadows, d)
     x = shadow_pair_traces(O, psis[:, a], psis[:, b])
     y = shadow_pair_traces(O, psis[:, c], psis[:, e])

@@ -100,12 +100,6 @@ def random_signature_observable(d: int, B: float, rng: RngStream) -> Observable:
     return Observable(vecs=_haar_frame(d, r, rng), evals=evals, b_budget=float(r))
 
 
-def traceless_part(O: np.ndarray) -> np.ndarray:
-    """O - Tr(O) I/d; satisfies Tr(result^2) = Tr(O^2) - Tr(O)^2/d."""
-    d = O.shape[0]
-    return O - (np.trace(O).real / d) * np.eye(d)
-
-
 def distinguishing_observable(
     rho: np.ndarray, sigma: np.ndarray, pick_low_rank: bool = False
 ) -> tuple[Observable, float]:

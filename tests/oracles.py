@@ -4,13 +4,20 @@ The outcome sampler below is the two-Gamma, complement-resampling sampler
 that shadowlab.ensembles.sample_posterior_states replaced.  It draws the
 same law through a different construction, so two-sample tests between the
 two check the one-draw sampler without sharing its code.
+
+The dense shadows are the d x d matrix forms of the single-copy estimators
+that shadowlab.estimators.batch_estimates evaluates from outcome rows alone,
+and partial_trace is the dense reduction the moment oracles avoid.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from shadowlab.ensembles import RngStream, sample_haar_state
+from shadowlab.estimators import UNIT_NORM_TOL
 
 
 def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
@@ -50,3 +57,63 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
     chi = _orthogonal_complement_states(phi, rng, size)
     amp = np.exp(1j * theta) * np.sqrt(t)
     return amp[:, None] * phi[None, :] + np.sqrt(1 - t)[:, None] * chi
+
+
+def single_copy_shadow(psi: np.ndarray) -> np.ndarray:
+    """Unbiased shadow (d+1) |psi><psi| - I from one single-copy outcome row."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError("outcome state must be unit norm")
+    d = psi.shape[0]
+    return (d + 1) * np.outer(psi, np.conj(psi)) - np.eye(d)
+
+
+def linear_mean_shadow(singles: Sequence[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of single-copy shadow matrices (the plain linear estimator)."""
+    if not len(singles):
+        raise ValueError("need at least one single-copy shadow")
+    return sum(singles) / len(singles)
+
+
+def quadratic_shadow(singles: Sequence[np.ndarray]) -> np.ndarray:
+    """Average of rho_i rho_j over ordered pairs i != j of single-copy shadow matrices.
+
+    Computed as (S^2 - Q)/(s(s-1)) with S = sum_i rho_i and Q = sum_i rho_i^2,
+    which is algebraically identical to the pair sum; unbiased for pure rho.
+    """
+    s = len(singles)
+    if s < 2:
+        raise ValueError("quadratic estimator needs at least 2 single-copy shadows")
+    S = sum(singles)
+    Q = sum(m @ m for m in singles)
+    return (S @ S - Q) / (s * (s - 1))
+
+
+def partial_trace(M: np.ndarray, d: int, s: int, keep: Iterable[int]):
+    """Trace out all tensor factors of M on (C^d)^s except those in keep.
+
+    keep is a set of 0-based positions.  An empty keep returns the scalar
+    trace; otherwise the result is a matrix on the kept factors, in
+    ascending position order.
+    """
+    keep = sorted(set(keep))
+    if any(p < 0 or p >= s for p in keep):
+        raise IndexError(f"keep positions {keep} out of range for s={s}")
+    dim = d**s
+    if M.shape != (dim, dim):
+        raise ValueError(f"expected {dim}x{dim} matrix, got {M.shape}")
+    if not keep:
+        return complex(np.trace(M))
+    T = M.reshape((d,) * (2 * s))
+    # Row index of factor p is axis p, column index is axis s + p.
+    row_sub = list(range(s))
+    col_sub = [s + p if p in keep else p for p in range(s)]
+    out_sub = [p for p in keep] + [s + p for p in keep]
+    res = np.einsum(T, row_sub + col_sub, out_sub)
+    k = len(keep)
+    return res.reshape(d**k, d**k)
+
+
+def traceless_part(O: np.ndarray) -> np.ndarray:
+    """O - Tr(O) I/d; satisfies Tr(result^2) = Tr(O^2) - Tr(O)^2/d."""
+    d = O.shape[0]
+    return O - (np.trace(O).real / d) * np.eye(d)

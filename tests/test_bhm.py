@@ -15,7 +15,7 @@ from shadowlab.bhm import (
     sign_state,
 )
 from shadowlab.ensembles import RngStream
-from shadowlab.estimators import BatchPlan, Shadow, plan_batches
+from shadowlab.estimators import BatchPlan, plan_batches
 
 
 def test_instance_promise_validation():
@@ -92,8 +92,7 @@ def test_noiseless_shadows_always_round_correctly():
         b = seed % 2
         inst = gen_instance(8, 0.25, b, RngStream(2000 + seed))
         rho = np.outer(sign_state(inst.x), sign_state(inst.x).conj())
-        oracle = [Shadow(matrix=rho, kind="affine_joint", s_used=1)]
-        assert bob_guess(oracle, inst.matching, inst.w, inst.n) == b
+        assert bob_guess([rho], inst.matching, inst.w, inst.n) == b
 
 
 def test_rounding_threshold():
@@ -114,8 +113,7 @@ def test_alice_side_only_sees_x_bob_only_outcomes():
     shadows = alice_shadows(inst.x, plan, RngStream(76))
     assert len(shadows) == 3
     for sh in shadows:
-        assert sh.matrix.shape == (8, 8)
-        assert sh.s_used == 16
+        assert isinstance(sh, np.ndarray) and sh.shape == (8, 8)
     # bob_guess signature takes only (shadows, matching, w, n) -- never x
     guess = bob_guess(shadows, inst.matching, inst.w, inst.n)
     assert guess in (0, 1)

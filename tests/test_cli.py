@@ -271,6 +271,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["jm", "--d", "4", "--B", "2", "--eps", "0.4", "--trials", "2"],
+    ["bhm", "--n", "8", "--runs", "2"],
+    ["cov-check", "--d", "2", "--trials", "1000"],
+    ["compare", "--d", "4", "--B", "4", "--trials", "20"],
+])
+def test_cli_unwritable_out_exits_2_with_no_output(tmp_path, capsys, argv):
+    # the CSV is written before anything is printed
+    out = tmp_path / "missing-dir" / "out.csv"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "error:" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["1e-160", "1e-170", "5e-324"])
 @pytest.mark.parametrize("cmd", ["jm", "im"])
 def test_cli_sweep_at_unplannable_eps_exits_2_with_no_output(tmp_path, capsys, cmd, eps):
@@ -289,10 +304,25 @@ def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
     assert main(["jm", "--config", str(cfg), "--out", str(out1)]) == 0
     rows = read_csv(str(out1))
     assert len(rows) == 4 and rows[1][1] == "4"
-    # a flag beats the file
+    # the file's seed is used, and beats SHADOWLAB_SEED
+    flags = ["--d", "4", "--B", "2", "--eps", "0.4", "--delta", "0.1", "--trials", "3"]
+    seeded = {}
+    for seed in ("11", "12"):
+        seeded[seed] = tmp_path / f"seed{seed}.csv"
+        assert main(["jm", *flags, "--seed", seed, "--out", str(seeded[seed])]) == 0
+    assert out1.read_bytes() == seeded["11"].read_bytes() != seeded["12"].read_bytes()
+    monkeypatch.setenv("SHADOWLAB_SEED", "12")
+    env_out = tmp_path / "env.csv"
+    assert main(["jm", "--config", str(cfg), "--out", str(env_out)]) == 0
+    assert env_out.read_bytes() == seeded["11"].read_bytes()
+    monkeypatch.delenv("SHADOWLAB_SEED")
+    # a flag beats the file, --seed included
     out2 = tmp_path / "two.csv"
     assert main(["jm", "--config", str(cfg), "--trials", "1", "--out", str(out2)]) == 0
     assert len(read_csv(str(out2))) == 2
+    flag_out = tmp_path / "flag.csv"
+    assert main(["jm", "--config", str(cfg), "--seed", "12", "--out", str(flag_out)]) == 0
+    assert flag_out.read_bytes() == seeded["12"].read_bytes()
     # unknown keys are a usage error
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
@@ -333,6 +363,35 @@ def test_cli_bhm_subcommand(tmp_path):
     assert len(rows) == 7
     for row in rows[1:]:
         assert row[1] in "01" and row[2] in "01"
+
+
+# b per run of `bhm --n 16 --alpha 0.25 --runs 50`, recorded before shadows
+# became plain matrices.  Every guess equalled b, and every run used the
+# same plan of 10773 samples.
+PINNED_BHM = {
+    1: "10010011101101000100010110001000010100000110010000",
+    2: "10100101010111010000110101111010101110010011010010",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_BHM))
+def test_cli_bhm_fixed_seed_runs_pinned(tmp_path, seed):
+    out = tmp_path / "bhm.csv"
+    assert main(["bhm", "--n", "16", "--alpha", "0.25", "--runs", "50",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    rows = read_csv(str(out))[1:]
+    assert [int(r[0]) for r in rows] == list(range(50))
+    assert "".join(r[1] for r in rows) == PINNED_BHM[seed]
+    assert "".join(r[2] for r in rows) == PINNED_BHM[seed]
+    assert {r[3] for r in rows} == {"10773"}
+
+
+def test_package_exports_resolve():
+    assert shadowlab.__all__
+    for name in shadowlab.__all__:
+        assert getattr(shadowlab, name) is not None
+    for gone in ("Shadow", "single_copy_shadow", "quadratic_shadow"):
+        assert gone not in shadowlab.__all__
 
 
 def test_cli_cov_check_subcommand():

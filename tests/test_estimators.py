@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import linear_mean_shadow, quadratic_shadow, single_copy_shadow
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.estimators import (
     BATCH_FAILURE_P,
     MAX_PLAN_S,
     BatchPlan,
-    Shadow,
     affine_shadow,
     batch_estimates,
     choose_estimator,
-    linear_mean_shadow,
     median_estimate,
     plan_batches,
     plan_linear_batches,
     plan_quadratic_batches,
-    quadratic_shadow,
-    single_copy_shadow,
 )
 from shadowlab.linalg import density, trace_distance
 from shadowlab.measurement import measure_independent_batch, measure_joint_batch
@@ -27,9 +24,7 @@ from shadowlab.observables import Observable
 
 
 def singles_from(phi, rng, count):
-    d = phi.shape[0]
-    psis = measure_independent_batch(phi, rng, count)
-    return [single_copy_shadow(p, d) for p in psis]
+    return [single_copy_shadow(p) for p in measure_independent_batch(phi, rng, count)]
 
 
 # ------------------------------------------------------------------ batch plan
@@ -115,8 +110,8 @@ def test_plan_batches_range_checks():
 def test_affine_shadow_basis_case():
     # d=2, s=1, psi=|0>: ((d+s) psi psi^dag - I)/s = diag(2, -1)
     sh = affine_shadow(np.array([1, 0], dtype=complex), 1, 2)
-    assert np.abs(sh.matrix - np.diag([2.0, -1.0])).max() < 1e-12
-    assert sh.kind == "affine_joint"
+    assert isinstance(sh, np.ndarray)
+    assert np.abs(sh - np.diag([2.0, -1.0])).max() < 1e-12
 
 
 def test_affine_shadow_trace_one():
@@ -125,7 +120,9 @@ def test_affine_shadow_trace_one():
         phi = sample_haar_state(d, rng)
         psi = measure_joint_batch(phi, s, rng, 1)[0]
         sh = affine_shadow(psi, s, d)
-        assert abs(np.trace(sh.matrix).real - 1) < 1e-9
+        assert abs(np.trace(sh).real - 1) < 1e-9
+        # exactly Hermitian, which numpy's complex outer product alone is not
+        assert np.array_equal(sh, sh.conj().T)
 
 
 def test_affine_shadow_unbiased():
@@ -146,24 +143,16 @@ def test_shadow_constructors_check_their_outcome():
         with pytest.raises(ValueError):
             affine_shadow(psi, 1, 2)
         with pytest.raises(ValueError):
-            single_copy_shadow(psi, 2)
+            single_copy_shadow(psi)
     with pytest.raises(ValueError):
         affine_shadow(np.array([1, 0], dtype=complex), 0, 2)
-
-
-def test_shadow_trace_validation():
-    with pytest.raises(ValueError):
-        Shadow(matrix=np.eye(2) * 0.7, kind="linear_single", s_used=1)
-    # quadratic kind allows arbitrary trace
-    Shadow(matrix=np.eye(2) * 0.7, kind="quadratic", s_used=2)
 
 
 # ------------------------------------------------------------ median estimate
 
 
 def test_median_estimate_small_cases():
-    mats = [np.diag([v, 1 - v]).astype(complex) for v in (0.1, 0.9, 0.5)]
-    shadows = [Shadow(matrix=m, kind="affine_joint", s_used=1) for m in mats]
+    shadows = [np.diag([v, 1 - v]).astype(complex) for v in (0.1, 0.9, 0.5)]
     O = np.diag([1.0, 0.0]).astype(complex)
     assert median_estimate(O, shadows) == 0.5
     assert median_estimate(O, shadows[:1]) == pytest.approx(0.1)
@@ -172,10 +161,7 @@ def test_median_estimate_small_cases():
 @given(st.permutations([0.1, 0.3, 0.5, 0.7, 0.9]))
 @settings(max_examples=20)
 def test_median_estimate_shuffle_invariant(vals):
-    shadows = [
-        Shadow(matrix=np.diag([v, 1 - v]).astype(complex), kind="affine_joint", s_used=1)
-        for v in vals
-    ]
+    shadows = [np.diag([v, 1 - v]).astype(complex) for v in vals]
     O = np.diag([1.0, 0.0]).astype(complex)
     assert median_estimate(O, shadows) == 0.5
 
@@ -189,9 +175,9 @@ def test_median_estimate_empty():
 
 
 def test_linear_mean_trivial_cases():
-    sh = single_copy_shadow(np.array([1, 0], dtype=complex), 2)
-    assert np.abs(linear_mean_shadow([sh]).matrix - sh.matrix).max() < 1e-12
-    assert np.abs(linear_mean_shadow([sh, sh, sh]).matrix - sh.matrix).max() < 1e-12
+    sh = single_copy_shadow(np.array([1, 0], dtype=complex))
+    assert np.abs(linear_mean_shadow([sh]) - sh).max() < 1e-12
+    assert np.abs(linear_mean_shadow([sh, sh, sh]) - sh).max() < 1e-12
 
 
 def test_linear_mean_unbiased():
@@ -201,7 +187,7 @@ def test_linear_mean_unbiased():
     rho = density(phi)
     acc = np.zeros((d, d), dtype=complex)
     for _ in range(trials):
-        acc += linear_mean_shadow(singles_from(phi, rng, s)).matrix
+        acc += linear_mean_shadow(singles_from(phi, rng, s))
     acc /= trials
     assert np.abs(acc - rho).max() < 5 * (d + 1) / np.sqrt(s * trials)
 
@@ -211,9 +197,9 @@ def test_quadratic_shadow_s2_and_hermiticity():
     phi = sample_haar_state(3, rng)
     a, b = singles_from(phi, rng, 2)
     sh = quadratic_shadow([a, b])
-    direct = (a.matrix @ b.matrix + b.matrix @ a.matrix) / 2
-    assert np.abs(sh.matrix - direct).max() < 1e-10
-    assert np.abs(sh.matrix - sh.matrix.conj().T).max() < 1e-10
+    direct = (a @ b + b @ a) / 2
+    assert np.abs(sh - direct).max() < 1e-10
+    assert np.abs(sh - sh.conj().T).max() < 1e-10
 
 
 def test_quadratic_shadow_pair_sum_identity():
@@ -227,9 +213,9 @@ def test_quadratic_shadow_pair_sum_identity():
     for i in range(s):
         for j in range(s):
             if i != j:
-                direct += singles[i].matrix @ singles[j].matrix
+                direct += singles[i] @ singles[j]
     direct /= s * (s - 1)
-    assert np.abs(sh.matrix - direct).max() < 1e-10
+    assert np.abs(sh - direct).max() < 1e-10
 
 
 def test_quadratic_shadow_unbiased():
@@ -254,7 +240,7 @@ def test_quadratic_trace_fluctuates():
     rng = RngStream(37)
     phi = sample_haar_state(d, rng)
     traces = [
-        np.trace(quadratic_shadow(singles_from(phi, rng, s)).matrix).real
+        np.trace(quadratic_shadow(singles_from(phi, rng, s))).real
         for _ in range(trials)
     ]
     assert np.std(traces) > 0
@@ -290,13 +276,13 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     O = random_hermitian_unit_norm(d, rng)
     obs = Observable.from_matrix(O, d)
     joint = sample_haar_state(d, rng, size=k)
-    dense = [np.trace(O @ affine_shadow(p, copies, d).matrix).real for p in joint]
+    dense = [np.trace(O @ affine_shadow(p, copies, d)).real for p in joint]
     assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
 
     psis = sample_haar_state(d, rng, size=k * s).reshape(k, s, d)
-    batches = [[single_copy_shadow(p, d) for p in b] for b in psis]
+    batches = [[single_copy_shadow(p) for p in b] for b in psis]
     for kind, oracle in (("linear", linear_mean_shadow), ("quadratic", quadratic_shadow)):
-        dense = [np.trace(O @ oracle(b).matrix).real for b in batches]
+        dense = [np.trace(O @ oracle(b)).real for b in batches]
         assert np.abs(batch_estimates(obs, psis, kind) - dense).max() < 1e-12
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import partial_trace
 from shadowlab.linalg import (
     DIM_BUDGET,
     DimensionOverflowError,
@@ -12,7 +13,6 @@ from shadowlab.linalg import (
     all_permutations,
     density,
     kappa,
-    partial_trace,
     perm_operator,
     sym_projector,
     trace_distance,

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import partial_trace, traceless_part
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import (
     Permutation,
     all_permutations,
     density,
     kappa,
-    partial_trace,
     perm_operator,
     sym_projector,
 )
@@ -29,7 +29,7 @@ from shadowlab.moments import (
     shadow_pair_traces,
     single_shadow_second_moment,
 )
-from shadowlab.observables import random_projector_observable, traceless_part
+from shadowlab.observables import random_projector_observable
 
 
 def rand_rho(d, seed):
@@ -68,6 +68,24 @@ def test_moments_reject_idempotents_that_are_not_states():
             exact_first_moment(rho, 1, 2)
         with pytest.raises(ValueError):
             exact_covariance("ij_jk", rho, I, 2)
+
+
+@pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.zeros((2, 2))], ids=["nan", "zero"])
+def test_every_entry_point_rejects_a_non_state(rho):
+    O = np.diag([1.0, -1.0])
+    for call in (
+        lambda: exact_first_moment(rho, 1, 2),
+        lambda: brute_first_moment(rho, 1, 2),
+        lambda: exact_second_moment(rho, 1, 2),
+        lambda: brute_second_moment(rho, 1, 2),
+        lambda: single_shadow_second_moment(rho, 2),
+        lambda: exact_joint_variance(rho, O, 1, 2),
+        lambda: exact_covariance("ij_jk", rho, O, 2),
+        lambda: covariance_bound("ij_jk", rho, O, 2),
+        lambda: mc_covariance("ij_jk", rho, O, 2, 1000, RngStream(1)),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("s,d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (4, 2)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import traceless_part
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import density, trace_distance
 from shadowlab.observables import (
@@ -13,7 +14,6 @@ from shadowlab.observables import (
     random_observable,
     random_projector_observable,
     random_signature_observable,
-    traceless_part,
 )
 
 ZERO = np.array([1, 0], dtype=complex)
