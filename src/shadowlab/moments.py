@@ -1,17 +1,16 @@
 """Exact moment and covariance formulas with brute-force cross-checks.
 
 Closed forms for the first and second moments of the joint-measurement
-outcome, the second moment of a single-copy shadow, and the four covariance
-patterns arising in the quadratic estimator's variance.  Each closed form is
-paired with an independent evaluation: a permutation-sum enumeration (cost
-(s+2)! * poly(d), driven by cycle decomposition rather than d^s storage) or
-a Monte Carlo sampler.
+outcome, and the four covariance patterns of the quadratic estimator's
+variance as traces of d x d products.  Each is paired with an independent
+evaluation: a permutation-sum enumeration (cost (s+2)! * poly(d), driven by
+cycle decomposition rather than d^s storage) or a Monte Carlo sampler.  A
+non-pure rho, or an O that is not finite, Hermitian and d x d, is a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .linalg import (
     Permutation,
     all_permutations,
     hermitize,
+    is_hermitian,
     kappa,
     perm_operator,
     sym_projector,
@@ -32,17 +32,11 @@ ENUM_BUDGET = 1_000_000
 COV_PATTERNS = ("ij_jk", "ij_kj", "ij_ji", "ij_ij", "distinct")
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Largest deviation of a closed-form value from an independent one, for one check."""
-
-    name: str
-    max_abs_deviation: float
-
-    @classmethod
-    def compare(cls, name: str, formula, brute) -> "MomentReport":
-        dev = float(np.abs(np.asarray(formula) - np.asarray(brute)).max())
-        return cls(name, dev)
+def _check_observable(O: np.ndarray, d: int) -> None:
+    """Raise ValueError unless O is a finite Hermitian d x d matrix; NaN fails too."""
+    O = np.asarray(O)
+    if not (O.shape == (d, d) and np.isfinite(O).all() and is_hermitian(O)):
+        raise ValueError(f"observable must be a finite Hermitian {d} x {d} matrix")
 
 
 def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
@@ -155,16 +149,6 @@ def ab_bijection_check(n: int) -> bool:
     return type_a * 2 == math.factorial(n)
 
 
-def single_shadow_second_moment(rho: np.ndarray, d: int) -> np.ndarray:
-    """E[rhohat x rhohat] for one single-copy shadow rhohat = (d+1) Psi - I."""
-    pure_state_vector(rho)
-    I = np.eye(d)
-    pre = np.kron(I, I) + np.kron(I, rho) + np.kron(rho, I)
-    swap = perm_operator(Permutation.transposition(2, 0, 1), d)
-    post = swap - (2 / (d + 2)) * sym_projector(2, d)
-    return hermitize(pre @ post)  # Hermitian in exact arithmetic
-
-
 def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> float:
     """Exact Var(Tr(O rhohat)) for the affine joint shadow, in dimension d.
 
@@ -173,6 +157,7 @@ def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> floa
     would not.
     """
     pure_state_vector(rho)
+    _check_observable(O, d)
     a = O @ (np.eye(d) + s * rho)
     o_rho = np.trace(O @ rho).real
     cross = np.trace(O @ rho @ O @ rho).real  # = Tr(O rho)^2 for pure rho
@@ -200,35 +185,41 @@ def _pattern_indices(pattern: str) -> tuple[tuple[int, int], tuple[int, int]]:
 def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
     """Exact Cov(Tr(O rhohat_i rhohat_j), Tr(O rhohat_k rhohat_l)) per pattern.
 
-    Assembled from the single-shadow second moment and first moments; the
-    fully-repeated pattern uses a three-factor swap identity to decouple the
-    two second moments.
+    A single-copy shadow has E[rhohat x rhohat] = (I x I + I x rho + rho x I)
+    (c SWAP - e I), c = (d+1)/(d+2), e = 1/(d+2); each pattern contracts it in
+    d x d products through M(A) = E[Tr(A rhohat) rhohat], S(Q) = E[rhohat Q rhohat].
     """
     pure_state_vector(rho)
+    _check_observable(O, d)
+    _pattern_indices(pattern)
     if pattern == "distinct":
         return 0.0
-    _pattern_indices(pattern)
-    I = np.eye(d)
-    OO = np.kron(O, O)
-    m2 = single_shadow_second_moment(rho, d)
-    o_rho2 = np.trace(O @ rho).real ** 2
+    tr, I = np.trace, np.eye(d)
+    c, e = (d + 1) / (d + 2), 1 / (d + 2)
+
+    def M(A):
+        return c * (A + rho @ A + A @ rho) - e * (tr(A) * (I + rho) + tr(A @ rho) * I)
+
+    def S(Q):
+        return c * (tr(Q) * (I + rho) + tr(Q @ rho) * I) - e * (Q + Q @ rho + rho @ Q)
+
+    o_rho, rho_o, m = O @ rho, rho @ O, M(O)
     if pattern == "ij_jk":
-        val = np.trace(OO @ np.kron(rho, rho) @ m2)
+        val = tr(o_rho @ M(o_rho))
     elif pattern == "ij_kj":
-        val = np.trace(OO @ np.kron(rho, I) @ m2 @ np.kron(I, rho))
+        val = tr(rho_o @ M(o_rho))
     elif pattern == "ij_ji":
-        val = np.trace(OO @ m2 @ m2)
+        val = c * (tr(O @ S(O + rho_o)) + tr(rho_o @ S(O))) - e * tr((O + 2 * rho_o) @ m)
     else:  # ij_ij
-        w13 = perm_operator(Permutation((2, 1, 0)), d)
-        big = np.kron(np.kron(O, O), I) @ np.kron(I, m2) @ np.kron(m2, I) @ w13
-        val = np.trace(big)
-    assert abs(val.imag) < 1e-8 * max(abs(val), 1.0)
-    return float(val.real - o_rho2)
+        val = c * (tr((I + rho) @ S(O @ O)) + tr(S(O @ rho_o))) - e * tr((O + o_rho + rho_o) @ m)
+    return float(val.real - tr(o_rho).real ** 2)
 
 
 def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
     """Closed-form upper bound on the covariance for each pattern."""
     pure_state_vector(rho)
+    _check_observable(O, d)
+    _pattern_indices(pattern)
     o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
     tr_o2 = float(np.trace(O @ O).real)
     if pattern == "ij_jk":
@@ -239,9 +230,7 @@ def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
         return d * tr_o2 + 6 * math.sqrt(d * tr_o2) + o_norm2
     if pattern == "ij_ij":
         return (d + 2) * tr_o2 + (3 * d - 2) * o_norm2
-    if pattern == "distinct":
-        return 0.0
-    raise ValueError(f"unknown pattern {pattern!r}")
+    return 0.0  # distinct
 
 
 def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
@@ -270,6 +259,7 @@ def mc_covariance(
     if N < 1000:
         raise ValueError("need N >= 1000 for a stable covariance estimate")
     phi = pure_state_vector(rho)
+    _check_observable(O, d)
     (a, b), (c, e) = _pattern_indices(pattern)
     n_shadows = max(a, b, c, e) + 1
     psis = sample_posterior_states(phi, 1, rng, N * n_shadows).reshape(N, n_shadows, d)

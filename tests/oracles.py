@@ -8,6 +8,10 @@ two check the one-draw sampler without sharing its code.
 The dense shadows are the d x d matrix forms of the single-copy estimators
 that shadowlab.estimators.batch_estimates evaluates from outcome rows alone,
 and partial_trace is the dense reduction the moment oracles avoid.
+
+single_shadow_second_moment and dense_covariance assemble the covariance
+patterns from d^2 x d^2 and d^3 x d^3 operators; exact_covariance in
+shadowlab.moments contracts the same moment with d x d products only.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import numpy as np
 
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.estimators import UNIT_NORM_TOL
+from shadowlab.linalg import Permutation, hermitize, perm_operator, sym_projector
+from shadowlab.measurement import pure_state_vector
+from shadowlab.moments import COV_PATTERNS
 
 
 def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
@@ -117,3 +124,43 @@ def traceless_part(O: np.ndarray) -> np.ndarray:
     """O - Tr(O) I/d; satisfies Tr(result^2) = Tr(O^2) - Tr(O)^2/d."""
     d = O.shape[0]
     return O - (np.trace(O).real / d) * np.eye(d)
+
+
+def single_shadow_second_moment(rho: np.ndarray, d: int) -> np.ndarray:
+    """E[rhohat x rhohat] for one single-copy shadow rhohat = (d+1) Psi - I."""
+    pure_state_vector(rho)
+    I = np.eye(d)
+    pre = np.kron(I, I) + np.kron(I, rho) + np.kron(rho, I)
+    swap = perm_operator(Permutation.transposition(2, 0, 1), d)
+    post = swap - (2 / (d + 2)) * sym_projector(2, d)
+    return hermitize(pre @ post)  # Hermitian in exact arithmetic
+
+
+def dense_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
+    """Exact Cov(Tr(O rhohat_i rhohat_j), Tr(O rhohat_k rhohat_l)) per pattern.
+
+    Assembled from the single-shadow second moment and first moments; the
+    fully-repeated pattern uses a three-factor swap identity to decouple the
+    two second moments.
+    """
+    pure_state_vector(rho)
+    if pattern == "distinct":
+        return 0.0
+    if pattern not in COV_PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    I = np.eye(d)
+    OO = np.kron(O, O)
+    m2 = single_shadow_second_moment(rho, d)
+    o_rho2 = np.trace(O @ rho).real ** 2
+    if pattern == "ij_jk":
+        val = np.trace(OO @ np.kron(rho, rho) @ m2)
+    elif pattern == "ij_kj":
+        val = np.trace(OO @ np.kron(rho, I) @ m2 @ np.kron(I, rho))
+    elif pattern == "ij_ji":
+        val = np.trace(OO @ m2 @ m2)
+    else:  # ij_ij
+        w13 = perm_operator(Permutation((2, 1, 0)), d)
+        big = np.kron(np.kron(O, O), I) @ np.kron(I, m2) @ np.kron(m2, I) @ w13
+        val = np.trace(big)
+    assert abs(val.imag) < 1e-8 * max(abs(val), 1.0)
+    return float(val.real - o_rho2)

@@ -408,13 +408,26 @@ def test_cli_cov_check_sees_a_nontrivial_observable(monkeypatch):
     assert main(["cov-check", "--d", "3", "--trials", "20000"]) == 1
 
 
+def test_cli_cov_check_runs_past_the_dense_operator_budget():
+    # 24^3 = 13824 exceeds linalg.DIM_BUDGET; the exact covariances never build d^3 operators
+    assert 24**3 > linalg.DIM_BUDGET
+    assert main(["cov-check", "--d", "24", "--trials", "2000", "--seed", "1"]) == 0
+
+
 def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
-    # with d^3 over budget the last dense pattern fails after three succeed
-    monkeypatch.setattr(linalg, "DIM_BUDGET", 30)
+    # the fourth pattern fails after three succeed
+    mc = moments.mc_covariance
+
+    def fail_fourth(pattern, *args):
+        if pattern == moments.COV_PATTERNS[3]:
+            raise ValueError("injected Monte Carlo failure")
+        return mc(pattern, *args)
+
+    monkeypatch.setattr(moments, "mc_covariance", fail_fourth)
     assert main(["cov-check", "--d", "4", "--trials", "1000", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out and "FAIL" not in out
-    assert "exceeds budget" in err
+    assert "injected Monte Carlo failure" in err
 
 
 def test_cli_compare_subcommand(tmp_path):

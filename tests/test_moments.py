@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import partial_trace, traceless_part
+from oracles import dense_covariance, partial_trace, single_shadow_second_moment, traceless_part
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import (
     Permutation,
@@ -16,7 +16,6 @@ from shadowlab.linalg import (
 )
 from shadowlab.moments import (
     COV_PATTERNS,
-    MomentReport,
     ab_bijection_check,
     brute_first_moment,
     brute_second_moment,
@@ -27,18 +26,12 @@ from shadowlab.moments import (
     exact_second_moment,
     mc_covariance,
     shadow_pair_traces,
-    single_shadow_second_moment,
 )
 from shadowlab.observables import random_projector_observable
 
 
 def rand_rho(d, seed):
     return density(sample_haar_state(d, RngStream(seed)))
-
-
-def test_moment_report_compare():
-    rep = MomentReport.compare("x", np.eye(2), np.eye(2) * (1 + 1e-12))
-    assert rep.max_abs_deviation == pytest.approx(1e-12)
 
 
 def test_exact_first_moment_values():
@@ -70,20 +63,37 @@ def test_moments_reject_idempotents_that_are_not_states():
             exact_covariance("ij_jk", rho, I, 2)
 
 
-@pytest.mark.parametrize("rho", [np.full((2, 2), np.nan), np.zeros((2, 2))], ids=["nan", "zero"])
-def test_every_entry_point_rejects_a_non_state(rho):
-    O = np.diag([1.0, -1.0])
-    for call in (
-        lambda: exact_first_moment(rho, 1, 2),
-        lambda: brute_first_moment(rho, 1, 2),
-        lambda: exact_second_moment(rho, 1, 2),
-        lambda: brute_second_moment(rho, 1, 2),
-        lambda: single_shadow_second_moment(rho, 2),
+PURE = np.diag([1.0, 0.0])
+SIGN = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "rho, O",
+    [
+        (np.full((2, 2), np.nan), SIGN),
+        (np.zeros((2, 2)), SIGN),
+        (PURE, np.full((2, 2), np.nan)),
+        (PURE, np.array([[0.0, 1.0], [0.0, 0.0]])),
+        (PURE, np.eye(3)),
+    ],
+    ids=["nan", "zero", "nan-O", "non-hermitian-O", "wrong-shape-O"],
+)
+def test_every_entry_point_rejects_a_non_state(rho, O):
+    # a bad rho fails every entry point; a bad O fails every one that takes O
+    calls = [
         lambda: exact_joint_variance(rho, O, 1, 2),
         lambda: exact_covariance("ij_jk", rho, O, 2),
         lambda: covariance_bound("ij_jk", rho, O, 2),
         lambda: mc_covariance("ij_jk", rho, O, 2, 1000, RngStream(1)),
-    ):
+    ]
+    if O is SIGN:
+        calls += [
+            lambda: exact_first_moment(rho, 1, 2),
+            lambda: brute_first_moment(rho, 1, 2),
+            lambda: exact_second_moment(rho, 1, 2),
+            lambda: brute_second_moment(rho, 1, 2),
+        ]
+    for call in calls:
         with pytest.raises(ValueError):
             call()
 
@@ -262,6 +272,19 @@ def test_exact_covariance_ij_jk_closed_form():
         o_rho = np.trace(O @ rho).real
         expected = (2 - 6 / (d + 2)) * o_rho**2
         assert exact_covariance("ij_jk", rho, O, d) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("pattern", COV_PATTERNS)
+def test_exact_covariance_matches_dense_oracle(pattern):
+    # d x d traces against the d^3 x d^3 assembly, at Hermitian O that are not projectors
+    rng = RngStream(65)
+    for d in range(2, 7):
+        for _ in range(10):
+            rho = density(sample_haar_state(d, rng))
+            G = rng.gen.normal(size=(d, d)) + 1j * rng.gen.normal(size=(d, d))
+            O = (G + G.conj().T) / 2
+            exact = exact_covariance(pattern, rho, O, d)
+            assert exact == pytest.approx(dense_covariance(pattern, rho, O, d), abs=1e-10)
 
 
 def test_exact_covariance_zero_observable():
