@@ -2,7 +2,10 @@
 
 The classical record of a batch of measurements is the (n, d) outcome array
 from measurement.measure_joint_batch or measure_independent_batch;
-batch_estimates maps it and an Observable to the per-batch estimates.
+batch_estimates maps it and an Observable to the per-batch estimates.  The
+linear estimate reads an outcome only through its overlaps with O's
+eigenvectors, so im samples it from ensembles.sample_reduced_posterior_states,
+a (w+1)-dimensional record per outcome with the same law, w = min(d, r+1).
 affine_shadow and median_estimate are the dense d x d form of the affine
 joint estimator, kept for the Boolean Hidden Matching protocol; a shadow
 there is a plain ndarray.

@@ -102,7 +102,11 @@ def plan_quadratic_batches(B: float, d: int, eps: float, delta: float) -> BatchP
 
 
 def batch_estimates(
-    O: Observable, outcomes: np.ndarray, kind: EstimateKind, copies: int = 1
+    O: Observable,
+    outcomes: np.ndarray,
+    kind: EstimateKind,
+    copies: int = 1,
+    frame: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-batch estimates Tr(O rhohat) computed from the outcome vectors alone.
 
@@ -117,6 +121,11 @@ def batch_estimates(
     Everything runs on the factor O = V diag(lam) V^H: with C_ij = <psi_i|v_j>,
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
     where S V = (d+1) Psi^T C - s V.  The cost is O(k s d r) for rank r.
+
+    With a frame (m, r), the outcomes are the reduced (..., m) records of
+    ensembles.sample_reduced_posterior_states and C = <record|frame>, at
+    O(k s m r) cost; d is still O's dimension.  The affine_joint and linear
+    estimates read nothing else, but quadratic needs the full vectors.
     """
     if kind not in ("affine_joint", "linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -128,13 +137,21 @@ def batch_estimates(
         raise ValueError("copies must be >= 1")
     if kind == "quadratic" and outcomes.shape[1] < 2:
         raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
+    V, lam = O.vecs, O.evals
+    d = V.shape[0]
+    if frame is not None:
+        if kind == "quadratic":
+            raise ValueError("quadratic estimator needs full outcome vectors, not reduced records")
+        V = np.asarray(frame)
+        if V.shape[1:] != lam.shape:
+            raise ValueError(f"frame must have shape (m, {lam.size}), got {V.shape}")
+    if outcomes.shape[-1] != V.shape[0]:
+        raise ValueError(f"outcome width {outcomes.shape[-1]} does not match {V.shape[0]}")
     # |psi|^2 from the real and imaginary parts, without a complex temporary
     flat = outcomes.view(float)
     sq_norms = np.einsum("...i,...i->...", flat, flat)
     if not np.abs(np.sqrt(sq_norms) - 1.0).max() <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError("outcome states must be unit norm")
-    d = outcomes.shape[-1]
-    V, lam = O.vecs, O.evals
     tr_o = lam.sum()
     C = np.conj(outcomes @ V.conj())
     o_psi = (C.real**2 + C.imag**2) @ lam  # <psi|O|psi> per outcome

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ensembles import RngStream, sample_posterior_states
+from .ensembles import RngStream, pure_state_vector, sample_posterior_states
 from .linalg import (
     Permutation,
     all_permutations,
@@ -24,12 +24,14 @@ from .linalg import (
     perm_operator,
     sym_projector,
 )
-from .measurement import pure_state_vector
 
 # Brute-force enumeration cap; these oracles are test-only.
 ENUM_BUDGET = 1_000_000
 
 COV_PATTERNS = ("ij_jk", "ij_kj", "ij_ji", "ij_ij", "distinct")
+
+# Largest outcome array, in bytes, that mc_covariance will sample at once.
+MC_OUTCOME_BYTES = 2**30
 
 
 def _check_observable(O: np.ndarray, d: int) -> None:
@@ -240,9 +242,11 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
     reduces each trace to inner products, avoiding per-sample matrices.
     """
     d = O.shape[0]
-    o_ii = np.einsum("ni,ij,nj->n", psi_i.conj(), O, psi_i)
-    o_jj = np.einsum("ni,ij,nj->n", psi_j.conj(), O, psi_j)
-    o_ji = np.einsum("ni,ij,nj->n", psi_j.conj(), O, psi_i)
+    # rows <psi|O> as BLAS products, then row-wise dots
+    o_ii = np.einsum("ni,ni->n", psi_i.conj() @ O, psi_i)
+    bra_oj = psi_j.conj() @ O
+    o_jj = np.einsum("ni,ni->n", bra_oj, psi_j)
+    o_ji = np.einsum("ni,ni->n", bra_oj, psi_i)
     ov_ij = np.einsum("ni,ni->n", psi_i.conj(), psi_j)
     tr_o = np.trace(O)
     return (d + 1) ** 2 * o_ji * ov_ij - (d + 1) * (o_ii + o_jj) + tr_o
@@ -254,7 +258,9 @@ def mc_covariance(
     """Monte Carlo covariance for a pattern, with its standard error.
 
     Independent cross-check of exact_covariance: draws fresh single-copy
-    outcomes and forms the two trace variables directly.
+    outcomes and forms the two trace variables directly.  The N x n_shadows
+    x d outcome array is held whole, so one larger than MC_OUTCOME_BYTES is
+    a ValueError before anything is sampled.
     """
     if N < 1000:
         raise ValueError("need N >= 1000 for a stable covariance estimate")
@@ -262,6 +268,12 @@ def mc_covariance(
     _check_observable(O, d)
     (a, b), (c, e) = _pattern_indices(pattern)
     n_shadows = max(a, b, c, e) + 1
+    nbytes = N * n_shadows * d * 16
+    if nbytes > MC_OUTCOME_BYTES:
+        raise ValueError(
+            f"{pattern}: {N} trials x {n_shadows} outcomes x d = {d} need {nbytes / 2**20:.0f} MiB "
+            f"of outcomes, over the {MC_OUTCOME_BYTES / 2**20:.0f} MiB limit; use fewer trials"
+        )
     psis = sample_posterior_states(phi, 1, rng, N * n_shadows).reshape(N, n_shadows, d)
     x = shadow_pair_traces(O, psis[:, a], psis[:, b])
     y = shadow_pair_traces(O, psis[:, c], psis[:, e])

@@ -20,10 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from shadowlab.ensembles import RngStream, sample_haar_state
+from shadowlab.ensembles import RngStream, pure_state_vector, sample_haar_state
 from shadowlab.estimators import UNIT_NORM_TOL
 from shadowlab.linalg import Permutation, hermitize, perm_operator, sym_projector
-from shadowlab.measurement import pure_state_vector
 from shadowlab.moments import COV_PATTERNS
 
 

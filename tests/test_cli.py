@@ -25,6 +25,7 @@ from shadowlab.cli import (
 )
 from shadowlab.ensembles import RngStream
 from shadowlab.estimators import plan_batches
+from shadowlab.measurement import measure_independent_batch
 
 
 def read_csv(path):
@@ -143,16 +144,17 @@ def test_run_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Estimates of the one-draw outcome sampler, and truths carried over from the
-# per-outcome Shadow code before it.  phi and O are drawn before any outcome,
-# so a change of sampler moves the estimates but never the truths.
+# Estimates of the one-draw outcome sampler (im-linear: of its reduced
+# records), and truths carried over from the per-outcome Shadow code before
+# it.  phi and O are drawn before any outcome, so a change of sampler moves
+# the estimates but never the truths.
 PINNED_SWEEPS = {
     ("jm", 4.0, 0.3, 11): (
         (0.28618264703661433, 0.5165678108435449, 0.25552724751425504),
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.15768556383573923, 0.45586742573447825, 0.2487167468953244),
+        (0.1759274079217439, 0.40293617512356467, 0.2830783818437808),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
@@ -188,6 +190,24 @@ def test_run_sweep_never_diagonalises(monkeypatch):
             mode=mode, estimator=estimator, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
         ))
         assert [r.mode for r in rows] == [label] * 2
+
+
+def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
+    # im-linear sweeps and compare's linear half run on reduced records; only
+    # the quadratic streams, ids n+1..2n for n grid entries, may sample vectors
+    streams = []
+
+    def record(phi, rng, n):
+        streams.append(rng.stream_id)
+        return measure_independent_batch(phi, rng, n)
+
+    monkeypatch.setattr(cli, "measure_independent_batch", record)
+    rows = run_sweep(ExperimentConfig(
+        mode="im", estimator="linear", d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
+    ))
+    assert [r.mode for r in rows] == ["im-linear"] * 2 and streams == []
+    compare_estimators(d=4, B=4.0, N=50, seed=1, s_grid=(2, 8))
+    assert streams == [3, 4]
 
 
 def test_run_sweep_im_modes():
@@ -428,6 +448,19 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "PASS" not in out and "FAIL" not in out
     assert "injected Monte Carlo failure" in err
+
+
+def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
+    # 50000 trials x 3 outcomes x d = 1024 would be 2.4 GB of outcomes; the
+    # sampler is a tripwire, so a broken guard fails here without allocating
+    def refuse(*args):
+        raise AssertionError("sampled past the memory guard")
+
+    monkeypatch.setattr(moments, "sample_posterior_states", refuse)
+    assert main(["cov-check", "--d", "1024", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
 
 
 def test_cli_compare_subcommand(tmp_path):

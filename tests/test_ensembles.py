@@ -3,7 +3,12 @@ import pytest
 from scipy import stats
 
 from oracles import sample_posterior_states as oracle_posterior_states
-from shadowlab.ensembles import RngStream, sample_haar_state, sample_posterior_states
+from shadowlab.ensembles import (
+    RngStream,
+    sample_haar_state,
+    sample_posterior_states,
+    sample_reduced_posterior_states,
+)
 
 N_BIG = 100_000
 
@@ -167,3 +172,44 @@ def test_dimension_guard():
         sample_posterior_states(np.ones(1, dtype=complex), 1, RngStream(0), 3)
     with pytest.raises(ValueError):
         sample_posterior_states(np.array([1, 0], dtype=complex), -1, RngStream(0), 3)
+
+
+@pytest.mark.parametrize("s, d, r", [(0, 2, 1), (1, 8, 2), (3, 64, 4), (1, 5, 5)])
+def test_reduced_records_match_full_overlaps(s, d, r):
+    # |<psi|v_j>|^2 read from reduced records against full outcome vectors,
+    # for each column of a fixed frame V and for phi itself: two-sample KS
+    n = 20_000
+    phi = sample_haar_state(d, RngStream(40))
+    vecs = np.linalg.qr(sample_haar_state(d, RngStream(41), size=r).T)[0]
+    records, frame = sample_reduced_posterior_states(phi, vecs, s, RngStream(42, s), n)
+    w = min(d, r + 1)
+    assert records.shape == (n, w + 1) and frame.shape == (w + 1, r)
+    assert np.abs(np.linalg.norm(records, axis=1) - 1).max() < 1e-12
+    full = sample_posterior_states(phi, s, RngStream(43, s), n)
+    new = np.abs(records @ frame.conj()) ** 2
+    old = np.abs(full @ vecs.conj()) ** 2
+    for j in range(r):
+        assert stats.ks_2samp(new[:, j], old[:, j]).pvalue > 1e-3
+    t_new = np.abs(records[:, 0]) ** 2  # phi is the first basis vector
+    assert stats.ks_2samp(t_new, np.abs(full @ phi.conj()) ** 2).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("phi", [np.zeros(4), np.array([np.nan, 1, 0, 0]), np.array([np.inf, 1, 0, 0])])
+def test_reduced_sampler_rejects_a_state_it_cannot_normalise(phi):
+    vecs = np.eye(4, 2, dtype=complex)
+    with pytest.raises(ValueError):
+        sample_reduced_posterior_states(phi, vecs, 1, RngStream(0), 3)
+
+
+def test_reduced_sampler_guards():
+    phi = np.array([1, 0, 0], dtype=complex)
+    with pytest.raises(ValueError):  # vecs must live in phi's dimension
+        sample_reduced_posterior_states(phi, np.eye(4, 2), 1, RngStream(0), 3)
+    with pytest.raises(ValueError):
+        sample_reduced_posterior_states(phi, np.eye(3, 2), -1, RngStream(0), 3)
+    with pytest.raises(ValueError):  # d = 1
+        sample_reduced_posterior_states(np.ones(1), np.ones((1, 1)), 1, RngStream(0), 3)
+    # an unnormalised phi is normalised, as by measure_joint_batch
+    a = sample_reduced_posterior_states(3 * phi, np.eye(3, 2), 1, RngStream(1), 5)
+    b = sample_reduced_posterior_states(phi, np.eye(3, 2), 1, RngStream(1), 5)
+    assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from oracles import linear_mean_shadow, quadratic_shadow, single_copy_shadow
-from shadowlab.ensembles import RngStream, sample_haar_state
+from shadowlab.ensembles import RngStream, sample_haar_state, sample_reduced_posterior_states
 from shadowlab.estimators import (
     BATCH_FAILURE_P,
     MAX_PLAN_S,
@@ -20,7 +21,7 @@ from shadowlab.estimators import (
 )
 from shadowlab.linalg import density, trace_distance
 from shadowlab.measurement import measure_independent_batch, measure_joint_batch
-from shadowlab.observables import Observable
+from shadowlab.observables import Observable, random_observable
 
 
 def singles_from(phi, rng, count):
@@ -308,6 +309,55 @@ def test_batch_estimates_validation():
         batch_estimates(O, unit, "median")
     with pytest.raises(ValueError):  # O is 2 x 2, the outcomes live in d = 3
         batch_estimates(O, np.eye(3, dtype=complex), "affine_joint")
+
+
+def test_batch_estimates_reduced_record_validation():
+    O = Observable.from_matrix(np.diag([1.0, 0.0]), 1.0)
+    frame = np.eye(3, 2, dtype=complex)
+    records = np.eye(3, dtype=complex)[None]  # (1, 3, 3): three unit records
+    # ambient d = 2 enters the formula, not the record width 3
+    assert np.allclose(batch_estimates(O, records, "linear", frame=frame), [(3 * 1 - 3) / 3])
+    with pytest.raises(ValueError):  # the same unit-norm check as on full vectors
+        batch_estimates(O, records * 1.001, "linear", frame=frame)
+    with pytest.raises(ValueError):
+        batch_estimates(O, np.full((1, 2, 3), np.nan, dtype=complex), "linear", frame=frame)
+    with pytest.raises(ValueError):  # quadratic needs the full outcome vectors
+        batch_estimates(O, records, "quadratic", frame=frame)
+    with pytest.raises(ValueError):  # record width and frame rows disagree
+        batch_estimates(O, records, "linear", frame=np.eye(4, 2, dtype=complex))
+    with pytest.raises(ValueError):  # frame columns and O's rank disagree
+        batch_estimates(O, records, "linear", frame=np.eye(3, dtype=complex))
+
+
+def _law_case(d, B, rng):
+    """(phi, O) for the same-law tests; B = None is full rank, so w = d."""
+    phi = sample_haar_state(d, rng)
+    if B is None:
+        return phi, Observable.from_matrix(random_hermitian_unit_norm(d, rng), d)
+    return phi, random_observable(d, B, rng)
+
+
+@pytest.mark.parametrize("d, B", [(8, 2), (64, 4), (256, 4), (4, None)])
+def test_reduced_linear_estimates_match_full_vectors(d, B):
+    # per-batch linear estimates from reduced records against those from
+    # full outcome vectors: a KS test, and the mean and variance to 5 sigma
+    n, s = 2500, 4
+    phi, O = _law_case(d, B, RngStream(30, d))
+    records, frame = sample_reduced_posterior_states(phi, O.vecs, 1, RngStream(31, d), n * s)
+    assert records.shape == (n * s, min(d, O.evals.size + 1) + 1)
+    if B is None:
+        assert not records[:, -1].any()  # nothing outside span{phi, V}
+    new = batch_estimates(O, records.reshape(n, s, -1), "linear", frame=frame)
+    full = measure_independent_batch(phi, RngStream(32, d), n * s).reshape(n, s, d)
+    old = batch_estimates(O, full, "linear")
+    assert stats.ks_2samp(new, old).pvalue > 1e-3
+
+    def close(a, b):
+        return abs(a.mean() - b.mean()) <= 5 * math.sqrt((a.var() + b.var()) / n)
+
+    truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
+    assert close(new, old) and close(new, np.full(1, truth))
+    assert close((new - new.mean()) ** 2, (old - old.mean()) ** 2)
 
 
 # ------------------------------------------------------------------- selection

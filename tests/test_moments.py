@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_covariance, partial_trace, single_shadow_second_moment, traceless_part
+from shadowlab import moments
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import (
     Permutation,
@@ -356,6 +357,18 @@ def test_mc_covariance_sample_floor():
     rho = rand_rho(2, 63)
     with pytest.raises(ValueError):
         mc_covariance("ij_ji", rho, np.eye(2), 2, 10, RngStream(63))
+
+
+def test_mc_covariance_outcome_memory_guard(monkeypatch):
+    # 10^8 trials x 4 outcomes x d = 2 is 12.8 GB: refused before sampling,
+    # and a sampler that raises otherwise keeps a broken guard from allocating
+    def refuse(*args):
+        raise AssertionError("sampled past the memory guard")
+
+    monkeypatch.setattr(moments, "sample_posterior_states", refuse)
+    rho = rand_rho(2, 65)
+    with pytest.raises(ValueError, match="MiB"):
+        mc_covariance("distinct", rho, np.eye(2), 2, 10**8, RngStream(65))
 
 
 def test_enumeration_budget_guard():
