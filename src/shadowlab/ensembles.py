@@ -103,8 +103,8 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
 
     phi must be a unit vector.
     """
-    a = _phi_amplitudes(phi, s, rng, size)
     d = phi.shape[0]
+    a = _phi_amplitudes(d, s, rng, size)
     g = rng.gen.standard_normal((size, 2 * d)).view(complex)
     # psi = g + (a - <phi|g>) phi: the phi component of g is replaced by a,
     # and the rest h = g - <phi|g> phi stays, so |h|^2 / 2 ~ Gamma(d-1)
@@ -133,7 +133,7 @@ def sample_reduced_posterior_states(
     d = phi.shape[0]
     if vecs.ndim != 2 or vecs.shape[0] != d:
         raise ValueError(f"vecs must have shape ({d}, r), got {vecs.shape}")
-    a = _phi_amplitudes(phi, s, rng, size)
+    a = _phi_amplitudes(d, s, rng, size)
     # the first column of any QR factor of [phi, vecs] is phi up to a phase
     q = np.linalg.qr(np.column_stack([phi, vecs]))[0]
     q[:, 0] = phi
@@ -146,12 +146,12 @@ def sample_reduced_posterior_states(
     return _normalize_rows(records), frame
 
 
-def _phi_amplitudes(phi: np.ndarray, s: int, rng: RngStream, size: int) -> np.ndarray:
+def _phi_amplitudes(d: int, s: int, rng: RngStream, size: int) -> np.ndarray:
     """e^(i theta) sqrt(2 G) with G ~ Gamma(s+1), theta ~ U[0, 2 pi): the
-    unnormalised phi coordinate of each outcome; shape (size,)."""
+    unnormalised phi coordinate of each outcome in C^d; shape (size,)."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    if phi.shape[0] < 2:
+    if d < 2:
         raise ValueError("d must be >= 2")
     big_g = rng.gen.gamma(s + 1, size=size)
     theta = rng.gen.uniform(0.0, 2 * np.pi, size=size)
