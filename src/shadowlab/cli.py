@@ -27,12 +27,20 @@ import numpy as np
 
 from . import bhm as bhm_mod
 from . import moments
-from .ensembles import RngStream, sample_haar_state, sample_reduced_posterior_states
+from .ensembles import (
+    BLOCK_ROWS,
+    RngStream,
+    phi_basis,
+    require_outcome_budget,
+    sample_aligned_posterior_states,
+    sample_haar_state,
+    sample_reduced_posterior_states,
+)
 from .estimators import (
     batch_estimates, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
-from .measurement import measure_joint_batch, measure_independent_batch
+from .measurement import measure_joint_batch
 from .observables import random_observable, random_signature_observable
 
 DEFAULT_SEED = 0
@@ -107,21 +115,52 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return center - half, center + half
 
 
+def _quadratic_step(s: int, k: int) -> int:
+    """Batches of s outcomes that the quadratic estimator draws and reduces per step."""
+    return min(k, max(1, BLOCK_ROWS // s))
+
+
 def _im_batch_estimates(phi, O, s, k, rng, kind):
     """Per-batch estimates from k batches of s fresh single-copy outcomes.
 
     The linear estimate reads each outcome only through <psi|O.vecs>, so it
-    runs on reduced records with the same law; quadratic needs the vectors.
+    runs on reduced records with the same law.  Quadratic needs every
+    coordinate: it runs on phi-aligned records, a block of whole batches at
+    a time, with O's factor rotated into their basis once.
     """
     if kind == "linear":
         records, frame = sample_reduced_posterior_states(phi, O.vecs, 1, rng, k * s)
         return batch_estimates(O, records.reshape(k, s, -1), kind, frame=frame)
-    psis = measure_independent_batch(phi, rng, k * s).reshape(k, s, phi.shape[0])
-    return batch_estimates(O, psis, kind)
+    d = phi.shape[0]
+    frame = phi_basis(phi).conj().T @ O.vecs
+    step = _quadratic_step(s, k)
+    block = np.empty((step * s, d), dtype=complex)
+    vals = np.empty(k)
+    for lo in range(0, k, step):
+        n = min(step, k - lo)
+        records = sample_aligned_posterior_states(1, rng, block[: n * s])
+        vals[lo:lo + n] = batch_estimates(O, records.reshape(n, s, d), kind, frame=frame)
+    return vals
+
+
+def _outcome_bytes(kind: str, s: int, k: int, d: int, B: float) -> int:
+    """Bytes of the largest outcome array one sweep trial holds at once."""
+    if kind == "affine_joint":
+        rows, width = k, d
+    elif kind == "linear":
+        r = max(1, min(d, math.floor(B)))  # the rank of random_observable(d, B)
+        rows, width = k * s, min(d, r + 1) + 1
+    else:
+        rows, width = _quadratic_step(s, k) * s, d
+    return rows * width * 16
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """Run the configured pipeline over fresh random (state, observable) pairs."""
+    """Run the configured pipeline over fresh random (state, observable) pairs.
+
+    A plan whose outcome arrays would not fit in ensembles.MAX_OUTCOME_BYTES
+    is a ValueError before anything is sampled.
+    """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
     if config.mode == "jm":
         kind, label, plan = "affine_joint", "jm", plan_batches(B, eps, delta)
@@ -135,6 +174,11 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
             if kind == "linear"
             else plan_quadratic_batches(B, d, eps, delta)
         )
+    require_outcome_budget(
+        _outcome_bytes(kind, plan.s, plan.k, d, B),
+        f"{label} (s = {plan.s}, k = {plan.k}, d = {d}) would",
+        "use a larger eps",
+    )
 
     rows = []
     for t in range(config.trials):

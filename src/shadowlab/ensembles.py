@@ -5,19 +5,25 @@ phi is a state psi whose density w.r.t. Haar is proportional to
 |<psi|phi>|^(2s).  Writing psi = e^(i theta) sqrt(t) phi + sqrt(1-t) chi
 with chi in the orthogonal complement, the squared overlap t follows a
 Beta(s+1, d-1) law, theta is uniform, and chi is Haar in the complement.
-One draw gives all three: G ~ Gamma(s+1), theta uniform and one complex
-Gaussian vector g with N(0, 1) real and imaginary parts; psi is the
-normalised e^(i theta) sqrt(2G) phi + h, where h is g with its phi
-component removed.  |h|^2/2 ~ Gamma(d-1) independently of h's direction,
-so t = G/(G + |h|^2/2) is Beta(s+1, d-1) exactly.  There is no rejection
-step, and the cost is O(d) per outcome independent of s.
+One draw gives all three.  Take a complex Gaussian vector g with N(0, 1)
+real and imaginary parts and split it into its phi coordinate c and the
+rest h.  |c|^2/2 ~ Gamma(1) with a uniform phase, and |h|^2/2 ~ Gamma(d-1)
+independently of h's direction.  Rescale c's modulus to a with
+|a|^2/2 = |c|^2/2 + Gamma(s), which is Gamma(s+1), and keep its phase: the
+normalised a phi + h then has t = (|a|^2/2)/(|a|^2/2 + |h|^2/2), which is
+Beta(s+1, d-1) exactly.  There is no rejection step, and the cost is O(d)
+per outcome independent of s.  Every sampler below applies this one rule
+to the phi coordinate of its own Gaussian draw.
 
-An estimate that reads psi only through <psi|v_j> for the columns of a
-(d, r) matrix V needs less: with Q an orthonormal basis of span{phi, V}
-whose first column is phi, those overlaps depend only on the coordinates of
-psi along Q and on the norm of the rest, whose square is half a
-Gamma(d - w) variate for w = Q.shape[1].  sample_reduced_posterior_states
-draws that (w+1)-vector at O(r) cost per outcome, with the same law.
+The draw is simplest in a basis whose first vector is phi (phi_basis):
+sample_aligned_posterior_states writes those coordinates straight into the
+caller's array.  An estimate that reads psi only through <psi|v_j> for the
+columns of a (d, r) matrix V needs less: with Q an orthonormal basis of
+span{phi, V} whose first column is phi, those overlaps depend only on the
+coordinates of psi along Q and on the norm of the rest, whose square is
+half a Gamma(d - w) variate for w = Q.shape[1].
+sample_reduced_posterior_states draws that (w+1)-vector at O(r) cost per
+outcome, with the same law.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ import numpy as np
 from .linalg import is_hermitian
 
 PURITY_TOL = 1e-8
+
+# Largest outcome array, in bytes, that any caller samples at once.
+MAX_OUTCOME_BYTES = 2**30
+
+# Outcome rows drawn and reduced per step where a caller streams blocks.
+BLOCK_ROWS = 2**12
 
 
 @dataclass
@@ -104,12 +116,44 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
     phi must be a unit vector.
     """
     d = phi.shape[0]
-    a = _phi_amplitudes(d, s, rng, size)
+    _check_outcome_law(d, s)
     g = rng.gen.standard_normal((size, 2 * d)).view(complex)
-    # psi = g + (a - <phi|g>) phi: the phi component of g is replaced by a,
-    # and the rest h = g - <phi|g> phi stays, so |h|^2 / 2 ~ Gamma(d-1)
-    g += (a - g @ phi.conj())[:, None] * phi
+    c = g @ phi.conj()
+    a = _rescale_phi_coordinates(c.copy(), s, rng)
+    # psi = g + (a - c) phi: the phi component c of g becomes a, and the
+    # rest h = g - c phi stays, so |h|^2 / 2 ~ Gamma(d-1)
+    g += (a - c)[:, None] * phi
     return _normalize_rows(g)
+
+
+def phi_basis(phi: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of span{phi, vecs} whose first column is the unit
+    vector phi: (d, min(d, r+1)) for vecs (d, r); vecs None gives a d x d
+    unitary."""
+    d = phi.shape[0]
+    vecs = np.eye(d) if vecs is None else vecs
+    # the first column of any QR factor of [phi, vecs] is phi up to a phase
+    q = np.linalg.qr(np.column_stack([phi, vecs]))[0]
+    q[:, 0] = phi
+    return q
+
+
+def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """Fill out, a C-contiguous complex (n, d) array, with n outcomes of the
+    joint measurement on phi^(x s), as coordinates in a basis whose first
+    vector is phi, such as phi_basis(phi); returns out.
+
+    Row i in that basis Q is Q^H psi_i: a standard complex Gaussian drawn in
+    place, its first coordinate rescaled by the phi-amplitude rule, then
+    normalised.  There is no (n, d) temporary, and the draws do not depend
+    on phi, so callers rotate O (or its factor) by Q once instead.
+    """
+    if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex (n, d) array")
+    _check_outcome_law(out.shape[1], s)
+    rng.gen.standard_normal(out=out.view(float))
+    _rescale_phi_coordinates(out[:, 0], s, rng)
+    return _normalize_rows(out)
 
 
 def sample_reduced_posterior_states(
@@ -120,46 +164,73 @@ def sample_reduced_posterior_states(
 
     Returns (records, frame): records is (size, w+1) with w = min(d, r+1),
     unit rows, and frame is (w+1, r), so that records @ frame.conj() has the
-    law of sample_posterior_states(phi, s, ...) @ vecs.conj().  With Q the
-    (d, w) orthonormal basis of span{phi, vecs} whose first column is phi, a
-    record is the normalised (a, x, sqrt(2 R)): a = e^(i theta) sqrt(2 G) as
-    in sample_posterior_states, x a (w-1,) complex Gaussian for the other
-    columns of Q, and R ~ Gamma(d - w) for the squared norm of the rest
-    (0 when w = d); frame is Q^H vecs over a zero row.  phi is validated and
-    normalised by as_state_vector.
+    law of sample_posterior_states(phi, s, ...) @ vecs.conj().  With Q =
+    phi_basis(phi, vecs), a record is the normalised (a, x, y): a the phi
+    coordinate, by the same rule as in sample_posterior_states, x a (w-1,)
+    complex Gaussian for the other columns of Q, and y for the rest of C^d,
+    with |y|^2/2 ~ Gamma(d - w).  y is 0 when w = d, and when w = d - 1 it
+    is a complex Gaussian, the one coordinate the rest has, so a record as
+    wide as d is always a full change of basis.  frame is Q^H vecs over a
+    zero row.  phi is validated and normalised by as_state_vector.
     """
     phi = as_state_vector(phi)
     vecs = np.asarray(vecs, dtype=complex)
     d = phi.shape[0]
     if vecs.ndim != 2 or vecs.shape[0] != d:
         raise ValueError(f"vecs must have shape ({d}, r), got {vecs.shape}")
-    a = _phi_amplitudes(d, s, rng, size)
-    # the first column of any QR factor of [phi, vecs] is phi up to a phase
-    q = np.linalg.qr(np.column_stack([phi, vecs]))[0]
-    q[:, 0] = phi
+    _check_outcome_law(d, s)
+    q = phi_basis(phi, vecs)
     w = q.shape[1]
     records = np.empty((size, w + 1), dtype=complex)
-    records[:, 0] = a
-    records[:, 1:w] = rng.gen.standard_normal((size, 2 * (w - 1))).view(complex)
-    records[:, w] = np.sqrt(2 * rng.gen.gamma(d - w, size=size)) if w < d else 0.0
+    rng.gen.standard_normal(out=records.view(float))
+    _rescale_phi_coordinates(records[:, 0], s, rng)
+    if w == d:
+        records[:, w] = 0.0
+    elif w < d - 1:
+        records[:, w] = np.sqrt(2 * rng.gen.gamma(d - w, size=size))
     frame = np.vstack([q.conj().T @ vecs, np.zeros((1, vecs.shape[1]))])
     return _normalize_rows(records), frame
 
 
-def _phi_amplitudes(d: int, s: int, rng: RngStream, size: int) -> np.ndarray:
-    """e^(i theta) sqrt(2 G) with G ~ Gamma(s+1), theta ~ U[0, 2 pi): the
-    unnormalised phi coordinate of each outcome in C^d; shape (size,)."""
+def require_outcome_budget(nbytes: int, what: str, remedy: str) -> None:
+    """ValueError, with the size, unless nbytes fits in MAX_OUTCOME_BYTES."""
+    if nbytes > MAX_OUTCOME_BYTES:
+        raise ValueError(
+            f"{what} need {nbytes / 2**20:.0f} MiB of outcomes, over the "
+            f"{MAX_OUTCOME_BYTES / 2**20:.0f} MiB limit; {remedy}"
+        )
+
+
+def _check_outcome_law(d: int, s: int) -> None:
     if s < 0:
         raise ValueError("s must be >= 0")
     if d < 2:
         raise ValueError("d must be >= 2")
-    big_g = rng.gen.gamma(s + 1, size=size)
-    theta = rng.gen.uniform(0.0, 2 * np.pi, size=size)
-    return np.exp(1j * theta) * np.sqrt(2 * big_g)
+
+
+def _rescale_phi_coordinates(c: np.ndarray, s: int, rng: RngStream) -> np.ndarray:
+    """The phi-amplitude rule, in place on c and returned.
+
+    c holds the standard complex Gaussian phi coordinates of the draws, so
+    |c|^2/2 ~ Gamma(1) with a uniform phase.  Each modulus becomes |a| with
+    |a|^2/2 = |c|^2/2 + Gamma(s) ~ Gamma(s+1), and the phase stays.  A c of
+    exactly 0 (probability zero) gets phase 0 rather than a NaN.
+    """
+    if s == 0:
+        return c
+    m2 = c.real**2 + c.imag**2
+    target = m2 + 2 * rng.gen.gamma(s, size=m2.shape)
+    zero = m2 == 0
+    c[zero], m2[zero] = 1.0, 1.0
+    c *= np.sqrt(target / m2)
+    return c
 
 
 def _normalize_rows(z: np.ndarray) -> np.ndarray:
-    """Divide each row of the complex array z by its norm, in place."""
+    """Divide each row of the complex array z by its norm, in place.
+
+    The division runs on the float view: a real divisor, not a complex one.
+    """
     flat = z.view(float)
-    z /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return z

@@ -122,10 +122,16 @@ def batch_estimates(
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
     where S V = (d+1) Psi^T C - s V.  The cost is O(k s d r) for rank r.
 
-    With a frame (m, r), the outcomes are the reduced (..., m) records of
-    ensembles.sample_reduced_posterior_states and C = <record|frame>, at
-    O(k s m r) cost; d is still O's dimension.  The affine_joint and linear
-    estimates read nothing else, but quadratic needs the full vectors.
+    With a frame (m, r), the outcomes are (..., m) records in another basis
+    and C = <record|frame>, at O(k s m r) cost; d is still O's dimension.
+    The affine_joint and linear estimates read nothing else, so they take
+    the reduced records of ensembles.sample_reduced_posterior_states.
+    Quadratic also needs the overlaps between outcomes, so it takes a frame
+    only when the records carry every coordinate (m = d), as the phi-aligned
+    records of ensembles.sample_aligned_posterior_states do with frame
+    Q^H V; S V is then computed in that basis, with the same norms.  (A
+    reduced record is d wide only at w = d - 1, where its last coordinate
+    is a complex Gaussian and it is a full change of basis as well.)
     """
     if kind not in ("affine_joint", "linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -140,9 +146,9 @@ def batch_estimates(
     V, lam = O.vecs, O.evals
     d = V.shape[0]
     if frame is not None:
-        if kind == "quadratic":
-            raise ValueError("quadratic estimator needs full outcome vectors, not reduced records")
         V = np.asarray(frame)
+        if kind == "quadratic" and V.shape[0] != d:
+            raise ValueError("quadratic estimator needs full outcome vectors, not reduced records")
         if V.shape[1:] != lam.shape:
             raise ValueError(f"frame must have shape (m, {lam.size}), got {V.shape}")
     if outcomes.shape[-1] != V.shape[0]:

@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-from .ensembles import RngStream, pure_state_vector, sample_posterior_states
+from .ensembles import (
+    BLOCK_ROWS,
+    RngStream,
+    phi_basis,
+    pure_state_vector,
+    require_outcome_budget,
+    sample_aligned_posterior_states,
+)
 from .linalg import (
     Permutation,
     all_permutations,
@@ -29,9 +36,6 @@ from .linalg import (
 ENUM_BUDGET = 1_000_000
 
 COV_PATTERNS = ("ij_jk", "ij_kj", "ij_ji", "ij_ij", "distinct")
-
-# Largest outcome array, in bytes, that mc_covariance will sample at once.
-MC_OUTCOME_BYTES = 2**30
 
 
 def _check_observable(O: np.ndarray, d: int) -> None:
@@ -258,9 +262,11 @@ def mc_covariance(
     """Monte Carlo covariance for a pattern, with its standard error.
 
     Independent cross-check of exact_covariance: draws fresh single-copy
-    outcomes and forms the two trace variables directly.  The N x n_shadows
-    x d outcome array is held whole, so one larger than MC_OUTCOME_BYTES is
-    a ValueError before anything is sampled.
+    outcomes and forms the two trace variables directly.  The outcomes are
+    phi-aligned records, so O is rotated into their basis once; the traces
+    are basis-invariant.  The N x n_shadows x d outcome array is held whole,
+    so one larger than ensembles.MAX_OUTCOME_BYTES is a ValueError before
+    anything is sampled; the traces run over BLOCK_ROWS trials at a time.
     """
     if N < 1000:
         raise ValueError("need N >= 1000 for a stable covariance estimate")
@@ -268,15 +274,19 @@ def mc_covariance(
     _check_observable(O, d)
     (a, b), (c, e) = _pattern_indices(pattern)
     n_shadows = max(a, b, c, e) + 1
-    nbytes = N * n_shadows * d * 16
-    if nbytes > MC_OUTCOME_BYTES:
-        raise ValueError(
-            f"{pattern}: {N} trials x {n_shadows} outcomes x d = {d} need {nbytes / 2**20:.0f} MiB "
-            f"of outcomes, over the {MC_OUTCOME_BYTES / 2**20:.0f} MiB limit; use fewer trials"
-        )
-    psis = sample_posterior_states(phi, 1, rng, N * n_shadows).reshape(N, n_shadows, d)
-    x = shadow_pair_traces(O, psis[:, a], psis[:, b])
-    y = shadow_pair_traces(O, psis[:, c], psis[:, e])
+    require_outcome_budget(
+        N * n_shadows * d * 16, f"{pattern}: {N} trials x {n_shadows} outcomes x d = {d}",
+        "use fewer trials",
+    )
+    psis = np.empty((N * n_shadows, d), dtype=complex)
+    psis = sample_aligned_posterior_states(1, rng, psis).reshape(N, n_shadows, d)
+    q = phi_basis(phi)
+    o_q = q.conj().T @ O @ q
+    x, y = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+    for lo in range(0, N, BLOCK_ROWS):
+        blk = psis[lo:lo + BLOCK_ROWS]
+        x[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, a], blk[:, b])
+        y[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, c], blk[:, e])
     prods = (x - x.mean()) * (y - y.mean()).conj()
     cov = prods.mean().real
     stderr = float(prods.real.std(ddof=1) / math.sqrt(N))

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shadowlab
-from shadowlab import cli, linalg, moments
+from shadowlab import cli, linalg, measurement, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -23,9 +24,8 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
-from shadowlab.ensembles import RngStream
-from shadowlab.estimators import plan_batches
-from shadowlab.measurement import measure_independent_batch
+from shadowlab.ensembles import RngStream, sample_aligned_posterior_states
+from shadowlab.estimators import batch_estimates, plan_batches
 
 
 def read_csv(path):
@@ -144,21 +144,22 @@ def test_run_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Estimates of the one-draw outcome sampler (im-linear: of its reduced
-# records), and truths carried over from the per-outcome Shadow code before
-# it.  phi and O are drawn before any outcome, so a change of sampler moves
-# the estimates but never the truths.
+# Estimates of the one-draw outcome sampler with the phi-amplitude rule
+# (im-linear: of its reduced records; im-quadratic: of its phi-aligned
+# records, BLOCK_ROWS at a time), and truths carried over from the
+# per-outcome Shadow code before it.  phi and O are drawn before any
+# outcome, so a change of sampler moves the estimates but never the truths.
 PINNED_SWEEPS = {
     ("jm", 4.0, 0.3, 11): (
-        (0.28618264703661433, 0.5165678108435449, 0.25552724751425504),
+        (0.28117325476874644, 0.49409905100673673, 0.2548252748690585),
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.1759274079217439, 0.40293617512356467, 0.2830783818437808),
+        (0.1614610384068087, 0.4128359498887794, 0.2875016713920645),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
-        (0.6409636388485609, 0.6699137713164638, 0.3438932469854821),
+        (0.5930606610049186, 0.7229556911865299, 0.37202386260103154),
         (0.6267327873824926, 0.7073847317351589, 0.3441464177756939),
     ),
 }
@@ -193,19 +194,27 @@ def test_run_sweep_never_diagonalises(monkeypatch):
 
 
 def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
-    # im-linear sweeps and compare's linear half run on reduced records; only
-    # the quadratic streams, ids n+1..2n for n grid entries, may sample vectors
+    # im-linear sweeps and compare's linear half run on reduced records, and
+    # the quadratic ones on phi-aligned records: no im path samples full
+    # vectors.  compare's quadratic streams are ids n+1..2n for n grid entries
+    def refuse(*args):
+        raise AssertionError("sampled full outcome vectors")
+
     streams = []
 
-    def record(phi, rng, n):
+    def record(s, rng, out):
         streams.append(rng.stream_id)
-        return measure_independent_batch(phi, rng, n)
+        return sample_aligned_posterior_states(s, rng, out)
 
-    monkeypatch.setattr(cli, "measure_independent_batch", record)
-    rows = run_sweep(ExperimentConfig(
-        mode="im", estimator="linear", d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
-    ))
-    assert [r.mode for r in rows] == ["im-linear"] * 2 and streams == []
+    monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
+    monkeypatch.setattr(cli, "sample_aligned_posterior_states", record)
+    for estimator in ("linear", "quadratic"):
+        rows = run_sweep(ExperimentConfig(
+            mode="im", estimator=estimator, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
+        ))
+        assert [r.mode for r in rows] == [f"im-{estimator}"] * 2
+    assert sorted(set(streams)) == [1, 2]  # the quadratic trials' streams
+    streams.clear()
     compare_estimators(d=4, B=4.0, N=50, seed=1, s_grid=(2, 8))
     assert streams == [3, 4]
 
@@ -456,11 +465,79 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
-    monkeypatch.setattr(moments, "sample_posterior_states", refuse)
+    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
     assert main(["cov-check", "--d", "1024", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, mib", [
+    # s = 7111240 per batch: one quadratic block is a single 3.4 GiB batch
+    (["--estimator", "quadratic", "--d", "32", "--B", "4", "--eps", "0.003"], "3472 MiB"),
+    # k s (w+1) = 21 x 1920000 x 6 reduced records: 3.9 GB
+    (["--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.005"], "3691 MiB"),
+])
+def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeypatch, capsys,
+                                                               argv, mib):
+    # the samplers are tripwires, so a broken guard fails here without allocating
+    def refuse(*args):
+        raise AssertionError("sampled past the memory guard")
+
+    monkeypatch.setattr(cli, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(cli, "sample_reduced_posterior_states", refuse)
+    out = tmp_path / "never.csv"
+    assert main(["im", *argv, "--seed", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and mib in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode, estimator, d, B, eps", [
+    ("jm", "auto", 8, 4.0, 0.4),
+    ("im", "linear", 8, 2.0, 0.4),  # w = 3: records of width 4
+    ("im", "linear", 4, 4.0, 0.6),  # w = d: records of width d + 1
+    ("im", "quadratic", 8, 4.0, 0.4),  # s = 430: 9 batches per block
+    ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > BLOCK_ROWS: one batch per block
+])
+def test_sweep_guard_counts_the_largest_outcome_array(monkeypatch, mode, estimator, d, B, eps):
+    # the figure the memory guard checks is the largest array the kernel gets
+    largest = []
+
+    def record(O, outcomes, *args, **kwargs):
+        largest.append(outcomes.nbytes)
+        return batch_estimates(O, outcomes, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "batch_estimates", record)
+    (row,) = run_sweep(ExperimentConfig(
+        mode=mode, estimator=estimator, d=d, B=B, eps=eps, delta=0.1, trials=1, seed=5,
+    ))
+    kind = "affine_joint" if mode == "jm" else estimator
+    assert max(largest) == cli._outcome_bytes(kind, row.s, row.k, d, B)
+
+
+def test_im_quadratic_trial_peaks_near_one_outcome_block(monkeypatch):
+    # the largest outcome array a trial hands to the kernel is one block of
+    # whole batches; allocations may peak at 1.5x it, not at the (k s, d)
+    # array plus a rank-1 update temporary of the same size
+    largest = []
+
+    def record(O, outcomes, *args, **kwargs):
+        largest.append(outcomes.nbytes)
+        return batch_estimates(O, outcomes, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "batch_estimates", record)
+    config = dict(mode="im", d=32, B=4.0, eps=0.2, trials=1)
+    run_sweep(ExperimentConfig(**config, seed=3))  # first-call allocations are not the trial's
+    largest.clear()
+    tracemalloc.start()
+    try:
+        (row,) = run_sweep(ExperimentConfig(**config, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * max(largest)
+    assert row.mode == "im-quadratic" and (row.s, row.k) == (1720, 21) and len(largest) > 1
 
 
 def test_cli_compare_subcommand(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,9 @@ from scipy import stats
 from oracles import sample_posterior_states as oracle_posterior_states
 from shadowlab.ensembles import (
     RngStream,
+    _rescale_phi_coordinates,
+    phi_basis,
+    sample_aligned_posterior_states,
     sample_haar_state,
     sample_posterior_states,
     sample_reduced_posterior_states,
@@ -104,21 +109,42 @@ def test_posterior_overlap_distribution_ks():
     assert stats.kstest(thetas / (2 * np.pi), "uniform").statistic < 0.01
 
 
+def aligned_states(phi, s, rng, n):
+    """Outcomes of the phi-aligned sampler, rotated back to the standard basis."""
+    records = sample_aligned_posterior_states(s, rng, np.empty((n, phi.shape[0]), dtype=complex))
+    return records @ phi_basis(phi).T
+
+
 @pytest.mark.parametrize("s, d", [(0, 2), (1, 8), (3, 64), (500, 16)])
 def test_posterior_states_match_oracle_sampler(s, d):
     # two-sample KS tests against the two-Gamma, complement-resampling
     # sampler: on t = |<phi|psi>|^2, and on |<psi|v>|^2 for a fixed unit
-    # v orthogonal to phi, which sees the law of the complement direction
+    # v orthogonal to phi, which sees the law of the complement direction.
+    # The full-vector, phi-aligned and reduced samplers each face the oracle.
     n = 20_000
     phi = sample_haar_state(d, RngStream(20))
     v = sample_haar_state(d, RngStream(21))
     v -= (phi.conj() @ v) * phi
     v /= np.linalg.norm(v)
-    new = sample_posterior_states(phi, s, RngStream(22, s), n)
     old = oracle_posterior_states(phi, s, RngStream(23, s), n)
-    for w in (phi, v):
-        p = stats.ks_2samp(np.abs(new @ w.conj()) ** 2, np.abs(old @ w.conj()) ** 2).pvalue
-        assert p > 1e-3
+    records, frame = sample_reduced_posterior_states(phi, v[:, None], s, RngStream(24, s), n)
+    overlaps = {
+        "full": [np.abs(sample_posterior_states(phi, s, RngStream(22, s), n) @ w.conj()) ** 2
+                 for w in (phi, v)],
+        "aligned": [np.abs(aligned_states(phi, s, RngStream(25, s), n) @ w.conj()) ** 2
+                    for w in (phi, v)],
+        "reduced": [np.abs(records[:, 0]) ** 2, np.abs(records @ frame.conj())[:, 0] ** 2],
+    }
+    for new in overlaps.values():
+        for w, got in zip((phi, v), new):
+            assert stats.ks_2samp(got, np.abs(old @ w.conj()) ** 2).pvalue > 1e-3
+    # the phi-amplitude rule alone: |a|^2/2 against Gamma(s+1) draws, and
+    # a phase that stays uniform
+    c = RngStream(26, s).gen.standard_normal((n, 2)).view(complex)[:, 0]
+    a = _rescale_phi_coordinates(c.copy(), s, RngStream(27, s))
+    gammas = np.random.default_rng(28 + s).gamma(s + 1, size=n)
+    assert stats.ks_2samp(np.abs(a) ** 2 / 2, gammas).pvalue > 1e-3
+    assert np.allclose(np.angle(a), np.angle(c))
 
 
 def test_posterior_state_overlap_matches_t_by_construction():
@@ -174,7 +200,7 @@ def test_dimension_guard():
         sample_posterior_states(np.array([1, 0], dtype=complex), -1, RngStream(0), 3)
 
 
-@pytest.mark.parametrize("s, d, r", [(0, 2, 1), (1, 8, 2), (3, 64, 4), (1, 5, 5)])
+@pytest.mark.parametrize("s, d, r", [(0, 2, 1), (1, 8, 2), (3, 64, 4), (1, 5, 5), (2, 6, 4)])
 def test_reduced_records_match_full_overlaps(s, d, r):
     # |<psi|v_j>|^2 read from reduced records against full outcome vectors,
     # for each column of a fixed frame V and for phi itself: two-sample KS
@@ -192,6 +218,9 @@ def test_reduced_records_match_full_overlaps(s, d, r):
         assert stats.ks_2samp(new[:, j], old[:, j]).pvalue > 1e-3
     t_new = np.abs(records[:, 0]) ** 2  # phi is the first basis vector
     assert stats.ks_2samp(t_new, np.abs(full @ phi.conj()) ** 2).pvalue > 1e-3
+    if w == d - 1:  # the rest is one coordinate, with a uniform phase
+        phase = np.mod(np.angle(records[:, w]), 2 * np.pi) / (2 * np.pi)
+        assert stats.kstest(phase, "uniform").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("phi", [np.zeros(4), np.array([np.nan, 1, 0, 0]), np.array([np.inf, 1, 0, 0])])
@@ -213,3 +242,59 @@ def test_reduced_sampler_guards():
     a = sample_reduced_posterior_states(3 * phi, np.eye(3, 2), 1, RngStream(1), 5)
     b = sample_reduced_posterior_states(phi, np.eye(3, 2), 1, RngStream(1), 5)
     assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
+
+
+class _ZeroPhiGenerator:
+    """Stub generator: every normal draw is 1 except the first complex
+    coordinate of each row, which is 0; every Gamma variate is 1."""
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = 1.0
+        out[:, :2] = 0.0
+        return out
+
+    def gamma(self, shape, size=None):
+        return np.ones(size)
+
+
+@pytest.mark.parametrize("s", [0, 1, 4])
+def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
+    # c = 0 has probability zero, but must not become NaN: with s >= 1 the
+    # phi amplitude is sqrt(2 Gamma(s)) = sqrt(2) here, and with s = 0 it stays 0
+    d = 4
+    rng = SimpleNamespace(gen=_ZeroPhiGenerator())
+    phi = np.eye(d, dtype=complex)[0]
+    full = sample_posterior_states(phi, s, rng, 3)
+    aligned = sample_aligned_posterior_states(s, rng, np.empty((3, d), dtype=complex))
+    reduced, _ = sample_reduced_posterior_states(phi, np.eye(d, 1, 1), s, rng, 3)
+    for rows in (full, aligned, reduced):
+        assert np.isfinite(rows).all()
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1).max() < 1e-12
+    want = np.sqrt(2 * (s > 0) / (2 * (s > 0) + 2 * (d - 1)))  # |a| / |(a, 1+1j, ...)|
+    assert np.allclose(full[:, 0], want) and np.allclose(aligned[:, 0], want)
+
+
+def test_aligned_sampler_guards():
+    rng = RngStream(0)
+    with pytest.raises(ValueError):  # d = 1
+        sample_aligned_posterior_states(1, rng, np.empty((3, 1), dtype=complex))
+    with pytest.raises(ValueError):
+        sample_aligned_posterior_states(-1, rng, np.empty((3, 2), dtype=complex))
+    for out in (np.empty((3, 4)), np.empty((4, 3), dtype=complex).T, np.empty(4, dtype=complex)):
+        with pytest.raises(ValueError):  # complex, C-contiguous and (n, d) only
+            sample_aligned_posterior_states(1, rng, out)
+    # the draws fill out in place, and do not depend on phi
+    out = np.empty((5, 3), dtype=complex)
+    assert sample_aligned_posterior_states(2, RngStream(1), out) is out
+    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
+
+
+def test_phi_basis_is_unitary_with_phi_first():
+    phi = sample_haar_state(6, RngStream(3))
+    q = phi_basis(phi)
+    assert q.shape == (6, 6) and np.allclose(q.conj().T @ q, np.eye(6))
+    assert np.array_equal(q[:, 0], phi)
+    vecs = np.linalg.qr(sample_haar_state(6, RngStream(4), size=2).T)[0]
+    q = phi_basis(phi, vecs)
+    assert q.shape == (6, 3) and np.allclose(q @ (q.conj().T @ vecs), vecs)

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import linear_mean_shadow, quadratic_shadow, single_copy_shadow
-from shadowlab.ensembles import RngStream, sample_haar_state, sample_reduced_posterior_states
+from shadowlab.cli import _im_batch_estimates
+from shadowlab.ensembles import (
+    RngStream,
+    phi_basis,
+    sample_aligned_posterior_states,
+    sample_haar_state,
+    sample_reduced_posterior_states,
+)
 from shadowlab.estimators import (
     BATCH_FAILURE_P,
     MAX_PLAN_S,
@@ -323,6 +330,12 @@ def test_batch_estimates_reduced_record_validation():
         batch_estimates(O, np.full((1, 2, 3), np.nan, dtype=complex), "linear", frame=frame)
     with pytest.raises(ValueError):  # quadratic needs the full outcome vectors
         batch_estimates(O, records, "quadratic", frame=frame)
+    with pytest.raises(ValueError):  # reduced records from the sampler, w = 3 < d = 8
+        obs = random_observable(8, 2, RngStream(1))
+        reduced, frame = sample_reduced_posterior_states(
+            sample_haar_state(8, RngStream(2)), obs.vecs, 1, RngStream(3), 6
+        )
+        batch_estimates(obs, reduced.reshape(2, 3, -1), "quadratic", frame=frame)
     with pytest.raises(ValueError):  # record width and frame rows disagree
         batch_estimates(O, records, "linear", frame=np.eye(4, 2, dtype=complex))
     with pytest.raises(ValueError):  # frame columns and O's rank disagree
@@ -350,6 +363,48 @@ def test_reduced_linear_estimates_match_full_vectors(d, B):
     new = batch_estimates(O, records.reshape(n, s, -1), "linear", frame=frame)
     full = measure_independent_batch(phi, RngStream(32, d), n * s).reshape(n, s, d)
     old = batch_estimates(O, full, "linear")
+    assert stats.ks_2samp(new, old).pvalue > 1e-3
+
+    def close(a, b):
+        return abs(a.mean() - b.mean()) <= 5 * math.sqrt((a.var() + b.var()) / n)
+
+    truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
+    assert close(new, old) and close(new, np.full(1, truth))
+    assert close((new - new.mean()) ** 2, (old - old.mean()) ** 2)
+
+
+@pytest.mark.parametrize("d, B", [(4, 2), (5, 3), (8, 8)])
+def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
+    # a phi-aligned record is Q^H psi; with the frame Q^H V the kernel must
+    # return what it returns on psi itself.  (5, 3) is the reduced sampler's
+    # w = d - 1 (so is (4, 2)), whose records are full width and a full
+    # change of basis too
+    phi, O = _law_case(d, B, RngStream(33, d))
+    q = phi_basis(phi)
+    records = sample_aligned_posterior_states(1, RngStream(34, d), np.empty((24, d), dtype=complex))
+    full = batch_estimates(O, (records @ q.T).reshape(4, 6, d), "quadratic")
+    aligned = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=q.conj().T @ O.vecs)
+    assert np.abs(aligned - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+    reduced, frame = sample_reduced_posterior_states(phi, O.vecs, 1, RngStream(35, d), 24)
+    if reduced.shape[1] == d:
+        # complete Q by the unit vector orthogonal to it; the frame's last row is 0
+        q_w = phi_basis(phi, O.vecs)
+        q_full = np.column_stack([q_w, np.linalg.qr(q_w, mode="complete")[0][:, d - 1]])
+        full = batch_estimates(O, (reduced @ q_full.T).reshape(4, 6, d), "quadratic")
+        got = batch_estimates(O, reduced.reshape(4, 6, d), "quadratic", frame=frame)
+        assert np.abs(got - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+@pytest.mark.parametrize("d, B", [(8, 2), (32, 4), (64, 4)])
+def test_streamed_quadratic_estimates_match_full_vectors(d, B):
+    # per-batch quadratic estimates from phi-aligned records, streamed a block
+    # of batches at a time, against those from full outcome vectors: a KS
+    # test, and the mean and variance to 5 sigma
+    n, s = 2500, 4
+    phi, O = _law_case(d, B, RngStream(36, d))
+    new = _im_batch_estimates(phi, O, s, n, RngStream(37, d), "quadratic")
+    full = measure_independent_batch(phi, RngStream(38, d), n * s).reshape(n, s, d)
+    old = batch_estimates(O, full, "quadratic")
     assert stats.ks_2samp(new, old).pvalue > 1e-3
 
     def close(a, b):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,10 +366,28 @@ def test_mc_covariance_outcome_memory_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
-    monkeypatch.setattr(moments, "sample_posterior_states", refuse)
+    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
     rho = rand_rho(2, 65)
     with pytest.raises(ValueError, match="MiB"):
         mc_covariance("distinct", rho, np.eye(2), 2, 10**8, RngStream(65))
+
+
+@pytest.mark.parametrize("pattern", ["ij_ji", "distinct"])
+def test_mc_covariance_peaks_near_its_outcome_array(pattern):
+    # the N x n_shadows x d outcome array is the largest record; sampling
+    # and the pair traces may add half of it, not a second copy
+    d, N = 64, 20_000
+    n_shadows = 2 if pattern == "ij_ji" else 4
+    rng = RngStream(66)
+    rho = density(sample_haar_state(d, rng))
+    O = random_projector_observable(d, 4, rng).matrix
+    tracemalloc.start()
+    try:
+        mc_covariance(pattern, rho, O, d, N, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * N * n_shadows * d * 16
 
 
 def test_enumeration_budget_guard():
