@@ -3,12 +3,11 @@
 The classical record of a batch of measurements is the (n, d) outcome array
 from measurement.measure_joint_batch or measure_independent_batch;
 batch_estimates maps it and an Observable to the per-batch estimates.  The
-linear estimate reads an outcome only through its overlaps with O's
-eigenvectors, so im samples it from ensembles.sample_reduced_posterior_states,
-a (w+1)-dimensional record per outcome with the same law, w = min(d, r+1).
-The quadratic estimate needs every coordinate, so im samples it from
-ensembles.sample_aligned_posterior_states, in a basis whose first vector is
-the state, one block of batches at a time.
+im sweeps sample each outcome from ensembles.sample_aligned_posterior_states,
+in a basis whose first vector is the state, one block of batches at a time.
+The linear estimate reads an outcome only through its overlaps with O's
+eigenvectors, so its records keep only min(d, r+2) coordinates with the
+same law; the quadratic estimate needs all d.
 affine_shadow and median_estimate are the dense d x d form of the affine
 joint estimator, kept for the Boolean Hidden Matching protocol; a shadow
 there is a plain ndarray.

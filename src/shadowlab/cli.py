@@ -30,11 +30,10 @@ from . import moments
 from .ensembles import (
     BLOCK_ROWS,
     RngStream,
-    phi_basis,
+    aligned_frame,
     require_outcome_budget,
     sample_aligned_posterior_states,
     sample_haar_state,
-    sample_reduced_posterior_states,
 )
 from .estimators import (
     batch_estimates, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
@@ -115,55 +114,44 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return center - half, center + half
 
 
-def _quadratic_step(s: int, k: int) -> int:
-    """Batches of s outcomes that the quadratic estimator draws and reduces per step."""
-    return min(k, max(1, BLOCK_ROWS // s))
-
-
 def _im_batch_estimates(phi, O, s, k, rng, kind):
     """Per-batch estimates from k batches of s fresh single-copy outcomes.
 
-    The linear estimate reads each outcome only through <psi|O.vecs>, so it
-    runs on reduced records with the same law.  Quadratic needs every
-    coordinate: it runs on phi-aligned records, a block of whole batches at
-    a time, with O's factor rotated into their basis once.
+    The outcomes are phi-aligned records, drawn a block of whole batches at
+    a time into one buffer and read with O's factor rotated into their
+    basis once.  The linear estimate reads each outcome only through
+    <psi|O.vecs>, so its records are reduced to span{phi, O.vecs} plus the
+    rest; quadratic needs every coordinate.  A buffer larger than
+    ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is sampled.
     """
-    if kind == "linear":
-        records, frame = sample_reduced_posterior_states(phi, O.vecs, 1, rng, k * s)
-        return batch_estimates(O, records.reshape(k, s, -1), kind, frame=frame)
-    d = phi.shape[0]
-    frame = phi_basis(phi).conj().T @ O.vecs
-    step = _quadratic_step(s, k)
-    block = np.empty((step * s, d), dtype=complex)
+    frame = aligned_frame(phi, O.vecs, full=kind == "quadratic")
+    d, m = O.vecs.shape[0], frame.shape[0]
+    step = min(k, max(1, BLOCK_ROWS // s))
+    require_outcome_budget(
+        step * s * m * 16,
+        f"im-{kind} blocks (s = {s}, {step} batches, {m} of d = {d} coordinates) would",
+        "use a larger eps (a smaller s)",
+    )
+    block = np.empty((step * s, m), dtype=complex)
     vals = np.empty(k)
     for lo in range(0, k, step):
         n = min(step, k - lo)
-        records = sample_aligned_posterior_states(1, rng, block[: n * s])
-        vals[lo:lo + n] = batch_estimates(O, records.reshape(n, s, d), kind, frame=frame)
+        records = sample_aligned_posterior_states(1, rng, block[: n * s], d)
+        vals[lo:lo + n] = batch_estimates(O, records.reshape(n, s, m), kind, frame=frame)
     return vals
-
-
-def _outcome_bytes(kind: str, s: int, k: int, d: int, B: float) -> int:
-    """Bytes of the largest outcome array one sweep trial holds at once."""
-    if kind == "affine_joint":
-        rows, width = k, d
-    elif kind == "linear":
-        r = max(1, min(d, math.floor(B)))  # the rank of random_observable(d, B)
-        rows, width = k * s, min(d, r + 1) + 1
-    else:
-        rows, width = _quadratic_step(s, k) * s, d
-    return rows * width * 16
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
-    A plan whose outcome arrays would not fit in ensembles.MAX_OUTCOME_BYTES
-    is a ValueError before anything is sampled.
+    A plan whose outcome array would not fit in ensembles.MAX_OUTCOME_BYTES
+    is a ValueError before any outcome is sampled: k joint outcomes for jm,
+    one block of batches for im (checked in trial 0, once O fixes its width).
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
     if config.mode == "jm":
         kind, label, plan = "affine_joint", "jm", plan_batches(B, eps, delta)
+        require_outcome_budget(plan.k * d * 16, f"jm (k = {plan.k}, d = {d}) would", "use a smaller d")
     else:
         kind = config.estimator
         if kind == "auto":
@@ -174,11 +162,6 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
             if kind == "linear"
             else plan_quadratic_batches(B, d, eps, delta)
         )
-    require_outcome_budget(
-        _outcome_bytes(kind, plan.s, plan.k, d, B),
-        f"{label} (s = {plan.s}, k = {plan.k}, d = {d}) would",
-        "use a larger eps",
-    )
 
     rows = []
     for t in range(config.trials):

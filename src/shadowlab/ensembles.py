@@ -18,12 +18,13 @@ to the phi coordinate of its own Gaussian draw.
 The draw is simplest in a basis whose first vector is phi (phi_basis):
 sample_aligned_posterior_states writes those coordinates straight into the
 caller's array.  An estimate that reads psi only through <psi|v_j> for the
-columns of a (d, r) matrix V needs less: with Q an orthonormal basis of
+columns of a (d, r) matrix V needs fewer: with Q an orthonormal basis of
 span{phi, V} whose first column is phi, those overlaps depend only on the
 coordinates of psi along Q and on the norm of the rest, whose square is
-half a Gamma(d - w) variate for w = Q.shape[1].
-sample_reduced_posterior_states draws that (w+1)-vector at O(r) cost per
-outcome, with the same law.
+half a Gamma(d - w) variate for w = Q.shape[1].  The same sampler then
+fills m = min(d, w + 1) columns at O(r) cost per outcome: below d the last
+one is that norm, and at d the draw is the full one.  aligned_frame gives
+the (m, r) frame the records are read with.
 """
 
 from __future__ import annotations
@@ -138,58 +139,53 @@ def phi_basis(phi: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
     return q
 
 
-def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray) -> np.ndarray:
-    """Fill out, a C-contiguous complex (n, d) array, with n outcomes of the
-    joint measurement on phi^(x s), as coordinates in a basis whose first
-    vector is phi, such as phi_basis(phi); returns out.
+def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: int) -> np.ndarray:
+    """Fill out, a C-contiguous complex (n, m) array with 2 <= m <= d, with
+    n outcomes of the joint measurement on phi^(x s) in C^d, as coordinates
+    in a basis whose first vector is phi; returns out.
 
-    Row i in that basis Q is Q^H psi_i: a standard complex Gaussian drawn in
-    place, its first coordinate rescaled by the phi-amplitude rule, then
-    normalised.  There is no (n, d) temporary, and the draws do not depend
-    on phi, so callers rotate O (or its factor) by Q once instead.
+    Row i is a standard complex Gaussian drawn in place, its first
+    coordinate rescaled by the phi-amplitude rule, then normalised.  With
+    m = d it is Q^H psi_i for a unitary Q such as phi_basis(phi).  With
+    m < d the first m - 1 coordinates are those along the columns of a
+    (d, m - 1) Q such as phi_basis(phi, V), and the last is the norm of
+    the rest of C^d, sqrt(2 Gamma(d - m + 1)) before the normalisation.
+    There is no (n, m) temporary, and the draws do not depend on phi, so
+    callers rotate O (or its factor) by Q once instead.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous complex (n, d) array")
-    _check_outcome_law(out.shape[1], s)
+        raise ValueError("out must be a C-contiguous complex (n, m) array")
+    _check_outcome_law(d, s)
+    m = out.shape[1]
+    if not 2 <= m <= d:
+        raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
     rng.gen.standard_normal(out=out.view(float))
     _rescale_phi_coordinates(out[:, 0], s, rng)
+    if m < d:
+        out[:, -1] = np.sqrt(2 * rng.gen.gamma(d - m + 1, size=out.shape[0]))
     return _normalize_rows(out)
 
 
-def sample_reduced_posterior_states(
-    phi: np.ndarray, vecs: np.ndarray, s: int, rng: RngStream, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """size outcomes of the joint measurement on phi^(x s), reduced to what
-    their overlaps with the columns of vecs (d, r) depend on.
+def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.ndarray:
+    """The (m, r) frame with which records of sample_aligned_posterior_states
+    give the overlaps with the columns of vecs (d, r): records @ frame.conj()
+    has the law of sample_posterior_states(phi, ...) @ vecs.conj().
 
-    Returns (records, frame): records is (size, w+1) with w = min(d, r+1),
-    unit rows, and frame is (w+1, r), so that records @ frame.conj() has the
-    law of sample_posterior_states(phi, s, ...) @ vecs.conj().  With Q =
-    phi_basis(phi, vecs), a record is the normalised (a, x, y): a the phi
-    coordinate, by the same rule as in sample_posterior_states, x a (w-1,)
-    complex Gaussian for the other columns of Q, and y for the rest of C^d,
-    with |y|^2/2 ~ Gamma(d - w).  y is 0 when w = d, and when w = d - 1 it
-    is a complex Gaussian, the one coordinate the rest has, so a record as
-    wide as d is always a full change of basis.  frame is Q^H vecs over a
-    zero row.  phi is validated and normalised by as_state_vector.
+    With Q = phi_basis(phi, vecs), or the unitary phi_basis(phi) when full,
+    m = min(d, Q.shape[1] + 1) and the frame is Q^H vecs over m - Q.shape[1]
+    zero rows: the rest coordinate, if any, has no overlap with vecs.  Full
+    records (m = d) also carry the overlaps between outcomes.  phi is
+    validated and normalised by as_state_vector.
     """
     phi = as_state_vector(phi)
     vecs = np.asarray(vecs, dtype=complex)
     d = phi.shape[0]
     if vecs.ndim != 2 or vecs.shape[0] != d:
         raise ValueError(f"vecs must have shape ({d}, r), got {vecs.shape}")
-    _check_outcome_law(d, s)
-    q = phi_basis(phi, vecs)
-    w = q.shape[1]
-    records = np.empty((size, w + 1), dtype=complex)
-    rng.gen.standard_normal(out=records.view(float))
-    _rescale_phi_coordinates(records[:, 0], s, rng)
-    if w == d:
-        records[:, w] = 0.0
-    elif w < d - 1:
-        records[:, w] = np.sqrt(2 * rng.gen.gamma(d - w, size=size))
-    frame = np.vstack([q.conj().T @ vecs, np.zeros((1, vecs.shape[1]))])
-    return _normalize_rows(records), frame
+    _check_outcome_law(d, 0)
+    q = phi_basis(phi, None if full else vecs)
+    m = min(d, q.shape[1] + 1)
+    return np.vstack([q.conj().T @ vecs, np.zeros((m - q.shape[1], vecs.shape[1]))])
 
 
 def require_outcome_budget(nbytes: int, what: str, remedy: str) -> None:

@@ -112,7 +112,8 @@ def batch_estimates(
 
     affine_joint: outcomes (k, d), one joint outcome psi per batch from
     `copies` copies; the estimate is ((d+s) <psi|O|psi> - Tr O)/s with s = copies.
-    linear, quadratic: outcomes (k, s, d), s single-copy outcomes per batch.
+    linear, quadratic: outcomes (k, s, d), s single-copy outcomes per batch,
+    each from one copy, so copies must be 1.
     With P = sum_i |psi_i><psi_i|, the shadow sums are S = (d+1) P - s I and
     Q = ((d+1)^2 - 2(d+1)) P + s I; linear is Tr(O S)/s and quadratic is
     Tr(O (S^2 - Q))/(s(s-1)).  The affine_joint estimates equal
@@ -122,16 +123,15 @@ def batch_estimates(
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
     where S V = (d+1) Psi^T C - s V.  The cost is O(k s d r) for rank r.
 
-    With a frame (m, r), the outcomes are (..., m) records in another basis
-    and C = <record|frame>, at O(k s m r) cost; d is still O's dimension.
-    The affine_joint and linear estimates read nothing else, so they take
-    the reduced records of ensembles.sample_reduced_posterior_states.
-    Quadratic also needs the overlaps between outcomes, so it takes a frame
-    only when the records carry every coordinate (m = d), as the phi-aligned
-    records of ensembles.sample_aligned_posterior_states do with frame
-    Q^H V; S V is then computed in that basis, with the same norms.  (A
-    reduced record is d wide only at w = d - 1, where its last coordinate
-    is a complex Gaussian and it is a full change of basis as well.)
+    With a frame (m, r), the outcomes are (..., m) records in another basis,
+    such as those of ensembles.sample_aligned_posterior_states with their
+    ensembles.aligned_frame, and C = <record|frame>, at O(k s m r) cost; d
+    is still O's dimension.  Quadratic also needs the overlaps between
+    outcomes, so it takes a frame only when the records carry every
+    coordinate (m = d); S V is then computed in that basis, with the same
+    norms.  A linear batch with s > 2 m^2 / r reads Tr(O P) from P instead
+    of C, assembled from the real Gram of its records: (2m)^2 floats per
+    batch, fewer than the s r complex entries of C.
     """
     if kind not in ("affine_joint", "linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -139,8 +139,8 @@ def batch_estimates(
     want_ndim = 2 if kind == "affine_joint" else 3
     if outcomes.ndim != want_ndim or outcomes.shape[0] < 1:
         raise ValueError(f"{kind} needs a non-empty outcome array with {want_ndim} axes")
-    if kind == "affine_joint" and copies < 1:
-        raise ValueError("copies must be >= 1")
+    if copies < 1 or (kind != "affine_joint" and copies != 1):
+        raise ValueError(f"copies must be >= 1, and 1 for {kind}: got {copies}")
     if kind == "quadratic" and outcomes.shape[1] < 2:
         raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
     V, lam = O.vecs, O.evals
@@ -159,12 +159,18 @@ def batch_estimates(
     if not np.abs(np.sqrt(sq_norms) - 1.0).max() <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError("outcome states must be unit norm")
     tr_o = lam.sum()
-    C = np.conj(outcomes @ V.conj())
-    o_psi = (C.real**2 + C.imag**2) @ lam  # <psi|O|psi> per outcome
-    if kind == "affine_joint":
-        return ((d + copies) * o_psi - tr_o) / copies
     s = outcomes.shape[1]
-    tr_op = o_psi.sum(axis=1)  # Tr(O P)
+    if kind == "linear" and 2 * V.shape[0] ** 2 < s * lam.size:
+        # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
+        R = flat.transpose(0, 2, 1) @ flat
+        P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
+        tr_op = np.einsum("bca,ac->b", P, (V * lam) @ V.conj().T).real
+    else:
+        C = np.conj(outcomes @ V.conj())
+        o_psi = (C.real**2 + C.imag**2) @ lam  # <psi|O|psi> per outcome
+        if kind == "affine_joint":
+            return ((d + copies) * o_psi - tr_o) / copies
+        tr_op = o_psi.sum(axis=1)  # Tr(O P)
     if kind == "linear":
         return ((d + 1) * tr_op - s * tr_o) / s
     SV = (d + 1) * (outcomes.transpose(0, 2, 1) @ C) - s * V

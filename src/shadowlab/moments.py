@@ -279,7 +279,7 @@ def mc_covariance(
         "use fewer trials",
     )
     psis = np.empty((N * n_shadows, d), dtype=complex)
-    psis = sample_aligned_posterior_states(1, rng, psis).reshape(N, n_shadows, d)
+    psis = sample_aligned_posterior_states(1, rng, psis, d).reshape(N, n_shadows, d)
     q = phi_basis(phi)
     o_q = q.conj().T @ O @ q
     x, y = np.empty(N, dtype=complex), np.empty(N, dtype=complex)

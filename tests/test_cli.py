@@ -24,7 +24,9 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
-from shadowlab.ensembles import RngStream, sample_aligned_posterior_states
+from shadowlab.ensembles import (
+    BLOCK_ROWS, RngStream, require_outcome_budget, sample_aligned_posterior_states,
+)
 from shadowlab.estimators import batch_estimates, plan_batches
 
 
@@ -145,8 +147,8 @@ def test_run_sweep_deterministic(tmp_path):
 
 
 # Estimates of the one-draw outcome sampler with the phi-amplitude rule
-# (im-linear: of its reduced records; im-quadratic: of its phi-aligned
-# records, BLOCK_ROWS at a time), and truths carried over from the
+# (im: of its phi-aligned records, reduced for linear, drawn a block of
+# BLOCK_ROWS // s batches at a time), and truths carried over from the
 # per-outcome Shadow code before it.  phi and O are drawn before any
 # outcome, so a change of sampler moves the estimates but never the truths.
 PINNED_SWEEPS = {
@@ -155,7 +157,7 @@ PINNED_SWEEPS = {
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.1614610384068087, 0.4128359498887794, 0.2875016713920645),
+        (0.17394458412873745, 0.3993312042680964, 0.30096143462800956),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
@@ -194,17 +196,17 @@ def test_run_sweep_never_diagonalises(monkeypatch):
 
 
 def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
-    # im-linear sweeps and compare's linear half run on reduced records, and
-    # the quadratic ones on phi-aligned records: no im path samples full
-    # vectors.  compare's quadratic streams are ids n+1..2n for n grid entries
+    # im sweeps and compare run on phi-aligned records, reduced for the
+    # linear estimate: no im path samples full vectors.  compare's linear
+    # streams are ids 1..n and its quadratic ones n+1..2n for n grid entries
     def refuse(*args):
         raise AssertionError("sampled full outcome vectors")
 
     streams = []
 
-    def record(s, rng, out):
-        streams.append(rng.stream_id)
-        return sample_aligned_posterior_states(s, rng, out)
+    def record(s, rng, out, d):
+        streams.append((rng.stream_id, out.shape[1]))
+        return sample_aligned_posterior_states(s, rng, out, d)
 
     monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
     monkeypatch.setattr(cli, "sample_aligned_posterior_states", record)
@@ -213,10 +215,11 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
             mode="im", estimator=estimator, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
         ))
         assert [r.mode for r in rows] == [f"im-{estimator}"] * 2
-    assert sorted(set(streams)) == [1, 2]  # the quadratic trials' streams
+    # linear records are min(d, r + 2) = 6 wide, quadratic ones d = 8
+    assert sorted(set(streams)) == [(1, 6), (1, 8), (2, 6), (2, 8)]
     streams.clear()
     compare_estimators(d=4, B=4.0, N=50, seed=1, s_grid=(2, 8))
-    assert streams == [3, 4]
+    assert streams == [(1, 4), (3, 4), (2, 4), (4, 4)]
 
 
 def test_run_sweep_im_modes():
@@ -475,8 +478,9 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
 @pytest.mark.parametrize("argv, mib", [
     # s = 7111240 per batch: one quadratic block is a single 3.4 GiB batch
     (["--estimator", "quadratic", "--d", "32", "--B", "4", "--eps", "0.003"], "3472 MiB"),
-    # k s (w+1) = 21 x 1920000 x 6 reduced records: 3.9 GB
-    (["--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.005"], "3691 MiB"),
+    # s = 12000000 per batch: one linear block is a single batch of
+    # 6-wide reduced records, 1.1 GiB
+    (["--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.002"], "1099 MiB"),
 ])
 def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeypatch, capsys,
                                                                argv, mib):
@@ -485,7 +489,6 @@ def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeyp
         raise AssertionError("sampled past the memory guard")
 
     monkeypatch.setattr(cli, "sample_aligned_posterior_states", refuse)
-    monkeypatch.setattr(cli, "sample_reduced_posterior_states", refuse)
     out = tmp_path / "never.csv"
     assert main(["im", *argv, "--seed", "1", "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
@@ -493,51 +496,72 @@ def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeyp
     assert err.startswith("error: ") and mib in err and err.count("\n") == 1
 
 
+def _record_kernel_and_guard(monkeypatch):
+    """Lists of the outcome arrays cli hands to batch_estimates and of the
+    byte counts it passes to require_outcome_budget."""
+    arrays, budgets = [], []
+
+    def kernel(O, outcomes, *args, **kwargs):
+        arrays.append(outcomes)
+        return batch_estimates(O, outcomes, *args, **kwargs)
+
+    def guard(nbytes, *args):
+        budgets.append(nbytes)
+        return require_outcome_budget(nbytes, *args)
+
+    monkeypatch.setattr(cli, "batch_estimates", kernel)
+    monkeypatch.setattr(cli, "require_outcome_budget", guard)
+    return arrays, budgets
+
+
 @pytest.mark.parametrize("mode, estimator, d, B, eps", [
     ("jm", "auto", 8, 4.0, 0.4),
-    ("im", "linear", 8, 2.0, 0.4),  # w = 3: records of width 4
-    ("im", "linear", 4, 4.0, 0.6),  # w = d: records of width d + 1
+    ("im", "linear", 8, 2.0, 0.4),  # r = 2: records of width 4
+    ("im", "linear", 4, 4.0, 0.6),  # r = d: records of width d
     ("im", "quadratic", 8, 4.0, 0.4),  # s = 430: 9 batches per block
     ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > BLOCK_ROWS: one batch per block
 ])
 def test_sweep_guard_counts_the_largest_outcome_array(monkeypatch, mode, estimator, d, B, eps):
     # the figure the memory guard checks is the largest array the kernel gets
-    largest = []
-
-    def record(O, outcomes, *args, **kwargs):
-        largest.append(outcomes.nbytes)
-        return batch_estimates(O, outcomes, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "batch_estimates", record)
-    (row,) = run_sweep(ExperimentConfig(
+    arrays, budgets = _record_kernel_and_guard(monkeypatch)
+    run_sweep(ExperimentConfig(
         mode=mode, estimator=estimator, d=d, B=B, eps=eps, delta=0.1, trials=1, seed=5,
     ))
-    kind = "affine_joint" if mode == "jm" else estimator
-    assert max(largest) == cli._outcome_bytes(kind, row.s, row.k, d, B)
+    assert len(budgets) == 1 and max(a.nbytes for a in arrays) == budgets[0]
 
 
-def test_im_quadratic_trial_peaks_near_one_outcome_block(monkeypatch):
+def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
+    # N s = 6000 and 24000 outcomes per estimator and s: each reaches the
+    # kernel in blocks of whole batches, at most BLOCK_ROWS rows, and never
+    # more bytes than the memory guard was shown
+    arrays, budgets = _record_kernel_and_guard(monkeypatch)
+    compare_estimators(d=4, B=4.0, N=3000, seed=1, s_grid=(2, 8))
+    assert [a.shape[:2] for a in arrays[:2]] == [(2048, 2), (952, 2)]  # linear, s = 2
+    assert len(arrays) == 2 * (2 + 6)
+    assert max(a.shape[0] * a.shape[1] for a in arrays) <= BLOCK_ROWS
+    assert max(a.nbytes for a in arrays) <= min(budgets)
+
+
+@pytest.mark.parametrize("d, eps, label, s", [
+    (32, 0.2, "im-quadratic", 1720),
+    (64, 0.3, "im-linear", 534),
+], ids=["quadratic", "linear"])
+def test_im_trial_peaks_near_one_outcome_block(monkeypatch, d, eps, label, s):
     # the largest outcome array a trial hands to the kernel is one block of
-    # whole batches; allocations may peak at 1.5x it, not at the (k s, d)
-    # array plus a rank-1 update temporary of the same size
-    largest = []
-
-    def record(O, outcomes, *args, **kwargs):
-        largest.append(outcomes.nbytes)
-        return batch_estimates(O, outcomes, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "batch_estimates", record)
-    config = dict(mode="im", d=32, B=4.0, eps=0.2, trials=1)
+    # whole batches; allocations may peak at 1.5x it, not at the (k s, m)
+    # array of every batch
+    arrays, _ = _record_kernel_and_guard(monkeypatch)
+    config = dict(mode="im", d=d, B=4.0, eps=eps, trials=1)
     run_sweep(ExperimentConfig(**config, seed=3))  # first-call allocations are not the trial's
-    largest.clear()
+    arrays.clear()
     tracemalloc.start()
     try:
         (row,) = run_sweep(ExperimentConfig(**config, seed=4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * max(largest)
-    assert row.mode == "im-quadratic" and (row.s, row.k) == (1720, 21) and len(largest) > 1
+    assert peak < 1.5 * max(a.nbytes for a in arrays)
+    assert row.mode == label and (row.s, row.k) == (s, 21) and len(arrays) > 1
 
 
 def test_cli_compare_subcommand(tmp_path):

@@ -8,11 +8,11 @@ from oracles import sample_posterior_states as oracle_posterior_states
 from shadowlab.ensembles import (
     RngStream,
     _rescale_phi_coordinates,
+    aligned_frame,
     phi_basis,
     sample_aligned_posterior_states,
     sample_haar_state,
     sample_posterior_states,
-    sample_reduced_posterior_states,
 )
 
 N_BIG = 100_000
@@ -111,8 +111,16 @@ def test_posterior_overlap_distribution_ks():
 
 def aligned_states(phi, s, rng, n):
     """Outcomes of the phi-aligned sampler, rotated back to the standard basis."""
-    records = sample_aligned_posterior_states(s, rng, np.empty((n, phi.shape[0]), dtype=complex))
+    d = phi.shape[0]
+    records = sample_aligned_posterior_states(s, rng, np.empty((n, d), dtype=complex), d)
     return records @ phi_basis(phi).T
+
+
+def reduced_records(phi, vecs, s, rng, n):
+    """(records, frame): aligned records reduced to what <psi|vecs> reads."""
+    frame = aligned_frame(phi, vecs)
+    out = np.empty((n, frame.shape[0]), dtype=complex)
+    return sample_aligned_posterior_states(s, rng, out, phi.shape[0]), frame
 
 
 @pytest.mark.parametrize("s, d", [(0, 2), (1, 8), (3, 64), (500, 16)])
@@ -120,14 +128,15 @@ def test_posterior_states_match_oracle_sampler(s, d):
     # two-sample KS tests against the two-Gamma, complement-resampling
     # sampler: on t = |<phi|psi>|^2, and on |<psi|v>|^2 for a fixed unit
     # v orthogonal to phi, which sees the law of the complement direction.
-    # The full-vector, phi-aligned and reduced samplers each face the oracle.
+    # The full-vector sampler and the phi-aligned one, at full and at
+    # reduced width, each face the oracle.
     n = 20_000
     phi = sample_haar_state(d, RngStream(20))
     v = sample_haar_state(d, RngStream(21))
     v -= (phi.conj() @ v) * phi
     v /= np.linalg.norm(v)
     old = oracle_posterior_states(phi, s, RngStream(23, s), n)
-    records, frame = sample_reduced_posterior_states(phi, v[:, None], s, RngStream(24, s), n)
+    records, frame = reduced_records(phi, v[:, None], s, RngStream(24, s), n)
     overlaps = {
         "full": [np.abs(sample_posterior_states(phi, s, RngStream(22, s), n) @ w.conj()) ** 2
                  for w in (phi, v)],
@@ -202,14 +211,15 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize("s, d, r", [(0, 2, 1), (1, 8, 2), (3, 64, 4), (1, 5, 5), (2, 6, 4)])
 def test_reduced_records_match_full_overlaps(s, d, r):
-    # |<psi|v_j>|^2 read from reduced records against full outcome vectors,
-    # for each column of a fixed frame V and for phi itself: two-sample KS
+    # |<psi|v_j>|^2 read from aligned records of width m = min(d, r + 2)
+    # against full outcome vectors, for each column of a fixed frame V and
+    # for phi itself: two-sample KS.  (1, 5, 5) and (2, 6, 4) are m = d
     n = 20_000
     phi = sample_haar_state(d, RngStream(40))
     vecs = np.linalg.qr(sample_haar_state(d, RngStream(41), size=r).T)[0]
-    records, frame = sample_reduced_posterior_states(phi, vecs, s, RngStream(42, s), n)
-    w = min(d, r + 1)
-    assert records.shape == (n, w + 1) and frame.shape == (w + 1, r)
+    records, frame = reduced_records(phi, vecs, s, RngStream(42, s), n)
+    m = min(d, r + 2)
+    assert records.shape == (n, m) and frame.shape == (m, r)
     assert np.abs(np.linalg.norm(records, axis=1) - 1).max() < 1e-12
     full = sample_posterior_states(phi, s, RngStream(43, s), n)
     new = np.abs(records @ frame.conj()) ** 2
@@ -218,30 +228,35 @@ def test_reduced_records_match_full_overlaps(s, d, r):
         assert stats.ks_2samp(new[:, j], old[:, j]).pvalue > 1e-3
     t_new = np.abs(records[:, 0]) ** 2  # phi is the first basis vector
     assert stats.ks_2samp(t_new, np.abs(full @ phi.conj()) ** 2).pvalue > 1e-3
-    if w == d - 1:  # the rest is one coordinate, with a uniform phase
-        phase = np.mod(np.angle(records[:, w]), 2 * np.pi) / (2 * np.pi)
+    if r + 1 == d - 1:  # the rest is one coordinate, with a uniform phase
+        phase = np.mod(np.angle(records[:, -1]), 2 * np.pi) / (2 * np.pi)
         assert stats.kstest(phase, "uniform").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("phi", [np.zeros(4), np.array([np.nan, 1, 0, 0]), np.array([np.inf, 1, 0, 0])])
 def test_reduced_sampler_rejects_a_state_it_cannot_normalise(phi):
     vecs = np.eye(4, 2, dtype=complex)
-    with pytest.raises(ValueError):
-        sample_reduced_posterior_states(phi, vecs, 1, RngStream(0), 3)
+    for full in (False, True):
+        with pytest.raises(ValueError):
+            aligned_frame(phi, vecs, full)
 
 
 def test_reduced_sampler_guards():
     phi = np.array([1, 0, 0], dtype=complex)
     with pytest.raises(ValueError):  # vecs must live in phi's dimension
-        sample_reduced_posterior_states(phi, np.eye(4, 2), 1, RngStream(0), 3)
-    with pytest.raises(ValueError):
-        sample_reduced_posterior_states(phi, np.eye(3, 2), -1, RngStream(0), 3)
+        aligned_frame(phi, np.eye(4, 2))
     with pytest.raises(ValueError):  # d = 1
-        sample_reduced_posterior_states(np.ones(1), np.ones((1, 1)), 1, RngStream(0), 3)
+        aligned_frame(np.ones(1), np.ones((1, 1)))
+    for m, d in ((4, 3), (1, 3)):  # records are 2 to d wide
+        with pytest.raises(ValueError):
+            sample_aligned_posterior_states(1, RngStream(0), np.empty((3, m), dtype=complex), d)
     # an unnormalised phi is normalised, as by measure_joint_batch
-    a = sample_reduced_posterior_states(3 * phi, np.eye(3, 2), 1, RngStream(1), 5)
-    b = sample_reduced_posterior_states(phi, np.eye(3, 2), 1, RngStream(1), 5)
-    assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
+    assert np.allclose(aligned_frame(3 * phi, np.eye(3, 2)), aligned_frame(phi, np.eye(3, 2)))
+    # widths: span{phi, V} plus the rest, or every coordinate
+    vecs = np.eye(8, 2, 3)
+    assert aligned_frame(np.eye(8)[0], vecs).shape == (4, 2)
+    assert aligned_frame(np.eye(8)[0], vecs, full=True).shape == (8, 2)
+    assert not aligned_frame(np.eye(8)[0], vecs)[-1].any()  # the rest has no overlap
 
 
 class _ZeroPhiGenerator:
@@ -266,27 +281,29 @@ def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
     rng = SimpleNamespace(gen=_ZeroPhiGenerator())
     phi = np.eye(d, dtype=complex)[0]
     full = sample_posterior_states(phi, s, rng, 3)
-    aligned = sample_aligned_posterior_states(s, rng, np.empty((3, d), dtype=complex))
-    reduced, _ = sample_reduced_posterior_states(phi, np.eye(d, 1, 1), s, rng, 3)
+    aligned = sample_aligned_posterior_states(s, rng, np.empty((3, d), dtype=complex), d)
+    reduced = sample_aligned_posterior_states(s, rng, np.empty((3, 3), dtype=complex), d)
     for rows in (full, aligned, reduced):
         assert np.isfinite(rows).all()
         assert np.abs(np.linalg.norm(rows, axis=1) - 1).max() < 1e-12
     want = np.sqrt(2 * (s > 0) / (2 * (s > 0) + 2 * (d - 1)))  # |a| / |(a, 1+1j, ...)|
     assert np.allclose(full[:, 0], want) and np.allclose(aligned[:, 0], want)
+    # the reduced row is (a, 1+1j, sqrt(2 Gamma(d - 2))) = (a, 1+1j, sqrt(2))
+    assert np.allclose(reduced[:, 0], np.sqrt(2 * (s > 0) / (2 * (s > 0) + 4)))
 
 
 def test_aligned_sampler_guards():
     rng = RngStream(0)
     with pytest.raises(ValueError):  # d = 1
-        sample_aligned_posterior_states(1, rng, np.empty((3, 1), dtype=complex))
+        sample_aligned_posterior_states(1, rng, np.empty((3, 1), dtype=complex), 1)
     with pytest.raises(ValueError):
-        sample_aligned_posterior_states(-1, rng, np.empty((3, 2), dtype=complex))
+        sample_aligned_posterior_states(-1, rng, np.empty((3, 2), dtype=complex), 2)
     for out in (np.empty((3, 4)), np.empty((4, 3), dtype=complex).T, np.empty(4, dtype=complex)):
-        with pytest.raises(ValueError):  # complex, C-contiguous and (n, d) only
-            sample_aligned_posterior_states(1, rng, out)
+        with pytest.raises(ValueError):  # complex, C-contiguous and (n, m) only
+            sample_aligned_posterior_states(1, rng, out, 4)
     # the draws fill out in place, and do not depend on phi
     out = np.empty((5, 3), dtype=complex)
-    assert sample_aligned_posterior_states(2, RngStream(1), out) is out
+    assert sample_aligned_posterior_states(2, RngStream(1), out, 3) is out
     assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
 
 

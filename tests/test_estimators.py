@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from oracles import linear_mean_shadow, quadratic_shadow, single_copy_shadow
 from shadowlab.cli import _im_batch_estimates
 from shadowlab.ensembles import (
     RngStream,
+    aligned_frame,
     phi_basis,
     sample_aligned_posterior_states,
     sample_haar_state,
-    sample_reduced_posterior_states,
 )
 from shadowlab.estimators import (
     BATCH_FAILURE_P,
@@ -274,7 +275,7 @@ def random_hermitian_unit_norm(d, rng):
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(2, 6),
-    s=st.integers(2, 7),
+    s=st.integers(2, 16),  # linear runs on a Gram for s > 2d, on overlaps below
     k=st.integers(1, 4),
     copies=st.integers(1, 40),
 )
@@ -312,10 +313,29 @@ def test_batch_estimates_validation():
         batch_estimates(O, unit[:, None, :], "quadratic")  # s = 1
     with pytest.raises(ValueError):
         batch_estimates(O, unit, "affine_joint", copies=0)
+    for kind in ("linear", "quadratic"):  # single-copy outcomes: copies is 1
+        with pytest.raises(ValueError):
+            batch_estimates(O, unit[None], kind, copies=2)
     with pytest.raises(ValueError):
         batch_estimates(O, unit, "median")
     with pytest.raises(ValueError):  # O is 2 x 2, the outcomes live in d = 3
         batch_estimates(O, np.eye(3, dtype=complex), "affine_joint")
+
+
+def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
+    # a batch's real Gram holds (2d)^2 floats and its overlaps s r complex;
+    # at s = 2 the Gram would be 64 times the outcomes, so the kernel must
+    # reduce through the overlaps here
+    k, s, d = 2048, 2, 32
+    O = random_observable(d, 4, RngStream(1))
+    psis = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
+    tracemalloc.start()
+    try:
+        batch_estimates(O, psis, "linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * psis.nbytes
 
 
 def test_batch_estimates_reduced_record_validation():
@@ -330,11 +350,10 @@ def test_batch_estimates_reduced_record_validation():
         batch_estimates(O, np.full((1, 2, 3), np.nan, dtype=complex), "linear", frame=frame)
     with pytest.raises(ValueError):  # quadratic needs the full outcome vectors
         batch_estimates(O, records, "quadratic", frame=frame)
-    with pytest.raises(ValueError):  # reduced records from the sampler, w = 3 < d = 8
+    with pytest.raises(ValueError):  # reduced records from the sampler, m = 4 < d = 8
         obs = random_observable(8, 2, RngStream(1))
-        reduced, frame = sample_reduced_posterior_states(
-            sample_haar_state(8, RngStream(2)), obs.vecs, 1, RngStream(3), 6
-        )
+        frame = aligned_frame(sample_haar_state(8, RngStream(2)), obs.vecs)
+        reduced = sample_aligned_posterior_states(1, RngStream(3), np.empty((6, 4), complex), 8)
         batch_estimates(obs, reduced.reshape(2, 3, -1), "quadratic", frame=frame)
     with pytest.raises(ValueError):  # record width and frame rows disagree
         batch_estimates(O, records, "linear", frame=np.eye(4, 2, dtype=complex))
@@ -343,7 +362,7 @@ def test_batch_estimates_reduced_record_validation():
 
 
 def _law_case(d, B, rng):
-    """(phi, O) for the same-law tests; B = None is full rank, so w = d."""
+    """(phi, O) for the same-law tests; B = None is full rank, so m = d."""
     phi = sample_haar_state(d, rng)
     if B is None:
         return phi, Observable.from_matrix(random_hermitian_unit_norm(d, rng), d)
@@ -356,11 +375,11 @@ def test_reduced_linear_estimates_match_full_vectors(d, B):
     # full outcome vectors: a KS test, and the mean and variance to 5 sigma
     n, s = 2500, 4
     phi, O = _law_case(d, B, RngStream(30, d))
-    records, frame = sample_reduced_posterior_states(phi, O.vecs, 1, RngStream(31, d), n * s)
-    assert records.shape == (n * s, min(d, O.evals.size + 1) + 1)
-    if B is None:
-        assert not records[:, -1].any()  # nothing outside span{phi, V}
-    new = batch_estimates(O, records.reshape(n, s, -1), "linear", frame=frame)
+    frame = aligned_frame(phi, O.vecs)
+    m = min(d, O.evals.size + 2)
+    assert frame.shape == (m, O.evals.size)
+    records = sample_aligned_posterior_states(1, RngStream(31, d), np.empty((n * s, m), complex), d)
+    new = batch_estimates(O, records.reshape(n, s, m), "linear", frame=frame)
     full = measure_independent_batch(phi, RngStream(32, d), n * s).reshape(n, s, d)
     old = batch_estimates(O, full, "linear")
     assert stats.ks_2samp(new, old).pvalue > 1e-3
@@ -376,22 +395,26 @@ def test_reduced_linear_estimates_match_full_vectors(d, B):
 @pytest.mark.parametrize("d, B", [(4, 2), (5, 3), (8, 8)])
 def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
     # a phi-aligned record is Q^H psi; with the frame Q^H V the kernel must
-    # return what it returns on psi itself.  (5, 3) is the reduced sampler's
-    # w = d - 1 (so is (4, 2)), whose records are full width and a full
-    # change of basis too
+    # return what it returns on psi itself.  At (5, 3) and (4, 2) span{phi, V}
+    # is d - 1 wide, so the linear estimate's frame is d rows as well, over
+    # the one coordinate outside it: a full change of basis too
     phi, O = _law_case(d, B, RngStream(33, d))
     q = phi_basis(phi)
-    records = sample_aligned_posterior_states(1, RngStream(34, d), np.empty((24, d), dtype=complex))
+    records = sample_aligned_posterior_states(
+        1, RngStream(34, d), np.empty((24, d), dtype=complex), d
+    )
+    frame = aligned_frame(phi, O.vecs, full=True)
+    assert np.abs(frame - q.conj().T @ O.vecs).max() < 1e-14
     full = batch_estimates(O, (records @ q.T).reshape(4, 6, d), "quadratic")
-    aligned = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=q.conj().T @ O.vecs)
+    aligned = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
     assert np.abs(aligned - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
-    reduced, frame = sample_reduced_posterior_states(phi, O.vecs, 1, RngStream(35, d), 24)
-    if reduced.shape[1] == d:
+    frame = aligned_frame(phi, O.vecs)
+    if O.evals.size + 2 == d:
         # complete Q by the unit vector orthogonal to it; the frame's last row is 0
         q_w = phi_basis(phi, O.vecs)
         q_full = np.column_stack([q_w, np.linalg.qr(q_w, mode="complete")[0][:, d - 1]])
-        full = batch_estimates(O, (reduced @ q_full.T).reshape(4, 6, d), "quadratic")
-        got = batch_estimates(O, reduced.reshape(4, 6, d), "quadratic", frame=frame)
+        full = batch_estimates(O, (records @ q_full.T).reshape(4, 6, d), "quadratic")
+        got = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
         assert np.abs(got - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
 
 
