@@ -275,11 +275,12 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
         phi = sample_haar_state(d, rng)
         rho = np.outer(phi, phi.conj())
         O = random_signature_observable(d, d, rng).matrix
-        for pattern in ("ij_jk", "ij_kj", "ij_ji", "ij_ij"):
+        patterns = ("ij_jk", "ij_kj", "ij_ji", "ij_ij")
+        mcs = moments.mc_covariances(patterns, rho, O, d, 20_000, rng)
+        for pattern, (mc, stderr) in zip(patterns, mcs):
             exact = moments.exact_covariance(pattern, rho, O, d)
             bound = moments.covariance_bound(pattern, rho, O, d)
             check(f"cov_bound {pattern} d={d}", min(exact, bound), exact, 1e-9)
-            mc, stderr = moments.mc_covariance(pattern, rho, O, d, 20_000, rng)
             check(f"cov_mc {pattern} d={d}", exact, mc, max(6 * stderr, 1e-4))
 
     failures = 0
@@ -423,10 +424,10 @@ def main(argv=None) -> int:
             phi = sample_haar_state(args.d, rng)
             rho = np.outer(phi, phi.conj())
             O = random_signature_observable(args.d, args.d, rng).matrix
+            # Monte Carlo first: its memory guard fails before the O(d^3) exact work
+            mcs = moments.mc_covariances(moments.COV_PATTERNS, rho, O, args.d, args.trials, rng)
             rows = []  # every pattern first, so an error prints no partial verdicts
-            for pattern in moments.COV_PATTERNS:
-                # Monte Carlo first: its memory guard fails before the O(d^3) exact work
-                mc, stderr = moments.mc_covariance(pattern, rho, O, args.d, args.trials, rng)
+            for pattern, (mc, stderr) in zip(moments.COV_PATTERNS, mcs):
                 exact = moments.exact_covariance(pattern, rho, O, args.d)
                 ok = abs(exact - mc) <= max(6 * stderr, 1e-6)
                 rows.append((pattern, exact, mc, stderr, ok))

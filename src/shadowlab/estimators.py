@@ -173,8 +173,14 @@ def batch_estimates(
         tr_op = o_psi.sum(axis=1)  # Tr(O P)
     if kind == "linear":
         return ((d + 1) * tr_op - s * tr_o) / s
-    SV = (d + 1) * (outcomes.transpose(0, 2, 1) @ C) - s * V
-    tr_os2 = (SV.real**2 + SV.imag**2).sum(axis=1) @ lam
+    # S V over column chunks of the factor at most s wide, so no temporary
+    # outgrows the outcome block; r <= s is one chunk
+    tr_os2 = np.zeros(outcomes.shape[0])
+    for lo in range(0, lam.size, s):
+        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + s]
+        SV *= d + 1
+        SV -= s * V[:, lo:lo + s]
+        tr_os2 += (SV.real**2 + SV.imag**2).sum(axis=1) @ lam[lo:lo + s]
     tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + s * tr_o
     return (tr_os2 - tr_oq) / (s * (s - 1))
 

@@ -88,11 +88,6 @@ class Permutation:
         images[a], images[b] = images[b], images[a]
         return cls(tuple(images))
 
-    @classmethod
-    def cycle(cls, n: int) -> "Permutation":
-        """The full cycle 0 -> 1 -> ... -> n-1 -> 0."""
-        return cls(tuple((i + 1) % n for i in range(n)))
-
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     for images in itertools.permutations(range(n)):

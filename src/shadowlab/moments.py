@@ -3,9 +3,14 @@
 Closed forms for the first and second moments of the joint-measurement
 outcome, and the four covariance patterns of the quadratic estimator's
 variance as traces of d x d products.  Each is paired with an independent
-evaluation: a permutation-sum enumeration (cost (s+2)! * poly(d), driven by
-cycle decomposition rather than d^s storage) or a Monte Carlo sampler.  A
-non-pure rho, or an O that is not finite, Hermitian and d x d, is a ValueError.
+evaluation.  The moments have a permutation-sum enumeration driven by cycle
+decomposition rather than d^s storage: every permutation of S_{s+1} or
+S_{s+2} is visited, but permutations that read the same words of matrices
+are one class, evaluated once and weighted by its count, so the cost is
+(s+2)! cheap steps plus poly(d) per class.  The covariances have a Monte
+Carlo sampler that draws one outcome array for all the patterns it is asked
+for.  A non-pure rho, or an O that is not finite, Hermitian and d x d, is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -87,16 +92,46 @@ def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
     return [kept_mats[p] for p in keep], scalar
 
 
+def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
+    """Every permutation of S_n, bucketed by what _perm_trace_keep reads from it.
+
+    With pull_swap, a permutation with 0 and 1 in one cycle is first replaced
+    by (0 1) pi and flagged as swapped.  A class is the flag plus, for each
+    cycle, the word of matrices (by identity) read from its kept position or
+    its first element; the fully traced words are sorted, since their traces
+    only multiply.  Returns [count, swapped, representative] per class.
+    """
+    labels = [id(m) for m in mats]
+    tau = Permutation.transposition(n, 0, 1)
+    classes: dict = {}
+    for pi in all_permutations(n):
+        swapped = pull_swap and pi.same_cycle(0, 1)
+        if swapped:
+            pi = tau.compose(pi)
+        kept, traced = {}, []
+        for cycle in pi.cycles():
+            hits = [p for p in keep if p in cycle]
+            i = cycle.index(hits[0]) if hits else 0
+            word = tuple(labels[p] for p in cycle[i:] + cycle[:i])
+            if hits:
+                kept[hits[0]] = word
+            else:
+                traced.append(word)
+        key = (swapped, tuple(kept.get(p) for p in keep), tuple(sorted(traced)))
+        classes.setdefault(key, [0, swapped, pi])[0] += 1
+    return list(classes.values())
+
+
 def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
-    """Permutation-sum evaluation of E[Psi] over all of S_{s+1}."""
+    """Permutation-sum evaluation of E[Psi] over all of S_{s+1}, one term per class."""
     pure_state_vector(rho)
     if math.factorial(s + 1) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
     total = np.zeros((d, d), dtype=complex)
-    for pi in all_permutations(s + 1):
+    for count, _, pi in _perm_classes(s + 1, mats, (0,)):
         (m0,), scalar = _perm_trace_keep(pi, mats, (0,))
-        total += scalar * m0
+        total += count * scalar * m0
     total *= kappa(s, d) / kappa(s + 1, d) / math.factorial(s + 1)
     return hermitize(total)
 
@@ -112,7 +147,7 @@ def exact_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
 
 
 def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
-    """Permutation-sum evaluation of E[Psi x Psi] over all of S_{s+2}.
+    """Permutation-sum evaluation of E[Psi x Psi] over all of S_{s+2}, one term per class.
 
     Permutations with positions 0 and 1 in distinct cycles factorize
     directly; the others are handled by pulling a swap of the two kept
@@ -123,18 +158,13 @@ def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
     swap = perm_operator(Permutation.transposition(2, 0, 1), d)
-    tau = Permutation.transposition(s + 2, 0, 1)
     total = np.zeros((d * d, d * d), dtype=complex)
-    for pi in all_permutations(s + 2):
-        if pi.same_cycle(0, 1):
-            # W_pi = W_(01) W_pi' with pi' = (01) pi having 0, 1 in
-            # distinct cycles; the swap acts only on the kept factors.
-            pi2 = tau.compose(pi)
-            (m0, m1), scalar = _perm_trace_keep(pi2, mats, (0, 1))
-            total += scalar * (swap @ np.kron(m0, m1))
-        else:
-            (m0, m1), scalar = _perm_trace_keep(pi, mats, (0, 1))
-            total += scalar * np.kron(m0, m1)
+    for count, swapped, pi in _perm_classes(s + 2, mats, (0, 1), pull_swap=True):
+        # a swapped pi is (01) pi' with 0, 1 in distinct cycles of pi'; the
+        # swap acts only on the kept factors
+        (m0, m1), scalar = _perm_trace_keep(pi, mats, (0, 1))
+        term = np.kron(m0, m1)
+        total += count * scalar * (swap @ term if swapped else term)
     total *= kappa(s, d) / kappa(s + 2, d) / math.factorial(s + 2)
     return hermitize(total)
 
@@ -259,35 +289,49 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
 def mc_covariance(
     pattern: str, rho: np.ndarray, O: np.ndarray, d: int, N: int, rng: RngStream
 ) -> tuple[float, float]:
-    """Monte Carlo covariance for a pattern, with its standard error.
+    """Monte Carlo covariance for a pattern, with its standard error: mc_covariances for one."""
+    return mc_covariances((pattern,), rho, O, d, N, rng)[0]
 
-    Independent cross-check of exact_covariance: draws fresh single-copy
-    outcomes and forms the two trace variables directly.  The outcomes are
-    phi-aligned records, so O is rotated into their basis once; the traces
-    are basis-invariant.  The N x n_shadows x d outcome array is held whole,
-    so one larger than ensembles.MAX_OUTCOME_BYTES is a ValueError before
-    anything is sampled; the traces run over BLOCK_ROWS trials at a time.
+
+def mc_covariances(
+    patterns, rho: np.ndarray, O: np.ndarray, d: int, N: int, rng: RngStream
+) -> list[tuple[float, float]]:
+    """Monte Carlo covariance and its standard error for each pattern, from one draw.
+
+    Independent cross-check of exact_covariance: draws N trials of fresh
+    single-copy outcomes, as many per trial as the patterns index, and forms
+    each distinct trace variable T(i, j) = Tr(O rhohat_i rhohat_j) once.  The
+    outcomes are phi-aligned records, so O is rotated into their basis once;
+    the traces are basis-invariant.  The N x n_shadows x d outcome array is
+    held whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a
+    ValueError before anything is sampled; the traces run over BLOCK_ROWS
+    trials at a time.
     """
     if N < 1000:
         raise ValueError("need N >= 1000 for a stable covariance estimate")
     phi = pure_state_vector(rho)
     _check_observable(O, d)
-    (a, b), (c, e) = _pattern_indices(pattern)
-    n_shadows = max(a, b, c, e) + 1
+    pairs = [_pattern_indices(p) for p in patterns]
+    n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
     require_outcome_budget(
-        N * n_shadows * d * 16, f"{pattern}: {N} trials x {n_shadows} outcomes x d = {d}",
+        N * n_shadows * d * 16,
+        f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}",
         "use fewer trials",
     )
     psis = np.empty((N * n_shadows, d), dtype=complex)
     psis = sample_aligned_posterior_states(1, rng, psis, d).reshape(N, n_shadows, d)
     q = phi_basis(phi)
     o_q = q.conj().T @ O @ q
-    x, y = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+    traces = {ij: np.empty(N, dtype=complex) for pair in pairs for ij in pair}
     for lo in range(0, N, BLOCK_ROWS):
         blk = psis[lo:lo + BLOCK_ROWS]
-        x[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, a], blk[:, b])
-        y[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, c], blk[:, e])
-    prods = (x - x.mean()) * (y - y.mean()).conj()
-    cov = prods.mean().real
-    stderr = float(prods.real.std(ddof=1) / math.sqrt(N))
-    return float(cov), stderr
+        for (i, j), t in traces.items():
+            t[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, i], blk[:, j])
+    del psis, blk  # the outcomes are spent; only the traces are read below
+    for t in traces.values():
+        t -= t.mean()
+    out = []
+    for ab, ce in pairs:
+        prods = traces[ab] * traces[ce].conj()
+        out.append((float(prods.mean().real), float(prods.real.std(ddof=1) / math.sqrt(N))))
+    return out

@@ -12,18 +12,32 @@ and partial_trace is the dense reduction the moment oracles avoid.
 single_shadow_second_moment and dense_covariance assemble the covariance
 patterns from d^2 x d^2 and d^3 x d^3 operators; exact_covariance in
 shadowlab.moments contracts the same moment with d x d products only.
+
+per_permutation_first_moment and per_permutation_second_moment are the
+permutation sums that shadowlab.moments.brute_first_moment and
+brute_second_moment evaluate once per class of permutations: here every
+permutation is evaluated on its own.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import math
+
 import numpy as np
 
 from shadowlab.ensembles import RngStream, pure_state_vector, sample_haar_state
 from shadowlab.estimators import UNIT_NORM_TOL
-from shadowlab.linalg import Permutation, hermitize, perm_operator, sym_projector
-from shadowlab.moments import COV_PATTERNS
+from shadowlab.linalg import (
+    Permutation,
+    all_permutations,
+    hermitize,
+    kappa,
+    perm_operator,
+    sym_projector,
+)
+from shadowlab.moments import COV_PATTERNS, _perm_trace_keep
 
 
 def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
@@ -163,3 +177,37 @@ def dense_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
         val = np.trace(big)
     assert abs(val.imag) < 1e-8 * max(abs(val), 1.0)
     return float(val.real - o_rho2)
+
+
+def per_permutation_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
+    """E[Psi] as a sum over every permutation of S_{s+1}, one term each."""
+    pure_state_vector(rho)
+    mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
+    total = np.zeros((d, d), dtype=complex)
+    for pi in all_permutations(s + 1):
+        (m0,), scalar = _perm_trace_keep(pi, mats, (0,))
+        total += scalar * m0
+    total *= kappa(s, d) / kappa(s + 1, d) / math.factorial(s + 1)
+    return hermitize(total)
+
+
+def per_permutation_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
+    """E[Psi x Psi] as a sum over every permutation of S_{s+2}, one term each.
+
+    A permutation with 0 and 1 in one cycle is written (0 1) pi' with 0, 1
+    in distinct cycles of pi', and the swap is applied to the kept factors.
+    """
+    pure_state_vector(rho)
+    mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
+    swap = perm_operator(Permutation.transposition(2, 0, 1), d)
+    tau = Permutation.transposition(s + 2, 0, 1)
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for pi in all_permutations(s + 2):
+        if pi.same_cycle(0, 1):
+            (m0, m1), scalar = _perm_trace_keep(tau.compose(pi), mats, (0, 1))
+            total += scalar * (swap @ np.kron(m0, m1))
+        else:
+            (m0, m1), scalar = _perm_trace_keep(pi, mats, (0, 1))
+            total += scalar * np.kron(m0, m1)
+    total *= kappa(s, d) / kappa(s + 2, d) / math.factorial(s + 2)
+    return hermitize(total)

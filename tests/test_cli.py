@@ -287,6 +287,16 @@ def test_verify_all_passes_and_fault_injection():
     assert verify_all(perturbation=1e-3, quiet=True) == 1
 
 
+def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
+    # exact covariances taken at O = I must disagree with the Monte Carlo
+    # estimates, which they cannot do if the gate itself only draws O = I
+    exact = moments.exact_covariance
+    monkeypatch.setattr(
+        moments, "exact_covariance", lambda pattern, rho, O, d: exact(pattern, rho, np.eye(d), d)
+    )
+    assert verify_all(quiet=True) == 1
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4",
                  "--trials", "2", "--seed", "1"]) == 0
@@ -447,19 +457,21 @@ def test_cli_cov_check_runs_past_the_dense_operator_budget():
 
 
 def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
-    # the fourth pattern fails after three succeed
-    mc = moments.mc_covariance
+    # the fourth pattern fails after three succeed; one Monte Carlo draw
+    # serves every pattern, so the failure is injected per pattern into the
+    # exact covariance
+    exact = moments.exact_covariance
 
     def fail_fourth(pattern, *args):
         if pattern == moments.COV_PATTERNS[3]:
-            raise ValueError("injected Monte Carlo failure")
-        return mc(pattern, *args)
+            raise ValueError("injected exact-covariance failure")
+        return exact(pattern, *args)
 
-    monkeypatch.setattr(moments, "mc_covariance", fail_fourth)
+    monkeypatch.setattr(moments, "exact_covariance", fail_fourth)
     assert main(["cov-check", "--d", "4", "--trials", "1000", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out and "FAIL" not in out
-    assert "injected Monte Carlo failure" in err
+    assert "injected exact-covariance failure" in err
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):

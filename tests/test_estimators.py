@@ -338,6 +338,28 @@ def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
     assert peak < 0.5 * psis.nbytes
 
 
+@pytest.mark.parametrize("k, s", [(512, 8), (1024, 4), (2048, 2)])
+def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
+    # rank r = 16 > s: S V is reduced over factor chunks at most s wide, so
+    # its temporaries stay near the block instead of growing as r / s
+    d = 16
+    g = RngStream(1).gen.normal(size=(d, d, 2)).view(complex)[..., 0]
+    H = g + g.conj().T  # distinct eigenvalues, so every factor chunk weighs differently
+    O = Observable.from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max(), d)
+    assert O.evals.size == d
+    block = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
+    tracemalloc.start()
+    try:
+        vals = batch_estimates(O, block, "quadratic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block.nbytes
+    for b in range(3):  # the chunked sum is still the estimator
+        dense = quadratic_shadow([single_copy_shadow(psi) for psi in block[b]])
+        assert vals[b] == pytest.approx(np.trace(O.matrix @ dense).real, abs=1e-9)
+
+
 def test_batch_estimates_reduced_record_validation():
     O = Observable.from_matrix(np.diag([1.0, 0.0]), 1.0)
     frame = np.eye(3, 2, dtype=complex)

@@ -169,7 +169,7 @@ def test_swap_product_partial_trace_identity():
 
 
 def test_cycle_trace_identity_matrices():
-    pi = Permutation.cycle(3)
+    pi = Permutation((1, 2, 0))
     kept, scalar = _perm_trace_keep(pi, [np.eye(2, dtype=complex)] * 3, ())
     assert kept == [] and abs(scalar - 2) < 1e-12  # one cycle -> Tr I = d
     (m0,), scalar = _perm_trace_keep(pi, [np.eye(2, dtype=complex)] * 3, (1,))
@@ -179,7 +179,7 @@ def test_cycle_trace_identity_matrices():
 def test_cycle_trace_diagonal_example():
     # three copies of diag(1,2) along a 3-cycle: full trace is Tr(A^3) = 9
     A = np.diag([1.0, 2.0]).astype(complex)
-    _, scalar = _perm_trace_keep(Permutation.cycle(3), [A, A, A], ())
+    _, scalar = _perm_trace_keep(Permutation((1, 2, 0)), [A, A, A], ())
     assert abs(scalar - 9) < 1e-12
 
 
@@ -203,7 +203,7 @@ def test_cycle_trace_matches_dense_partial_trace():
 
 def test_cycle_trace_two_factor_case():
     A, B = random_complex(3), random_complex(3)
-    pi = Permutation.cycle(2)
+    pi = Permutation((1, 0))
     dense = partial_trace(perm_operator(pi, 3) @ np.kron(A, B), 3, 2, {0})
     (m0,), scalar = _perm_trace_keep(pi, [A, B], (0,))
     assert scalar == 1
@@ -214,7 +214,7 @@ def test_cycle_trace_two_factor_case():
 def test_perm_trace_keep_rejects_shared_cycle():
     # two kept positions on one cycle do not factor into per-position matrices
     with pytest.raises(ValueError):
-        _perm_trace_keep(Permutation.cycle(2), [np.eye(2)] * 2, (0, 1))
+        _perm_trace_keep(Permutation((1, 0)), [np.eye(2)] * 2, (0, 1))
 
 
 # ------------------------------------------------------------------- distances

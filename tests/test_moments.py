@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_covariance, partial_trace, single_shadow_second_moment, traceless_part
+from oracles import (
+    dense_covariance,
+    partial_trace,
+    per_permutation_first_moment,
+    per_permutation_second_moment,
+    single_shadow_second_moment,
+    traceless_part,
+)
 from shadowlab import moments
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import (
@@ -27,6 +34,7 @@ from shadowlab.moments import (
     exact_joint_variance,
     exact_second_moment,
     mc_covariance,
+    mc_covariances,
     shadow_pair_traces,
 )
 from shadowlab.observables import random_projector_observable
@@ -105,6 +113,28 @@ def test_first_moment_formula_vs_brute(s, d):
     rho = rand_rho(d, 50 + 10 * s + d)
     dev = np.abs(exact_first_moment(rho, s, d) - brute_first_moment(rho, s, d)).max()
     assert dev < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_permutation_classes_count_every_permutation(n):
+    # the first moment's buckets (keep 0) and the second's (keep 0 and 1,
+    # swap pulled out) each cover S_n once
+    I, rho = np.eye(2), rand_rho(2, n)
+    first = moments._perm_classes(n, [I] + [rho] * (n - 1), (0,))
+    second = moments._perm_classes(n, [I, I] + [rho] * (n - 2), (0, 1), pull_swap=True)
+    for classes in (first, second):
+        assert sum(count for count, _, _ in classes) == math.factorial(n)
+        assert n < 5 or 4 * len(classes) < math.factorial(n)  # the grouping pays
+    assert sum(count for count, swapped, _ in second if swapped) == math.factorial(n) // 2
+
+
+@pytest.mark.parametrize("s,d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (5, 2)])
+def test_grouped_brute_moments_equal_the_per_permutation_sums(s, d):
+    # verify_all's (s, d) grid and one step past it
+    rho = rand_rho(d, 140 + 10 * s + d)
+    dev1 = np.abs(brute_first_moment(rho, s, d) - per_permutation_first_moment(rho, s, d)).max()
+    dev2 = np.abs(brute_second_moment(rho, s, d) - per_permutation_second_moment(rho, s, d)).max()
+    assert dev1 < 1e-12 and dev2 < 1e-12
 
 
 def test_brute_first_moment_fixing_count():
@@ -343,6 +373,28 @@ def test_mc_covariance_matches_exact(pattern):
     assert abs(mc - exact) <= 5 * stderr
 
 
+def test_mc_covariance_is_the_one_pattern_mc_covariances():
+    rng = RngStream(67)
+    phi = sample_haar_state(3, rng)
+    rho = density(phi)
+    O = random_projector_observable(3, 2, rng).matrix
+    for i, pattern in enumerate(COV_PATTERNS):
+        one = mc_covariance(pattern, rho, O, 3, 2000, RngStream(68, i))
+        assert one == mc_covariances((pattern,), rho, O, 3, 2000, RngStream(68, i))[0]
+
+
+def test_mc_covariances_match_exact_from_one_draw():
+    d, n = 3, 100_000
+    rng = RngStream(69)
+    phi = sample_haar_state(d, rng)
+    rho = density(phi)
+    O = random_projector_observable(d, 2, rng).matrix
+    results = mc_covariances(COV_PATTERNS, rho, O, d, n, rng)
+    assert len(results) == len(COV_PATTERNS)
+    for pattern, (mc, stderr) in zip(COV_PATTERNS, results):
+        assert abs(mc - exact_covariance(pattern, rho, O, d)) <= 5 * stderr
+
+
 def test_mc_covariance_stderr_scaling():
     d = 2
     rng = RngStream(62)
@@ -370,6 +422,35 @@ def test_mc_covariance_outcome_memory_guard(monkeypatch):
     rho = rand_rho(2, 65)
     with pytest.raises(ValueError, match="MiB"):
         mc_covariance("distinct", rho, np.eye(2), 2, 10**8, RngStream(65))
+
+
+def test_mc_covariances_guard_the_shared_draw(monkeypatch):
+    # ij_ji alone needs 2 outcomes per trial, 2 x 10^8 x 2 x 16 B = 6.4 GB;
+    # with distinct the one shared draw is (10^8, 4, 2), 12.8 GB: refused
+    # before sampling
+    def refuse(*args):
+        raise AssertionError("sampled past the memory guard")
+
+    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    rho = rand_rho(2, 70)
+    with pytest.raises(ValueError, match="4 outcomes"):
+        mc_covariances(("ij_ji", "distinct"), rho, np.eye(2), 2, 10**8, RngStream(70))
+
+
+def test_mc_covariances_peak_near_the_shared_array():
+    # one (N, 4, d) draw serves all five patterns; the five trace variables
+    # and the blockwise pair traces add well under half of it
+    d, N = 64, 20_000
+    rng = RngStream(71)
+    rho = density(sample_haar_state(d, rng))
+    O = random_projector_observable(d, 4, rng).matrix
+    tracemalloc.start()
+    try:
+        mc_covariances(COV_PATTERNS, rho, O, d, N, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * N * 4 * d * 16
 
 
 @pytest.mark.parametrize("pattern", ["ij_ji", "distinct"])
