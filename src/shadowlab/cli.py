@@ -420,11 +420,12 @@ def main(argv=None) -> int:
 
         if args.cmd == "cov-check":
             seed = _resolve_seed(args)
+            # the Monte Carlo guard draws nothing: refuse before any O(d^3) work
+            moments.mc_shadows_per_trial(moments.COV_PATTERNS, args.d, args.trials)
             rng = RngStream(seed, 5)
             phi = sample_haar_state(args.d, rng)
             rho = np.outer(phi, phi.conj())
             O = random_signature_observable(args.d, args.d, rng).matrix
-            # Monte Carlo first: its memory guard fails before the O(d^3) exact work
             mcs = moments.mc_covariances(moments.COV_PATTERNS, rho, O, args.d, args.trials, rng)
             rows = []  # every pattern first, so an error prints no partial verdicts
             for pattern, (mc, stderr) in zip(moments.COV_PATTERNS, mcs):

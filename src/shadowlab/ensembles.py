@@ -61,12 +61,12 @@ class RngStream:
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
 
-def pure_state_vector(rho: np.ndarray) -> np.ndarray:
-    """The unit vector of a pure density matrix; anything else is a ValueError.
+def require_pure_state(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex array if it is a pure density matrix, else a ValueError.
 
     rho must be square, finite, Hermitian, of unit trace and idempotent, each
     to PURITY_TOL; the negated comparisons reject NaN.  The zero matrix fails
-    the trace test.
+    the trace test.  No eigendecomposition is taken.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -79,7 +79,12 @@ def pure_state_vector(rho: np.ndarray) -> np.ndarray:
         raise ValueError("density matrix must have trace 1")
     if not np.abs(rho @ rho - rho).max() <= PURITY_TOL:
         raise ValueError("mixed states are not supported; input must be pure")
-    return np.linalg.eigh(rho)[1][:, -1]
+    return rho
+
+
+def pure_state_vector(rho: np.ndarray) -> np.ndarray:
+    """The unit vector of a pure density matrix, after require_pure_state."""
+    return np.linalg.eigh(require_pure_state(rho))[1][:, -1]
 
 
 def as_state_vector(state: np.ndarray) -> np.ndarray:

@@ -4,17 +4,19 @@ Closed forms for the first and second moments of the joint-measurement
 outcome, and the four covariance patterns of the quadratic estimator's
 variance as traces of d x d products.  Each is paired with an independent
 evaluation.  The moments have a permutation-sum enumeration driven by cycle
-decomposition rather than d^s storage: every permutation of S_{s+1} or
-S_{s+2} is visited, but permutations that read the same words of matrices
-are one class, evaluated once and weighted by its count, so the cost is
-(s+2)! cheap steps plus poly(d) per class.  The covariances have a Monte
-Carlo sampler that draws one outcome array for all the patterns it is asked
-for.  A non-pure rho, or an O that is not finite, Hermitian and d x d, is a
+decomposition rather than d^s storage: permutations of S_{s+1} or S_{s+2}
+that read the same words of matrices are one class, evaluated once and
+weighted by its count.  The class table depends only on n and on which
+positions hold the same matrix, so S_n is enumerated once per process and a
+call costs poly(d) per class.  The covariances have a Monte Carlo sampler
+that draws one outcome array for all the patterns it is asked for.  A
+non-pure rho, or an O that is not finite, Hermitian and d x d, is a
 ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from .ensembles import (
     phi_basis,
     pure_state_vector,
     require_outcome_budget,
+    require_pure_state,
     sample_aligned_posterior_states,
 )
 from .linalg import (
@@ -52,15 +55,14 @@ def _check_observable(O: np.ndarray, d: int) -> None:
 
 def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """E[Psi] = (I + s rho)/(d + s) for the joint measurement on s copies."""
-    pure_state_vector(rho)
+    require_pure_state(rho)
     return (np.eye(d) + s * rho) / (d + s)
 
 
 def _cycle_product(mats, cycle) -> np.ndarray:
     """Product of mats along one cycle, in reverse traversal order."""
-    d = mats[0].shape[0]
-    prod = np.eye(d, dtype=complex)
-    for p in cycle:
+    prod = mats[cycle[0]]
+    for p in cycle[1:]:
         prod = mats[p] @ prod
     return prod
 
@@ -78,30 +80,32 @@ def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
         hits = [p for p in keep if p in cycle]
         if len(hits) > 1:
             raise ValueError("kept positions share a cycle; factorization invalid")
-        # traverse from the kept position if there is one
-        if hits:
-            start = hits[0]
-            order = [start]
-            j = pi(start)
-            while j != start:
-                order.append(j)
-                j = pi(j)
-            kept_mats[start] = _cycle_product(mats, order)
+        if hits:  # traverse from the kept position
+            i = cycle.index(hits[0])
+            kept_mats[hits[0]] = _cycle_product(mats, cycle[i:] + cycle[:i])
         else:
             scalar *= np.trace(_cycle_product(mats, cycle))
     return [kept_mats[p] for p in keep], scalar
 
 
 def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
-    """Every permutation of S_n, bucketed by what _perm_trace_keep reads from it.
+    """Every permutation of S_n, bucketed by what _perm_trace_keep reads from it: the
+    _class_table of mats' label pattern, each object's first-occurrence index."""
+    first: dict = {}
+    pattern = tuple(first.setdefault(id(m), i) for i, m in enumerate(mats))
+    return _class_table(n, pattern, keep, pull_swap)
+
+
+@functools.lru_cache
+def _class_table(n: int, pattern: tuple[int, ...], keep: tuple[int, ...], pull_swap: bool):
+    """The classes of S_n over pattern, as a tuple of (count, swapped, representative).
 
     With pull_swap, a permutation with 0 and 1 in one cycle is first replaced
     by (0 1) pi and flagged as swapped.  A class is the flag plus, for each
-    cycle, the word of matrices (by identity) read from its kept position or
-    its first element; the fully traced words are sorted, since their traces
-    only multiply.  Returns [count, swapped, representative] per class.
+    cycle, the word of labels read from its kept position or its first
+    element; the fully traced words are sorted, since their traces only
+    multiply.
     """
-    labels = [id(m) for m in mats]
     tau = Permutation.transposition(n, 0, 1)
     classes: dict = {}
     for pi in all_permutations(n):
@@ -112,19 +116,19 @@ def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
         for cycle in pi.cycles():
             hits = [p for p in keep if p in cycle]
             i = cycle.index(hits[0]) if hits else 0
-            word = tuple(labels[p] for p in cycle[i:] + cycle[:i])
+            word = tuple(pattern[p] for p in cycle[i:] + cycle[:i])
             if hits:
                 kept[hits[0]] = word
             else:
                 traced.append(word)
         key = (swapped, tuple(kept.get(p) for p in keep), tuple(sorted(traced)))
         classes.setdefault(key, [0, swapped, pi])[0] += 1
-    return list(classes.values())
+    return tuple(map(tuple, classes.values()))
 
 
 def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """Permutation-sum evaluation of E[Psi] over all of S_{s+1}, one term per class."""
-    pure_state_vector(rho)
+    require_pure_state(rho)
     if math.factorial(s + 1) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
@@ -138,7 +142,7 @@ def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
 
 def exact_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """E[Psi x Psi] on C^(d^2) for the joint measurement on s copies."""
-    pure_state_vector(rho)
+    require_pure_state(rho)
     I = np.eye(d)
     a = I + s * rho
     M = np.kron(a, a) - (s * (s + 1) / 2) * np.kron(rho, rho)
@@ -150,21 +154,22 @@ def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """Permutation-sum evaluation of E[Psi x Psi] over all of S_{s+2}, one term per class.
 
     Permutations with positions 0 and 1 in distinct cycles factorize
-    directly; the others are handled by pulling a swap of the two kept
-    factors out of the partial trace.
+    directly; for the others a swap of the two kept factors is pulled out of
+    the partial trace and applied once, to the sum of their terms.
     """
-    pure_state_vector(rho)
+    require_pure_state(rho)
     if math.factorial(s + 2) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
-    swap = perm_operator(Permutation.transposition(2, 0, 1), d)
-    total = np.zeros((d * d, d * d), dtype=complex)
+    # [plain, swapped] sums of count * scalar * m0[i, j] m1[k, l]; kron order is (i k, j l)
+    sums = np.zeros((2, d, d, d, d), dtype=complex)
     for count, swapped, pi in _perm_classes(s + 2, mats, (0, 1), pull_swap=True):
-        # a swapped pi is (01) pi' with 0, 1 in distinct cycles of pi'; the
-        # swap acts only on the kept factors
         (m0, m1), scalar = _perm_trace_keep(pi, mats, (0, 1))
-        term = np.kron(m0, m1)
-        total += count * scalar * (swap @ term if swapped else term)
+        sums[int(swapped)] += count * scalar * np.multiply.outer(m0, m1)
+    plain, pulled = sums.transpose(0, 1, 3, 2, 4).reshape(2, d * d, d * d)
+    # a swapped pi is (01) pi' with 0, 1 in distinct cycles of pi'; the swap
+    # acts only on the kept factors
+    total = plain + perm_operator(Permutation.transposition(2, 0, 1), d) @ pulled
     total *= kappa(s, d) / kappa(s + 2, d) / math.factorial(s + 2)
     return hermitize(total)
 
@@ -192,7 +197,7 @@ def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> floa
     traces of d x d products, so this stays cheap even when d^2 matrices
     would not.
     """
-    pure_state_vector(rho)
+    require_pure_state(rho)
     _check_observable(O, d)
     a = O @ (np.eye(d) + s * rho)
     o_rho = np.trace(O @ rho).real
@@ -225,7 +230,7 @@ def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
     (c SWAP - e I), c = (d+1)/(d+2), e = 1/(d+2); each pattern contracts it in
     d x d products through M(A) = E[Tr(A rhohat) rhohat], S(Q) = E[rhohat Q rhohat].
     """
-    pure_state_vector(rho)
+    require_pure_state(rho)
     _check_observable(O, d)
     _pattern_indices(pattern)
     if pattern == "distinct":
@@ -253,7 +258,7 @@ def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
 
 def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
     """Closed-form upper bound on the covariance for each pattern."""
-    pure_state_vector(rho)
+    require_pure_state(rho)
     _check_observable(O, d)
     _pattern_indices(pattern)
     o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
@@ -286,6 +291,20 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
     return (d + 1) ** 2 * o_ji * ov_ij - (d + 1) * (o_ii + o_jj) + tr_o
 
 
+def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
+    """Outcomes per trial in mc_covariances' draw, after its checks on N and on
+    the draw's size; it draws nothing, so a caller can run it before its instance."""
+    if N < 1000:
+        raise ValueError("need N >= 1000 for a stable covariance estimate")
+    n_shadows = max(max(ab + ce) for ab, ce in map(_pattern_indices, patterns)) + 1
+    require_outcome_budget(
+        N * n_shadows * d * 16,
+        f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}",
+        "use fewer trials",
+    )
+    return n_shadows
+
+
 def mc_covariance(
     pattern: str, rho: np.ndarray, O: np.ndarray, d: int, N: int, rng: RngStream
 ) -> tuple[float, float]:
@@ -307,17 +326,10 @@ def mc_covariances(
     ValueError before anything is sampled; the traces run over BLOCK_ROWS
     trials at a time.
     """
-    if N < 1000:
-        raise ValueError("need N >= 1000 for a stable covariance estimate")
+    n_shadows = mc_shadows_per_trial(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
     pairs = [_pattern_indices(p) for p in patterns]
-    n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
-    require_outcome_budget(
-        N * n_shadows * d * 16,
-        f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}",
-        "use fewer trials",
-    )
     psis = np.empty((N * n_shadows, d), dtype=complex)
     psis = sample_aligned_posterior_states(1, rng, psis, d).reshape(N, n_shadows, d)
     q = phi_basis(phi)

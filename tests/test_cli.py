@@ -285,6 +285,9 @@ def test_moment_grid_checks_each_pair_once():
 def test_verify_all_passes_and_fault_injection():
     assert verify_all(quiet=True) == 0
     assert verify_all(perturbation=1e-3, quiet=True) == 1
+    # the permutation-class tables are warm now; the gate must still see a small fault
+    assert moments._class_table.cache_info().currsize > 0
+    assert verify_all(perturbation=1e-6, quiet=True) == 1
 
 
 def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
@@ -475,11 +478,14 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
-    # 50000 trials x 3 outcomes x d = 1024 would be 2.4 GB of outcomes; the
-    # sampler is a tripwire, so a broken guard fails here without allocating
+    # 50000 trials x 4 outcomes x d = 1024 would be 3.3 GB of outcomes; the
+    # instance draws and the sampler are tripwires, so a guard that ran late
+    # (after the O(d^3) work on the state and the observable) fails here
     def refuse(*args):
-        raise AssertionError("sampled past the memory guard")
+        raise AssertionError("drew past the memory guard")
 
+    monkeypatch.setattr(cli, "sample_haar_state", refuse)
+    monkeypatch.setattr(cli, "random_signature_observable", refuse)
     monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
     assert main(["cov-check", "--d", "1024", "--seed", "1"]) == 2
     out, err = capsys.readouterr()

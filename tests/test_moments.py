@@ -128,6 +128,53 @@ def test_permutation_classes_count_every_permutation(n):
     assert sum(count for count, swapped, _ in second if swapped) == math.factorial(n) // 2
 
 
+def test_class_tables_follow_which_positions_share_a_matrix():
+    # same matrices, different positions sharing one: (0 2) and (0 1) are one
+    # class of [A, B, B] but two of [A, A, B], and so are the two 3-cycles
+    A, B = np.eye(2), rand_rho(2, 3)
+    abb = moments._perm_classes(3, [A, B, B], (0,))
+    aab = moments._perm_classes(3, [A, A, B], (0,))
+    assert sorted(count for count, _, _ in abb) == [1, 1, 2, 2]
+    assert sorted(count for count, _, _ in aab) == [1] * 6
+
+
+def test_class_table_is_built_once_per_pattern_and_immutable():
+    def second(rho):
+        I = np.eye(2, dtype=complex)
+        return moments._perm_classes(6, [I, I] + [rho] * 4, (0, 1), pull_swap=True)
+
+    rho = rand_rho(2, 11)
+    warm = second(rho)
+    assert second(rand_rho(2, 12)) is warm  # fresh objects, same pattern
+    warm_moment = brute_second_moment(rand_rho(2, 13), 4, 2)
+    moments._class_table.cache_clear()
+    assert second(rho) == warm
+    assert np.array_equal(brute_second_moment(rand_rho(2, 13), 4, 2), warm_moment)
+    assert isinstance(warm, tuple) and all(isinstance(c, tuple) for c in warm)
+    with pytest.raises(TypeError):
+        warm[0][0] += 1
+    with pytest.raises(AttributeError):
+        warm[0][2].images = (0,)
+
+
+def test_moments_validate_rho_without_an_eigendecomposition(monkeypatch):
+    # only mc_covariances uses the state vector, so only it pays for an eigh
+    rho, O = rand_rho(3, 21), np.diag([1.0, -1.0, 0.0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for s in (1, 3):
+        exact_first_moment(rho, s, 3), brute_first_moment(rho, s, 3)
+        exact_second_moment(rho, s, 3), brute_second_moment(rho, s, 3)
+        exact_joint_variance(rho, O, s, 3)
+    for pattern in COV_PATTERNS:
+        exact_covariance(pattern, rho, O, 3), covariance_bound(pattern, rho, O, 3)
+    with pytest.raises(AssertionError, match="eigh called"):
+        mc_covariance("ij_jk", rho, O, 3, 1000, RngStream(1))
+
+
 @pytest.mark.parametrize("s,d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (5, 2)])
 def test_grouped_brute_moments_equal_the_per_permutation_sums(s, d):
     # verify_all's (s, d) grid and one step past it
