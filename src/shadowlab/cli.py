@@ -274,7 +274,7 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
     for d in (2, 3):
         phi = sample_haar_state(d, rng)
         rho = np.outer(phi, phi.conj())
-        O = random_signature_observable(d, d, rng).matrix
+        O = random_signature_observable(d, d - 1, rng).matrix
         patterns = ("ij_jk", "ij_kj", "ij_ji", "ij_ij")
         mcs = moments.mc_covariances(patterns, rho, O, d, 20_000, rng)
         for pattern, (mc, stderr) in zip(patterns, mcs):
@@ -398,6 +398,13 @@ def main(argv=None) -> int:
         if args.cmd == "bhm":
             if args.runs < 0:
                 raise ValueError(f"--runs must be >= 0, got {args.runs}")
+            # a run holds k dense n x n shadows: refuse before drawing an instance
+            m = round(args.alpha * args.n)
+            if m >= 1:  # any other alpha is gen_instance's error
+                k = plan_batches(float(m), m / args.n, args.delta).k
+                require_outcome_budget(
+                    k * args.n**2 * 16, f"bhm ({k} shadows of n = {args.n}) would", "use a smaller n"
+                )
             seed = _resolve_seed(args)
             rows = []
             correct = 0
@@ -425,7 +432,7 @@ def main(argv=None) -> int:
             rng = RngStream(seed, 5)
             phi = sample_haar_state(args.d, rng)
             rho = np.outer(phi, phi.conj())
-            O = random_signature_observable(args.d, args.d, rng).matrix
+            O = random_signature_observable(args.d, args.d - 1, rng).matrix
             mcs = moments.mc_covariances(moments.COV_PATTERNS, rho, O, args.d, args.trials, rng)
             rows = []  # every pattern first, so an error prints no partial verdicts
             for pattern, (mc, stderr) in zip(moments.COV_PATTERNS, mcs):

@@ -1,17 +1,17 @@
 """Exact moment and covariance formulas with brute-force cross-checks.
 
 Closed forms for the first and second moments of the joint-measurement
-outcome, and the four covariance patterns of the quadratic estimator's
-variance as traces of d x d products.  Each is paired with an independent
-evaluation.  The moments have a permutation-sum enumeration driven by cycle
-decomposition rather than d^s storage: permutations of S_{s+1} or S_{s+2}
-that read the same words of matrices are one class, evaluated once and
-weighted by its count.  The class table depends only on n and on which
-positions hold the same matrix, so S_n is enumerated once per process and a
-call costs poly(d) per class.  The covariances have a Monte Carlo sampler
-that draws one outcome array for all the patterns it is asked for.  A
-non-pure rho, or an O that is not finite, Hermitian and d x d, is a
-ValueError.
+outcome, and exact variances (the affine joint estimate's and the four
+covariance patterns of the quadratic estimator's) in d and four scalars of
+(rho, O).  Each is paired with an independent evaluation.  The moments have
+a permutation-sum enumeration driven by cycle decomposition rather than d^s
+storage: permutations of S_{s+1} or S_{s+2} that read the same words of
+matrices are one class, evaluated once and weighted by its count.  The
+class table depends only on n and on which positions hold the same matrix,
+so S_n is enumerated once per process and a call costs poly(d) per class.
+The covariances have a Monte Carlo sampler that draws one outcome array for
+all the patterns it is asked for.  A non-pure rho, or an O that is not
+finite, Hermitian and d x d, is a ValueError.
 """
 
 from __future__ import annotations
@@ -190,22 +190,28 @@ def ab_bijection_check(n: int) -> bool:
     return type_a * 2 == math.factorial(n)
 
 
+def _scalars(rho: np.ndarray, O: np.ndarray, d: int) -> tuple[float, float, float, float]:
+    """(Tr O, Tr O^2, Tr(O rho), Tr(O^2 rho)), all the exact variances read of
+    (rho, O), after the checks on rho and O.  Tr(O^2 rho) = ||O rho||_F^2 for
+    a pure rho, so O rho is the one d x d product."""
+    rho = require_pure_state(rho)
+    _check_observable(O, d)
+    o_rho = np.asarray(O) @ rho
+    traces = (np.trace(O), np.vdot(O, O), np.trace(o_rho), np.vdot(o_rho, o_rho))
+    return tuple(float(t.real) for t in traces)
+
+
 def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> float:
     """Exact Var(Tr(O rhohat)) for the affine joint shadow, in dimension d.
 
-    Contracting the second-moment closed form against O x O reduces to
-    traces of d x d products, so this stays cheap even when d^2 matrices
-    would not.
+    The second moment contracted against O x O: with u = Tr O + s Tr(O rho),
+    E[Tr(O Psi)] = u/(d+s) and E[Tr(O Psi)^2] = (u^2 + Tr O^2
+    + 2s Tr(O^2 rho) - s Tr(O rho)^2)/((d+s)(d+s+1)).
     """
-    require_pure_state(rho)
-    _check_observable(O, d)
-    a = O @ (np.eye(d) + s * rho)
-    o_rho = np.trace(O @ rho).real
-    cross = np.trace(O @ rho @ O @ rho).real  # = Tr(O rho)^2 for pure rho
-    term_plain = np.trace(a).real ** 2 - (s * (s + 1) / 2) * o_rho**2
-    term_swap = np.trace(a @ a).real - (s * (s + 1) / 2) * cross
-    e2 = (term_plain + term_swap) / ((d + s) * (d + s + 1))
-    e1 = (np.trace(O).real + s * o_rho) / (d + s)
+    t1, t2, a, b = _scalars(rho, O, d)
+    u = t1 + s * a
+    e1 = u / (d + s)
+    e2 = (u * u + t2 + 2 * s * b - s * a * a) / ((d + s) * (d + s + 1))
     return float(((d + s) / s) ** 2 * (e2 - e1**2))
 
 
@@ -227,51 +233,42 @@ def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
     """Exact Cov(Tr(O rhohat_i rhohat_j), Tr(O rhohat_k rhohat_l)) per pattern.
 
     A single-copy shadow has E[rhohat x rhohat] = (I x I + I x rho + rho x I)
-    (c SWAP - e I), c = (d+1)/(d+2), e = 1/(d+2); each pattern contracts it in
-    d x d products through M(A) = E[Tr(A rhohat) rhohat], S(Q) = E[rhohat Q rhohat].
+    (c SWAP - e I), c = (d+1)/(d+2), e = 1/(d+2).  Contracted for each
+    pattern, with rho^2 = rho, every trace reduces to d and the scalars
+    t1 = Tr O, t2 = Tr O^2, a = Tr(O rho) and b = Tr(O^2 rho).
     """
-    require_pure_state(rho)
-    _check_observable(O, d)
+    t1, t2, a, b = _scalars(rho, O, d)
     _pattern_indices(pattern)
     if pattern == "distinct":
         return 0.0
-    tr, I = np.trace, np.eye(d)
-    c, e = (d + 1) / (d + 2), 1 / (d + 2)
-
-    def M(A):
-        return c * (A + rho @ A + A @ rho) - e * (tr(A) * (I + rho) + tr(A @ rho) * I)
-
-    def S(Q):
-        return c * (tr(Q) * (I + rho) + tr(Q @ rho) * I) - e * (Q + Q @ rho + rho @ Q)
-
-    o_rho, rho_o, m = O @ rho, rho @ O, M(O)
+    c, e, aa = (d + 1) / (d + 2), 1 / (d + 2), a * a
+    w = t2 + 6 * b + 2 * aa
+    m = c * w - e * (t1 * t1 + 6 * a * t1 + 2 * aa)
     if pattern == "ij_jk":
-        val = tr(o_rho @ M(o_rho))
+        val = 3 * (c - e) * aa
     elif pattern == "ij_kj":
-        val = tr(rho_o @ M(o_rho))
+        val = c * (2 * b + aa) - 3 * e * aa
     elif pattern == "ij_ji":
-        val = c * (tr(O @ S(O + rho_o)) + tr(rho_o @ S(O))) - e * tr((O + 2 * rho_o) @ m)
+        val = c * (c * ((t1 + a) ** 2 + 4 * a * t1 + aa) - e * w) - e * m
     else:  # ij_ij
-        val = c * (tr((I + rho) @ S(O @ O)) + tr(S(O @ rho_o))) - e * tr((O + o_rho + rho_o) @ m)
-    return float(val.real - tr(o_rho).real ** 2)
+        val = c * (c * ((d + 3) * t2 + 2 * (d + 1) * b + d * aa) - e * w) - e * m
+    return float(val - aa)
 
 
 def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
     """Closed-form upper bound on the covariance for each pattern."""
-    require_pure_state(rho)
-    _check_observable(O, d)
+    _, t2, a, b = _scalars(rho, O, d)
     _pattern_indices(pattern)
-    o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
-    tr_o2 = float(np.trace(O @ O).real)
     if pattern == "ij_jk":
-        return 2 * float(np.trace(O @ rho).real ** 2)
+        return 2 * a * a
     if pattern == "ij_kj":
-        return 2 * float(np.trace(O @ O @ rho).real)
+        return 2 * b
+    if pattern == "distinct":
+        return 0.0
+    o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
     if pattern == "ij_ji":
-        return d * tr_o2 + 6 * math.sqrt(d * tr_o2) + o_norm2
-    if pattern == "ij_ij":
-        return (d + 2) * tr_o2 + (3 * d - 2) * o_norm2
-    return 0.0  # distinct
+        return d * t2 + 6 * math.sqrt(d * t2) + o_norm2
+    return (d + 2) * t2 + (3 * d - 2) * o_norm2  # ij_ij
 
 
 def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .ensembles import RngStream
-from .linalg import hermitize, is_hermitian
+from .linalg import hermitize
 
 EIGENVALUE_CUTOFF = 1e-10
 SPECTRAL_TOL = 1e-9
@@ -51,14 +51,6 @@ class Observable:
             raise ValueError("Tr(O^2) exceeds budget")
         object.__setattr__(self, "vecs", vecs)
         object.__setattr__(self, "evals", evals)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, b_budget: float) -> Observable:
-        """Factor a dense Hermitian matrix, keeping every eigenpair."""
-        if not is_hermitian(matrix):
-            raise ValueError("observable must be Hermitian")
-        evals, vecs = np.linalg.eigh(matrix)
-        return cls(vecs=vecs, evals=evals, b_budget=b_budget)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -10,8 +10,14 @@ that shadowlab.estimators.batch_estimates evaluates from outcome rows alone,
 and partial_trace is the dense reduction the moment oracles avoid.
 
 single_shadow_second_moment and dense_covariance assemble the covariance
-patterns from d^2 x d^2 and d^3 x d^3 operators; exact_covariance in
-shadowlab.moments contracts the same moment with d x d products only.
+patterns from d^2 x d^2 and d^3 x d^3 operators.  trace_joint_variance,
+trace_covariance and trace_covariance_bound are the same quantities as
+traces of d x d products, the form shadowlab.moments used before it reduced
+each to closed forms in d and four scalars of (rho, O).
+
+observable_from_matrix factors a dense Hermitian matrix into the spectral
+form shadowlab.observables.Observable stores; the library itself never
+builds an observable from a dense matrix.
 
 per_permutation_first_moment and per_permutation_second_moment are the
 permutation sums that shadowlab.moments.brute_first_moment and
@@ -33,11 +39,13 @@ from shadowlab.linalg import (
     Permutation,
     all_permutations,
     hermitize,
+    is_hermitian,
     kappa,
     perm_operator,
     sym_projector,
 )
 from shadowlab.moments import COV_PATTERNS, _perm_trace_keep
+from shadowlab.observables import Observable
 
 
 def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
@@ -77,6 +85,14 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
     chi = _orthogonal_complement_states(phi, rng, size)
     amp = np.exp(1j * theta) * np.sqrt(t)
     return amp[:, None] * phi[None, :] + np.sqrt(1 - t)[:, None] * chi
+
+
+def observable_from_matrix(matrix: np.ndarray, b_budget: float) -> Observable:
+    """Factor a dense Hermitian matrix with one eigh, keeping every eigenpair."""
+    if not is_hermitian(matrix):
+        raise ValueError("observable must be Hermitian")
+    evals, vecs = np.linalg.eigh(matrix)
+    return Observable(vecs=vecs, evals=evals, b_budget=b_budget)
 
 
 def single_copy_shadow(psi: np.ndarray) -> np.ndarray:
@@ -177,6 +193,59 @@ def dense_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
         val = np.trace(big)
     assert abs(val.imag) < 1e-8 * max(abs(val), 1.0)
     return float(val.real - o_rho2)
+
+
+def trace_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> float:
+    """Var(Tr(O rhohat)) for the affine joint shadow, as traces of d x d products."""
+    a = O @ (np.eye(d) + s * rho)
+    o_rho = np.trace(O @ rho).real
+    cross = np.trace(O @ rho @ O @ rho).real
+    term_plain = np.trace(a).real ** 2 - (s * (s + 1) / 2) * o_rho**2
+    term_swap = np.trace(a @ a).real - (s * (s + 1) / 2) * cross
+    e2 = (term_plain + term_swap) / ((d + s) * (d + s + 1))
+    e1 = (np.trace(O).real + s * o_rho) / (d + s)
+    return float(((d + s) / s) ** 2 * (e2 - e1**2))
+
+
+def trace_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
+    """dense_covariance's patterns, contracted through M(A) = E[Tr(A rhohat) rhohat]
+    and S(Q) = E[rhohat Q rhohat] in d x d products."""
+    if pattern == "distinct":
+        return 0.0
+    tr, I = np.trace, np.eye(d)
+    c, e = (d + 1) / (d + 2), 1 / (d + 2)
+
+    def M(A):
+        return c * (A + rho @ A + A @ rho) - e * (tr(A) * (I + rho) + tr(A @ rho) * I)
+
+    def S(Q):
+        return c * (tr(Q) * (I + rho) + tr(Q @ rho) * I) - e * (Q + Q @ rho + rho @ Q)
+
+    o_rho, rho_o, m = O @ rho, rho @ O, M(O)
+    if pattern == "ij_jk":
+        val = tr(o_rho @ M(o_rho))
+    elif pattern == "ij_kj":
+        val = tr(rho_o @ M(o_rho))
+    elif pattern == "ij_ji":
+        val = c * (tr(O @ S(O + rho_o)) + tr(rho_o @ S(O))) - e * tr((O + 2 * rho_o) @ m)
+    else:  # ij_ij
+        val = c * (tr((I + rho) @ S(O @ O)) + tr(S(O @ rho_o))) - e * tr((O + o_rho + rho_o) @ m)
+    return float(val.real - tr(o_rho).real ** 2)
+
+
+def trace_covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
+    """The covariance bounds, with Tr(O rho), Tr(O^2 rho) and Tr(O^2) as traces."""
+    o_norm2 = float(np.abs(np.linalg.eigvalsh(O)).max() ** 2)
+    tr_o2 = float(np.trace(O @ O).real)
+    if pattern == "ij_jk":
+        return 2 * float(np.trace(O @ rho).real ** 2)
+    if pattern == "ij_kj":
+        return 2 * float(np.trace(O @ O @ rho).real)
+    if pattern == "ij_ji":
+        return d * tr_o2 + 6 * math.sqrt(d * tr_o2) + o_norm2
+    if pattern == "ij_ij":
+        return (d + 2) * tr_o2 + (3 * d - 2) * o_norm2
+    return 0.0  # distinct
 
 
 def per_permutation_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shadowlab
-from shadowlab import cli, linalg, measurement, moments
+from shadowlab import bhm as bhm_mod, cli, linalg, measurement, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -300,6 +300,21 @@ def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
     assert verify_all(quiet=True) == 1
 
 
+def test_covariance_gates_fail_when_o_squared_is_misread(monkeypatch):
+    # O^2 reaches the covariances only through Tr O^2 and <phi|O^2|phi>; a
+    # gate instance with O^2 = I would pass a formula that reads the latter
+    # as 1, so both gates draw a signature O of rank d - 1
+    scalars = moments._scalars
+
+    def misread(rho, O, d):
+        t1, t2, a, _ = scalars(rho, O, d)
+        return t1, t2, a, 1.0
+
+    monkeypatch.setattr(moments, "_scalars", misread)
+    assert verify_all(quiet=True) == 1
+    assert main(["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"]) == 1
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4",
                  "--trials", "2", "--seed", "1"]) == 0
@@ -429,6 +444,22 @@ def test_cli_bhm_fixed_seed_runs_pinned(tmp_path, seed):
     assert "".join(r[1] for r in rows) == PINNED_BHM[seed]
     assert "".join(r[2] for r in rows) == PINNED_BHM[seed]
     assert {r[3] for r in rows} == {"10773"}
+
+
+def test_cli_bhm_refuses_oversized_shadows_before_drawing(monkeypatch, capsys, tmp_path):
+    # k = 21 dense 2048 x 2048 shadows are 1344 MiB; gen_instance is a
+    # tripwire, so a guard that ran after the first draw fails here
+    def refuse(*args):
+        raise AssertionError("drew an instance past the memory guard")
+
+    monkeypatch.setattr(bhm_mod, "gen_instance", refuse)
+    out = tmp_path / "bhm.csv"
+    assert main(["bhm", "--n", "2048", "--seed", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and "MiB" in err
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="past the memory guard"):  # 336 MiB fits
+        main(["bhm", "--n", "1024", "--seed", "1"])
 
 
 def test_package_exports_resolve():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracles import linear_mean_shadow, quadratic_shadow, single_copy_shadow
+from oracles import (
+    linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
+)
 from shadowlab.cli import _im_batch_estimates
 from shadowlab.ensembles import (
     RngStream,
@@ -29,7 +31,8 @@ from shadowlab.estimators import (
 )
 from shadowlab.linalg import density, trace_distance
 from shadowlab.measurement import measure_independent_batch, measure_joint_batch
-from shadowlab.observables import Observable, random_observable
+from shadowlab.moments import COV_PATTERNS, exact_covariance, exact_joint_variance
+from shadowlab.observables import random_observable, random_signature_observable
 
 
 def singles_from(phi, rng, count):
@@ -283,7 +286,7 @@ def random_hermitian_unit_norm(d, rng):
 def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     rng = RngStream(seed)
     O = random_hermitian_unit_norm(d, rng)
-    obs = Observable.from_matrix(O, d)
+    obs = observable_from_matrix(O, d)
     joint = sample_haar_state(d, rng, size=k)
     dense = [np.trace(O @ affine_shadow(p, copies, d)).real for p in joint]
     assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
@@ -296,7 +299,7 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
 
 
 def test_batch_estimates_validation():
-    O = Observable.from_matrix(np.diag([1.0, 0.0]), 1.0)
+    O = observable_from_matrix(np.diag([1.0, 0.0]), 1.0)
     unit = np.array([[1, 0], [0, 1]], dtype=complex)
     assert np.allclose(batch_estimates(O, unit, "affine_joint", 1), [2.0, -1.0])
     with pytest.raises(ValueError):  # one outcome off unit norm is enough
@@ -345,7 +348,7 @@ def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
     d = 16
     g = RngStream(1).gen.normal(size=(d, d, 2)).view(complex)[..., 0]
     H = g + g.conj().T  # distinct eigenvalues, so every factor chunk weighs differently
-    O = Observable.from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max(), d)
+    O = observable_from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max(), d)
     assert O.evals.size == d
     block = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
     tracemalloc.start()
@@ -361,7 +364,7 @@ def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
 
 
 def test_batch_estimates_reduced_record_validation():
-    O = Observable.from_matrix(np.diag([1.0, 0.0]), 1.0)
+    O = observable_from_matrix(np.diag([1.0, 0.0]), 1.0)
     frame = np.eye(3, 2, dtype=complex)
     records = np.eye(3, dtype=complex)[None]  # (1, 3, 3): three unit records
     # ambient d = 2 enters the formula, not the record width 3
@@ -387,7 +390,7 @@ def _law_case(d, B, rng):
     """(phi, O) for the same-law tests; B = None is full rank, so m = d."""
     phi = sample_haar_state(d, rng)
     if B is None:
-        return phi, Observable.from_matrix(random_hermitian_unit_norm(d, rng), d)
+        return phi, observable_from_matrix(random_hermitian_unit_norm(d, rng), d)
     return phi, random_observable(d, B, rng)
 
 
@@ -458,6 +461,40 @@ def test_streamed_quadratic_estimates_match_full_vectors(d, B):
     truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
     assert close(new, old) and close(new, np.full(1, truth))
     assert close((new - new.mean()) ** 2, (old - old.mean()) ** 2)
+
+
+def _variance_z(vals, exact):
+    """z-score of the sample variance of vals against exact; the standard
+    error (m4 - var^2)/n comes from the fourth central moment."""
+    x = vals - vals.mean()
+    var = float(x @ x) / (x.size - 1)
+    return (var - exact) / math.sqrt((np.mean(x**4) - var * var) / x.size)
+
+
+@pytest.mark.parametrize("d, B", [(4, 3), (8, 5)])
+@pytest.mark.parametrize(
+    "kind, s", [("affine_joint", 7), ("linear", 5), ("quadratic", 4), ("quadratic", 10)]
+)
+def test_kernel_variance_matches_the_exact_per_batch_variance(d, B, kind, s):
+    # the second moment of the production estimates, sampler and kernel
+    # together, against the exact variance from moments' closed forms
+    n = 20_000
+    rng = RngStream(40, 100 * d + s)
+    phi = sample_haar_state(d, rng)
+    O = random_signature_observable(d, B, rng)  # both signs, O^2 != I
+    rho, M = density(phi), O.matrix
+    if kind == "affine_joint":
+        vals = batch_estimates(O, measure_joint_batch(phi, s, rng, n), kind, copies=s)
+        exact = exact_joint_variance(rho, M, s, d)
+    else:
+        vals = _im_batch_estimates(phi, O, s, n, rng, kind)
+        if kind == "linear":
+            exact = exact_joint_variance(rho, M, 1, d) / s
+        else:
+            cov = {p: exact_covariance(p, rho, M, d) for p in COV_PATTERNS}
+            pairs = cov["ij_ij"] + cov["ij_ji"] + 2 * (s - 2) * (cov["ij_jk"] + cov["ij_kj"])
+            exact = pairs / (s * (s - 1))
+    assert abs(_variance_z(vals, exact)) < 5
 
 
 # ------------------------------------------------------------------- selection

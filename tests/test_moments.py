@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     dense_covariance,
@@ -11,6 +12,9 @@ from oracles import (
     per_permutation_first_moment,
     per_permutation_second_moment,
     single_shadow_second_moment,
+    trace_covariance,
+    trace_covariance_bound,
+    trace_joint_variance,
     traceless_part,
 )
 from shadowlab import moments
@@ -37,7 +41,7 @@ from shadowlab.moments import (
     mc_covariances,
     shadow_pair_traces,
 )
-from shadowlab.observables import random_projector_observable
+from shadowlab.observables import random_projector_observable, random_signature_observable
 
 
 def rand_rho(d, seed):
@@ -364,6 +368,37 @@ def test_exact_covariance_matches_dense_oracle(pattern):
             O = (G + G.conj().T) / 2
             exact = exact_covariance(pattern, rho, O, d)
             assert exact == pytest.approx(dense_covariance(pattern, rho, O, d), abs=1e-10)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 24),
+    kind=st.sampled_from(("hermitian", "signature", "projector")),
+    sign=st.sampled_from((1.0, -1.0)),
+    s=st.integers(1, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_scalar_forms_equal_the_trace_forms(seed, d, kind, sign, s):
+    # the closed forms in (d, Tr O, Tr O^2, Tr(O rho), Tr(O^2 rho)) against
+    # the d x d trace forms they replaced, at O of either sign
+    rng = RngStream(seed)
+    rho = density(sample_haar_state(d, rng))
+    if kind == "hermitian":
+        G = rng.gen.normal(size=(d, d)) + 1j * rng.gen.normal(size=(d, d))
+        O = (G + G.conj().T) / 2
+        O /= np.abs(np.linalg.eigvalsh(O)).max()
+    else:
+        r = int(rng.gen.integers(1, d + 1))
+        make = random_signature_observable if kind == "signature" else random_projector_observable
+        O = make(d, r, rng).matrix
+    O = sign * O
+    got = exact_joint_variance(rho, O, s, d)
+    assert got == pytest.approx(trace_joint_variance(rho, O, s, d), abs=1e-10)
+    for pattern in COV_PATTERNS:
+        got = exact_covariance(pattern, rho, O, d)
+        assert got == pytest.approx(trace_covariance(pattern, rho, O, d), abs=1e-10)
+        got = covariance_bound(pattern, rho, O, d)
+        assert got == pytest.approx(trace_covariance_bound(pattern, rho, O, d), abs=1e-10)
 
 
 def test_exact_covariance_zero_observable():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import traceless_part
+from oracles import observable_from_matrix, traceless_part
 from shadowlab.ensembles import RngStream, sample_haar_state
 from shadowlab.linalg import density, trace_distance
 from shadowlab.observables import (
@@ -22,11 +22,11 @@ PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 def test_observable_validation():
     with pytest.raises(ValueError):
-        Observable.from_matrix(np.diag([2.0, 0.0]).astype(complex), b_budget=4.0)
+        observable_from_matrix(np.diag([2.0, 0.0]).astype(complex), b_budget=4.0)
     with pytest.raises(ValueError):
-        Observable.from_matrix(np.eye(3, dtype=complex), b_budget=2.0)  # Tr(O^2)=3 > 2
+        observable_from_matrix(np.eye(3, dtype=complex), b_budget=2.0)  # Tr(O^2)=3 > 2
     with pytest.raises(ValueError):
-        Observable.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex), b_budget=2.0)
+        observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex), b_budget=2.0)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_from_matrix_accepts_exactly_the_eigvalsh_rule(seed, d, norm_offset, bud
     evals = np.linalg.eigvalsh(M)
     old_rule = abs(np.abs(evals).max() - 1) <= 1e-9 and (evals**2).sum() <= budget + 1e-9
     try:
-        obs = Observable.from_matrix(M, budget)
+        obs = observable_from_matrix(M, budget)
     except ValueError:
         assert not old_rule
     else:
