@@ -45,13 +45,26 @@ class BHMInstance:
                 raise ValueError("promise violated: edge parity disagrees with b")
 
 
-def gen_instance(n: int, alpha: float, b: int, rng: RngStream) -> BHMInstance:
-    """Uniformly random promise-satisfying instance with answer bit b."""
+def _edge_count(n: int, alpha: float) -> int:
+    """The matching's edge count alpha * n, checked to be a whole number that n vertices hold."""
     m = round(alpha * n)
     if abs(alpha * n - m) > 1e-9 or m < 1:
         raise ValueError(f"alpha * n = {alpha * n} is not a positive integer")
     if 2 * m > n:
         raise ValueError(f"matching needs 2 * alpha * n = {2 * m} <= n = {n} vertices")
+    return m
+
+
+def protocol_plan(n: int, alpha: float, delta: float) -> BatchPlan:
+    """The batches a protocol run takes on n vertices: the projector has B = m = alpha n,
+    and an estimate within eps = m / n of its expectation 2 alpha b decides b."""
+    m = _edge_count(n, alpha)
+    return plan_batches(B=float(m), eps=m / n, delta=delta)
+
+
+def gen_instance(n: int, alpha: float, b: int, rng: RngStream) -> BHMInstance:
+    """Uniformly random promise-satisfying instance with answer bit b."""
+    m = _edge_count(n, alpha)
     x = tuple(int(v) for v in rng.gen.integers(0, 2, size=n))
     verts = rng.gen.permutation(n)
     matching = tuple((int(verts[2 * k]), int(verts[2 * k + 1])) for k in range(m))
@@ -85,7 +98,7 @@ def matching_observable(
     for k, ((i, j), wk) in enumerate(zip(matching, w)):
         vecs[i, k] = 1 / math.sqrt(2)
         vecs[j, k] = -((-1.0) ** wk) / math.sqrt(2)
-    return Observable(vecs=vecs, evals=np.ones(m), b_budget=float(m))
+    return Observable(vecs=vecs, evals=np.ones(m))
 
 
 def expected_value(inst: BHMInstance) -> float:
@@ -127,8 +140,7 @@ def bob_guess(
 
 def run_protocol(inst: BHMInstance, delta: float, rng: RngStream) -> tuple[int, int]:
     """One-way protocol run; returns (guessed bit, samples consumed)."""
-    m = len(inst.matching)
-    plan = plan_batches(B=float(m), eps=m / inst.n, delta=delta)
+    plan = protocol_plan(inst.n, inst.alpha, delta)
     shadows = alice_shadows(inst.x, plan, rng)
     guess = bob_guess(shadows, inst.matching, inst.w, inst.n)
     return guess, plan.total

@@ -40,7 +40,9 @@ from .estimators import (
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
 from .measurement import measure_joint_batch
-from .observables import random_observable, random_signature_observable
+from .observables import (
+    Observable, random_observable, random_projector_observable, random_signature_observable,
+)
 
 DEFAULT_SEED = 0
 
@@ -103,11 +105,11 @@ def write_rows(path: str, rows, header=RESULT_FIELDS):
         w.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    p = successes / n
+    p, z = successes / n, 1.96
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -216,12 +218,18 @@ def _moment_grid():
         yield s, 3
 
 
-def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False) -> int:
-    """Run every oracle-equivalence and bound check; 0 iff all pass.
+def _covariance_instance(d: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance gates' (rho, O): a Haar state, and O with eigenvalues 1
+    and -1/2 on a Haar 2-frame.  With both signs and one |lambda| < 1, O^2 is
+    neither O nor a projector at any d >= 2, so a formula that misreads
+    Tr O^2 or Tr(O^2 rho) as d, 1 or Tr(O rho) fails the gate."""
+    phi = sample_haar_state(d, rng)
+    frame = random_projector_observable(d, 2, rng).vecs
+    return np.outer(phi, phi.conj()), Observable(frame, np.array([1.0, -0.5])).matrix
 
-    perturbation is a fault-injection hook: it offsets the closed-form
-    moment values so tests can confirm the gate actually fails.
-    """
+
+def verify_all(rng_seed: int = 0, quiet: bool = False) -> int:
+    """Run every oracle-equivalence and bound check; 0 iff all pass."""
     reports: list[tuple[str, float, float]] = []  # (name, max|formula - brute|, tol)
 
     def check(name, formula, brute, tol):
@@ -234,13 +242,13 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
         rho = np.outer(phi, phi.conj())
         check(
             f"first_moment s={s} d={d}",
-            moments.exact_first_moment(rho, s, d) + perturbation,
+            moments.exact_first_moment(rho, s, d),
             moments.brute_first_moment(rho, s, d),
             1e-10,
         )
         check(
             f"second_moment s={s} d={d}",
-            moments.exact_second_moment(rho, s, d) + perturbation,
+            moments.exact_second_moment(rho, s, d),
             moments.brute_second_moment(rho, s, d),
             1e-10,
         )
@@ -254,7 +262,7 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
         two_sym = np.eye(d * d) + perm_operator(Permutation.transposition(2, 0, 1), d)
         check(
             f"second_moment_s1_closed_form d={d}",
-            moments.exact_second_moment(rho, 1, d) + perturbation,
+            moments.exact_second_moment(rho, 1, d),
             pre @ two_sym / ((d + 1) * (d + 2)),
             1e-12,
         )
@@ -272,9 +280,7 @@ def verify_all(perturbation: float = 0.0, rng_seed: int = 0, quiet: bool = False
 
     # covariance patterns: exact assembly vs bound and vs Monte Carlo
     for d in (2, 3):
-        phi = sample_haar_state(d, rng)
-        rho = np.outer(phi, phi.conj())
-        O = random_signature_observable(d, d - 1, rng).matrix
+        rho, O = _covariance_instance(d, rng)
         patterns = ("ij_jk", "ij_kj", "ij_ji", "ij_ij")
         mcs = moments.mc_covariances(patterns, rho, O, d, 20_000, rng)
         for pattern, (mc, stderr) in zip(patterns, mcs):
@@ -399,12 +405,10 @@ def main(argv=None) -> int:
             if args.runs < 0:
                 raise ValueError(f"--runs must be >= 0, got {args.runs}")
             # a run holds k dense n x n shadows: refuse before drawing an instance
-            m = round(args.alpha * args.n)
-            if m >= 1:  # any other alpha is gen_instance's error
-                k = plan_batches(float(m), m / args.n, args.delta).k
-                require_outcome_budget(
-                    k * args.n**2 * 16, f"bhm ({k} shadows of n = {args.n}) would", "use a smaller n"
-                )
+            k = bhm_mod.protocol_plan(args.n, args.alpha, args.delta).k
+            require_outcome_budget(
+                k * args.n**2 * 16, f"bhm ({k} shadows of n = {args.n}) would", "use a smaller n"
+            )
             seed = _resolve_seed(args)
             rows = []
             correct = 0
@@ -430,9 +434,7 @@ def main(argv=None) -> int:
             # the Monte Carlo guard draws nothing: refuse before any O(d^3) work
             moments.mc_shadows_per_trial(moments.COV_PATTERNS, args.d, args.trials)
             rng = RngStream(seed, 5)
-            phi = sample_haar_state(args.d, rng)
-            rho = np.outer(phi, phi.conj())
-            O = random_signature_observable(args.d, args.d - 1, rng).matrix
+            rho, O = _covariance_instance(args.d, rng)
             mcs = moments.mc_covariances(moments.COV_PATTERNS, rho, O, args.d, args.trials, rng)
             rows = []  # every pattern first, so an error prints no partial verdicts
             for pattern, (mc, stderr) in zip(moments.COV_PATTERNS, mcs):

@@ -2,8 +2,8 @@
 
 Permutation operators on tensor powers, symmetric-subspace projectors and
 state-distance functionals.  Everything that builds an explicit operator on
-(C^d)^s is a brute-force oracle and is capped by DIM_BUDGET; protocol-scale
-code works in dimension d only.
+(C^d)^s is a brute-force oracle and is capped by DIM_BUDGET, past which it
+is a ValueError; protocol-scale code works in dimension d only.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ import numpy as np
 DIM_BUDGET = 10_000
 
 HERMITICITY_TOL = 1e-9
-
-
-class DimensionOverflowError(ValueError):
-    """Raised when an explicit tensor-power operator would exceed DIM_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,6 @@ class Permutation:
         return a == b
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
         images = list(range(n))
         images[a], images[b] = images[b], images[a]
@@ -102,7 +94,7 @@ def kappa(s: int, d: int) -> int:
 def _check_budget(d: int, s: int) -> int:
     dim = d**s
     if dim > DIM_BUDGET:
-        raise DimensionOverflowError(f"d^s = {d}^{s} = {dim} exceeds budget {DIM_BUDGET}")
+        raise ValueError(f"d^s = {d}^{s} = {dim} exceeds budget {DIM_BUDGET}")
     return dim
 
 

@@ -6,9 +6,10 @@ covariance patterns of the quadratic estimator's) in d and four scalars of
 (rho, O).  Each is paired with an independent evaluation.  The moments have
 a permutation-sum enumeration driven by cycle decomposition rather than d^s
 storage: permutations of S_{s+1} or S_{s+2} that read the same words of
-matrices are one class, evaluated once and weighted by its count.  The
-class table depends only on n and on which positions hold the same matrix,
-so S_n is enumerated once per process and a call costs poly(d) per class.
+matrices are one class, weighted by its count.  The class table holds each
+class's words as labels of positions, depends only on n and on which
+positions hold the same matrix, and so is enumerated once per process; a
+call multiplies its own matrices along the words, at poly(d) per class.
 The covariances have a Monte Carlo sampler that draws one outcome array for
 all the patterns it is asked for.  A non-pure rho, or an O that is not
 finite, Hermitian and d x d, is a ValueError.
@@ -59,38 +60,10 @@ def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     return (np.eye(d) + s * rho) / (d + s)
 
 
-def _cycle_product(mats, cycle) -> np.ndarray:
-    """Product of mats along one cycle, in reverse traversal order."""
-    prod = mats[cycle[0]]
-    for p in cycle[1:]:
-        prod = mats[p] @ prod
-    return prod
-
-
-def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
-    """Tr over all factors except keep of W_pi (A_0 x ... x A_{n-1}).
-
-    Requires every kept position to lie in its own cycle of pi.  Returns
-    (list of per-kept-position matrices in keep order, scalar from the fully
-    traced cycles).
-    """
-    kept_mats = {}
-    scalar = 1.0 + 0j
-    for cycle in pi.cycles():
-        hits = [p for p in keep if p in cycle]
-        if len(hits) > 1:
-            raise ValueError("kept positions share a cycle; factorization invalid")
-        if hits:  # traverse from the kept position
-            i = cycle.index(hits[0])
-            kept_mats[hits[0]] = _cycle_product(mats, cycle[i:] + cycle[:i])
-        else:
-            scalar *= np.trace(_cycle_product(mats, cycle))
-    return [kept_mats[p] for p in keep], scalar
-
-
 def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
-    """Every permutation of S_n, bucketed by what _perm_trace_keep reads from it: the
-    _class_table of mats' label pattern, each object's first-occurrence index."""
+    """Every permutation of S_n, bucketed by the words of mats it reads: the
+    _class_table of mats' label pattern, each object's first-occurrence index,
+    so a label also indexes mats."""
     first: dict = {}
     pattern = tuple(first.setdefault(id(m), i) for i, m in enumerate(mats))
     return _class_table(n, pattern, keep, pull_swap)
@@ -98,13 +71,14 @@ def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
 
 @functools.lru_cache
 def _class_table(n: int, pattern: tuple[int, ...], keep: tuple[int, ...], pull_swap: bool):
-    """The classes of S_n over pattern, as a tuple of (count, swapped, representative).
+    """The classes of S_n over pattern, as a tuple of (count, swapped, words).
 
     With pull_swap, a permutation with 0 and 1 in one cycle is first replaced
-    by (0 1) pi and flagged as swapped.  A class is the flag plus, for each
-    cycle, the word of labels read from its kept position or its first
-    element; the fully traced words are sorted, since their traces only
-    multiply.
+    by (0 1) pi and flagged as swapped.  A class is the flag plus its words:
+    for each cycle, the labels read from its kept position or its first
+    element.  words is (kept words in keep order, traced words); the traced
+    words are sorted, since their traces only multiply.  Each kept position
+    must lie in a cycle of its own.
     """
     tau = Permutation.transposition(n, 0, 1)
     classes: dict = {}
@@ -121,9 +95,22 @@ def _class_table(n: int, pattern: tuple[int, ...], keep: tuple[int, ...], pull_s
                 kept[hits[0]] = word
             else:
                 traced.append(word)
-        key = (swapped, tuple(kept.get(p) for p in keep), tuple(sorted(traced)))
-        classes.setdefault(key, [0, swapped, pi])[0] += 1
+        words = (tuple(kept[p] for p in keep), tuple(sorted(traced)))
+        classes.setdefault((swapped, words), [0, swapped, words])[0] += 1
     return tuple(map(tuple, classes.values()))
+
+
+def _word_product(mats, word) -> np.ndarray:
+    """mats along one cycle's word, multiplied in reverse reading order as W_pi contracts them."""
+    prod = mats[word[0]]
+    for label in word[1:]:
+        prod = mats[label] @ prod
+    return prod
+
+
+def _trace_words(mats, words) -> complex:
+    """The product of the traces of the words' products."""
+    return math.prod(np.trace(_word_product(mats, w)) for w in words)
 
 
 def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
@@ -133,9 +120,8 @@ def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
         raise ValueError("enumeration budget exceeded")
     mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
     total = np.zeros((d, d), dtype=complex)
-    for count, _, pi in _perm_classes(s + 1, mats, (0,)):
-        (m0,), scalar = _perm_trace_keep(pi, mats, (0,))
-        total += count * scalar * m0
+    for count, _, ((w0,), traced) in _perm_classes(s + 1, mats, (0,)):
+        total += count * _trace_words(mats, traced) * _word_product(mats, w0)
     total *= kappa(s, d) / kappa(s + 1, d) / math.factorial(s + 1)
     return hermitize(total)
 
@@ -163,9 +149,9 @@ def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
     # [plain, swapped] sums of count * scalar * m0[i, j] m1[k, l]; kron order is (i k, j l)
     sums = np.zeros((2, d, d, d, d), dtype=complex)
-    for count, swapped, pi in _perm_classes(s + 2, mats, (0, 1), pull_swap=True):
-        (m0, m1), scalar = _perm_trace_keep(pi, mats, (0, 1))
-        sums[int(swapped)] += count * scalar * np.multiply.outer(m0, m1)
+    for count, swapped, ((w0, w1), traced) in _perm_classes(s + 2, mats, (0, 1), pull_swap=True):
+        m0, m1 = _word_product(mats, w0), _word_product(mats, w1)
+        sums[int(swapped)] += count * _trace_words(mats, traced) * np.multiply.outer(m0, m1)
     plain, pulled = sums.transpose(0, 1, 3, 2, 4).reshape(2, d * d, d * d)
     # a swapped pi is (01) pi' with 0, 1 in distinct cycles of pi'; the swap
     # acts only on the kept factors

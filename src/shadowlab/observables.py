@@ -25,7 +25,7 @@ SPECTRAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian O = V diag(evals) V^H with ||O|| = 1 and Tr(O^2) <= b_budget.
+    """Hermitian O = V diag(evals) V^H with ||O|| = 1, so Tr(O^2) = sum(evals^2).
 
     vecs is (d, r) with orthonormal columns and evals is (r,) and real, so
     evals are eigenvalues of O and the checks below are the eigenvalue
@@ -34,7 +34,6 @@ class Observable:
 
     vecs: np.ndarray
     evals: np.ndarray
-    b_budget: float
 
     def __post_init__(self):
         vecs, evals = np.asarray(self.vecs), np.asarray(self.evals)
@@ -47,8 +46,6 @@ class Observable:
             raise ValueError("eigenvectors must be orthonormal")
         if not abs(np.abs(evals).max() - 1.0) <= SPECTRAL_TOL:
             raise ValueError("operator norm must equal 1")
-        if not (evals**2).sum() <= self.b_budget + SPECTRAL_TOL:
-            raise ValueError("Tr(O^2) exceeds budget")
         object.__setattr__(self, "vecs", vecs)
         object.__setattr__(self, "evals", evals)
 
@@ -71,7 +68,7 @@ def random_projector_observable(d: int, r: int, rng: RngStream) -> Observable:
     """
     if not 1 <= r <= d:
         raise ValueError(f"rank r={r} out of range [1, {d}]")
-    return Observable(vecs=_haar_frame(d, r, rng), evals=np.ones(r), b_budget=float(r))
+    return Observable(vecs=_haar_frame(d, r, rng), evals=np.ones(r))
 
 
 def random_observable(d: int, B: float, rng: RngStream) -> Observable:
@@ -89,18 +86,15 @@ def random_signature_observable(d: int, B: float, rng: RngStream) -> Observable:
     """
     r = max(1, min(d, math.floor(B)))
     evals = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
-    return Observable(vecs=_haar_frame(d, r, rng), evals=evals, b_budget=float(r))
+    return Observable(vecs=_haar_frame(d, r, rng), evals=evals)
 
 
-def distinguishing_observable(
-    rho: np.ndarray, sigma: np.ndarray, pick_low_rank: bool = False
-) -> tuple[Observable, float]:
+def distinguishing_observable(rho: np.ndarray, sigma: np.ndarray) -> tuple[Observable, float]:
     """Optimal 0 <= O <= I separating rho from sigma, and its gap.
 
-    Returns the positive or negative eigenprojector of rho - sigma; the gap
-    Tr(O (rho - sigma)) equals half the trace norm of rho - sigma for both
-    choices.  With pick_low_rank, the projector of smaller rank is returned
-    (ties go to the positive one, for determinism).
+    Returns the positive eigenprojector of rho - sigma, or the negative one
+    if there is no positive eigenvalue; the gap Tr(O (rho - sigma)) equals
+    half the trace norm of rho - sigma.
     """
     diff = hermitize(rho - sigma)
     evals, evecs = np.linalg.eigh(diff)
@@ -109,12 +103,8 @@ def distinguishing_observable(
     pos = evals > EIGENVALUE_CUTOFF
     neg = evals < -EIGENVALUE_CUTOFF
     gap = float(evals[pos].sum())  # = half the trace norm of the difference
-    use_neg = pick_low_rank and neg.sum() < pos.sum()
-    keep = neg if use_neg else pos
-    if not keep.any():
-        keep = pos if use_neg else neg
-    rank = int(keep.sum())
-    return Observable(vecs=evecs[:, keep], evals=np.ones(rank), b_budget=float(rank)), gap
+    keep = pos if pos.any() else neg
+    return Observable(vecs=evecs[:, keep], evals=np.ones(int(keep.sum()))), gap
 
 
 def helstrom_success(rho: np.ndarray, sigma: np.ndarray) -> float:

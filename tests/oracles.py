@@ -22,7 +22,8 @@ builds an observable from a dense matrix.
 per_permutation_first_moment and per_permutation_second_moment are the
 permutation sums that shadowlab.moments.brute_first_moment and
 brute_second_moment evaluate once per class of permutations: here every
-permutation is evaluated on its own.
+permutation is evaluated on its own, by walking its cycles with
+_perm_trace_keep rather than through the library's class words.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from shadowlab.linalg import (
     perm_operator,
     sym_projector,
 )
-from shadowlab.moments import COV_PATTERNS, _perm_trace_keep
+from shadowlab.moments import COV_PATTERNS
 from shadowlab.observables import Observable
 
 
@@ -87,12 +88,12 @@ def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) 
     return amp[:, None] * phi[None, :] + np.sqrt(1 - t)[:, None] * chi
 
 
-def observable_from_matrix(matrix: np.ndarray, b_budget: float) -> Observable:
+def observable_from_matrix(matrix: np.ndarray) -> Observable:
     """Factor a dense Hermitian matrix with one eigh, keeping every eigenpair."""
     if not is_hermitian(matrix):
         raise ValueError("observable must be Hermitian")
     evals, vecs = np.linalg.eigh(matrix)
-    return Observable(vecs=vecs, evals=evals, b_budget=b_budget)
+    return Observable(vecs=vecs, evals=evals)
 
 
 def single_copy_shadow(psi: np.ndarray) -> np.ndarray:
@@ -246,6 +247,35 @@ def trace_covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int)
     if pattern == "ij_ij":
         return (d + 2) * tr_o2 + (3 * d - 2) * o_norm2
     return 0.0  # distinct
+
+
+def _cycle_product(mats, cycle) -> np.ndarray:
+    """Product of mats along one cycle, in reverse traversal order."""
+    prod = mats[cycle[0]]
+    for p in cycle[1:]:
+        prod = mats[p] @ prod
+    return prod
+
+
+def _perm_trace_keep(pi: Permutation, mats, keep: tuple[int, ...]):
+    """Tr over all factors except keep of W_pi (A_0 x ... x A_{n-1}).
+
+    Requires every kept position to lie in its own cycle of pi.  Returns
+    (list of per-kept-position matrices in keep order, scalar from the fully
+    traced cycles).
+    """
+    kept_mats = {}
+    scalar = 1.0 + 0j
+    for cycle in pi.cycles():
+        hits = [p for p in keep if p in cycle]
+        if len(hits) > 1:
+            raise ValueError("kept positions share a cycle; factorization invalid")
+        if hits:  # traverse from the kept position
+            i = cycle.index(hits[0])
+            kept_mats[hits[0]] = _cycle_product(mats, cycle[i:] + cycle[:i])
+        else:
+            scalar *= np.trace(_cycle_product(mats, cycle))
+    return [kept_mats[p] for p in keep], scalar
 
 
 def per_permutation_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:

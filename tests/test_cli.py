@@ -282,12 +282,20 @@ def test_moment_grid_checks_each_pair_once():
     assert set(grid) == {(s, 2) for s in (1, 2, 3, 4)} | {(s, 3) for s in (1, 2, 3)}
 
 
-def test_verify_all_passes_and_fault_injection():
-    assert verify_all(quiet=True) == 0
-    assert verify_all(perturbation=1e-3, quiet=True) == 1
-    # the permutation-class tables are warm now; the gate must still see a small fault
-    assert moments._class_table.cache_info().currsize > 0
-    assert verify_all(perturbation=1e-6, quiet=True) == 1
+def test_verify_all_passes_and_fault_injection(monkeypatch, capsys):
+    capsys.readouterr()
+    assert verify_all() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "41/41 checks passed"
+    # offset the closed-form moments: first with cold permutation-class
+    # tables, then with warm ones, where the gate must still see a small fault
+    moments._class_table.cache_clear()
+    for offset in (1e-3, 1e-6):
+        with monkeypatch.context() as m:
+            for name in ("exact_first_moment", "exact_second_moment"):
+                exact = getattr(moments, name)
+                m.setattr(moments, name, lambda *args, f=exact, o=offset: f(*args) + o)
+            assert verify_all(quiet=True) == 1
+        assert moments._class_table.cache_info().currsize > 0
 
 
 def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
@@ -300,19 +308,30 @@ def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
     assert verify_all(quiet=True) == 1
 
 
-def test_covariance_gates_fail_when_o_squared_is_misread(monkeypatch):
+def test_covariance_gates_fail_when_o_squared_is_misread(monkeypatch, capsys):
     # O^2 reaches the covariances only through Tr O^2 and <phi|O^2|phi>; a
-    # gate instance with O^2 = I would pass a formula that reads the latter
-    # as 1, so both gates draw a signature O of rank d - 1
+    # gate instance with O^2 = I passes a formula that reads the latter as 1,
+    # and one with O^2 = O (a projector, as any rank-1 signature O is at
+    # d = 2) passes one that reads it as <phi|O|phi>.  That last misreading
+    # is off by (3/4)|<phi|v>|^2 for the -1/2 eigenvector v, so at d = 3 it
+    # is seen only when phi leans on v, and the test asks it of d = 2 alone.
     scalars = moments._scalars
-
-    def misread(rho, O, d):
-        t1, t2, a, _ = scalars(rho, O, d)
-        return t1, t2, a, 1.0
-
-    monkeypatch.setattr(moments, "_scalars", misread)
-    assert verify_all(quiet=True) == 1
-    assert main(["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"]) == 1
+    mutants = {  # name: (the misread scalars, the dimensions whose gates must fail)
+        "b := 1": (lambda t1, t2, a, b, d: (t1, t2, a, 1.0), (2, 3)),
+        "b := a": (lambda t1, t2, a, b, d: (t1, t2, a, a), (2,)),
+        "t2 := d": (lambda t1, t2, a, b, d: (t1, float(d), a, b), (2, 3)),
+    }
+    for name, (mutant, dims) in mutants.items():
+        with monkeypatch.context() as m:
+            m.setattr(moments, "_scalars", lambda rho, O, d, f=mutant: f(*scalars(rho, O, d), d))
+            capsys.readouterr()
+            assert verify_all() == 1, name
+            failed = {line.split()[3] for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("FAIL  cov_")}
+            for d in dims:
+                assert f"d={d}" in failed, (name, d)
+                argv = ["cov-check", "--d", str(d), "--trials", "20000", "--seed", "1"]
+                assert main(argv) == 1, (name, d)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -516,7 +535,7 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
         raise AssertionError("drew past the memory guard")
 
     monkeypatch.setattr(cli, "sample_haar_state", refuse)
-    monkeypatch.setattr(cli, "random_signature_observable", refuse)
+    monkeypatch.setattr(cli, "random_projector_observable", refuse)
     monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
     assert main(["cov-check", "--d", "1024", "--seed", "1"]) == 2
     out, err = capsys.readouterr()

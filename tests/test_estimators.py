@@ -286,7 +286,7 @@ def random_hermitian_unit_norm(d, rng):
 def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     rng = RngStream(seed)
     O = random_hermitian_unit_norm(d, rng)
-    obs = observable_from_matrix(O, d)
+    obs = observable_from_matrix(O)
     joint = sample_haar_state(d, rng, size=k)
     dense = [np.trace(O @ affine_shadow(p, copies, d)).real for p in joint]
     assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
@@ -299,7 +299,7 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
 
 
 def test_batch_estimates_validation():
-    O = observable_from_matrix(np.diag([1.0, 0.0]), 1.0)
+    O = observable_from_matrix(np.diag([1.0, 0.0]))
     unit = np.array([[1, 0], [0, 1]], dtype=complex)
     assert np.allclose(batch_estimates(O, unit, "affine_joint", 1), [2.0, -1.0])
     with pytest.raises(ValueError):  # one outcome off unit norm is enough
@@ -348,7 +348,7 @@ def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
     d = 16
     g = RngStream(1).gen.normal(size=(d, d, 2)).view(complex)[..., 0]
     H = g + g.conj().T  # distinct eigenvalues, so every factor chunk weighs differently
-    O = observable_from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max(), d)
+    O = observable_from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max())
     assert O.evals.size == d
     block = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
     tracemalloc.start()
@@ -364,7 +364,7 @@ def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
 
 
 def test_batch_estimates_reduced_record_validation():
-    O = observable_from_matrix(np.diag([1.0, 0.0]), 1.0)
+    O = observable_from_matrix(np.diag([1.0, 0.0]))
     frame = np.eye(3, 2, dtype=complex)
     records = np.eye(3, dtype=complex)[None]  # (1, 3, 3): three unit records
     # ambient d = 2 enters the formula, not the record width 3
@@ -390,7 +390,7 @@ def _law_case(d, B, rng):
     """(phi, O) for the same-law tests; B = None is full rank, so m = d."""
     phi = sample_haar_state(d, rng)
     if B is None:
-        return phi, observable_from_matrix(random_hermitian_unit_norm(d, rng), d)
+        return phi, observable_from_matrix(random_hermitian_unit_norm(d, rng))
     return phi, random_observable(d, B, rng)
 
 

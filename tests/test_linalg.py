@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import partial_trace
+from oracles import _perm_trace_keep, partial_trace
 from shadowlab.linalg import (
     DIM_BUDGET,
-    DimensionOverflowError,
     Permutation,
     all_permutations,
     density,
@@ -17,7 +16,6 @@ from shadowlab.linalg import (
     sym_projector,
     trace_distance,
 )
-from shadowlab.moments import _perm_trace_keep
 
 RNG = np.random.default_rng(1234)
 
@@ -60,7 +58,7 @@ def test_permutation_composition_is_associative(n, salt):
 
 
 def test_perm_operator_identity():
-    W = perm_operator(Permutation.identity(3), 2)
+    W = perm_operator(Permutation(tuple(range(3))), 2)
     assert np.array_equal(W, np.eye(8))
 
 
@@ -85,8 +83,8 @@ def test_perm_operator_is_homomorphism():
 
 
 def test_perm_operator_budget():
-    with pytest.raises(DimensionOverflowError):
-        perm_operator(Permutation.identity(8), 5)  # 5^8 > DIM_BUDGET
+    with pytest.raises(ValueError, match="exceeds budget"):
+        perm_operator(Permutation(tuple(range(8))), 5)  # 5^8 > DIM_BUDGET
     assert DIM_BUDGET == 10_000
 
 
@@ -164,8 +162,8 @@ def test_swap_product_partial_trace_identity():
 
 
 # ----------------------------------------------------------------- cycle trace
-# moments._perm_trace_keep, the cycle-by-cycle evaluation the brute-force
-# oracles run on, against the dense W_pi (A_0 x ... x A_{n-1}) it replaces.
+# oracles._perm_trace_keep, the cycle-by-cycle evaluation the per-permutation
+# moment references run on, against the dense W_pi (A_0 x ... x A_{n-1}).
 
 
 def test_cycle_trace_identity_matrices():

@@ -22,11 +22,9 @@ PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 def test_observable_validation():
     with pytest.raises(ValueError):
-        observable_from_matrix(np.diag([2.0, 0.0]).astype(complex), b_budget=4.0)
+        observable_from_matrix(np.diag([2.0, 0.0]).astype(complex))
     with pytest.raises(ValueError):
-        observable_from_matrix(np.eye(3, dtype=complex), b_budget=2.0)  # Tr(O^2)=3 > 2
-    with pytest.raises(ValueError):
-        observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex), b_budget=2.0)
+        observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -40,34 +38,32 @@ def test_observable_validation():
         (np.eye(3)[:, :0], np.ones(0), 1.0),  # empty factor
         (np.eye(2), np.array([0.5, 0.5]), 2.0),  # max |lambda| != 1
         (np.eye(2), np.array([1.0, -1.0 - 2e-9]), 3.0),  # max |lambda| just past 1
-        (np.eye(3), np.ones(3), 2.0),  # Tr(O^2) = 3 > 2
         (np.eye(2), np.array([1.0, np.nan]), 2.0),  # NaN eigenvalue
         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 2.0),  # NaN eigenvector
     ],
 )
 def test_observable_rejects_bad_factors(vecs, evals, budget):
+    # budget is each case's former Tr(O^2) cap; Observable no longer takes one
     with pytest.raises(ValueError):
-        Observable(vecs=vecs, evals=evals, b_budget=budget)
+        Observable(vecs=vecs, evals=evals)
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 6),
     norm_offset=st.sampled_from((-1e-6, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 1e-6)),
-    budget_offset=st.sampled_from((-1.0, -2e-9, -5e-10, 0.0, 5e-10, 1.0)),
 )
 @settings(max_examples=60, deadline=None)
-def test_from_matrix_accepts_exactly_the_eigvalsh_rule(seed, d, norm_offset, budget_offset):
+def test_from_matrix_accepts_exactly_the_eigvalsh_rule(seed, d, norm_offset):
     # offsets sit well clear of the 1e-9 tolerance, so rounding cannot flip a verdict
     rng = RngStream(seed)
     z = rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
     M = (z + z.conj().T) / 2
     M *= (1 + norm_offset) / np.abs(np.linalg.eigvalsh(M)).max()
-    budget = float(np.trace(M @ M).real) + budget_offset
     evals = np.linalg.eigvalsh(M)
-    old_rule = abs(np.abs(evals).max() - 1) <= 1e-9 and (evals**2).sum() <= budget + 1e-9
+    old_rule = abs(np.abs(evals).max() - 1) <= 1e-9
     try:
-        obs = observable_from_matrix(M, budget)
+        obs = observable_from_matrix(M)
     except ValueError:
         assert not old_rule
     else:
@@ -162,9 +158,9 @@ def test_distinguishing_low_rank_option():
     rng = RngStream(47)
     rho = density(sample_haar_state(5, rng))
     sigma = density(sample_haar_state(5, rng))
-    obs, _ = distinguishing_observable(rho, sigma, pick_low_rank=True)
+    obs, _ = distinguishing_observable(rho, sigma)
     # difference of two pure states has one positive and one negative
-    # eigenvalue, so the low-rank option returns a rank-1 projector
+    # eigenvalue, so the positive eigenprojector is already rank 1
     assert abs(np.trace(obs.matrix).real - 1) < 1e-9
 
 
