@@ -46,6 +46,12 @@ from .observables import (
 
 DEFAULT_SEED = 0
 
+# Batch sizes s at which compare measures both estimators.
+_COMPARE_S_GRID = (8, 16, 32, 64)
+
+# verify-moments' (s, d) pairs for the closed-form vs. brute-force moments.
+_MOMENT_GRID = ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3))
+
 
 @dataclass
 class ExperimentConfig:
@@ -184,8 +190,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 64)):
-    """Empirical variance of the linear vs. quadratic estimate at equal s.
+def compare_estimators(d: int, B: float, N: int, seed: int):
+    """Empirical variance of the linear vs. quadratic estimate at each s of _COMPARE_S_GRID.
 
     Returns rows (s, var_linear, var_quadratic, ratio, pred_linear,
     pred_quadratic) for a fixed random state/observable pair.  The
@@ -201,8 +207,8 @@ def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 6
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)
     rows = []
-    n = len(s_grid)  # stream ids: 0 above, 1..n linear, n+1..2n quadratic
-    for i, s in enumerate(s_grid):
+    n = len(_COMPARE_S_GRID)  # stream ids: 0 above, 1..n linear, n+1..2n quadratic
+    for i, s in enumerate(_COMPARE_S_GRID):
         lin = _im_batch_estimates(phi, O, s, N, RngStream(seed, i + 1), "linear")
         quad = _im_batch_estimates(phi, O, s, N, RngStream(seed, n + 1 + i), "quadratic")
         var_l = float(lin.var(ddof=1))
@@ -211,20 +217,17 @@ def compare_estimators(d: int, B: float, N: int, seed: int, s_grid=(8, 16, 32, 6
     return rows
 
 
-def _moment_grid():
-    for s in (1, 2, 3, 4):
-        yield s, 2
-    for s in (1, 2, 3):
-        yield s, 3
-
-
 def _covariance_instance(d: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """The covariance gates' (rho, O): a Haar state, and O with eigenvalues 1
-    and -1/2 on a Haar 2-frame.  With both signs and one |lambda| < 1, O^2 is
-    neither O nor a projector at any d >= 2, so a formula that misreads
-    Tr O^2 or Tr(O^2 rho) as d, 1 or Tr(O rho) fails the gate."""
-    phi = sample_haar_state(d, rng)
+    """The covariance gates' (rho, O): O with eigenvalues 1 and -1/2 on a Haar
+    2-frame (v1, v2), and phi = (v2 + h)/sqrt(2) for a Haar unit vector h
+    orthogonal to v2.  With both signs and one |lambda| < 1, O^2 is neither O
+    nor a projector at any d >= 2, and Tr(O^2 rho) - Tr(O rho) = 3/8 at every
+    draw, so a formula that misreads Tr O^2 or Tr(O^2 rho) as d, 1 or
+    Tr(O rho) fails the gate."""
     frame = random_projector_observable(d, 2, rng).vecs
+    v2, h = frame[:, 1], sample_haar_state(d, rng)
+    h -= v2 * np.vdot(v2, h)
+    phi = (v2 + h / np.linalg.norm(h)) / math.sqrt(2)
     return np.outer(phi, phi.conj()), Observable(frame, np.array([1.0, -0.5])).matrix
 
 
@@ -237,7 +240,7 @@ def verify_all(rng_seed: int = 0, quiet: bool = False) -> int:
         reports.append((name, dev, tol))
 
     rng = RngStream(rng_seed, 777)
-    for s, d in _moment_grid():
+    for s, d in _MOMENT_GRID:
         phi = sample_haar_state(d, rng)
         rho = np.outer(phi, phi.conj())
         check(

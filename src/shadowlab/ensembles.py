@@ -102,18 +102,18 @@ def as_state_vector(state: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def sample_haar_state(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Haar-random unit vectors in C^d; shape (d,) or (size, d).
+def sample_haar_state(d: int, rng: RngStream) -> np.ndarray:
+    """A Haar-random unit vector in C^d.
 
     Normalizing i.i.d. standard complex Gaussians is exactly unitary
-    invariant.
+    invariant.  The draw is one (1, d) row normalised along its axis, which
+    fixes both the stream it consumes and the rounding of its norm.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    n = 1 if size is None else size
-    z = rng.gen.standard_normal((n, d)) + 1j * rng.gen.standard_normal((n, d))
+    z = rng.gen.standard_normal((1, d)) + 1j * rng.gen.standard_normal((1, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z[0] if size is None else z
+    return z[0]
 
 
 def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) -> np.ndarray:

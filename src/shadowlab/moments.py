@@ -5,11 +5,12 @@ outcome, and exact variances (the affine joint estimate's and the four
 covariance patterns of the quadratic estimator's) in d and four scalars of
 (rho, O).  Each is paired with an independent evaluation.  The moments have
 a permutation-sum enumeration driven by cycle decomposition rather than d^s
-storage: permutations of S_{s+1} or S_{s+2} that read the same words of
-matrices are one class, weighted by its count.  The class table holds each
-class's words as labels of positions, depends only on n and on which
-positions hold the same matrix, and so is enumerated once per process; a
-call multiplies its own matrices along the words, at poly(d) per class.
+storage.  The kept positions hold I and the rest rho, and I commutes with
+rho, so every cycle reads a power of rho: permutations of S_{s+1} or
+S_{s+2} with the same cycle counts of rho positions are one class, weighted
+by its count.  The class table depends only on n and the kept positions, so
+it is enumerated once per process; a call forms I, rho, ..., rho^s once and
+reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that draws one outcome array for
 all the patterns it is asked for.  A non-pure rho, or an O that is not
 finite, Hermitian and d x d, is a ValueError.
@@ -60,68 +61,54 @@ def exact_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     return (np.eye(d) + s * rho) / (d + s)
 
 
-def _perm_classes(n: int, mats, keep: tuple[int, ...], pull_swap: bool = False):
-    """Every permutation of S_n, bucketed by the words of mats it reads: the
-    _class_table of mats' label pattern, each object's first-occurrence index,
-    so a label also indexes mats."""
-    first: dict = {}
-    pattern = tuple(first.setdefault(id(m), i) for i, m in enumerate(mats))
-    return _class_table(n, pattern, keep, pull_swap)
-
-
 @functools.lru_cache
-def _class_table(n: int, pattern: tuple[int, ...], keep: tuple[int, ...], pull_swap: bool):
-    """The classes of S_n over pattern, as a tuple of (count, swapped, words).
+def _class_table(n: int, keep: tuple[int, ...]):
+    """The classes of S_n with I at the keep positions and rho at the rest, as
+    a tuple of (count, swapped, kept, traced).
 
-    With pull_swap, a permutation with 0 and 1 in one cycle is first replaced
-    by (0 1) pi and flagged as swapped.  A class is the flag plus its words:
-    for each cycle, the labels read from its kept position or its first
-    element.  words is (kept words in keep order, traced words); the traced
-    words are sorted, since their traces only multiply.  Each kept position
-    must lie in a cycle of its own.
+    I commutes with rho, so a cycle reads rho^j, j its number of rho
+    positions.  With two kept positions, a permutation with 0 and 1 in one
+    cycle is first replaced by (0 1) pi and flagged as swapped, so each kept
+    position lies in a cycle of its own.  kept is the j of each kept
+    position's cycle, in keep order; traced is the sorted j of every other
+    cycle, its length, since their traces only multiply.
     """
     tau = Permutation.transposition(n, 0, 1)
     classes: dict = {}
     for pi in all_permutations(n):
-        swapped = pull_swap and pi.same_cycle(0, 1)
+        swapped = len(keep) == 2 and pi.same_cycle(0, 1)
         if swapped:
             pi = tau.compose(pi)
         kept, traced = {}, []
         for cycle in pi.cycles():
             hits = [p for p in keep if p in cycle]
-            i = cycle.index(hits[0]) if hits else 0
-            word = tuple(pattern[p] for p in cycle[i:] + cycle[:i])
             if hits:
-                kept[hits[0]] = word
+                kept[hits[0]] = len(cycle) - 1
             else:
-                traced.append(word)
-        words = (tuple(kept[p] for p in keep), tuple(sorted(traced)))
-        classes.setdefault((swapped, words), [0, swapped, words])[0] += 1
+                traced.append(len(cycle))
+        key = (swapped, tuple(kept[p] for p in keep), tuple(sorted(traced)))
+        classes.setdefault(key, [0, *key])[0] += 1
     return tuple(map(tuple, classes.values()))
 
 
-def _word_product(mats, word) -> np.ndarray:
-    """mats along one cycle's word, multiplied in reverse reading order as W_pi contracts them."""
-    prod = mats[word[0]]
-    for label in word[1:]:
-        prod = mats[label] @ prod
-    return prod
-
-
-def _trace_words(mats, words) -> complex:
-    """The product of the traces of the words' products."""
-    return math.prod(np.trace(_word_product(mats, w)) for w in words)
+def _rho_powers(rho: np.ndarray, s: int, d: int) -> tuple[list, list]:
+    """[I, rho, ..., rho^s] and their traces; each power is the previous one
+    times rho on the left, as W_pi contracts a cycle."""
+    powers = [np.eye(d, dtype=complex)]
+    for _ in range(s):
+        powers.append(rho @ powers[-1])
+    return powers, [np.trace(p) for p in powers]
 
 
 def brute_first_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     """Permutation-sum evaluation of E[Psi] over all of S_{s+1}, one term per class."""
-    require_pure_state(rho)
+    rho = require_pure_state(rho)
     if math.factorial(s + 1) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
-    mats = [np.eye(d, dtype=complex)] + [rho.astype(complex)] * s
+    powers, traces = _rho_powers(rho, s, d)
     total = np.zeros((d, d), dtype=complex)
-    for count, _, ((w0,), traced) in _perm_classes(s + 1, mats, (0,)):
-        total += count * _trace_words(mats, traced) * _word_product(mats, w0)
+    for count, _, (j0,), traced in _class_table(s + 1, (0,)):
+        total += count * math.prod(traces[j] for j in traced) * powers[j0]
     total *= kappa(s, d) / kappa(s + 1, d) / math.factorial(s + 1)
     return hermitize(total)
 
@@ -143,15 +130,15 @@ def brute_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray:
     directly; for the others a swap of the two kept factors is pulled out of
     the partial trace and applied once, to the sum of their terms.
     """
-    require_pure_state(rho)
+    rho = require_pure_state(rho)
     if math.factorial(s + 2) > ENUM_BUDGET:
         raise ValueError("enumeration budget exceeded")
-    mats = [np.eye(d, dtype=complex)] * 2 + [rho.astype(complex)] * s
+    powers, traces = _rho_powers(rho, s, d)
     # [plain, swapped] sums of count * scalar * m0[i, j] m1[k, l]; kron order is (i k, j l)
     sums = np.zeros((2, d, d, d, d), dtype=complex)
-    for count, swapped, ((w0, w1), traced) in _perm_classes(s + 2, mats, (0, 1), pull_swap=True):
-        m0, m1 = _word_product(mats, w0), _word_product(mats, w1)
-        sums[int(swapped)] += count * _trace_words(mats, traced) * np.multiply.outer(m0, m1)
+    for count, swapped, (j0, j1), traced in _class_table(s + 2, (0, 1)):
+        scalar = count * math.prod(traces[j] for j in traced)
+        sums[int(swapped)] += scalar * np.multiply.outer(powers[j0], powers[j1])
     plain, pulled = sums.transpose(0, 1, 3, 2, 4).reshape(2, d * d, d * d)
     # a swapped pi is (01) pi' with 0, 1 in distinct cycles of pi'; the swap
     # acts only on the kept factors

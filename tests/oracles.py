@@ -23,7 +23,10 @@ per_permutation_first_moment and per_permutation_second_moment are the
 permutation sums that shadowlab.moments.brute_first_moment and
 brute_second_moment evaluate once per class of permutations: here every
 permutation is evaluated on its own, by walking its cycles with
-_perm_trace_keep rather than through the library's class words.
+_perm_trace_keep, which multiplies the matrices it reads, rather than
+through the library's class tables and powers of rho.
+
+haar_states is the batched Haar draw that sample_haar_state makes one row of.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 
 import numpy as np
 
-from shadowlab.ensembles import RngStream, pure_state_vector, sample_haar_state
+from shadowlab.ensembles import RngStream, pure_state_vector
 from shadowlab.estimators import UNIT_NORM_TOL
 from shadowlab.linalg import (
     Permutation,
@@ -47,6 +50,15 @@ from shadowlab.linalg import (
 )
 from shadowlab.moments import COV_PATTERNS
 from shadowlab.observables import Observable
+
+
+def haar_states(d: int, rng: RngStream, n: int) -> np.ndarray:
+    """n Haar-random unit vectors in C^d, shape (n, d): the draw
+    shadowlab.ensembles.sample_haar_state makes at n = 1, row-normalised the
+    same way, so a seed gives the same vectors."""
+    z = rng.gen.standard_normal((n, d)) + 1j * rng.gen.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def _sample_overlaps(s: int, d: int, rng: RngStream, n: int):
@@ -68,7 +80,7 @@ def _orthogonal_complement_states(phi: np.ndarray, rng: RngStream, n: int) -> np
     out = np.empty((n, d), dtype=complex)
     todo = np.arange(n)
     while todo.size:
-        raw = sample_haar_state(d, rng, size=todo.size)
+        raw = haar_states(d, rng, todo.size)
         raw -= np.outer(raw @ phi.conj(), phi)
         norms = np.linalg.norm(raw, axis=1)
         ok = norms > 1e-12

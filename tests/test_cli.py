@@ -14,7 +14,7 @@ from shadowlab import bhm as bhm_mod, cli, linalg, measurement, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
-    _moment_grid,
+    _MOMENT_GRID,
     compare_estimators,
     main,
     plan_linear_batches,
@@ -218,7 +218,8 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
     # linear records are min(d, r + 2) = 6 wide, quadratic ones d = 8
     assert sorted(set(streams)) == [(1, 6), (1, 8), (2, 6), (2, 8)]
     streams.clear()
-    compare_estimators(d=4, B=4.0, N=50, seed=1, s_grid=(2, 8))
+    monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
+    compare_estimators(d=4, B=4.0, N=50, seed=1)
     assert streams == [(1, 4), (3, 4), (2, 4), (4, 4)]
 
 
@@ -235,8 +236,9 @@ def test_run_sweep_im_modes():
     assert rows[0].mode == "im-quadratic"
 
 
-def test_compare_estimators_s2_runs():
-    rows = compare_estimators(d=4, B=4.0, N=200, seed=1, s_grid=(2, 8))
+def test_compare_estimators_s2_runs(monkeypatch):
+    monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
+    rows = compare_estimators(d=4, B=4.0, N=200, seed=1)
     assert len(rows) == 2
     assert rows[0][0] == 2 and all(np.isfinite(v) for v in rows[0][1:])
 
@@ -250,7 +252,8 @@ def test_compare_estimators_stream_ids_are_distinct(monkeypatch):
         return RngStream(seed, stream_id)
 
     monkeypatch.setattr(cli, "RngStream", recorder)
-    compare_estimators(d=2, B=2.0, N=2, seed=0, s_grid=(2,) * 150)
+    monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2,) * 150)
+    compare_estimators(d=2, B=2.0, N=2, seed=0)
     assert len(seen) == 301 and len(set(seen)) == len(seen)
 
 
@@ -263,12 +266,13 @@ def test_compare_estimators_ratio_trend():
     assert rows[-1][2] <= rows[-1][1]  # quadratic wins at s=64, B=d
 
 
-def test_compare_rejects_inputs_it_cannot_handle(capsys):
+def test_compare_rejects_inputs_it_cannot_handle(monkeypatch, capsys):
     # one batch has no sample variance, and with B > d the observable drawn
     # has Tr(O^2) <= d, not the B the pred_* columns assume
+    monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2,))
     for kwargs in (dict(d=4, B=2.0, N=1), dict(d=4, B=9.0, N=50), dict(d=4, B=0.5, N=50)):
         with pytest.raises(ValueError):
-            compare_estimators(seed=0, s_grid=(2,), **kwargs)
+            compare_estimators(seed=0, **kwargs)
     for argv in (["--d", "4", "--B", "2", "--trials", "1"], ["--d", "4", "--B", "9"]):
         capsys.readouterr()
         assert main(["compare", *argv, "--seed", "0"]) == 2
@@ -277,7 +281,7 @@ def test_compare_rejects_inputs_it_cannot_handle(capsys):
 
 
 def test_moment_grid_checks_each_pair_once():
-    grid = list(_moment_grid())
+    grid = list(_MOMENT_GRID)
     assert len(grid) == len(set(grid))
     assert set(grid) == {(s, 2) for s in (1, 2, 3, 4)} | {(s, 3) for s in (1, 2, 3)}
 
@@ -311,24 +315,23 @@ def test_verify_all_sees_a_nontrivial_observable(monkeypatch):
 def test_covariance_gates_fail_when_o_squared_is_misread(monkeypatch, capsys):
     # O^2 reaches the covariances only through Tr O^2 and <phi|O^2|phi>; a
     # gate instance with O^2 = I passes a formula that reads the latter as 1,
-    # and one with O^2 = O (a projector, as any rank-1 signature O is at
-    # d = 2) passes one that reads it as <phi|O|phi>.  That last misreading
-    # is off by (3/4)|<phi|v>|^2 for the -1/2 eigenvector v, so at d = 3 it
-    # is seen only when phi leans on v, and the test asks it of d = 2 alone.
+    # and one with O^2 = O passes one that reads it as <phi|O|phi>.  The gate
+    # instance puts half of phi's weight on the -1/2 eigenvector, so the two
+    # differ by 3/8 and every misreading fails at d = 2 and d = 3 alike.
     scalars = moments._scalars
-    mutants = {  # name: (the misread scalars, the dimensions whose gates must fail)
-        "b := 1": (lambda t1, t2, a, b, d: (t1, t2, a, 1.0), (2, 3)),
-        "b := a": (lambda t1, t2, a, b, d: (t1, t2, a, a), (2,)),
-        "t2 := d": (lambda t1, t2, a, b, d: (t1, float(d), a, b), (2, 3)),
+    mutants = {  # name: the misread scalars
+        "b := 1": lambda t1, t2, a, b, d: (t1, t2, a, 1.0),
+        "b := a": lambda t1, t2, a, b, d: (t1, t2, a, a),
+        "t2 := d": lambda t1, t2, a, b, d: (t1, float(d), a, b),
     }
-    for name, (mutant, dims) in mutants.items():
+    for name, mutant in mutants.items():
         with monkeypatch.context() as m:
             m.setattr(moments, "_scalars", lambda rho, O, d, f=mutant: f(*scalars(rho, O, d), d))
             capsys.readouterr()
             assert verify_all() == 1, name
             failed = {line.split()[3] for line in capsys.readouterr().out.splitlines()
                       if line.startswith("FAIL  cov_")}
-            for d in dims:
+            for d in (2, 3):
                 assert f"d={d}" in failed, (name, d)
                 argv = ["cov-check", "--d", str(d), "--trials", "20000", "--seed", "1"]
                 assert main(argv) == 1, (name, d)
@@ -603,7 +606,8 @@ def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
     # kernel in blocks of whole batches, at most BLOCK_ROWS rows, and never
     # more bytes than the memory guard was shown
     arrays, budgets = _record_kernel_and_guard(monkeypatch)
-    compare_estimators(d=4, B=4.0, N=3000, seed=1, s_grid=(2, 8))
+    monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
+    compare_estimators(d=4, B=4.0, N=3000, seed=1)
     assert [a.shape[:2] for a in arrays[:2]] == [(2048, 2), (952, 2)]  # linear, s = 2
     assert len(arrays) == 2 * (2 + 6)
     assert max(a.shape[0] * a.shape[1] for a in arrays) <= BLOCK_ROWS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import sample_posterior_states as oracle_posterior_states
+from oracles import haar_states, sample_posterior_states as oracle_posterior_states
 from shadowlab.ensembles import (
     RngStream,
     _rescale_phi_coordinates,
@@ -64,15 +64,14 @@ def test_haar_state_norm_and_shape():
     psi = sample_haar_state(5, rng)
     assert psi.shape == (5,)
     assert abs(np.linalg.norm(psi) - 1) < 1e-12
-    batch = sample_haar_state(5, rng, size=64)
-    assert batch.shape == (64, 5)
-    assert np.abs(np.linalg.norm(batch, axis=1) - 1).max() < 1e-12
+    # the tests' batched draw reproduces it row for row
+    assert np.array_equal(haar_states(5, RngStream(0), 1)[0], sample_haar_state(5, RngStream(0)))
 
 
 def test_haar_mean_projector_is_maximally_mixed():
     d = 3
     rng = RngStream(2)
-    psis = sample_haar_state(d, rng, size=N_BIG)
+    psis = haar_states(d, rng, N_BIG)
     mean = np.einsum("ni,nj->ij", psis, psis.conj()) / N_BIG
     assert np.abs(mean - np.eye(d) / d).max() < 5 / np.sqrt(N_BIG)
 
@@ -82,7 +81,7 @@ def test_haar_overlap_marginal_ks():
     # the rejection-sampling oracle with a two-sample KS test
     d = 4
     rng = RngStream(3)
-    psis = sample_haar_state(d, rng, size=N_BIG)
+    psis = haar_states(d, rng, N_BIG)
     t_haar = np.abs(psis[:, 0]) ** 2
     t_oracle = rejection_sample_overlap(0, d, np.random.default_rng(99), N_BIG)
     assert stats.ks_2samp(t_haar, t_oracle).statistic < 0.01
@@ -216,7 +215,7 @@ def test_reduced_records_match_full_overlaps(s, d, r):
     # for phi itself: two-sample KS.  (1, 5, 5) and (2, 6, 4) are m = d
     n = 20_000
     phi = sample_haar_state(d, RngStream(40))
-    vecs = np.linalg.qr(sample_haar_state(d, RngStream(41), size=r).T)[0]
+    vecs = np.linalg.qr(haar_states(d, RngStream(41), r).T)[0]
     records, frame = reduced_records(phi, vecs, s, RngStream(42, s), n)
     m = min(d, r + 2)
     assert records.shape == (n, m) and frame.shape == (m, r)
@@ -312,6 +311,6 @@ def test_phi_basis_is_unitary_with_phi_first():
     q = phi_basis(phi)
     assert q.shape == (6, 6) and np.allclose(q.conj().T @ q, np.eye(6))
     assert np.array_equal(q[:, 0], phi)
-    vecs = np.linalg.qr(sample_haar_state(6, RngStream(4), size=2).T)[0]
+    vecs = np.linalg.qr(haar_states(6, RngStream(4), 2).T)[0]
     q = phi_basis(phi, vecs)
     assert q.shape == (6, 3) and np.allclose(q @ (q.conj().T @ vecs), vecs)

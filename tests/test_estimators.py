@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import (
-    linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
+    haar_states, linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
 )
 from shadowlab.cli import _im_batch_estimates
 from shadowlab.ensembles import (
@@ -287,11 +287,11 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     rng = RngStream(seed)
     O = random_hermitian_unit_norm(d, rng)
     obs = observable_from_matrix(O)
-    joint = sample_haar_state(d, rng, size=k)
+    joint = haar_states(d, rng, k)
     dense = [np.trace(O @ affine_shadow(p, copies, d)).real for p in joint]
     assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
 
-    psis = sample_haar_state(d, rng, size=k * s).reshape(k, s, d)
+    psis = haar_states(d, rng, k * s).reshape(k, s, d)
     batches = [[single_copy_shadow(p) for p in b] for b in psis]
     for kind, oracle in (("linear", linear_mean_shadow), ("quadratic", quadratic_shadow)):
         dense = [np.trace(O @ oracle(b)).real for b in batches]
@@ -331,7 +331,7 @@ def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
     # reduce through the overlaps here
     k, s, d = 2048, 2, 32
     O = random_observable(d, 4, RngStream(1))
-    psis = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
+    psis = haar_states(d, RngStream(2), k * s).reshape(k, s, d)
     tracemalloc.start()
     try:
         batch_estimates(O, psis, "linear")
@@ -350,7 +350,7 @@ def test_quadratic_kernel_with_a_wide_factor_stays_near_its_outcome_block(k, s):
     H = g + g.conj().T  # distinct eigenvalues, so every factor chunk weighs differently
     O = observable_from_matrix(H / np.abs(np.linalg.eigvalsh(H)).max())
     assert O.evals.size == d
-    block = sample_haar_state(d, RngStream(2), size=k * s).reshape(k, s, d)
+    block = haar_states(d, RngStream(2), k * s).reshape(k, s, d)
     tracemalloc.start()
     try:
         vals = batch_estimates(O, block, "quadratic")

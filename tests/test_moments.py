@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     dense_covariance,
+    haar_states,
     partial_trace,
     per_permutation_first_moment,
     per_permutation_second_moment,
@@ -123,42 +124,44 @@ def test_first_moment_formula_vs_brute(s, d):
 def test_permutation_classes_count_every_permutation(n):
     # the first moment's buckets (keep 0) and the second's (keep 0 and 1,
     # swap pulled out) each cover S_n once
-    I, rho = np.eye(2), rand_rho(2, n)
-    first = moments._perm_classes(n, [I] + [rho] * (n - 1), (0,))
-    second = moments._perm_classes(n, [I, I] + [rho] * (n - 2), (0, 1), pull_swap=True)
+    first, second = moments._class_table(n, (0,)), moments._class_table(n, (0, 1))
     for classes in (first, second):
-        assert sum(count for count, _, _ in classes) == math.factorial(n)
+        assert sum(count for count, *_ in classes) == math.factorial(n)
         assert n < 5 or 4 * len(classes) < math.factorial(n)  # the grouping pays
-    assert sum(count for count, swapped, _ in second if swapped) == math.factorial(n) // 2
+    assert sum(count for count, swapped, *_ in second if swapped) == math.factorial(n) // 2
 
 
-def test_class_tables_follow_which_positions_share_a_matrix():
-    # same matrices, different positions sharing one: (0 2) and (0 1) are one
-    # class of [A, B, B] but two of [A, A, B], and so are the two 3-cycles
-    A, B = np.eye(2), rand_rho(2, 3)
-    abb = moments._perm_classes(3, [A, B, B], (0,))
-    aab = moments._perm_classes(3, [A, A, B], (0,))
-    assert sorted(count for count, _, _ in abb) == [1, 1, 2, 2]
-    assert sorted(count for count, _, _ in aab) == [1] * 6
+def test_class_table_of_s3_by_hand():
+    # the identity; (0 1) and (0 2), which put one rho in 0's cycle; (1 2);
+    # and the two 3-cycles, which put both there
+    assert set(moments._class_table(3, (0,))) == {
+        (1, False, (0,), (1, 1)),
+        (2, False, (1,), (1,)),
+        (1, False, (0,), (2,)),
+        (2, False, (2,), ()),
+    }
 
 
 def test_class_table_is_built_once_per_pattern_and_immutable():
-    def second(rho):
-        I = np.eye(2, dtype=complex)
-        return moments._perm_classes(6, [I, I] + [rho] * 4, (0, 1), pull_swap=True)
-
-    rho = rand_rho(2, 11)
-    warm = second(rho)
-    assert second(rand_rho(2, 12)) is warm  # fresh objects, same pattern
+    # the pattern is (n, keep): which positions hold I rather than rho
+    warm = moments._class_table(6, (0, 1))
+    assert moments._class_table(6, (0, 1)) is warm
     warm_moment = brute_second_moment(rand_rho(2, 13), 4, 2)
+    hits = moments._class_table.cache_info().hits
+    assert np.array_equal(brute_second_moment(rand_rho(2, 13), 4, 2), warm_moment)
+    assert moments._class_table.cache_info().hits == hits + 1
     moments._class_table.cache_clear()
-    assert second(rho) == warm
+    assert moments._class_table(6, (0, 1)) == warm
     assert np.array_equal(brute_second_moment(rand_rho(2, 13), 4, 2), warm_moment)
     assert isinstance(warm, tuple) and all(isinstance(c, tuple) for c in warm)
+    assert all(
+        type(v) in (int, bool) for count, swapped, kept, traced in warm
+        for v in (count, swapped, *kept, *traced)
+    )
     with pytest.raises(TypeError):
         warm[0][0] += 1
-    with pytest.raises(AttributeError):
-        warm[0][2].images = (0,)
+    with pytest.raises(TypeError):
+        warm[0][2][0] = 1
 
 
 def test_moments_validate_rho_without_an_eigendecomposition(monkeypatch):
@@ -254,7 +257,7 @@ def test_haar_integral_symmetric_projector():
     rng = RngStream(51)
     n = 30_000
     for s in (1, 2, 3):
-        psis = sample_haar_state(2, rng, size=n)
+        psis = haar_states(2, rng, n)
         acc = np.zeros((2**s, 2**s), dtype=complex)
         for chunk in np.array_split(psis, 10):
             tens = chunk

@@ -28,22 +28,21 @@ def test_observable_validation():
 
 
 @pytest.mark.parametrize(
-    "vecs, evals, budget",
+    "vecs, evals",
     [
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 2.0),  # not orthonormal
-        (np.eye(2) * (1 + 1e-8), np.array([1.0, 0.0]), 2.0),  # columns off unit norm
-        (np.eye(2), np.array([1.0, 0.5j]), 2.0),  # complex eigenvalues
-        (np.eye(3)[:, :2], np.ones(3), 3.0),  # shape mismatch
-        (np.ones(3), np.ones(1), 1.0),  # vecs not (d, r)
-        (np.eye(3)[:, :0], np.ones(0), 1.0),  # empty factor
-        (np.eye(2), np.array([0.5, 0.5]), 2.0),  # max |lambda| != 1
-        (np.eye(2), np.array([1.0, -1.0 - 2e-9]), 3.0),  # max |lambda| just past 1
-        (np.eye(2), np.array([1.0, np.nan]), 2.0),  # NaN eigenvalue
-        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 2.0),  # NaN eigenvector
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0])),  # not orthonormal
+        (np.eye(2) * (1 + 1e-8), np.array([1.0, 0.0])),  # columns off unit norm
+        (np.eye(2), np.array([1.0, 0.5j])),  # complex eigenvalues
+        (np.eye(3)[:, :2], np.ones(3)),  # shape mismatch
+        (np.ones(3), np.ones(1)),  # vecs not (d, r)
+        (np.eye(3)[:, :0], np.ones(0)),  # empty factor
+        (np.eye(2), np.array([0.5, 0.5])),  # max |lambda| != 1
+        (np.eye(2), np.array([1.0, -1.0 - 2e-9])),  # max |lambda| just past 1
+        (np.eye(2), np.array([1.0, np.nan])),  # NaN eigenvalue
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),  # NaN eigenvector
     ],
 )
-def test_observable_rejects_bad_factors(vecs, evals, budget):
-    # budget is each case's former Tr(O^2) cap; Observable no longer takes one
+def test_observable_rejects_bad_factors(vecs, evals):
     with pytest.raises(ValueError):
         Observable(vecs=vecs, evals=evals)
 

@@ -1,0 +1,78 @@
+"""Every public function and class in the package is reached by real code.
+
+A public top-level function or class of src/shadowlab must be used by code
+in the package outside its own definition, by a script, or by the
+benchmark (perfbench/*.py); or be pinned, by name in perfbench/layers.LAYERS
+or by an import in tests/test_acceptance.py.  A use is an AST name or
+attribute, not a docstring or an import alone, so a re-export from
+__init__ does not count.  A public helper that only tests call fails here.
+"""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "shadowlab"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(tree, skip=()):
+    """Names and attribute names read in tree, outside the nodes in skip."""
+    inside = {id(n) for top in skip for n in ast.walk(top)}
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _layer_names():
+    # loaded the way test_layers loads it: from its file, without importing perfbench
+    path = ROOT / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = layers  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(layers)
+    finally:
+        del sys.modules[spec.name]
+    return {fn for _, fn, _ in layers.LAYERS}
+
+
+def _acceptance_imports():
+    tree = _parse(ROOT / "tests" / "test_acceptance.py")
+    return {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    outside = set()
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        outside |= _used_names(_parse(path))
+    pinned = _layer_names() | _acceptance_imports()
+    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    unreached = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in outside or node.name in pinned:
+                continue
+            # a use elsewhere in the package; its own body (a recursive call) does not count
+            uses = (_used_names(t, [node] if p == path else []) for p, t in trees.items())
+            if not any(node.name in used for used in uses):
+                unreached.append(f"{path.stem}.{node.name}")
+    for name in unreached:
+        print(f"unreached: {name}")
+    assert unreached == []
