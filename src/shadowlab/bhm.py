@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import RngStream
+from .ensembles import RngStream, require_outcome_budget
 from .estimators import BatchPlan, affine_shadow, median_estimate, plan_batches
 from .measurement import measure_joint_batch
 from .observables import Observable
@@ -47,6 +47,8 @@ class BHMInstance:
 
 def _edge_count(n: int, alpha: float) -> int:
     """The matching's edge count alpha * n, checked to be a whole number that n vertices hold."""
+    if not math.isfinite(alpha * n):
+        raise ValueError(f"alpha * n = {alpha * n} must be finite (alpha = {alpha}, n = {n})")
     m = round(alpha * n)
     if abs(alpha * n - m) > 1e-9 or m < 1:
         raise ValueError(f"alpha * n = {alpha * n} is not a positive integer")
@@ -57,9 +59,16 @@ def _edge_count(n: int, alpha: float) -> int:
 
 def protocol_plan(n: int, alpha: float, delta: float) -> BatchPlan:
     """The batches a protocol run takes on n vertices: the projector has B = m = alpha n,
-    and an estimate within eps = m / n of its expectation 2 alpha b decides b."""
+    and an estimate within eps = m / n of its expectation 2 alpha b decides b.
+
+    Alice holds k dense n x n shadows, so a plan whose shadows would pass
+    ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is drawn."""
     m = _edge_count(n, alpha)
-    return plan_batches(B=float(m), eps=m / n, delta=delta)
+    plan = plan_batches(B=float(m), eps=m / n, delta=delta)
+    require_outcome_budget(
+        plan.k * n * n * 16, f"bhm ({plan.k} shadows of n = {n}) would", "use a smaller n"
+    )
+    return plan
 
 
 def gen_instance(n: int, alpha: float, b: int, rng: RngStream) -> BHMInstance:

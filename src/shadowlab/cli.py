@@ -231,6 +231,28 @@ def _covariance_instance(d: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray
     return np.outer(phi, phi.conj()), Observable(frame, np.array([1.0, -0.5])).matrix
 
 
+COV_MC_FLOOR = 1e-6  # the Monte Carlo covariance gates pass |exact - mc| <= max(6 sigma, this)
+
+
+def _cov_mc_tolerance(stderr: float) -> float:
+    return max(6 * stderr, COV_MC_FLOOR)
+
+
+def _covariance_rows(patterns, d: int, trials: int, rng: RngStream):
+    """(rho, O, rows) of one covariance gate instance, with one row
+    (pattern, exact, mc, stderr, ok) per pattern.  The Monte Carlo request is
+    checked before the instance is drawn, so an oversized one does no O(d^3)
+    work; every row is built before any is reported."""
+    moments.mc_shadows_per_trial(patterns, d, trials)
+    rho, O = _covariance_instance(d, rng)
+    mcs = moments.mc_covariances(patterns, rho, O, d, trials, rng)
+    rows = []
+    for pattern, (mc, stderr) in zip(patterns, mcs):
+        exact = moments.exact_covariance(pattern, rho, O, d)
+        rows.append((pattern, exact, mc, stderr, abs(exact - mc) <= _cov_mc_tolerance(stderr)))
+    return rho, O, rows
+
+
 def verify_all(rng_seed: int = 0, quiet: bool = False) -> int:
     """Run every oracle-equivalence and bound check; 0 iff all pass."""
     reports: list[tuple[str, float, float]] = []  # (name, max|formula - brute|, tol)
@@ -282,15 +304,13 @@ def verify_all(rng_seed: int = 0, quiet: bool = False) -> int:
         check(f"type_ab_bijection n={n}", float(moments.ab_bijection_check(n)), 1.0, 0.0)
 
     # covariance patterns: exact assembly vs bound and vs Monte Carlo
+    patterns = ("ij_jk", "ij_kj", "ij_ji", "ij_ij")
     for d in (2, 3):
-        rho, O = _covariance_instance(d, rng)
-        patterns = ("ij_jk", "ij_kj", "ij_ji", "ij_ij")
-        mcs = moments.mc_covariances(patterns, rho, O, d, 20_000, rng)
-        for pattern, (mc, stderr) in zip(patterns, mcs):
-            exact = moments.exact_covariance(pattern, rho, O, d)
+        rho, O, rows = _covariance_rows(patterns, d, 20_000, rng)
+        for pattern, exact, mc, stderr, _ in rows:
             bound = moments.covariance_bound(pattern, rho, O, d)
             check(f"cov_bound {pattern} d={d}", min(exact, bound), exact, 1e-9)
-            check(f"cov_mc {pattern} d={d}", exact, mc, max(6 * stderr, 1e-4))
+            check(f"cov_mc {pattern} d={d}", exact, mc, _cov_mc_tolerance(stderr))
 
     failures = 0
     for name, dev, tol in reports:
@@ -348,12 +368,24 @@ def _build_config(args, mode: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _report_sweep(rows, delta):
-    n = len(rows)
-    succ = sum(r.success for r in rows)
-    lo, hi = wilson_interval(succ, n)
-    print(f"trials={n} successes={succ} rate={succ / max(n, 1):.4f} "
-          f"wilson95=[{lo:.4f}, {hi:.4f}] target>={1 - delta:.3f}")
+def _rate_line(runs: str, hits: str, n: int, k: int, delta: float) -> str:
+    lo, hi = wilson_interval(k, n)
+    return (f"{runs}={n} {hits}={k} rate={k / max(n, 1):.4f} "
+            f"wilson95=[{lo:.4f}, {hi:.4f}] target>={1 - delta:.3f}")
+
+
+def _bhm_runs(n: int, alpha: float, delta: float, runs: int, seed: int) -> list[tuple]:
+    """(run_id, b, guess, samples_used) per protocol run, each on a fresh instance."""
+    if runs < 0:
+        raise ValueError(f"--runs must be >= 0, got {runs}")
+    bhm_mod.protocol_plan(n, alpha, delta)  # its checks run before the first draw
+    rows = []
+    for run_id in range(runs):
+        rng = RngStream(seed, run_id + 1)
+        b = int(rng.gen.integers(0, 2))
+        guess, used = bhm_mod.run_protocol(bhm_mod.gen_instance(n, alpha, b, rng), delta, rng)
+        rows.append((run_id, b, guess, used))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -369,104 +401,56 @@ def main(argv=None) -> int:
         if name == "im":
             p.add_argument("--estimator", choices=["auto", "linear", "quadratic"])
 
-    p = sub.add_parser("bhm")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--runs", type=int, default=400)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-
-    p = sub.add_parser("verify-moments")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("cov-check")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--trials", type=int, default=50_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-
-    p = sub.add_parser("compare")
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--B", type=float, default=16.0)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
+    for name, flags in (
+        ("bhm", (("n", int, 16), ("alpha", float, 0.25), ("delta", float, 0.05),
+                 ("runs", int, 400))),
+        ("verify-moments", ()),
+        ("cov-check", (("d", int, 3), ("trials", int, 50_000))),
+        ("compare", (("d", int, 16), ("B", float, 16.0), ("trials", int, 2000))),
+    ):
+        p = sub.add_parser(name)
+        for key, typ, default in flags:
+            p.add_argument(f"--{key}", type=typ, default=default)
+        p.add_argument("--seed", type=int)
+        if name != "verify-moments":
+            p.add_argument("--out", type=str)
 
     args = parser.parse_args(argv)
 
     try:
-        if args.cmd in ("jm", "im"):
-            config = _build_config(args, args.cmd)
-            rows = run_sweep(config)
-            if config.out:
-                write_rows(config.out, rows)
-            _report_sweep(rows, config.delta)
-            return 0
-
-        if args.cmd == "bhm":
-            if args.runs < 0:
-                raise ValueError(f"--runs must be >= 0, got {args.runs}")
-            # a run holds k dense n x n shadows: refuse before drawing an instance
-            k = bhm_mod.protocol_plan(args.n, args.alpha, args.delta).k
-            require_outcome_budget(
-                k * args.n**2 * 16, f"bhm ({k} shadows of n = {args.n}) would", "use a smaller n"
-            )
-            seed = _resolve_seed(args)
-            rows = []
-            correct = 0
-            for run_id in range(args.runs):
-                rng = RngStream(seed, run_id + 1)
-                b = int(rng.gen.integers(0, 2))
-                inst = bhm_mod.gen_instance(args.n, args.alpha, b, rng)
-                guess, used = bhm_mod.run_protocol(inst, args.delta, rng)
-                correct += guess == b
-                rows.append((run_id, b, guess, used))
-            if args.out:
-                write_rows(args.out, rows, header=("run_id", "b", "guess", "samples_used"))
-            lo, hi = wilson_interval(correct, args.runs)
-            print(f"runs={args.runs} correct={correct} rate={correct / max(args.runs, 1):.4f} "
-                  f"wilson95=[{lo:.4f}, {hi:.4f}] target>={1 - args.delta:.3f}")
-            return 0
-
+        code, out = 0, getattr(args, "out", None)
         if args.cmd == "verify-moments":
             return verify_all(rng_seed=_resolve_seed(args))
-
-        if args.cmd == "cov-check":
-            seed = _resolve_seed(args)
-            # the Monte Carlo guard draws nothing: refuse before any O(d^3) work
-            moments.mc_shadows_per_trial(moments.COV_PATTERNS, args.d, args.trials)
-            rng = RngStream(seed, 5)
-            rho, O = _covariance_instance(args.d, rng)
-            mcs = moments.mc_covariances(moments.COV_PATTERNS, rho, O, args.d, args.trials, rng)
-            rows = []  # every pattern first, so an error prints no partial verdicts
-            for pattern, (mc, stderr) in zip(moments.COV_PATTERNS, mcs):
-                exact = moments.exact_covariance(pattern, rho, O, args.d)
-                ok = abs(exact - mc) <= max(6 * stderr, 1e-6)
-                rows.append((pattern, exact, mc, stderr, ok))
-            if args.out:
-                write_rows(args.out, rows, header=("pattern", "exact", "mc", "stderr", "ok"))
-            for pattern, exact, mc, stderr, ok in rows:
-                print(f"{'PASS' if ok else 'FAIL'}  {pattern:9s} exact={exact:+.6f} "
-                      f"mc={mc:+.6f} stderr={stderr:.6f}")
-            return 0 if all(ok for *_, ok in rows) else 1
-
-        if args.cmd == "compare":
-            seed = _resolve_seed(args)
-            rows = compare_estimators(args.d, args.B, args.trials, seed)
+        if args.cmd in ("jm", "im"):
+            config = _build_config(args, args.cmd)
+            rows, header, out = run_sweep(config), RESULT_FIELDS, config.out
+            succ = sum(r.success for r in rows)
+            lines = [_rate_line("trials", "successes", len(rows), succ, config.delta)]
+        elif args.cmd == "bhm":
+            rows = _bhm_runs(args.n, args.alpha, args.delta, args.runs, _resolve_seed(args))
+            header = ("run_id", "b", "guess", "samples_used")
+            correct = sum(b == guess for _, b, guess, _ in rows)
+            lines = [_rate_line("runs", "correct", len(rows), correct, args.delta)]
+        elif args.cmd == "cov-check":
+            rng = RngStream(_resolve_seed(args), 5)
+            *_, rows = _covariance_rows(moments.COV_PATTERNS, args.d, args.trials, rng)
+            header = ("pattern", "exact", "mc", "stderr", "ok")
+            lines = [f"{'PASS' if ok else 'FAIL'}  {pattern:9s} exact={exact:+.6f} "
+                     f"mc={mc:+.6f} stderr={stderr:.6f}"
+                     for pattern, exact, mc, stderr, ok in rows]
+            code = 0 if all(ok for *_, ok in rows) else 1
+        else:  # compare
+            rows = compare_estimators(args.d, args.B, args.trials, _resolve_seed(args))
             header = ("s", "var_linear", "var_quadratic", "ratio", "pred_linear", "pred_quadratic")
-            if args.out:
-                write_rows(args.out, rows, header=header)
-            print(("{:>6s}" + "{:>16s}" * 5).format(*header))
-            for row in rows:
-                print(f"{row[0]:6d}" + "".join(f"{v:16.6g}" for v in row[1:]))
-            return 0
+            lines = [("{:>6s}" + "{:>16s}" * 5).format(*header)]
+            lines += [f"{row[0]:6d}" + "".join(f"{v:16.6g}" for v in row[1:]) for row in rows]
+        if out:
+            write_rows(out, rows, header)
+        print("\n".join(lines))
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    parser.error(f"unknown command {args.cmd}")
-    return 2
 
 
 if __name__ == "__main__":

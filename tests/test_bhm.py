@@ -11,6 +11,7 @@ from shadowlab.bhm import (
     expected_value,
     gen_instance,
     matching_observable,
+    protocol_plan,
     run_protocol,
     sign_state,
 )
@@ -126,6 +127,13 @@ def test_run_protocol_sample_count():
     guess, used = run_protocol(inst, 0.1, RngStream(78))
     assert used == plan.total
     assert guess in (0, 1)
+
+
+def test_protocol_plan_holds_the_shadow_memory_rule():
+    # Alice's k dense n x n shadows: 21 at n = 2048 are 1344 MiB, 21 at n = 1024 fit
+    assert protocol_plan(1024, 0.25, 0.05).k == 21
+    with pytest.raises(ValueError, match="1344 MiB"):
+        protocol_plan(2048, 0.25, 0.05)
 
 
 def test_protocol_success_rate_small():

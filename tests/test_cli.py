@@ -484,6 +484,16 @@ def test_cli_bhm_refuses_oversized_shadows_before_drawing(monkeypatch, capsys, t
         main(["bhm", "--n", "1024", "--seed", "1"])
 
 
+@pytest.mark.parametrize("alpha", ["inf", "1e308", "nan"])
+def test_cli_bhm_non_finite_alpha_exits_2_with_one_error_line(capsys, alpha):
+    capsys.readouterr()
+    assert main(["bhm", "--n", "16", "--alpha", alpha, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: alpha * n = ") and err.count("\n") == 1
+    assert "alpha = " in err
+
+
 def test_package_exports_resolve():
     assert shadowlab.__all__
     for name in shadowlab.__all__:

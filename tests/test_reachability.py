@@ -6,6 +6,10 @@ benchmark (perfbench/*.py); or be pinned, by name in perfbench/layers.LAYERS
 or by an import in tests/test_acceptance.py.  A use is an AST name or
 attribute, not a docstring or an import alone, so a re-export from
 __init__ does not count.  A public helper that only tests call fails here.
+
+A private top-level function or class must be used by the package itself,
+outside its own definition: a helper left behind once its callers are gone
+fails here, even if a test still reaches it.
 """
 
 import ast
@@ -56,23 +60,46 @@ def _acceptance_imports():
     }
 
 
+def _package_trees():
+    return {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _top_level(trees, private):
+    """(path, node) of each top-level function or class, private or public."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") == private:
+                    yield path, node
+
+
+def _used_in_package(trees, path, node):
+    # a use elsewhere in the package; its own body (a recursive call) does not count
+    uses = (_used_names(t, [node] if p == path else []) for p, t in trees.items())
+    return any(node.name in used for used in uses)
+
+
 def test_every_public_name_is_reached_outside_the_tests():
     outside = set()
     for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         outside |= _used_names(_parse(path))
     pinned = _layer_names() | _acceptance_imports()
-    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    unreached = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in outside or node.name in pinned:
-                continue
-            # a use elsewhere in the package; its own body (a recursive call) does not count
-            uses = (_used_names(t, [node] if p == path else []) for p, t in trees.items())
-            if not any(node.name in used for used in uses):
-                unreached.append(f"{path.stem}.{node.name}")
+    trees = _package_trees()
+    unreached = [
+        f"{path.stem}.{node.name}" for path, node in _top_level(trees, private=False)
+        if node.name not in outside | pinned and not _used_in_package(trees, path, node)
+    ]
     for name in unreached:
         print(f"unreached: {name}")
     assert unreached == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    trees = _package_trees()
+    unused = [
+        f"{path.stem}.{node.name}" for path, node in _top_level(trees, private=True)
+        if not _used_in_package(trees, path, node)
+    ]
+    for name in unused:
+        print(f"unused: {name}")
+    assert unused == []
