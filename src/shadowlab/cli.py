@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  The seed comes from
 --seed, then the seed key of a jm or im --config file, then the
-SHADOWLAB_SEED environment variable, then 0.
+SHADOWLAB_SEED environment variable, then 0; one that is not a
+non-negative integer is a usage error that names where it came from.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _im_batch_estimates(phi, O, s, k, rng, kind):
     """Per-batch estimates from k batches of s fresh single-copy outcomes.
 
     The outcomes are phi-aligned records, drawn a block of whole batches at
-    a time into one buffer and read with O's factor rotated into their
+    a time into one buffer and read with O's factor reflected into their
     basis once.  The linear estimate reads each outcome only through
     <psi|O.vecs>, so its records are reduced to span{phi, O.vecs} plus the
     rest; quadratic needs every coordinate.  A buffer larger than
@@ -323,11 +324,16 @@ def verify_all(rng_seed: int = 0, quiet: bool = False) -> int:
     return 1 if failures else 0
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SHADOWLAB_SEED")
-    return int(env) if env else DEFAULT_SEED
+def _resolve_seed(args, config_seed: str | None = None) -> int:
+    """The first seed set of --seed, the config file's and SHADOWLAB_SEED, else
+    DEFAULT_SEED; one that is not a non-negative integer is a ValueError naming it."""
+    for source, raw in (("--seed", args.seed), ("the config file's seed", config_seed),
+                        ("SHADOWLAB_SEED", os.environ.get("SHADOWLAB_SEED") or None)):
+        if raw is not None:
+            if not str(raw).isdecimal():
+                raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+            return int(raw)
+    return DEFAULT_SEED
 
 
 def _load_config(path: str) -> dict:
@@ -352,19 +358,19 @@ _SWEEP_KEYS = {
 
 
 def _build_config(args, mode: str) -> ExperimentConfig:
-    """Flags beat the config file; a seed set by neither comes from _resolve_seed."""
+    """Flags beat the config file; the seed comes from _resolve_seed."""
     values = {"mode": mode}
-    if args.config:
-        for key, raw in _load_config(args.config).items():
-            if key not in _SWEEP_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _SWEEP_KEYS[key](raw)
+    config = _load_config(args.config) if args.config else {}
+    config_seed = config.pop("seed", None)
+    for key, raw in config.items():
+        if key not in _SWEEP_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = _SWEEP_KEYS[key](raw)
     for key in _SWEEP_KEYS:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    if "seed" not in values:
-        values["seed"] = _resolve_seed(args)
+    values["seed"] = _resolve_seed(args, config_seed)
     return ExperimentConfig(**values)
 
 
@@ -432,6 +438,8 @@ def main(argv=None) -> int:
             correct = sum(b == guess for _, b, guess, _ in rows)
             lines = [_rate_line("runs", "correct", len(rows), correct, args.delta)]
         elif args.cmd == "cov-check":
+            if args.d < 2:
+                raise ValueError(f"cov-check needs d >= 2, got --d {args.d}")
             rng = RngStream(_resolve_seed(args), 5)
             *_, rows = _covariance_rows(moments.COV_PATTERNS, args.d, args.trials, rng)
             header = ("pattern", "exact", "mc", "stderr", "ok")

@@ -12,23 +12,23 @@ independently of h's direction.  Rescale c's modulus to a with
 |a|^2/2 = |c|^2/2 + Gamma(s), which is Gamma(s+1), and keep its phase: the
 normalised a phi + h then has t = (|a|^2/2)/(|a|^2/2 + |h|^2/2), which is
 Beta(s+1, d-1) exactly.  There is no rejection step, and the cost is O(d)
-per outcome independent of s.  Every sampler below applies this one rule
-to the phi coordinate of its own Gaussian draw.
+per outcome independent of s.
 
-The draw is simplest in a basis whose first vector is phi (phi_basis):
-sample_aligned_posterior_states writes those coordinates straight into the
-caller's array.  An estimate that reads psi only through <psi|v_j> for the
-columns of a (d, r) matrix V needs fewer: with Q an orthonormal basis of
-span{phi, V} whose first column is phi, those overlaps depend only on the
-coordinates of psi along Q and on the norm of the rest, whose square is
-half a Gamma(d - w) variate for w = Q.shape[1].  The same sampler then
-fills m = min(d, w + 1) columns at O(r) cost per outcome: below d the last
-one is that norm, and at d the draw is the full one.  aligned_frame gives
-the (m, r) frame the records are read with.
+sample_aligned_posterior_states draws psi in coordinates whose first basis
+vector is phi, straight into the caller's array and independently of phi.
+One rule maps them to C^d: reflect applies the Householder reflection H,
+Hermitian and unitary with first column phi up to a phase, at O(d) per
+vector.  sample_posterior_states reflects the records themselves; a caller
+that reads them only through a few vectors reflects those instead
+(aligned_frame, moments.mc_covariances).  Overlaps <psi|v_j> with the r
+columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
+per outcome: the phi one, r along a basis of the other rows of H V, and,
+below d, the norm of the rest, whose square is half a Gamma(d - m + 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,9 @@ import numpy as np
 from .linalg import is_hermitian
 
 PURITY_TOL = 1e-8
+
+# Largest | ||psi|| - 1 | of an outcome state, and | |phi|^2 - 1 | of a sampled one.
+UNIT_NORM_TOL = 1e-10
 
 # Largest outcome array, in bytes, that any caller samples at once.
 MAX_OUTCOME_BYTES = 2**30
@@ -88,14 +91,11 @@ def pure_state_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def as_state_vector(state: np.ndarray) -> np.ndarray:
-    """Accept a state vector or a pure density matrix; reject mixed states.
-
-    A state vector is normalized; a zero or non-finite one raises ValueError,
-    since normalizing it would yield NaN.  A matrix goes to pure_state_vector.
-    """
+    """The state vector normalized; anything but a finite nonzero vector
+    (a matrix, a zero or a non-finite vector) raises ValueError."""
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1:
-        return pure_state_vector(state)
+        raise ValueError(f"expected a state vector, got shape {state.shape}")
     norm = np.linalg.norm(state)
     if not 0 < norm < np.inf:  # zero, NaN, or an entry too large to square
         raise ValueError(f"state vector norm {norm} cannot be normalized")
@@ -119,29 +119,29 @@ def sample_haar_state(d: int, rng: RngStream) -> np.ndarray:
 def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) -> np.ndarray:
     """size outcomes of the joint measurement on phi^(x s); shape (size, d).
 
-    phi must be a unit vector.
+    The aligned draw at full width, reflected in place: the same generator
+    calls in the same order.  phi must be a unit vector, to UNIT_NORM_TOL.
     """
+    if phi.ndim != 1 or not abs(np.vdot(phi, phi).real - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError("phi must be a unit vector")
     d = phi.shape[0]
-    _check_outcome_law(d, s)
-    g = rng.gen.standard_normal((size, 2 * d)).view(complex)
-    c = g @ phi.conj()
-    a = _rescale_phi_coordinates(c.copy(), s, rng)
-    # psi = g + (a - c) phi: the phi component c of g becomes a, and the
-    # rest h = g - c phi stays, so |h|^2 / 2 ~ Gamma(d-1)
-    g += (a - c)[:, None] * phi
-    return _normalize_rows(g)
+    return reflect(phi, sample_aligned_posterior_states(s, rng, np.empty((size, d), complex), d))
 
 
-def phi_basis(phi: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis of span{phi, vecs} whose first column is the unit
-    vector phi: (d, min(d, r+1)) for vecs (d, r); vecs None gives a d x d
-    unitary."""
-    d = phi.shape[0]
-    vecs = np.eye(d) if vecs is None else vecs
-    # the first column of any QR factor of [phi, vecs] is phi up to a phase
-    q = np.linalg.qr(np.column_stack([phi, vecs]))[0]
-    q[:, 0] = phi
-    return q
+def reflect(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row r of the complex (n, d) array x, or the vector x, replaced in
+    place by H r; returns x.  O(d n); columns of M reflect as rows of M.T.
+
+    H = I - 2 u u^H / |u|^2 = I - w w^H, u = phi + e^(i arg phi_0) e_0 and
+    w = u / sqrt(1 + |phi_0|), for the unit vector phi: Hermitian, unitary,
+    and H e_0 = -e^(-i arg phi_0) phi.  A phi_0 of 0 takes the phase 1.
+    """
+    p0 = complex(phi[0])
+    a = abs(p0)
+    w = np.multiply(phi, 1 / math.sqrt(1 + a), dtype=complex)
+    w[0] += (p0 / a if a else 1.0) / math.sqrt(1 + a)
+    x -= np.multiply.outer(x @ w.conj(), w)
+    return x
 
 
 def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: int) -> np.ndarray:
@@ -150,13 +150,11 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     in a basis whose first vector is phi; returns out.
 
     Row i is a standard complex Gaussian drawn in place, its first
-    coordinate rescaled by the phi-amplitude rule, then normalised.  With
-    m = d it is Q^H psi_i for a unitary Q such as phi_basis(phi).  With
-    m < d the first m - 1 coordinates are those along the columns of a
-    (d, m - 1) Q such as phi_basis(phi, V), and the last is the norm of
-    the rest of C^d, sqrt(2 Gamma(d - m + 1)) before the normalisation.
-    There is no (n, m) temporary, and the draws do not depend on phi, so
-    callers rotate O (or its factor) by Q once instead.
+    coordinate rescaled by the phi-amplitude rule, then normalised on the
+    float view (a real divisor).  At m = d its outcome is H row (reflect);
+    below d the first m - 1 coordinates are those aligned_frame reads, and
+    the last is the norm of the rest, sqrt(2 Gamma(d - m + 1)) before the
+    normalisation.  There is no (n, m) temporary.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
@@ -164,11 +162,13 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     m = out.shape[1]
     if not 2 <= m <= d:
         raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
-    rng.gen.standard_normal(out=out.view(float))
+    flat = out.view(float)
+    rng.gen.standard_normal(out=flat)
     _rescale_phi_coordinates(out[:, 0], s, rng)
     if m < d:
         out[:, -1] = np.sqrt(2 * rng.gen.gamma(d - m + 1, size=out.shape[0]))
-    return _normalize_rows(out)
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    return out
 
 
 def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.ndarray:
@@ -176,21 +176,23 @@ def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.n
     give the overlaps with the columns of vecs (d, r): records @ frame.conj()
     has the law of sample_posterior_states(phi, ...) @ vecs.conj().
 
-    With Q = phi_basis(phi, vecs), or the unitary phi_basis(phi) when full,
-    m = min(d, Q.shape[1] + 1) and the frame is Q^H vecs over m - Q.shape[1]
-    zero rows: the rest coordinate, if any, has no overlap with vecs.  Full
-    records (m = d) also carry the overlaps between outcomes.  phi is
+    The full frame (m = d) is H vecs, for H of reflect.  Otherwise m =
+    min(d, r + 2): the rows of H vecs after the first become the R factor of
+    their QR, over a zero row for the rest coordinate if m has room.  phi is
     validated and normalised by as_state_vector.
     """
     phi = as_state_vector(phi)
-    vecs = np.asarray(vecs, dtype=complex)
+    vecs = np.array(vecs, dtype=complex, order="F")  # a copy, its columns the rows of vecs.T
     d = phi.shape[0]
     if vecs.ndim != 2 or vecs.shape[0] != d:
         raise ValueError(f"vecs must have shape ({d}, r), got {vecs.shape}")
     _check_outcome_law(d, 0)
-    q = phi_basis(phi, None if full else vecs)
-    m = min(d, q.shape[1] + 1)
-    return np.vstack([q.conj().T @ vecs, np.zeros((m - q.shape[1], vecs.shape[1]))])
+    frame = reflect(phi, vecs.T).T
+    if full:
+        return frame
+    frame = np.vstack([frame[:1], np.linalg.qr(frame[1:], mode="r")])
+    m = min(d, vecs.shape[1] + 2)
+    return np.vstack([frame, np.zeros((m - frame.shape[0], vecs.shape[1]))])
 
 
 def require_outcome_budget(nbytes: int, what: str, remedy: str) -> None:
@@ -225,13 +227,3 @@ def _rescale_phi_coordinates(c: np.ndarray, s: int, rng: RngStream) -> np.ndarra
     c[zero], m2[zero] = 1.0, 1.0
     c *= np.sqrt(target / m2)
     return c
-
-
-def _normalize_rows(z: np.ndarray) -> np.ndarray:
-    """Divide each row of the complex array z by its norm, in place.
-
-    The division runs on the float view: a real divisor, not a complex one.
-    """
-    flat = z.view(float)
-    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-    return z

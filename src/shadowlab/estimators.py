@@ -26,6 +26,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .ensembles import UNIT_NORM_TOL
 from .linalg import hermitize
 from .observables import Observable
 
@@ -34,9 +35,6 @@ EstimateKind = Literal["affine_joint", "linear", "quadratic"]
 # Per-batch failure budget used throughout; k is forced odd so the median is
 # always one of the batch estimates.
 BATCH_FAILURE_P = 0.25
-
-# Largest | ||psi|| - 1 | accepted for an outcome state.
-UNIT_NORM_TOL = 1e-10
 
 # Largest batch size a plan may ask for: beyond 2^53 an integer s is no
 # longer exact as a float.  It bounds the planner's search, so an eps too

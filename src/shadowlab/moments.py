@@ -26,8 +26,8 @@ import numpy as np
 from .ensembles import (
     BLOCK_ROWS,
     RngStream,
-    phi_basis,
     pure_state_vector,
+    reflect,
     require_outcome_budget,
     require_pure_state,
     sample_aligned_posterior_states,
@@ -290,11 +290,11 @@ def mc_covariances(
     Independent cross-check of exact_covariance: draws N trials of fresh
     single-copy outcomes, as many per trial as the patterns index, and forms
     each distinct trace variable T(i, j) = Tr(O rhohat_i rhohat_j) once.  The
-    outcomes are phi-aligned records, so O is rotated into their basis once;
-    the traces are basis-invariant.  The N x n_shadows x d outcome array is
-    held whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a
-    ValueError before anything is sampled; the traces run over BLOCK_ROWS
-    trials at a time.
+    outcomes are phi-aligned records, so O is reflected into their basis
+    once, as H O H with ensembles.reflect; the traces are basis-invariant.
+    The N x n_shadows x d outcome array is held whole, so one larger than
+    ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is sampled;
+    the traces run over BLOCK_ROWS trials at a time.
     """
     n_shadows = mc_shadows_per_trial(patterns, d, N)
     phi = pure_state_vector(rho)
@@ -302,13 +302,14 @@ def mc_covariances(
     pairs = [_pattern_indices(p) for p in patterns]
     psis = np.empty((N * n_shadows, d), dtype=complex)
     psis = sample_aligned_posterior_states(1, rng, psis, d).reshape(N, n_shadows, d)
-    q = phi_basis(phi)
-    o_q = q.conj().T @ O @ q
+    o_h = np.array(O, dtype=complex, order="F")
+    reflect(phi, o_h.T)  # O's columns: H O, then those of (H O)^H = O H, O Hermitian
+    o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # H O H
     traces = {ij: np.empty(N, dtype=complex) for pair in pairs for ij in pair}
     for lo in range(0, N, BLOCK_ROWS):
         blk = psis[lo:lo + BLOCK_ROWS]
         for (i, j), t in traces.items():
-            t[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_q, blk[:, i], blk[:, j])
+            t[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_h, blk[:, i], blk[:, j])
     del psis, blk  # the outcomes are spent; only the traces are read below
     for t in traces.values():
         t -= t.mean()

@@ -146,22 +146,24 @@ def test_run_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Estimates of the one-draw outcome sampler with the phi-amplitude rule
-# (im: of its phi-aligned records, reduced for linear, drawn a block of
-# BLOCK_ROWS // s batches at a time), and truths carried over from the
-# per-outcome Shadow code before it.  phi and O are drawn before any
-# outcome, so a change of sampler moves the estimates but never the truths.
+# Estimates of the one-draw outcome sampler with the phi-amplitude rule,
+# its phi-aligned records mapped to C^d by the Householder reflection of
+# ensembles.reflect (jm: the records reflected; im: O's factor reflected,
+# reduced for linear, the records drawn a block of BLOCK_ROWS // s batches at
+# a time), and truths carried over from the per-outcome Shadow code before
+# it.  phi and O are drawn before any outcome, so a change of sampler moves
+# the estimates but never the truths.
 PINNED_SWEEPS = {
     ("jm", 4.0, 0.3, 11): (
-        (0.28117325476874644, 0.49409905100673673, 0.2548252748690585),
+        (0.2905622286782711, 0.5159649132308979, 0.2611982574900057),
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.17394458412873745, 0.3993312042680964, 0.30096143462800956),
+        (0.14959897357164165, 0.41373751425509364, 0.2988284956184862),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
-        (0.5930606610049186, 0.7229556911865299, 0.37202386260103154),
+        (0.6260819513348092, 0.6931549634577853, 0.35013605099641576),
         (0.6267327873824926, 0.7073847317351589, 0.3441464177756939),
     ),
 }
@@ -434,6 +436,58 @@ def test_cli_env_seed_fallback(tmp_path, monkeypatch):
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4", "--trials", "3",
                  "--seed", "123", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Each subcommand at a size that would finish at once with a valid seed.
+_QUICK_ARGV = {
+    "jm": ["jm", "--trials", "0"],
+    "im": ["im", "--trials", "0"],
+    "bhm": ["bhm", "--runs", "0"],
+    "verify-moments": ["verify-moments"],
+    "cov-check": ["cov-check", "--d", "2", "--trials", "1000"],
+    "compare": ["compare", "--d", "4", "--B", "4", "--trials", "2"],
+}
+_BAD_SEEDS = [("--seed", "-1"), ("--seed", "1.5"), ("SHADOWLAB_SEED", "abc"),
+              ("SHADOWLAB_SEED", "-1"), ("the config file's seed", "-4"),
+              ("the config file's seed", "x")]
+
+
+@pytest.mark.parametrize("cmd, source, raw", [
+    (cmd, source, raw) for cmd in _QUICK_ARGV for source, raw in _BAD_SEEDS
+    if "config" not in source or cmd in ("jm", "im")
+])
+def test_cli_bad_seed_exits_2_naming_its_source(tmp_path, monkeypatch, capsys, cmd, source, raw):
+    # a negative or non-integer seed is a usage error before any output,
+    # from whichever of the three sources supplies it
+    argv = list(_QUICK_ARGV[cmd])
+    monkeypatch.delenv("SHADOWLAB_SEED", raising=False)
+    if source == "--seed":
+        argv += ["--seed", raw]
+    elif source == "SHADOWLAB_SEED":
+        monkeypatch.setenv("SHADOWLAB_SEED", raw)
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = {raw}\n")
+        argv += ["--config", str(cfg)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a non-integer --seed itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert source in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_cli_cov_check_below_d_2_exits_2_naming_d(monkeypatch, capsys, d):
+    def refuse(*args):
+        raise AssertionError("drew a covariance instance at d < 2")
+
+    monkeypatch.setattr(cli, "_covariance_rows", refuse)
+    assert main(["cov-check", "--d", d, "--trials", "1000", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: cov-check needs d >= 2, got --d {d}"]
 
 
 def test_cli_bhm_subcommand(tmp_path):

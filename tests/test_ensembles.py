@@ -5,11 +5,12 @@ import pytest
 from scipy import stats
 
 from oracles import haar_states, sample_posterior_states as oracle_posterior_states
+from shadowlab import moments
 from shadowlab.ensembles import (
     RngStream,
     _rescale_phi_coordinates,
     aligned_frame,
-    phi_basis,
+    reflect,
     sample_aligned_posterior_states,
     sample_haar_state,
     sample_posterior_states,
@@ -109,10 +110,10 @@ def test_posterior_overlap_distribution_ks():
 
 
 def aligned_states(phi, s, rng, n):
-    """Outcomes of the phi-aligned sampler, rotated back to the standard basis."""
+    """Outcomes of the phi-aligned sampler, reflected to the standard basis."""
     d = phi.shape[0]
     records = sample_aligned_posterior_states(s, rng, np.empty((n, d), dtype=complex), d)
-    return records @ phi_basis(phi).T
+    return reflect(phi, records)
 
 
 def reduced_records(phi, vecs, s, rng, n):
@@ -286,7 +287,8 @@ def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
         assert np.isfinite(rows).all()
         assert np.abs(np.linalg.norm(rows, axis=1) - 1).max() < 1e-12
     want = np.sqrt(2 * (s > 0) / (2 * (s > 0) + 2 * (d - 1)))  # |a| / |(a, 1+1j, ...)|
-    assert np.allclose(full[:, 0], want) and np.allclose(aligned[:, 0], want)
+    # the reflection for phi = e_0 is I - 2 e_0 e_0^H: H e_0 = -phi
+    assert np.allclose(np.abs(full[:, 0]), want) and np.allclose(aligned[:, 0], want)
     # the reduced row is (a, 1+1j, sqrt(2 Gamma(d - 2))) = (a, 1+1j, sqrt(2))
     assert np.allclose(reduced[:, 0], np.sqrt(2 * (s > 0) / (2 * (s > 0) + 4)))
 
@@ -306,11 +308,74 @@ def test_aligned_sampler_guards():
     assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
 
 
-def test_phi_basis_is_unitary_with_phi_first():
-    phi = sample_haar_state(6, RngStream(3))
-    q = phi_basis(phi)
-    assert q.shape == (6, 6) and np.allclose(q.conj().T @ q, np.eye(6))
-    assert np.array_equal(q[:, 0], phi)
-    vecs = np.linalg.qr(haar_states(6, RngStream(4), 2).T)[0]
-    q = phi_basis(phi, vecs)
-    assert q.shape == (6, 3) and np.allclose(q @ (q.conj().T @ vecs), vecs)
+def _dense_reflection(phi):
+    """I - 2 u u^H / |u|^2 for u = phi + e^(i arg phi_0) e_0, formed densely."""
+    u = phi.astype(complex)
+    u[0] += np.exp(1j * np.angle(phi[0]))
+    return np.eye(phi.size) - 2 * np.outer(u, u.conj()) / np.vdot(u, u).real
+
+
+@pytest.mark.parametrize("phi", [
+    sample_haar_state(6, RngStream(3)),
+    np.array([0, 0.6, 0.8j, 0], dtype=complex),  # phi_0 = 0
+    np.eye(5, dtype=complex)[0],  # phi = e_0
+    -1j * np.eye(3, dtype=complex)[0],
+], ids=["haar", "phi0_zero", "e0", "minus_i_e0"])
+def test_reflection_is_the_householder_unitary_with_phi_first(phi):
+    d = phi.size
+    h = reflect(phi, np.eye(d, dtype=complex)).T  # row i of I becomes H e_i
+    assert np.isfinite(h).all()
+    assert np.abs(h - _dense_reflection(phi)).max() <= 1e-12
+    assert np.abs(h - h.conj().T).max() <= 1e-12  # Hermitian
+    assert np.abs(h @ h.conj().T - np.eye(d)).max() <= 1e-12  # unitary
+    x = haar_states(d, RngStream(5), 3)
+    assert np.abs(reflect(phi, reflect(phi, x.copy())) - x).max() <= 1e-12  # involutive
+    assert np.abs(reflect(phi, x.copy()) - x @ h.T).max() <= 1e-12  # row r becomes H r
+    # the first column is phi up to a unit phase
+    phase = np.vdot(phi, h[:, 0])
+    assert abs(abs(phase) - 1) <= 1e-12 and np.abs(h[:, 0] - phase * phi).max() <= 1e-12
+    # a vector reflects as the rows of an array do
+    assert np.abs(reflect(phi, x[0].copy()) - h @ x[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s, size", [(0, 4), (3, 7)])
+def test_posterior_states_are_the_aligned_draw_reflected(s, size):
+    # the same generator calls in the same order: the same state afterwards,
+    # and the outcomes are the aligned records reflected
+    d = 5
+    phi = sample_haar_state(d, RngStream(50))
+    a, b = RngStream(51, s), RngStream(51, s)
+    full = sample_posterior_states(phi, s, a, size)
+    records = sample_aligned_posterior_states(s, b, np.empty((size, d), dtype=complex), d)
+    assert a.gen.bit_generator.state == b.gen.bit_generator.state
+    assert np.abs(full - reflect(phi, records)).max() <= 1e-15
+    with pytest.raises(ValueError):  # phi must be a unit vector
+        sample_posterior_states(2 * phi, s, a, size)
+
+
+def test_frames_and_mc_covariances_run_no_qr_on_the_full_space(monkeypatch):
+    # the full frame and the Monte Carlo covariances reflect with phi; only
+    # the reduced frame factors its (d - 1, r) block
+    d = 6
+    phi = sample_haar_state(d, RngStream(60))
+    vecs = np.linalg.qr(haar_states(d, RngStream(61), 2).T)[0]
+    o = vecs @ np.diag([1.0, -0.5]) @ vecs.conj().T
+    qr = np.linalg.qr
+    shapes = []
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QR on the full frame or covariance path")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    frame = aligned_frame(phi, vecs, full=True)
+    assert np.abs(frame - _dense_reflection(phi) @ vecs).max() <= 1e-12
+    moments.mc_covariances(("ij_ji",), np.outer(phi, phi.conj()), o, d, 1000, RngStream(62))
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    aligned_frame(phi, vecs)
+    assert shapes == [(d - 1, 2)]
+    with pytest.raises(ValueError, match="state vector"):  # vectors only
+        aligned_frame(np.outer(phi, phi.conj()), vecs)

@@ -13,7 +13,7 @@ from shadowlab.cli import _im_batch_estimates
 from shadowlab.ensembles import (
     RngStream,
     aligned_frame,
-    phi_basis,
+    reflect,
     sample_aligned_posterior_states,
     sample_haar_state,
 )
@@ -419,25 +419,28 @@ def test_reduced_linear_estimates_match_full_vectors(d, B):
 
 @pytest.mark.parametrize("d, B", [(4, 2), (5, 3), (8, 8)])
 def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
-    # a phi-aligned record is Q^H psi; with the frame Q^H V the kernel must
-    # return what it returns on psi itself.  At (5, 3) and (4, 2) span{phi, V}
-    # is d - 1 wide, so the linear estimate's frame is d rows as well, over
-    # the one coordinate outside it: a full change of basis too
+    # a phi-aligned record x is the outcome H x for the reflection H; with
+    # the frame H V the kernel must return what it returns on H x itself.
+    # At (5, 3) and (4, 2) the reduced frame is d rows as well, over the one
+    # coordinate outside span{phi, V}: a full change of basis too
     phi, O = _law_case(d, B, RngStream(33, d))
-    q = phi_basis(phi)
+    h = reflect(phi, np.eye(d, dtype=complex)).T  # row i of I becomes H e_i
     records = sample_aligned_posterior_states(
         1, RngStream(34, d), np.empty((24, d), dtype=complex), d
     )
     frame = aligned_frame(phi, O.vecs, full=True)
-    assert np.abs(frame - q.conj().T @ O.vecs).max() < 1e-14
-    full = batch_estimates(O, (records @ q.T).reshape(4, 6, d), "quadratic")
+    assert np.abs(frame - h @ O.vecs).max() < 1e-14
+    full = batch_estimates(O, (records @ h.T).reshape(4, 6, d), "quadratic")
     aligned = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
     assert np.abs(aligned - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
     frame = aligned_frame(phi, O.vecs)
     if O.evals.size + 2 == d:
-        # complete Q by the unit vector orthogonal to it; the frame's last row is 0
-        q_w = phi_basis(phi, O.vecs)
-        q_full = np.column_stack([q_w, np.linalg.qr(q_w, mode="complete")[0][:, d - 1]])
+        # the basis the reduced records are coordinates in: H applied to e_0
+        # and to the complete Q of the QR whose R the frame holds; the
+        # frame's last row is 0
+        q = np.linalg.qr((h @ O.vecs)[1:], mode="complete")[0]
+        q_full = h @ np.block([[np.ones((1, 1)), np.zeros((1, d - 1))],
+                               [np.zeros((d - 1, 1)), q]])
         full = batch_estimates(O, (records @ q_full.T).reshape(4, 6, d), "quadratic")
         got = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
         assert np.abs(got - full).max() <= 1e-12 * max(1.0, np.abs(full).max())

@@ -11,14 +11,17 @@ from shadowlab.measurement import (
 from shadowlab.moments import exact_second_moment
 
 
-def test_as_state_vector_accepts_both_forms():
+def test_as_state_vector_takes_vectors_only():
     v = np.array([3.0, 4.0], dtype=complex)
     out = as_state_vector(v)
     assert abs(np.linalg.norm(out) - 1) < 1e-12
+    # a pure density matrix is rejected, not diagonalised
     rho = density(out)
-    out2 = as_state_vector(rho)
-    # recovered vector equals the input up to global phase
-    assert abs(abs(np.vdot(out, out2)) - 1) < 1e-10
+    for call in (lambda: as_state_vector(rho),
+                 lambda: measure_joint_batch(rho, 2, RngStream(0), 1),
+                 lambda: measure_independent_batch(rho, RngStream(0), 1)):
+        with pytest.raises(ValueError, match="state vector"):
+            call()
 
 
 def test_as_state_vector_rejects_mixed():

@@ -34,19 +34,19 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.000145 mc=+0.006369 stderr=0.031297\n"
-        "PASS  ij_kj     exact=+0.578337 mc=+0.599461 stderr=0.031294\n"
-        "PASS  ij_ji     exact=-0.951665 mc=-1.004307 stderr=0.041669\n"
-        "PASS  ij_ij     exact=+5.565415 mc=+5.612158 stderr=0.039520\n"
-        "PASS  distinct  exact=+0.000000 mc=-0.047519 stderr=0.028442\n",
+        "PASS  ij_jk     exact=+0.000145 mc=+0.019019 stderr=0.031201\n"
+        "PASS  ij_kj     exact=+0.578337 mc=+0.551286 stderr=0.031140\n"
+        "PASS  ij_ji     exact=-0.951665 mc=-0.952357 stderr=0.041010\n"
+        "PASS  ij_ij     exact=+5.565415 mc=+5.550365 stderr=0.039231\n"
+        "PASS  distinct  exact=+0.000000 mc=-0.038020 stderr=0.028431\n",
     ),
     "compare": (
         ["compare", "--trials", "200", "--seed", "1"],
         "     s      var_linear   var_quadratic           ratio     pred_linear  pred_quadratic\n"
-        "     8         2.06548         4.68891         2.27013               2           4.125\n"
-        "    16         1.20479         1.50111         1.24596               1          1.0625\n"
-        "    32        0.546658        0.424535        0.776601             0.5         0.28125\n"
-        "    64        0.245682        0.133673         0.54409            0.25        0.078125\n",
+        "     8         2.19888          4.5571         2.07247               2           4.125\n"
+        "    16         1.21311         1.47538          1.2162               1          1.0625\n"
+        "    32        0.534933        0.367648        0.687279             0.5         0.28125\n"
+        "    64        0.238614        0.155117        0.650076            0.25        0.078125\n",
     ),
 }
 
