@@ -328,7 +328,7 @@ def _resolve_seed(args, config_seed: str | None = None) -> int:
     """The first seed set of --seed, the config file's and SHADOWLAB_SEED, else
     DEFAULT_SEED; one that is not a non-negative integer is a ValueError naming it."""
     for source, raw in (("--seed", args.seed), ("the config file's seed", config_seed),
-                        ("SHADOWLAB_SEED", os.environ.get("SHADOWLAB_SEED") or None)):
+                        ("SHADOWLAB_SEED", os.environ.get("SHADOWLAB_SEED", "").strip() or None)):
         if raw is not None:
             if not str(raw).isdecimal():
                 raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")

@@ -22,8 +22,8 @@ vector.  sample_posterior_states reflects the records themselves; a caller
 that reads them only through a few vectors reflects those instead
 (aligned_frame, moments.mc_covariances).  Overlaps <psi|v_j> with the r
 columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
-per outcome: the phi one, r along a basis of the other rows of H V, and,
-below d, the norm of the rest, whose square is half a Gamma(d - m + 1).
+per outcome: the phi one, r along a basis of the column span of H V without
+its first row, and, below d, the rest's norm, its square half a Gamma(d-m+1).
 """
 
 from __future__ import annotations

@@ -428,14 +428,18 @@ def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
 
 
 def test_cli_env_seed_fallback(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
+    out1, out2, out3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
     monkeypatch.setenv("SHADOWLAB_SEED", "123")
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4", "--trials", "3",
                  "--out", str(out1)]) == 0
+    # surrounding whitespace is not part of the seed, as in the config file
+    monkeypatch.setenv("SHADOWLAB_SEED", " 123\n")
+    assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4", "--trials", "3",
+                 "--out", str(out3)]) == 0
     monkeypatch.delenv("SHADOWLAB_SEED")
     assert main(["jm", "--d", "4", "--B", "2", "--eps", "0.4", "--trials", "3",
                  "--seed", "123", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
 
 # Each subcommand at a size that would finish at once with a valid seed.
