@@ -1,16 +1,16 @@
 """Simulation and validation toolkit for pure-state classical shadows.
 
-The classical record of a batch of measurements is the (n, d) outcome array
-from measurement.measure_joint_batch or measure_independent_batch;
-batch_estimates maps it and an Observable to the per-batch estimates.  The
-im sweeps sample each outcome from ensembles.sample_aligned_posterior_states,
-in a basis whose first vector is the state, one block of batches at a time.
-The linear estimate reads an outcome only through its overlaps with O's
+The classical record of k batches is a (k, n, d) array of outcome states,
+n per batch, each of a joint measurement on `copies` copies (jm: one of s
+copies; im: s of one copy); batch_estimates maps it and an Observable to
+the per-batch linear or quadratic estimates.  The sweeps sample each outcome
+from ensembles.sample_aligned_posterior_states, in a basis whose first
+vector is the state, one block of batches at a time.  The single-copy
+linear estimate reads an outcome only through its overlaps with O's
 eigenvectors, so its records keep only min(d, r+2) coordinates with the
-same law; the quadratic estimate needs all d.
-affine_shadow and median_estimate are the dense d x d form of the affine
-joint estimator, kept for the Boolean Hidden Matching protocol; a shadow
-there is a plain ndarray.
+same law; the quadratic estimate and jm take all d.
+affine_shadow and median_estimate are the dense d x d form of the joint
+estimator, kept for the Boolean Hidden Matching protocol.
 
 Submodules:
   linalg       permutation operators, symmetric projectors, state distances

@@ -40,7 +40,6 @@ from .estimators import (
     batch_estimates, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
-from .measurement import measure_joint_batch
 from .observables import (
     Observable, random_observable, random_projector_observable, random_signature_observable,
 )
@@ -123,8 +122,9 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _im_batch_estimates(phi, O, s, k, rng, kind):
-    """Per-batch estimates from k batches of s fresh single-copy outcomes.
+def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
+    """Per-batch estimates from k batches of n fresh outcomes, each on
+    `copies` copies: jm is (n, copies) = (1, s), im (s, 1).
 
     The outcomes are phi-aligned records, drawn a block of whole batches at
     a time into one buffer and read with O's factor reflected into their
@@ -133,44 +133,45 @@ def _im_batch_estimates(phi, O, s, k, rng, kind):
     rest; quadratic needs every coordinate.  A buffer larger than
     ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is sampled.
     """
-    frame = aligned_frame(phi, O.vecs, full=kind == "quadratic")
+    # quadratic reads the overlaps between outcomes; jm (copies > 1) keeps
+    # the generator calls of sample_posterior_states, which a reduced
+    # record's extra Gamma draw would change, and with them its estimates
+    full = kind == "quadratic" or copies > 1
+    frame = aligned_frame(phi, O.vecs, full=full)
     d, m = O.vecs.shape[0], frame.shape[0]
-    step = min(k, max(1, BLOCK_ROWS // s))
+    step = min(k, max(1, BLOCK_ROWS // n))
+    mode = "jm" if copies > 1 else f"im-{kind}"
     require_outcome_budget(
-        step * s * m * 16,
-        f"im-{kind} blocks (s = {s}, {step} batches, {m} of d = {d} coordinates) would",
-        "use a larger eps (a smaller s)",
+        step * n * m * 16,
+        f"{mode} blocks ({step} batches, n = {n}, {m} of d = {d} coordinates) would",
+        "use a smaller d, or a larger eps or delta",
     )
-    block = np.empty((step * s, m), dtype=complex)
+    block = np.empty((step * n, m), dtype=complex)
     vals = np.empty(k)
     for lo in range(0, k, step):
-        n = min(step, k - lo)
-        records = sample_aligned_posterior_states(1, rng, block[: n * s], d)
-        vals[lo:lo + n] = batch_estimates(O, records.reshape(n, s, m), kind, frame=frame)
+        rows = min(step, k - lo)
+        records = sample_aligned_posterior_states(copies, rng, block[: rows * n], d)
+        vals[lo:lo + rows] = batch_estimates(O, records.reshape(rows, n, m), kind, copies, frame)
     return vals
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
-    A plan whose outcome array would not fit in ensembles.MAX_OUTCOME_BYTES
-    is a ValueError before any outcome is sampled: k joint outcomes for jm,
-    one block of batches for im (checked in trial 0, once O fixes its width).
+    jm and im share the block loop of _batch_estimates, whose memory guard
+    is a ValueError before any outcome is sampled, in trial 0 once O fixes
+    the record width.
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
-    if config.mode == "jm":
-        kind, label, plan = "affine_joint", "jm", plan_batches(B, eps, delta)
-        require_outcome_budget(plan.k * d * 16, f"jm (k = {plan.k}, d = {d}) would", "use a smaller d")
+    if config.mode == "jm":  # the linear estimator on one outcome of s copies
+        kind, label, plan = "linear", "jm", plan_batches(B, eps, delta)
+        n, copies = 1, plan.s
     else:
-        kind = config.estimator
-        if kind == "auto":
-            kind = choose_estimator(B, d, eps)
+        kind = choose_estimator(B, d, eps) if config.estimator == "auto" else config.estimator
         label = f"im-{kind}"
-        plan = (
-            plan_linear_batches(B, eps, delta)
-            if kind == "linear"
-            else plan_quadratic_batches(B, d, eps, delta)
-        )
+        plan = (plan_linear_batches(B, eps, delta) if kind == "linear"
+                else plan_quadratic_batches(B, d, eps, delta))
+        n, copies = plan.s, 1
 
     rows = []
     for t in range(config.trials):
@@ -178,11 +179,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
         phi = sample_haar_state(d, rng)
         O = random_observable(d, B, rng)
         truth = float(np.abs(phi @ O.vecs.conj()) ** 2 @ O.evals)
-        if kind == "affine_joint":
-            outcomes = measure_joint_batch(phi, plan.s, rng, plan.k)
-            vals = batch_estimates(O, outcomes, kind, copies=plan.s)
-        else:
-            vals = _im_batch_estimates(phi, O, plan.s, plan.k, rng, kind)
+        vals = _batch_estimates(phi, O, n, plan.k, rng, kind, copies)
         est = float(np.sort(vals)[plan.k // 2])
         err = abs(est - truth)
         rows.append(
@@ -210,8 +207,8 @@ def compare_estimators(d: int, B: float, N: int, seed: int):
     rows = []
     n = len(_COMPARE_S_GRID)  # stream ids: 0 above, 1..n linear, n+1..2n quadratic
     for i, s in enumerate(_COMPARE_S_GRID):
-        lin = _im_batch_estimates(phi, O, s, N, RngStream(seed, i + 1), "linear")
-        quad = _im_batch_estimates(phi, O, s, N, RngStream(seed, n + 1 + i), "quadratic")
+        lin = _batch_estimates(phi, O, s, N, RngStream(seed, i + 1), "linear")
+        quad = _batch_estimates(phi, O, s, N, RngStream(seed, n + 1 + i), "quadratic")
         var_l = float(lin.var(ddof=1))
         var_q = float(quad.var(ddof=1))
         rows.append((s, var_l, var_q, var_q / var_l, B / s, B * d / s**2 + 1 / s))
@@ -337,14 +334,16 @@ def _resolve_seed(args, config_seed: str | None = None) -> int:
 
 
 def _load_config(path: str) -> dict:
-    """Flat key=value config file; blank lines and # comments ignored."""
+    """Flat key=value config file; blank lines and # comments ignored, others need an =."""
     out = {}
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"config line {number} has no '=': {line!r}")
             out[key.strip()] = val.strip()
     return out
 
@@ -365,7 +364,11 @@ def _build_config(args, mode: str) -> ExperimentConfig:
     for key, raw in config.items():
         if key not in _SWEEP_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _SWEEP_KEYS[key](raw)
+        typ = _SWEEP_KEYS[key]
+        try:
+            values[key] = typ(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be {typ.__name__}, got {raw!r}") from None
     for key in _SWEEP_KEYS:
         v = getattr(args, key, None)
         if v is not None:

@@ -1,17 +1,17 @@
 """Observable estimation from measurement outcomes, and batch planning.
 
-Three unbiased estimators of a pure state rho from measurement outcomes:
+Two unbiased estimators of a pure state rho from measurement outcomes:
 
-* affine joint shadow  ((d+s) Psi - I)/s  from one joint outcome on s copies,
-* linear mean          average of single-copy shadows (d+1) Psi_i - I,
-* quadratic            average of rho_i rho_j over ordered pairs i != j,
+* linear     mean of the shadows ((d+c) Psi_i - I)/c of outcomes on c copies
+  each: the joint estimator is one outcome of s copies, HKP's s of one,
+* quadratic  average of single-copy rho_i rho_j over pairs i != j,
   unbiased only for pure states (rho^2 = rho) and of unconstrained trace.
 
 batch_estimates is the estimator kernel: it maps the outcome vectors and the
 spectral factor of O straight to the per-batch estimates Tr(O rhohat),
 never forming a d x d shadow or O itself.  affine_shadow and
-median_estimate are the dense matrix form of the affine joint estimator,
-which the Boolean Hidden Matching protocol still runs on.
+median_estimate are the dense matrix form of the joint estimator, which
+the Boolean Hidden Matching protocol still runs on.
 
 Batch planning converts each estimator's per-batch Chebyshev bound into a
 sample count and an odd batch count for the median-of-means step, through
@@ -30,7 +30,7 @@ from .ensembles import UNIT_NORM_TOL
 from .linalg import hermitize
 from .observables import Observable
 
-EstimateKind = Literal["affine_joint", "linear", "quadratic"]
+EstimateKind = Literal["linear", "quadratic"]
 
 # Per-batch failure budget used throughout; k is forced odd so the median is
 # always one of the batch estimates.
@@ -108,37 +108,35 @@ def batch_estimates(
 ) -> np.ndarray:
     """Per-batch estimates Tr(O rhohat) computed from the outcome vectors alone.
 
-    affine_joint: outcomes (k, d), one joint outcome psi per batch from
-    `copies` copies; the estimate is ((d+s) <psi|O|psi> - Tr O)/s with s = copies.
-    linear, quadratic: outcomes (k, s, d), s single-copy outcomes per batch,
-    each from one copy, so copies must be 1.
-    With P = sum_i |psi_i><psi_i|, the shadow sums are S = (d+1) P - s I and
-    Q = ((d+1)^2 - 2(d+1)) P + s I; linear is Tr(O S)/s and quadratic is
-    Tr(O (S^2 - Q))/(s(s-1)).  The affine_joint estimates equal
-    Tr(O affine_shadow(psi, s, d)).
+    outcomes is (k, n, d): n outcomes psi_i per batch, each of one joint
+    measurement on c = copies copies.  With P = sum_i |psi_i><psi_i|, linear
+    is the mean of the n shadows ((d+c) Psi_i - I)/c, ((d+c) Tr(OP) - n Tr O)/(c n):
+    the joint estimator is (n, c) = (1, s), whose estimates equal
+    Tr(O affine_shadow(psi, s, d)), and the single-copy mean is (s, 1).
+    Quadratic needs c = 1: with S = (d+1) P - n I and
+    Q = ((d+1)^2 - 2(d+1)) P + n I, it is Tr(O (S^2 - Q))/(n(n-1)).
 
     Everything runs on the factor O = V diag(lam) V^H: with C_ij = <psi_i|v_j>,
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
-    where S V = (d+1) Psi^T C - s V.  The cost is O(k s d r) for rank r.
+    where S V = (d+1) Psi^T C - n V.  The cost is O(k n d r) for rank r.
 
     With a frame (m, r), the outcomes are (..., m) records in another basis,
     such as those of ensembles.sample_aligned_posterior_states with their
-    ensembles.aligned_frame, and C = <record|frame>, at O(k s m r) cost; d
+    ensembles.aligned_frame, and C = <record|frame>, at O(k n m r) cost; d
     is still O's dimension.  Quadratic also needs the overlaps between
     outcomes, so it takes a frame only when the records carry every
     coordinate (m = d); S V is then computed in that basis, with the same
-    norms.  A linear batch with s > 2 m^2 / r reads Tr(O P) from P instead
+    norms.  A linear batch with n > 2 m^2 / r reads Tr(O P) from P instead
     of C, assembled from the real Gram of its records: (2m)^2 floats per
-    batch, fewer than the s r complex entries of C.
+    batch, fewer than the n r complex entries of C.
     """
-    if kind not in ("affine_joint", "linear", "quadratic"):
+    if kind not in ("linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
     outcomes = np.ascontiguousarray(outcomes, dtype=complex)
-    want_ndim = 2 if kind == "affine_joint" else 3
-    if outcomes.ndim != want_ndim or outcomes.shape[0] < 1:
-        raise ValueError(f"{kind} needs a non-empty outcome array with {want_ndim} axes")
-    if copies < 1 or (kind != "affine_joint" and copies != 1):
-        raise ValueError(f"copies must be >= 1, and 1 for {kind}: got {copies}")
+    if outcomes.ndim != 3 or outcomes.size == 0:
+        raise ValueError(f"{kind} needs a non-empty (k, n, d) outcome array")
+    if copies < 1 or (kind == "quadratic" and copies != 1):
+        raise ValueError(f"copies must be >= 1, and 1 for quadratic: got {copies}")
     if kind == "quadratic" and outcomes.shape[1] < 2:
         raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
     V, lam = O.vecs, O.evals
@@ -157,30 +155,27 @@ def batch_estimates(
     if not np.abs(np.sqrt(sq_norms) - 1.0).max() <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError("outcome states must be unit norm")
     tr_o = lam.sum()
-    s = outcomes.shape[1]
-    if kind == "linear" and 2 * V.shape[0] ** 2 < s * lam.size:
+    n = outcomes.shape[1]
+    if kind == "linear" and 2 * V.shape[0] ** 2 < n * lam.size:
         # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
         R = flat.transpose(0, 2, 1) @ flat
         P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
         tr_op = np.einsum("bca,ac->b", P, (V * lam) @ V.conj().T).real
     else:
         C = np.conj(outcomes @ V.conj())
-        o_psi = (C.real**2 + C.imag**2) @ lam  # <psi|O|psi> per outcome
-        if kind == "affine_joint":
-            return ((d + copies) * o_psi - tr_o) / copies
-        tr_op = o_psi.sum(axis=1)  # Tr(O P)
+        tr_op = ((C.real**2 + C.imag**2) @ lam).sum(axis=1)  # Tr(O P)
     if kind == "linear":
-        return ((d + 1) * tr_op - s * tr_o) / s
-    # S V over column chunks of the factor at most s wide, so no temporary
-    # outgrows the outcome block; r <= s is one chunk
+        return ((d + copies) * tr_op - n * tr_o) / (copies * n)
+    # S V over column chunks of the factor at most n wide, so no temporary
+    # outgrows the outcome block; r <= n is one chunk
     tr_os2 = np.zeros(outcomes.shape[0])
-    for lo in range(0, lam.size, s):
-        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + s]
+    for lo in range(0, lam.size, n):
+        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + n]
         SV *= d + 1
-        SV -= s * V[:, lo:lo + s]
-        tr_os2 += (SV.real**2 + SV.imag**2).sum(axis=1) @ lam[lo:lo + s]
-    tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + s * tr_o
-    return (tr_os2 - tr_oq) / (s * (s - 1))
+        SV -= n * V[:, lo:lo + n]
+        tr_os2 += (SV.real**2 + SV.imag**2).sum(axis=1) @ lam[lo:lo + n]
+    tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * tr_o
+    return (tr_os2 - tr_oq) / (n * (n - 1))
 
 
 def _outcome_projector(psi: np.ndarray) -> np.ndarray:

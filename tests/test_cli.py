@@ -198,8 +198,9 @@ def test_run_sweep_never_diagonalises(monkeypatch):
 
 
 def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
-    # im sweeps and compare run on phi-aligned records, reduced for the
-    # linear estimate: no im path samples full vectors.  compare's linear
+    # every sweep and compare run on phi-aligned records, reduced for the
+    # single-copy linear estimate: no sweep samples full vectors, and jm
+    # reads d-wide records through the reflected frame.  compare's linear
     # streams are ids 1..n and its quadratic ones n+1..2n for n grid entries
     def refuse(*args):
         raise AssertionError("sampled full outcome vectors")
@@ -219,6 +220,10 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
         assert [r.mode for r in rows] == [f"im-{estimator}"] * 2
     # linear records are min(d, r + 2) = 6 wide, quadratic ones d = 8
     assert sorted(set(streams)) == [(1, 6), (1, 8), (2, 6), (2, 8)]
+    streams.clear()
+    rows = run_sweep(ExperimentConfig(mode="jm", d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3))
+    assert [r.mode for r in rows] == ["jm"] * 2
+    assert streams == [(1, 8), (2, 8)]  # one (k, d) draw per trial
     streams.clear()
     monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
     compare_estimators(d=4, B=4.0, N=50, seed=1)
@@ -427,6 +432,29 @@ def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
         assert not out3.exists()
 
 
+@pytest.mark.parametrize("line, named", [
+    ("d = abc", "config key 'd' must be int, got 'abc'"),
+    ("trials = 1.5", "config key 'trials' must be int, got '1.5'"),
+    ("eps = small", "config key 'eps' must be float, got 'small'"),
+    ("out", "config line 2 has no '=': 'out'"),
+], ids=["int", "int-not-float", "float", "no-equals"])
+def test_cli_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys, line, named):
+    # a value that does not parse, or a line with no "=", is a usage error
+    # naming the key or the line, before anything is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a state for an invalid config")
+
+    monkeypatch.setattr(cli, "sample_haar_state", refuse)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# one bad line\n{line}\nB = 2\n")
+    out = tmp_path / "never.csv"
+    for cmd in ("jm", "im"):
+        assert main([cmd, "--config", str(cfg), "--d", "4", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.splitlines() == [f"error: {named}"]
+
+
 def test_cli_env_seed_fallback(tmp_path, monkeypatch):
     out1, out2, out3 = tmp_path / "e1.csv", tmp_path / "e2.csv", tmp_path / "e3.csv"
     monkeypatch.setenv("SHADOWLAB_SEED", "123")
@@ -616,10 +644,12 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
 
 @pytest.mark.parametrize("argv, mib", [
     # s = 7111240 per batch: one quadratic block is a single 3.4 GiB batch
-    (["--estimator", "quadratic", "--d", "32", "--B", "4", "--eps", "0.003"], "3472 MiB"),
+    (["im", "--estimator", "quadratic", "--d", "32", "--B", "4", "--eps", "0.003"], "3472 MiB"),
     # s = 12000000 per batch: one linear block is a single batch of
     # 6-wide reduced records, 1.1 GiB
-    (["--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.002"], "1099 MiB"),
+    (["im", "--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.002"], "1099 MiB"),
+    # k = 3203 batches of one d-wide joint outcome: one block of all k, 1.6 GiB
+    (["jm", "--d", "32768", "--B", "1", "--eps", "0.9", "--delta", "1e-200"], "1602 MiB"),
 ])
 def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeypatch, capsys,
                                                                argv, mib):
@@ -628,11 +658,14 @@ def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeyp
         raise AssertionError("sampled past the memory guard")
 
     monkeypatch.setattr(cli, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
     out = tmp_path / "never.csv"
-    assert main(["im", *argv, "--seed", "1", "--out", str(out)]) == 2
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and not out.exists()
-    assert err.startswith("error: ") and mib in err and err.count("\n") == 1
+    # the loop's guard names the mode and the block it would hold
+    assert err.startswith(f"error: {argv[0]}") and "blocks" in err
+    assert mib in err and err.count("\n") == 1
 
 
 def _record_kernel_and_guard(monkeypatch):

@@ -9,7 +9,7 @@ from scipy import stats
 from oracles import (
     haar_states, linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
 )
-from shadowlab.cli import _im_batch_estimates
+from shadowlab.cli import _batch_estimates
 from shadowlab.ensembles import (
     RngStream,
     aligned_frame,
@@ -287,9 +287,13 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
     rng = RngStream(seed)
     O = random_hermitian_unit_norm(d, rng)
     obs = observable_from_matrix(O)
-    joint = haar_states(d, rng, k)
-    dense = [np.trace(O @ affine_shadow(p, copies, d)).real for p in joint]
-    assert np.abs(batch_estimates(obs, joint, "affine_joint", copies) - dense).max() < 1e-12
+    # linear on n outcomes of `copies` copies each is the mean of their
+    # affine shadows: n = 1 is the joint estimator, n = s > 1 a mean of them
+    for n in (1, s):
+        joint = haar_states(d, rng, k * n).reshape(k, n, d)
+        dense = [np.mean([np.trace(O @ affine_shadow(p, copies, d)).real for p in b])
+                 for b in joint]
+        assert np.abs(batch_estimates(obs, joint, "linear", copies) - dense).max() < 1e-12
 
     psis = haar_states(d, rng, k * s).reshape(k, s, d)
     batches = [[single_copy_shadow(p) for p in b] for b in psis]
@@ -301,28 +305,30 @@ def test_batch_estimates_match_dense_oracles(seed, d, s, k, copies):
 def test_batch_estimates_validation():
     O = observable_from_matrix(np.diag([1.0, 0.0]))
     unit = np.array([[1, 0], [0, 1]], dtype=complex)
-    assert np.allclose(batch_estimates(O, unit, "affine_joint", 1), [2.0, -1.0])
+    # one joint outcome of one copy per batch: ((d+1) <psi|O|psi> - Tr O)
+    assert np.allclose(batch_estimates(O, unit[:, None], "linear", 1), [2.0, -1.0])
     with pytest.raises(ValueError):  # one outcome off unit norm is enough
-        batch_estimates(O, np.array([[1, 0], [1, 1]], dtype=complex), "affine_joint")
+        batch_estimates(O, np.array([[[1, 0]], [[1, 1]]], dtype=complex), "linear")
     with pytest.raises(ValueError):
         batch_estimates(O, unit[None] * 1.001, "linear")
     with pytest.raises(ValueError):  # a NaN outcome is not a unit vector either
-        batch_estimates(O, np.array([[1, 0], [np.nan, 0]], dtype=complex), "affine_joint")
-    with pytest.raises(ValueError):  # affine wants (k, d), the others (k, s, d)
-        batch_estimates(O, unit[None], "affine_joint")
+        batch_estimates(O, np.array([[[1, 0]], [[np.nan, 0]]], dtype=complex), "linear")
+    for kind in ("linear", "quadratic"):  # outcomes are (k, n, d): a 2-D array is refused
+        with pytest.raises(ValueError):
+            batch_estimates(O, unit, kind)
     with pytest.raises(ValueError):
-        batch_estimates(O, unit, "linear")
+        batch_estimates(O, np.empty((0, 1, 2), dtype=complex), "linear")
     with pytest.raises(ValueError):
         batch_estimates(O, unit[:, None, :], "quadratic")  # s = 1
     with pytest.raises(ValueError):
-        batch_estimates(O, unit, "affine_joint", copies=0)
-    for kind in ("linear", "quadratic"):  # single-copy outcomes: copies is 1
+        batch_estimates(O, unit[:, None], "linear", copies=0)
+    with pytest.raises(ValueError):  # quadratic pairs single-copy outcomes: copies is 1
+        batch_estimates(O, unit[None], "quadratic", copies=2)
+    for kind in ("median", "affine_joint"):
         with pytest.raises(ValueError):
-            batch_estimates(O, unit[None], kind, copies=2)
-    with pytest.raises(ValueError):
-        batch_estimates(O, unit, "median")
+            batch_estimates(O, unit[:, None], kind)
     with pytest.raises(ValueError):  # O is 2 x 2, the outcomes live in d = 3
-        batch_estimates(O, np.eye(3, dtype=complex), "affine_joint")
+        batch_estimates(O, np.eye(3, dtype=complex)[:, None], "linear")
 
 
 def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
@@ -453,7 +459,7 @@ def test_streamed_quadratic_estimates_match_full_vectors(d, B):
     # test, and the mean and variance to 5 sigma
     n, s = 2500, 4
     phi, O = _law_case(d, B, RngStream(36, d))
-    new = _im_batch_estimates(phi, O, s, n, RngStream(37, d), "quadratic")
+    new = _batch_estimates(phi, O, s, n, RngStream(37, d), "quadratic")
     full = measure_independent_batch(phi, RngStream(38, d), n * s).reshape(n, s, d)
     old = batch_estimates(O, full, "quadratic")
     assert stats.ks_2samp(new, old).pvalue > 1e-3
@@ -475,28 +481,25 @@ def _variance_z(vals, exact):
 
 
 @pytest.mark.parametrize("d, B", [(4, 3), (8, 5)])
-@pytest.mark.parametrize(
-    "kind, s", [("affine_joint", 7), ("linear", 5), ("quadratic", 4), ("quadratic", 10)]
-)
-def test_kernel_variance_matches_the_exact_per_batch_variance(d, B, kind, s):
+@pytest.mark.parametrize("kind, n, copies", [
+    ("linear", 1, 7), ("linear", 5, 1), ("quadratic", 4, 1), ("quadratic", 10, 1),
+], ids=["jm-7", "linear-5", "quadratic-4", "quadratic-10"])
+def test_kernel_variance_matches_the_exact_per_batch_variance(d, B, kind, n, copies):
     # the second moment of the production estimates, sampler and kernel
-    # together, against the exact variance from moments' closed forms
-    n = 20_000
-    rng = RngStream(40, 100 * d + s)
+    # together, against the exact variance from moments' closed forms; jm is
+    # the linear estimator on one outcome of s copies per batch
+    batches = 20_000
+    rng = RngStream(40, 100 * d + n * copies)
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)  # both signs, O^2 != I
     rho, M = density(phi), O.matrix
-    if kind == "affine_joint":
-        vals = batch_estimates(O, measure_joint_batch(phi, s, rng, n), kind, copies=s)
-        exact = exact_joint_variance(rho, M, s, d)
+    vals = _batch_estimates(phi, O, n, batches, rng, kind, copies)
+    if kind == "linear":  # the mean of n independent c-copy shadows
+        exact = exact_joint_variance(rho, M, copies, d) / n
     else:
-        vals = _im_batch_estimates(phi, O, s, n, rng, kind)
-        if kind == "linear":
-            exact = exact_joint_variance(rho, M, 1, d) / s
-        else:
-            cov = {p: exact_covariance(p, rho, M, d) for p in COV_PATTERNS}
-            pairs = cov["ij_ij"] + cov["ij_ji"] + 2 * (s - 2) * (cov["ij_jk"] + cov["ij_kj"])
-            exact = pairs / (s * (s - 1))
+        cov = {p: exact_covariance(p, rho, M, d) for p in COV_PATTERNS}
+        pairs = cov["ij_ij"] + cov["ij_ji"] + 2 * (n - 2) * (cov["ij_jk"] + cov["ij_kj"])
+        exact = pairs / (n * (n - 1))
     assert abs(_variance_z(vals, exact)) < 5
 
 
