@@ -199,8 +199,8 @@ def test_run_sweep_never_diagonalises(monkeypatch):
 
 def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
     # every sweep and compare run on phi-aligned records, reduced for the
-    # single-copy linear estimate: no sweep samples full vectors, and jm
-    # reads d-wide records through the reflected frame.  compare's linear
+    # single-copy linear estimate: none samples outcome vectors in C^d, and
+    # jm reads d-wide records through the reflected frame.  compare's linear
     # streams are ids 1..n and its quadratic ones n+1..2n for n grid entries
     def refuse(*args):
         raise AssertionError("sampled full outcome vectors")
