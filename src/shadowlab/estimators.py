@@ -3,7 +3,7 @@
 Two unbiased estimators of a pure state rho from measurement outcomes:
 
 * linear     mean of the shadows ((d+c) Psi_i - I)/c of outcomes on c copies
-  each: the joint estimator is one outcome of s copies, HKP's s of one,
+  each: the joint estimator takes one outcome of s copies, HKP's s of one copy,
 * quadratic  average of single-copy rho_i rho_j over pairs i != j,
   unbiased only for pure states (rho^2 = rho) and of unconstrained trace.
 
