@@ -71,7 +71,7 @@ class ExperimentConfig:
         if self.estimator not in ("auto", "linear", "quadratic"):
             raise ValueError(f"estimator must be auto, linear or quadratic: {self.estimator!r}")
         if self.mode == "jm" and self.estimator != "auto":
-            raise ValueError("jm always uses the affine joint estimator; estimator must be auto")
+            raise ValueError("jm uses the linear estimator at copies = s; estimator must be auto")
         if self.d < 2 or not 1 <= self.B <= self.d:
             raise ValueError("require d >= 2 and 1 <= B <= d")
         if not 0 < self.eps <= 1 or not 0 < self.delta < 1 or self.trials < 0:
@@ -334,8 +334,9 @@ def _resolve_seed(args, config_seed: str | None = None) -> int:
 
 
 def _load_config(path: str) -> dict:
-    """Flat key=value config file; blank lines and # comments ignored, others need an =."""
-    out = {}
+    """Flat key=value config file; blank lines and # comments ignored, others
+    need an =, and no key may be set twice."""
+    out, lines = {}, {}
     with open(path) as f:
         for number, line in enumerate(f, 1):
             line = line.strip()
@@ -344,7 +345,10 @@ def _load_config(path: str) -> dict:
             key, eq, val = line.partition("=")
             if not eq:
                 raise ValueError(f"config line {number} has no '=': {line!r}")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"config key {key!r} is set on lines {lines[key]} and {number}")
+            lines[key], out[key] = number, val.strip()
     return out
 
 

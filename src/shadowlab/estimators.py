@@ -80,12 +80,12 @@ def _plan(bound, s_min: int, B: float, eps: float, delta: float) -> BatchPlan:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if bound(mid) <= target else (mid, hi)
-    x = math.log(1 / delta) / math.log(1 / math.sqrt(4 * p * (1 - p)))
+    x = -math.log(delta) / math.log(1 / math.sqrt(4 * p * (1 - p)))  # 1/delta may overflow
     return BatchPlan(s=hi, k=2 * math.ceil((x - 1) / 2) + 1)
 
 
 def plan_batches(B: float, eps: float, delta: float) -> BatchPlan:
-    """Plan for the affine joint estimator: (B + 8s)/s^2 <= p eps^2."""
+    """Plan for the linear estimator on one outcome of s copies: (B + 8s)/s^2 <= p eps^2."""
     return _plan(lambda s: (B + 8 * s) / (s * s), 1, B, eps, delta)
 
 

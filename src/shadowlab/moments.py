@@ -247,18 +247,22 @@ def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
 def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
     """Vectorized Tr(O rhohat_i rhohat_j) from single-copy outcome vectors.
 
-    psi_i, psi_j have shape (n, d); expanding the shadows (d+1)|psi><psi| - I
-    reduces each trace to inner products, avoiding per-sample matrices.
+    psi_i, psi_j have shape (n, d) and O is Hermitian; expanding the shadows
+    (d+1)|psi><psi| - I reduces each trace to inner products, avoiding
+    per-sample matrices.  The swapped pair is the conjugate, Tr(O rhohat_j
+    rhohat_i) = conj Tr(O rhohat_i rhohat_j), so one call per unordered pair.
     """
     d = O.shape[0]
-    # rows <psi|O> as BLAS products, then row-wise dots
-    o_ii = np.einsum("ni,ni->n", psi_i.conj() @ O, psi_i)
-    bra_oj = psi_j.conj() @ O
-    o_jj = np.einsum("ni,ni->n", bra_oj, psi_j)
-    o_ji = np.einsum("ni,ni->n", bra_oj, psi_i)
-    ov_ij = np.einsum("ni,ni->n", psi_i.conj(), psi_j)
-    tr_o = np.trace(O)
-    return (d + 1) ** 2 * o_ji * ov_ij - (d + 1) * (o_ii + o_jj) + tr_o
+    psi_i, psi_j = np.asarray(psi_i, dtype=complex), np.asarray(psi_j, dtype=complex)
+    # each row O|psi> (a BLAS product) and conjugate once; <psi|O|psi> on float views
+    ket_oj = psi_j @ O.T
+    bra_i = psi_i.conj()
+    out = np.conjugate(np.einsum("ni,ni->n", bra_i, ket_oj))  # <psi_j|O|psi_i>
+    out *= (d + 1) ** 2 * np.einsum("ni,ni->n", bra_i, psi_j)
+    diag = np.einsum("ni,ni->n", psi_i.view(float), (psi_i @ O.T).view(float))
+    diag += np.einsum("ni,ni->n", psi_j.view(float), ket_oj.view(float))
+    out -= (d + 1) * diag - np.trace(O)
+    return out
 
 
 def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
@@ -289,12 +293,12 @@ def mc_covariances(
 
     Independent cross-check of exact_covariance: draws N trials of fresh
     single-copy outcomes, as many per trial as the patterns index, and forms
-    each distinct trace variable T(i, j) = Tr(O rhohat_i rhohat_j) once.  The
-    outcomes are phi-aligned records, so O is reflected into their basis
-    once, as H O H with ensembles.reflect; the traces are basis-invariant.
-    The N x n_shadows x d outcome array is held whole, so one larger than
-    ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is sampled;
-    the traces run over BLOCK_ROWS trials at a time.
+    T(i, j) = Tr(O rhohat_i rhohat_j) once per unordered pair: O is Hermitian,
+    so T(j, i) = conj T(i, j).  The outcomes are phi-aligned records, so O is
+    reflected into their basis once, as H O H with ensembles.reflect; the
+    traces are basis-invariant.  The N x n_shadows x d outcome array is held
+    whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a ValueError
+    before anything is sampled; the traces run over BLOCK_ROWS trials at a time.
     """
     n_shadows = mc_shadows_per_trial(patterns, d, N)
     phi = pure_state_vector(rho)
@@ -305,7 +309,7 @@ def mc_covariances(
     o_h = np.array(O, dtype=complex, order="F")
     reflect(phi, o_h.T)  # O's columns: H O, then those of (H O)^H = O H, O Hermitian
     o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # H O H
-    traces = {ij: np.empty(N, dtype=complex) for pair in pairs for ij in pair}
+    traces = {tuple(sorted(ij)): np.empty(N, dtype=complex) for pair in pairs for ij in pair}
     for lo in range(0, N, BLOCK_ROWS):
         blk = psis[lo:lo + BLOCK_ROWS]
         for (i, j), t in traces.items():
@@ -314,7 +318,8 @@ def mc_covariances(
     for t in traces.values():
         t -= t.mean()
     out = []
-    for ab, ce in pairs:
-        prods = traces[ab] * traces[ce].conj()
+    for ab, ce in pairs:  # a reversed pair reads the conjugate of its stored trace
+        a, c = traces[tuple(sorted(ab))], traces[tuple(sorted(ce))]
+        prods = (a.conj() if ab[0] > ab[1] else a) * (c if ce[0] > ce[1] else c.conj())
         out.append((float(prods.mean().real), float(prods.real.std(ddof=1) / math.sqrt(N))))
     return out

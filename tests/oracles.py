@@ -27,6 +27,12 @@ _perm_trace_keep, which multiplies the matrices it reads, rather than
 through the library's class tables and powers of rho.
 
 haar_states is the batched Haar draw that sample_haar_state makes one row of.
+
+ordered_pair_covariances is the Monte Carlo covariance loop that
+shadowlab.moments.mc_covariances replaced: on the same draw it forms every
+ordered trace variable T(i, j) = Tr(O rhohat_i rhohat_j) on its own, from
+outcomes reflected back to the standard basis, where the library forms one
+per unordered pair in the phi-aligned basis and reads T(j, i) as conj T(i, j).
 """
 
 from __future__ import annotations
@@ -37,7 +43,12 @@ import math
 
 import numpy as np
 
-from shadowlab.ensembles import RngStream, pure_state_vector
+from shadowlab.ensembles import (
+    RngStream,
+    pure_state_vector,
+    reflect,
+    sample_aligned_posterior_states,
+)
 from shadowlab.estimators import UNIT_NORM_TOL
 from shadowlab.linalg import (
     Permutation,
@@ -322,3 +333,46 @@ def per_permutation_second_moment(rho: np.ndarray, s: int, d: int) -> np.ndarray
             total += scalar * np.kron(m0, m1)
     total *= kappa(s, d) / kappa(s + 2, d) / math.factorial(s + 2)
     return hermitize(total)
+
+
+# shadow indices (first trace, second trace) of each covariance pattern
+PATTERN_PAIRS = {
+    "ij_jk": ((0, 1), (1, 2)),
+    "ij_kj": ((0, 1), (2, 1)),
+    "ij_ji": ((0, 1), (1, 0)),
+    "ij_ij": ((0, 1), (0, 1)),
+    "distinct": ((0, 1), (2, 3)),
+}
+
+
+def _ordered_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
+    """Tr(O rhohat_i rhohat_j) row by row, as (d+1)^2 <psi_j|O|psi_i><psi_i|psi_j>
+    - (d+1)(<psi_i|O|psi_i> + <psi_j|O|psi_j>) + Tr O."""
+    d = O.shape[0]
+    o_ii = np.einsum("ni,ni->n", psi_i.conj() @ O, psi_i)
+    bra_oj = psi_j.conj() @ O
+    o_jj = np.einsum("ni,ni->n", bra_oj, psi_j)
+    o_ji = np.einsum("ni,ni->n", bra_oj, psi_i)
+    ov_ij = np.einsum("ni,ni->n", psi_i.conj(), psi_j)
+    return (d + 1) ** 2 * o_ji * ov_ij - (d + 1) * (o_ii + o_jj) + np.trace(O)
+
+
+def ordered_pair_covariances(patterns, rho: np.ndarray, O: np.ndarray, d: int, N: int,
+                             rng: RngStream) -> list[tuple[float, float]]:
+    """(covariance, standard error) per pattern from the draw mc_covariances
+    makes with the same stream, with one trace variable per ordered pair."""
+    pairs = [PATTERN_PAIRS[p] for p in patterns]
+    n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
+    phi = pure_state_vector(rho)
+    psis = np.empty((N * n_shadows, d), dtype=complex)
+    psis = reflect(phi, sample_aligned_posterior_states(1, rng, psis, d))
+    psis = psis.reshape(N, n_shadows, d)
+    traces = {ij: _ordered_pair_traces(O, psis[:, ij[0]], psis[:, ij[1]])
+              for pair in pairs for ij in pair}
+    for t in traces.values():
+        t -= t.mean()
+    out = []
+    for ab, ce in pairs:
+        prods = traces[ab] * traces[ce].conj()
+        out.append((float(prods.mean().real), float(prods.real.std(ddof=1) / math.sqrt(N))))
+    return out

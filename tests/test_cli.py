@@ -386,6 +386,19 @@ def test_cli_sweep_at_unplannable_eps_exits_2_with_no_output(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["jm", "--d", "4", "--trials", "1"],
+    ["im", "--d", "4", "--eps", "1", "--trials", "1"],
+    ["bhm", "--n", "4", "--runs", "1"],
+], ids=["jm", "im", "bhm"])
+def test_cli_subnormal_delta_plans_and_runs(tmp_path, capsys, argv):
+    # 1/delta overflows to inf below about 5.6e-309; the plan reads -log(delta)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--delta", "1e-320", "--seed", "1", "--out", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert err == "" and "rate=1.0000" in stdout and out.exists()
+
+
 def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("d = 4\nB = 2\neps = 0.4\ndelta = 0.1\ntrials = 3\nseed = 11\n")
@@ -437,10 +450,11 @@ def test_cli_config_file_and_flag_override(tmp_path, monkeypatch):
     ("trials = 1.5", "config key 'trials' must be int, got '1.5'"),
     ("eps = small", "config key 'eps' must be float, got 'small'"),
     ("out", "config line 2 has no '=': 'out'"),
-], ids=["int", "int-not-float", "float", "no-equals"])
+    ("B = 3", "config key 'B' is set on lines 2 and 3"),
+], ids=["int", "int-not-float", "float", "no-equals", "repeated-key"])
 def test_cli_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys, line, named):
-    # a value that does not parse, or a line with no "=", is a usage error
-    # naming the key or the line, before anything is drawn
+    # a value that does not parse, a line with no "=", or a key set twice is
+    # a usage error naming the key or the lines, before anything is drawn
     def refuse(*args, **kwargs):
         raise AssertionError("sampled a state for an invalid config")
 

@@ -102,6 +102,17 @@ def test_plan_batches_k_is_minimal_odd():
             assert r ** (k - 2) > delta
 
 
+def test_planners_k_at_small_and_subnormal_delta():
+    # k reads -log(delta): the same k wherever 1/delta is finite, and a plan
+    # below about 5.6e-309, where 1/delta overflows to inf
+    table = ((0.3, 9), (0.1, 17), (0.05, 21), (1e-2, 33), (1e-3, 49), (1e-6, 97),
+             (1e-12, 193), (1e-320, 5123), (5e-324, 5177))
+    for delta, k in table:
+        assert plan_batches(4.0, 0.2, delta).k == k
+        assert plan_linear_batches(4.0, 0.2, delta).k == k
+        assert plan_quadratic_batches(4.0, 8, 0.2, delta).k == k
+
+
 def test_plan_batches_sqrt_b_scaling():
     # at large B the s ~ sqrt(B)/eps term dominates, so halving eps
     # roughly doubles s

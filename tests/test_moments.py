@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     dense_covariance,
     haar_states,
+    ordered_pair_covariances,
     partial_trace,
     per_permutation_first_moment,
     per_permutation_second_moment,
@@ -19,7 +20,7 @@ from oracles import (
     traceless_part,
 )
 from shadowlab import moments
-from shadowlab.ensembles import RngStream, sample_haar_state
+from shadowlab.ensembles import BLOCK_ROWS, RngStream, sample_haar_state
 from shadowlab.linalg import (
     Permutation,
     all_permutations,
@@ -444,6 +445,42 @@ def test_shadow_pair_traces_match_direct():
         sb = (d + 1) * np.outer(b[i], b[i].conj()) - np.eye(d)
         direct = np.trace(O @ sa @ sb)
         assert abs(fast[i] - direct) < 1e-9
+    # O Hermitian: the swapped pair is the conjugate, and not trivially so
+    assert np.abs(shadow_pair_traces(O, b, a) - fast.conj()).max() < 1e-12
+    assert np.abs(fast.imag).max() > 1e-3
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_mc_covariances_match_the_ordered_pair_loop(d):
+    # the same draw as the ordered-pair reference, which forms T(j, i) on its
+    # own in the standard basis; N leaves a partial last block
+    N = 2 * BLOCK_ROWS + 17
+    rng = RngStream(73, d)
+    rho = density(sample_haar_state(d, rng))
+    O = random_signature_observable(d, d, rng).matrix  # both signs, complex entries
+    got = mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(74, d))
+    ref = ordered_pair_covariances(COV_PATTERNS, rho, O, d, N, RngStream(74, d))
+    assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
+
+
+@pytest.mark.parametrize("patterns, unordered", [
+    (COV_PATTERNS, 3),  # {0,1}, {1,2}, {2,3}
+    (("ij_jk", "ij_kj", "ij_ji", "ij_ij"), 2),  # the gate's: {0,1}, {1,2}
+    (("ij_ji",), 1),
+], ids=["all", "gate", "ij_ji"])
+def test_mc_covariances_trace_each_unordered_pair_once_per_block(monkeypatch, patterns, unordered):
+    rows = []
+
+    def counting(O, psi_i, psi_j):
+        rows.append(len(psi_i))
+        return shadow_pair_traces(O, psi_i, psi_j)
+
+    monkeypatch.setattr(moments, "shadow_pair_traces", counting)
+    N = 2 * BLOCK_ROWS + 17
+    rho = rand_rho(3, 75)
+    mc_covariances(patterns, rho, np.diag([1.0, -0.5, 0.0]), 3, N, RngStream(75))
+    assert len(rows) == unordered * math.ceil(N / BLOCK_ROWS)
+    assert sum(rows) == unordered * N
 
 
 @pytest.mark.parametrize("pattern", COV_PATTERNS)
