@@ -194,16 +194,18 @@ def compare_estimators(d: int, B: float, N: int, seed: int):
     Returns rows (s, var_linear, var_quadratic, ratio, pred_linear,
     pred_quadratic) for a fixed random state/observable pair.  The
     observable is a balanced +1/-1 signature with Tr(O^2) = floor(B), so
-    the linear estimator's variance actually scales like B/s (a rank-B
-    projector with B near d is close to the identity and would make the
-    comparison vacuous).  A variance needs N >= 2 batches, and the
-    predictions hold only for 1 <= B <= d.
+    the linear estimator's variance actually scales like Tr(O^2)/s (a
+    rank-B projector with B near d is close to the identity and would make
+    the comparison vacuous).  The predictions, Tr(O^2)/s and
+    Tr(O^2) d/s^2 + 1/s, read Tr(O^2) off the drawn observable.  A variance
+    needs N >= 2 batches, and the predictions hold only for 1 <= B <= d.
     """
     if N < 2 or not 1 <= B <= d:
         raise ValueError("compare needs trials >= 2 and 1 <= B <= d")
     rng = RngStream(seed, 0)
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)
+    t2 = float(np.sum(O.evals**2))
     rows = []
     n = len(_COMPARE_S_GRID)  # stream ids: 0 above, 1..n linear, n+1..2n quadratic
     for i, s in enumerate(_COMPARE_S_GRID):
@@ -211,7 +213,7 @@ def compare_estimators(d: int, B: float, N: int, seed: int):
         quad = _batch_estimates(phi, O, s, N, RngStream(seed, n + 1 + i), "quadratic")
         var_l = float(lin.var(ddof=1))
         var_q = float(quad.var(ddof=1))
-        rows.append((s, var_l, var_q, var_q / var_l, B / s, B * d / s**2 + 1 / s))
+        rows.append((s, var_l, var_q, var_q / var_l, t2 / s, t2 * d / s**2 + 1 / s))
     return rows
 
 
@@ -447,6 +449,9 @@ def main(argv=None) -> int:
         elif args.cmd == "cov-check":
             if args.d < 2:
                 raise ValueError(f"cov-check needs d >= 2, got --d {args.d}")
+            if args.trials < moments.MC_MIN_TRIALS:
+                raise ValueError(f"cov-check needs --trials >= {moments.MC_MIN_TRIALS} for a "
+                                 f"stable covariance estimate, got --trials {args.trials}")
             rng = RngStream(_resolve_seed(args), 5)
             *_, rows = _covariance_rows(moments.COV_PATTERNS, args.d, args.trials, rng)
             header = ("pattern", "exact", "mc", "stderr", "ok")

@@ -11,9 +11,11 @@ S_{s+2} with the same cycle counts of rho positions are one class, weighted
 by its count.  The class table depends only on n and the kept positions, so
 it is enumerated once per process; a call forms I, rho, ..., rho^s once and
 reads each class's powers and traces from them, at poly(d) per class.
-The covariances have a Monte Carlo sampler that draws one outcome array for
-all the patterns it is asked for.  A non-pure rho, or an O that is not
-finite, Hermitian and d x d, is a ValueError.
+The covariances have a Monte Carlo sampler that serves all the patterns it
+is asked for from one draw, made BLOCK_ROWS trials at a time into one reused
+block: past one block, its memory grows with the trial count only through
+the trace vectors.  A non-pure rho, or an O that is not finite, Hermitian
+and d x d, is a ValueError.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .linalg import (
 ENUM_BUDGET = 1_000_000
 
 COV_PATTERNS = ("ij_jk", "ij_kj", "ij_ji", "ij_ij", "distinct")
+
+# Fewest Monte Carlo trials mc_covariances takes for a stable covariance estimate.
+MC_MIN_TRIALS = 1000
 
 
 def _check_observable(O: np.ndarray, d: int) -> None:
@@ -267,9 +272,12 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
 
 def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
     """Outcomes per trial in mc_covariances' draw, after its checks on N and on
-    the draw's size; it draws nothing, so a caller can run it before its instance."""
-    if N < 1000:
-        raise ValueError("need N >= 1000 for a stable covariance estimate")
+    the draw's size; it draws nothing, so a caller can run it before its instance.
+
+    The size checked is the whole N x n_shadows x d outcome array, although
+    mc_covariances holds one block of it at a time."""
+    if N < MC_MIN_TRIALS:
+        raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     n_shadows = max(max(ab + ce) for ab, ce in map(_pattern_indices, patterns)) + 1
     require_outcome_budget(
         N * n_shadows * d * 16,
@@ -296,30 +304,50 @@ def mc_covariances(
     T(i, j) = Tr(O rhohat_i rhohat_j) once per unordered pair: O is Hermitian,
     so T(j, i) = conj T(i, j).  The outcomes are phi-aligned records, so O is
     reflected into their basis once, as H O H with ensembles.reflect; the
-    traces are basis-invariant.  The N x n_shadows x d outcome array is held
-    whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a ValueError
-    before anything is sampled; the traces run over BLOCK_ROWS trials at a time.
+    traces are basis-invariant.  The outcomes are drawn BLOCK_ROWS trials at
+    a time into one reused block, which is traced and then overwritten by the
+    next; only the N-long trace vectors outlive a block.  The block, the
+    trace vectors and the products' buffer are views of one workspace, so a
+    call allocates once.  The request is sized as mc_shadows_per_trial sizes
+    it, whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a
+    ValueError before anything is sampled.
     """
     n_shadows = mc_shadows_per_trial(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
     pairs = [_pattern_indices(p) for p in patterns]
-    psis = np.empty((N * n_shadows, d), dtype=complex)
-    psis = sample_aligned_posterior_states(1, rng, psis, d).reshape(N, n_shadows, d)
+    keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
     o_h = np.array(O, dtype=complex, order="F")
     reflect(phi, o_h.T)  # O's columns: H O, then those of (H O)^H = O H, O Hermitian
     o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # H O H
-    traces = {tuple(sorted(ij)): np.empty(N, dtype=complex) for pair in pairs for ij in pair}
+    # one float workspace: the block of outcomes, a trace vector per unordered
+    # pair, then one pattern's products as their real and imaginary terms
+    block_len = 2 * min(N, BLOCK_ROWS) * n_shadows * d
+    work = np.empty(block_len + 2 * (len(keys) + 1) * N)
+    block = work[:block_len].view(complex)
+    traces = dict(zip(keys, work[block_len:-2 * N].view(complex).reshape(len(keys), N)))
+    prods, imag = work[-2 * N:].reshape(2, N)
     for lo in range(0, N, BLOCK_ROWS):
-        blk = psis[lo:lo + BLOCK_ROWS]
+        rows = min(BLOCK_ROWS, N - lo)
+        blk = block[:rows * n_shadows * d].reshape(rows * n_shadows, d)
+        blk = sample_aligned_posterior_states(1, rng, blk, d).reshape(rows, n_shadows, d)
         for (i, j), t in traces.items():
-            t[lo:lo + BLOCK_ROWS] = shadow_pair_traces(o_h, blk[:, i], blk[:, j])
-    del psis, blk  # the outcomes are spent; only the traces are read below
+            t[lo:lo + rows] = shadow_pair_traces(o_h, blk[:, i], blk[:, j])
     for t in traces.values():
         t -= t.mean()
     out = []
-    for ab, ce in pairs:  # a reversed pair reads the conjugate of its stored trace
-        a, c = traces[tuple(sorted(ab))], traces[tuple(sorted(ce))]
-        prods = (a.conj() if ab[0] > ab[1] else a) * (c if ce[0] > ce[1] else c.conj())
-        out.append((float(prods.mean().real), float(prods.real.std(ddof=1) / math.sqrt(N))))
+    for ab, ce in pairs:
+        # Re(x conj y) with x = T(ab), y = T(ce); a reversed pair reads the
+        # conjugate of its stored trace, which flips the imaginary term's sign
+        a = traces[tuple(sorted(ab))].view(float).reshape(N, 2)
+        c = traces[tuple(sorted(ce))].view(float).reshape(N, 2)
+        np.multiply(a[:, 0], c[:, 0], out=prods)
+        np.multiply(a[:, 1], c[:, 1], out=imag)
+        if (ab[0] > ab[1]) == (ce[0] > ce[1]):
+            prods += imag
+        else:
+            prods -= imag
+        mean = prods.mean()
+        prods -= mean
+        out.append((float(mean), math.sqrt(float(prods @ prods) / (N - 1) / N)))
     return out

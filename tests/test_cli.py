@@ -273,6 +273,18 @@ def test_compare_estimators_ratio_trend():
     assert rows[-1][2] <= rows[-1][1]  # quadratic wins at s=64, B=d
 
 
+def test_compare_predictions_read_the_drawn_observable_at_fractional_B(capsys):
+    # B = 1.5 draws a signature observable with Tr(O^2) = floor(B) = 1, so
+    # the predictions are 1/s and d/s^2 + 1/s, not 1.5/s and 1.5 d/s^2 + 1/s
+    d = 2
+    rows = compare_estimators(d=d, B=1.5, N=50, seed=1)
+    assert [r[0] for r in rows] == list(cli._COMPARE_S_GRID)
+    for s, *_, pred_l, pred_q in rows:
+        assert pred_l == 1 / s and pred_q == d / s**2 + 1 / s
+    assert main(["compare", "--d", "2", "--B", "1.5", "--trials", "50", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-2:] == ["0.125", "0.15625"]
+
+
 def test_compare_rejects_inputs_it_cannot_handle(monkeypatch, capsys):
     # one batch has no sample variance, and with B > d the observable drawn
     # has Tr(O^2) <= d, not the B the pred_* columns assume
@@ -534,6 +546,21 @@ def test_cli_cov_check_below_d_2_exits_2_naming_d(monkeypatch, capsys, d):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: cov-check needs d >= 2, got --d {d}"]
+
+
+@pytest.mark.parametrize("trials", ["10", "999", "0", "-5"])
+def test_cli_cov_check_below_the_trial_floor_exits_2_naming_trials(monkeypatch, capsys, trials):
+    def refuse(*args):
+        raise AssertionError("drew a covariance instance below the trial floor")
+
+    monkeypatch.setattr(cli, "_covariance_rows", refuse)
+    assert main(["cov-check", "--d", "3", "--trials", trials, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: cov-check needs --trials >= {moments.MC_MIN_TRIALS} for a stable "
+        f"covariance estimate, got --trials {trials}"
+    ]
 
 
 def test_cli_bhm_subcommand(tmp_path):

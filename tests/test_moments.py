@@ -593,6 +593,26 @@ def test_mc_covariance_peaks_near_its_outcome_array(pattern):
     assert peak < 1.5 * N * n_shadows * d * 16
 
 
+def test_mc_covariances_hold_one_block_whatever_n():
+    # the outcomes are drawn and traced one BLOCK_ROWS block at a time, so
+    # at 4 N the peak still sits under one block plus the trace vectors;
+    # the slack covers the pair traces' per-block temporaries.  An (N, 4, d)
+    # array held whole is over the bound at N and four times it at 4 N
+    d = 64
+    rng = RngStream(76)
+    rho = density(sample_haar_state(d, rng))
+    O = random_projector_observable(d, 4, rng).matrix
+    for N in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
+        tracemalloc.start()
+        try:
+            mc_covariances(COV_PATTERNS, rho, O, d, N, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block, traces = BLOCK_ROWS * 4 * d * 16, 3 * N * 16  # 3 unordered pairs
+        assert peak < 2 * (block + traces), N
+
+
 def test_enumeration_budget_guard():
     rho = rand_rho(2, 64)
     with pytest.raises(ValueError):

@@ -34,11 +34,11 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.000145 mc=+0.019019 stderr=0.031201\n"
-        "PASS  ij_kj     exact=+0.578337 mc=+0.551286 stderr=0.031140\n"
-        "PASS  ij_ji     exact=-0.951665 mc=-0.952357 stderr=0.041010\n"
-        "PASS  ij_ij     exact=+5.565415 mc=+5.550365 stderr=0.039231\n"
-        "PASS  distinct  exact=+0.000000 mc=-0.038020 stderr=0.028431\n",
+        "PASS  ij_jk     exact=+0.000145 mc=+0.006651 stderr=0.031024\n"
+        "PASS  ij_kj     exact=+0.578337 mc=+0.598588 stderr=0.031255\n"
+        "PASS  ij_ji     exact=-0.951665 mc=-0.976623 stderr=0.041202\n"
+        "PASS  ij_ij     exact=+5.565415 mc=+5.550594 stderr=0.038987\n"
+        "PASS  distinct  exact=+0.000000 mc=-0.004336 stderr=0.028331\n",
     ),
     "compare": (
         ["compare", "--trials", "200", "--seed", "1"],
