@@ -140,7 +140,8 @@ def bob_guess(
     """Bob's side: median estimate of the projector expectation, rounded to a bit.
 
     Values of E/(2 alpha) below 1/2 map to 0, above to 1; the exact tie is
-    measure-zero under the protocol and maps to 1 for determinism.
+    measure-zero under the protocol and maps to 1 for determinism.  The cost
+    is the O(n^2 alpha n) build of the projector plus O(n^2) per shadow.
     """
     alpha = len(matching) / n
     est = median_estimate(matching_observable(matching, w, n).matrix, shadows)

@@ -136,6 +136,14 @@ def test_protocol_plan_holds_the_shadow_memory_rule():
         protocol_plan(2048, 0.25, 0.05)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_protocol_at_n256_guesses_b(seed):
+    b = seed % 2
+    inst = gen_instance(256, 0.25, b, RngStream(5000 + seed))
+    guess, used = run_protocol(inst, 0.05, RngStream(6000 + seed))
+    assert (guess, used) == (b, protocol_plan(256, 0.25, 0.05).total)
+
+
 def test_protocol_success_rate_small():
     # quick functional check; the full 400-run criterion lives in the
     # acceptance suite

@@ -179,6 +179,8 @@ def test_median_estimate_small_cases():
     O = np.diag([1.0, 0.0]).astype(complex)
     assert median_estimate(O, shadows) == 0.5
     assert median_estimate(O, shadows[:1]) == pytest.approx(0.1)
+    # an even count takes the upper of the two middle values
+    assert median_estimate(O, shadows + [np.diag([0.7, 0.3]).astype(complex)]) == 0.7
 
 
 @given(st.permutations([0.1, 0.3, 0.5, 0.7, 0.9]))
@@ -192,6 +194,58 @@ def test_median_estimate_shuffle_invariant(vals):
 def test_median_estimate_empty():
     with pytest.raises(ValueError):
         median_estimate(np.eye(2), [])
+
+
+def _trace_product_median(O, shadows):
+    """The oracle: the middle order statistic of Re Tr(O sh), one n x n product per shadow."""
+    vals = sorted(float(np.trace(O @ sh).real) for sh in shadows)
+    return vals[len(vals) // 2]
+
+
+def _complex_matrices(rng, n, count, hermitian):
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return list((z + z.conj().transpose(0, 2, 1)) / 2 if hermitian else z)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("count", [1, 4, 5, 21])
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_median_estimate_matches_the_trace_of_each_product(n, count, hermitian):
+    rng = np.random.default_rng(1000 * n + 10 * count + hermitian)
+    O = _complex_matrices(rng, n, 1, hermitian)[0]
+    shadows = _complex_matrices(rng, n, count, hermitian)
+    want = _trace_product_median(O, shadows)
+    # |Tr(O sh)| <= ||O||_F ||sh||_F sets the floor, so a median near 0 asks
+    # for no digits that neither summation order holds
+    scale = np.linalg.norm(O) * max(np.linalg.norm(sh) for sh in shadows)
+    assert median_estimate(O, shadows) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+class _NoMatmul(np.ndarray):
+    """An ndarray that refuses matrix products."""
+
+    def __matmul__(self, other):
+        raise AssertionError("median_estimate formed an n x n product")
+
+    __rmatmul__ = __matmul__
+
+
+def test_median_estimate_forms_no_matrix_product():
+    rng = np.random.default_rng(7)
+    O = _complex_matrices(rng, 16, 1, False)[0]
+    shadows = _complex_matrices(rng, 16, 5, True)
+    want = _trace_product_median(O, shadows)
+    got = median_estimate(O.view(_NoMatmul), [sh.view(_NoMatmul) for sh in shadows])
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "O_shape, shadow_shapes",
+    [((3, 3), [(2, 2)]), ((2, 2), [(2, 2), (2, 3)]), ((2, 3), [(2, 3)]), ((4,), [(4,)])],
+)
+def test_median_estimate_rejects_mismatched_shapes(O_shape, shadow_shapes):
+    with pytest.raises(ValueError):
+        median_estimate(np.ones(O_shape), [np.ones(shape) for shape in shadow_shapes])
 
 
 # ------------------------------------------------- linear and quadratic means
