@@ -8,11 +8,12 @@ Beta(s+1, d-1) law, theta is uniform, and chi is Haar in the complement.
 One draw gives all three.  Take a complex Gaussian vector g with N(0, 1)
 real and imaginary parts and split it into its phi coordinate c and the
 rest h.  |c|^2/2 ~ Gamma(1) with a uniform phase, and |h|^2/2 ~ Gamma(d-1)
-independently of h's direction.  Rescale c's modulus to a with
-|a|^2/2 = |c|^2/2 + Gamma(s), which is Gamma(s+1), and keep its phase: the
-normalised a phi + h then has t = (|a|^2/2)/(|a|^2/2 + |h|^2/2), which is
-Beta(s+1, d-1) exactly.  There is no rejection step, and the cost is O(d)
-per outcome independent of s.
+independently of h's direction.  Lift c to the real modulus a with
+a^2/2 = |c|^2/2 + Gamma(s) ~ Gamma(s+1): the normalised a phi + h then has
+t = (a^2/2)/(a^2/2 + |h|^2/2), which is Beta(s+1, d-1) exactly.  c's phase
+is dropped: an outcome is read only through |psi><psi|, and h's uniform
+phase keeps the relative phases uniform.  There is no rejection step, and
+the cost is O(d) per outcome independent of s.
 
 sample_aligned_posterior_states draws psi in coordinates whose first basis
 vector is phi, straight into the caller's array and independently of phi.
@@ -23,7 +24,7 @@ that reads them only through a few vectors reflects those instead
 (aligned_frame, moments.mc_covariances).  Overlaps <psi|v_j> with the r
 columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
 per outcome: the phi one, r along a basis of the column span of H V without
-its first row, and, below d, the rest's norm, its square half a Gamma(d-m+1).
+its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     n outcomes of the joint measurement on phi^(x s) in C^d, as coordinates
     in a basis whose first vector is phi; returns out.
 
-    Row i is a standard complex Gaussian drawn in place, its first
-    coordinate rescaled by the phi-amplitude rule, then normalised on the
-    float view (a real divisor).  At m = d its outcome is H row (reflect);
-    below d the first m - 1 coordinates are those aligned_frame reads, and
-    the last is the norm of the rest, sqrt(2 Gamma(d - m + 1)) before the
-    normalisation.  There is no (n, m) temporary.
+    Row i is a standard complex Gaussian drawn in place, then normalised on
+    the float view (a real divisor).  Before that its first coordinate is
+    lifted by k = s, to the phi amplitude.  At m = d its outcome is H row
+    (reflect); below d the first m - 1 coordinates are those aligned_frame
+    reads, and the last is lifted by k = d - m, to the norm of the rest.
+    There is no (n, m) temporary.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
@@ -164,9 +165,9 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
         raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
     flat = out.view(float)
     rng.gen.standard_normal(out=flat)
-    _rescale_phi_coordinates(out[:, 0], s, rng)
+    _lift(out[:, 0], s, rng)
     if m < d:
-        out[:, -1] = np.sqrt(2 * rng.gen.gamma(d - m + 1, size=out.shape[0]))
+        _lift(out[:, -1], d - m, rng)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return out
 
@@ -211,19 +212,11 @@ def _check_outcome_law(d: int, s: int) -> None:
         raise ValueError("d must be >= 2")
 
 
-def _rescale_phi_coordinates(c: np.ndarray, s: int, rng: RngStream) -> np.ndarray:
-    """The phi-amplitude rule, in place on c and returned.
-
-    c holds the standard complex Gaussian phi coordinates of the draws, so
-    |c|^2/2 ~ Gamma(1) with a uniform phase.  Each modulus becomes |a| with
-    |a|^2/2 = |c|^2/2 + Gamma(s) ~ Gamma(s+1), and the phase stays.  A c of
-    exactly 0 (probability zero) gets phase 0 rather than a NaN.
-    """
-    if s == 0:
-        return c
+def _lift(c: np.ndarray, k: int, rng: RngStream) -> None:
+    """Each standard complex Gaussian of c, in place, becomes the real modulus
+    sqrt(|c|^2 + 2 Gamma(k)), half whose square is Gamma(k + 1); k = 0 draws
+    no Gamma."""
     m2 = c.real**2 + c.imag**2
-    target = m2 + 2 * rng.gen.gamma(s, size=m2.shape)
-    zero = m2 == 0
-    c[zero], m2[zero] = 1.0, 1.0
-    c *= np.sqrt(target / m2)
-    return c
+    if k:
+        m2 += 2 * rng.gen.gamma(k, size=m2.shape)
+    c[:] = np.sqrt(m2)

@@ -272,19 +272,29 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
 
 def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
     """Outcomes per trial in mc_covariances' draw, after its checks on N and on
-    the draw's size; it draws nothing, so a caller can run it before its instance.
+    its workspace; it draws nothing, so a caller can run it before its instance."""
+    return _mc_workspace(patterns, d, N)[2]
 
-    The size checked is the whole N x n_shadows x d outcome array, although
-    mc_covariances holds one block of it at a time."""
+
+def _mc_workspace(patterns, d: int, N: int):
+    """mc_covariances' (pairs, keys, n_shadows, block_len, size): each pattern's
+    index pairs, the unordered pairs traced, outcomes per trial, and the float
+    lengths of one block and of the whole workspace (the block, the traces and
+    one pattern's products).  A ValueError on a small N or an oversized size."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
-    n_shadows = max(max(ab + ce) for ab, ce in map(_pattern_indices, patterns)) + 1
+    pairs = [_pattern_indices(p) for p in patterns]
+    n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
+    keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
+    block_len = 2 * min(N, BLOCK_ROWS) * n_shadows * d
+    size = block_len + 2 * (len(keys) + 1) * N
     require_outcome_budget(
-        N * n_shadows * d * 16,
-        f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}",
-        "use fewer trials",
+        8 * size,
+        f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}, "
+        f"drawn {BLOCK_ROWS} trials a block, and {len(keys)} pair traces would",
+        "use fewer trials or a smaller d",
     )
-    return n_shadows
+    return pairs, keys, n_shadows, block_len, size
 
 
 def mc_covariance(
@@ -308,22 +318,18 @@ def mc_covariances(
     a time into one reused block, which is traced and then overwritten by the
     next; only the N-long trace vectors outlive a block.  The block, the
     trace vectors and the products' buffer are views of one workspace, so a
-    call allocates once.  The request is sized as mc_shadows_per_trial sizes
-    it, whole, so one larger than ensembles.MAX_OUTCOME_BYTES is a
-    ValueError before anything is sampled.
+    call allocates once.  A workspace larger than ensembles.MAX_OUTCOME_BYTES
+    is a ValueError before anything is sampled.
     """
-    n_shadows = mc_shadows_per_trial(patterns, d, N)
+    pairs, keys, n_shadows, block_len, size = _mc_workspace(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
-    pairs = [_pattern_indices(p) for p in patterns]
-    keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
     o_h = np.array(O, dtype=complex, order="F")
     reflect(phi, o_h.T)  # O's columns: H O, then those of (H O)^H = O H, O Hermitian
     o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # H O H
     # one float workspace: the block of outcomes, a trace vector per unordered
     # pair, then one pattern's products as their real and imaginary terms
-    block_len = 2 * min(N, BLOCK_ROWS) * n_shadows * d
-    work = np.empty(block_len + 2 * (len(keys) + 1) * N)
+    work = np.empty(size)
     block = work[:block_len].view(complex)
     traces = dict(zip(keys, work[block_len:-2 * N].view(complex).reshape(len(keys), N)))
     prods, imag = work[-2 * N:].reshape(2, N)

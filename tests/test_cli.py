@@ -146,8 +146,8 @@ def test_run_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Estimates of the one-draw outcome sampler with the phi-amplitude rule,
-# its phi-aligned records mapped to C^d by the Householder reflection of
+# Estimates of the one-draw outcome sampler, its phi and rest coordinates
+# lifted to real moduli, its phi-aligned records mapped to C^d by the Householder reflection of
 # ensembles.reflect (jm: the records reflected; im: O's factor reflected,
 # reduced for linear, the records drawn a block of BLOCK_ROWS // s batches at
 # a time), and truths carried over from the per-outcome Shadow code before
@@ -155,15 +155,15 @@ def test_run_sweep_deterministic(tmp_path):
 # the estimates but never the truths.
 PINNED_SWEEPS = {
     ("jm", 4.0, 0.3, 11): (
-        (0.2905622286782711, 0.5159649132308979, 0.2611982574900057),
+        (0.28043868679527906, 0.5021327475585355, 0.24336782615520544),
         (0.2881713310125625, 0.4952159195424911, 0.254851375929691),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.14959897357164165, 0.41373751425509364, 0.2988284956184862),
+        (0.14577792065828543, 0.41137260161049516, 0.24731533704183356),
         (0.18124575699410542, 0.4296400787306794, 0.27698910454165515),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
-        (0.6260819513348092, 0.6931549634577853, 0.35013605099641576),
+        (0.5993387228685524, 0.6603217952547867, 0.35686511990136016),
         (0.6267327873824926, 0.7073847317351589, 0.3441464177756939),
     ),
 }
@@ -668,8 +668,8 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
-    # 50000 trials x 4 outcomes x d = 1024 would be 3.3 GB of outcomes; the
-    # instance draws and the sampler are tripwires, so a guard that ran late
+    # at d = 8192 one block of 4096 trials x 4 outcomes is 2 GiB of outcomes;
+    # the instance draws and the sampler are tripwires, so a guard that ran late
     # (after the O(d^3) work on the state and the observable) fails here
     def refuse(*args):
         raise AssertionError("drew past the memory guard")
@@ -677,7 +677,7 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
     monkeypatch.setattr(cli, "sample_haar_state", refuse)
     monkeypatch.setattr(cli, "random_projector_observable", refuse)
     monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
-    assert main(["cov-check", "--d", "1024", "--seed", "1"]) == 2
+    assert main(["cov-check", "--d", "8192", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1

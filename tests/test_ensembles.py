@@ -8,7 +8,7 @@ from oracles import haar_states, sample_posterior_states as oracle_posterior_sta
 from shadowlab import moments
 from shadowlab.ensembles import (
     RngStream,
-    _rescale_phi_coordinates,
+    _lift,
     aligned_frame,
     reflect,
     sample_aligned_posterior_states,
@@ -45,9 +45,14 @@ def test_rng_stream_reproducible():
 
 
 def overlaps(phi, s, rng, n):
-    """(t, theta): |<phi|psi>|^2 and arg <phi|psi> in [0, 2 pi) of n outcomes."""
-    amp = sample_posterior_states(phi, s, rng, n) @ phi.conj()
-    return np.abs(amp) ** 2, np.mod(np.angle(amp), 2 * np.pi)
+    """(t, theta): |<phi|psi>|^2 and arg <phi|psi><psi|v> in [0, 2 pi) of n
+    outcomes, for a fixed unit v orthogonal to phi.  theta is a phase of the
+    projector |psi><psi|, which a global phase of psi leaves unchanged."""
+    v = sample_haar_state(phi.size, RngStream(99, phi.size))
+    v -= np.vdot(phi, v) * phi
+    psis = sample_posterior_states(phi, s, rng, n)
+    amp = psis @ phi.conj()
+    return np.abs(amp) ** 2, np.mod(np.angle(amp * (psis @ v.conj()).conj()), 2 * np.pi)
 
 
 def test_overlap_sample_range_check():
@@ -147,13 +152,36 @@ def test_posterior_states_match_oracle_sampler(s, d):
     for new in overlaps.values():
         for w, got in zip((phi, v), new):
             assert stats.ks_2samp(got, np.abs(old @ w.conj()) ** 2).pvalue > 1e-3
-    # the phi-amplitude rule alone: |a|^2/2 against Gamma(s+1) draws, and
-    # a phase that stays uniform
-    c = RngStream(26, s).gen.standard_normal((n, 2)).view(complex)[:, 0]
-    a = _rescale_phi_coordinates(c.copy(), s, RngStream(27, s))
-    gammas = np.random.default_rng(28 + s).gamma(s + 1, size=n)
-    assert stats.ks_2samp(np.abs(a) ** 2 / 2, gammas).pvalue > 1e-3
-    assert np.allclose(np.angle(a), np.angle(c))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 500])
+def test_lift_gives_the_phi_amplitude_law(k):
+    # the phi coordinate lifted by k = s: a real modulus a >= 0 with a^2/2
+    # against Gamma(s+1) draws
+    n = 20_000
+    c = RngStream(26, k).gen.standard_normal((n, 2)).view(complex)[:, 0]
+    a = c.copy()
+    _lift(a, k, RngStream(27, k))
+    assert not a.imag.any() and (a.real >= 0).all()
+    gammas = np.random.default_rng(28 + k).gamma(k + 1, size=n)
+    assert stats.ks_2samp(a.real**2 / 2, gammas).pvalue > 1e-3
+
+
+def test_reduced_records_lift_the_rest_coordinate():
+    # at d = 16 and m = 4 the rest is lifted by k = d - m: rest^2/2 against
+    # Gamma(d - m + 1) draws; in the records it is real, and its ratio to the
+    # two middle coordinates' squared norm, which the normalisation keeps,
+    # is Gamma(d - m + 1)/Gamma(2)
+    d, m, n = 16, 4, 20_000
+    c = RngStream(29).gen.standard_normal((n, 2)).view(complex)[:, 0]
+    _lift(c, d - m, RngStream(30))
+    ref = np.random.default_rng(31)
+    assert stats.ks_2samp(c.real**2 / 2, ref.gamma(d - m + 1, size=n)).pvalue > 1e-3
+    records = sample_aligned_posterior_states(2, RngStream(32), np.empty((n, m), complex), d)
+    assert not records[:, -1].imag.any() and (records[:, -1].real >= 0).all()
+    ratio = records[:, -1].real ** 2 / (np.abs(records[:, 1:-1]) ** 2).sum(axis=1)
+    want = ref.gamma(d - m + 1, size=n) / ref.gamma(m - 2, size=n)
+    assert stats.ks_2samp(ratio, want).pvalue > 1e-3
 
 
 def test_posterior_state_overlap_matches_t_by_construction():
@@ -276,7 +304,7 @@ class _ZeroPhiGenerator:
 @pytest.mark.parametrize("s", [0, 1, 4])
 def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
     # c = 0 has probability zero, but must not become NaN: with s >= 1 the
-    # phi amplitude is sqrt(2 Gamma(s)) = sqrt(2) here, and with s = 0 it stays 0
+    # phi amplitude is sqrt(0 + 2 Gamma(s)) = sqrt(2) here, and with s = 0 it stays 0
     d = 4
     rng = SimpleNamespace(gen=_ZeroPhiGenerator())
     phi = np.eye(d, dtype=complex)[0]
@@ -289,8 +317,9 @@ def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
     want = np.sqrt(2 * (s > 0) / (2 * (s > 0) + 2 * (d - 1)))  # |a| / |(a, 1+1j, ...)|
     # the reflection for phi = e_0 is I - 2 e_0 e_0^H: H e_0 = -phi
     assert np.allclose(np.abs(full[:, 0]), want) and np.allclose(aligned[:, 0], want)
-    # the reduced row is (a, 1+1j, sqrt(2 Gamma(d - 2))) = (a, 1+1j, sqrt(2))
-    assert np.allclose(reduced[:, 0], np.sqrt(2 * (s > 0) / (2 * (s > 0) + 4)))
+    # the reduced row is (a, 1+1j, sqrt(|1+1j|^2 + 2 Gamma(d - 3))) = (a, 1+1j, 2)
+    assert np.allclose(reduced[:, 0], np.sqrt(2 * (s > 0) / (2 * (s > 0) + 6)))
+    assert np.allclose(reduced[:, 2], 2 / np.sqrt(2 * (s > 0) + 6))
 
 
 def test_aligned_sampler_guards():

@@ -31,7 +31,9 @@ from shadowlab.estimators import (
 )
 from shadowlab.linalg import density, trace_distance
 from shadowlab.measurement import measure_independent_batch, measure_joint_batch
-from shadowlab.moments import COV_PATTERNS, exact_covariance, exact_joint_variance
+from shadowlab.moments import (
+    COV_PATTERNS, exact_covariance, exact_joint_variance, shadow_pair_traces,
+)
 from shadowlab.observables import random_observable, random_signature_observable
 
 
@@ -515,6 +517,44 @@ def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
         full = batch_estimates(O, (records @ q_full.T).reshape(4, 6, d), "quadratic")
         got = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
         assert np.abs(got - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+@pytest.mark.parametrize("d, B", [(16, 2), (8, None)])
+def test_record_consumers_ignore_each_outcome_s_global_phase(d, B):
+    # psi and e^(i theta) psi are one projector, and every consumer reads an
+    # outcome only through it: each row times an independent unit phase
+    # must leave the results unchanged.  The reduced linear batches take
+    # both of the kernel's paths, C (n = 3) and the Gram of the records (n = 64)
+    phi, O = _law_case(d, B, RngStream(80, d))
+    phases = np.random.default_rng(81)
+
+    def rephased(x):
+        return x * np.exp(2j * np.pi * phases.uniform(size=x.shape[:-1]))[..., None]
+
+    def same(a, b):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    def draw(s, n, m, seed):
+        out = np.empty((n, m), dtype=complex)
+        return sample_aligned_posterior_states(s, RngStream(seed, d), out, d)
+
+    frame = aligned_frame(phi, O.vecs)
+    for n in (3, 64):
+        records = draw(1, 5 * n, frame.shape[0], 82 + n).reshape(5, n, -1)
+        same(batch_estimates(O, records, "linear", frame=frame),
+             batch_estimates(O, rephased(records), "linear", frame=frame))
+    full = reflect(phi, draw(1, 30, d, 83)).reshape(5, 6, d)
+    for kind in ("linear", "quadratic"):
+        same(batch_estimates(O, full, kind), batch_estimates(O, rephased(full), kind))
+    s = 7  # jm: one outcome of s copies per batch
+    joint = reflect(phi, draw(s, 5, d, 84))
+    same(batch_estimates(O, joint[:, None], "linear", s),
+         batch_estimates(O, rephased(joint)[:, None], "linear", s))
+    psi_i, psi_j = full[0], full[1]
+    same(shadow_pair_traces(O.matrix, psi_i, psi_j),
+         shadow_pair_traces(O.matrix, rephased(psi_i), rephased(psi_j)))
+    for psi in joint:
+        same(affine_shadow(psi, s, d), affine_shadow(rephased(psi[None])[0], s, d))
 
 
 @pytest.mark.parametrize("d, B", [(8, 2), (32, 4), (64, 4)])

@@ -535,8 +535,9 @@ def test_mc_covariance_sample_floor():
 
 
 def test_mc_covariance_outcome_memory_guard(monkeypatch):
-    # 10^8 trials x 4 outcomes x d = 2 is 12.8 GB: refused before sampling,
-    # and a sampler that raises otherwise keeps a broken guard from allocating
+    # 10^8 trials of distinct's 2 pair traces and its products are 4.8 GB:
+    # refused before sampling, and a sampler that raises otherwise keeps a
+    # broken guard from allocating
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
@@ -547,9 +548,9 @@ def test_mc_covariance_outcome_memory_guard(monkeypatch):
 
 
 def test_mc_covariances_guard_the_shared_draw(monkeypatch):
-    # ij_ji alone needs 2 outcomes per trial, 2 x 10^8 x 2 x 16 B = 6.4 GB;
-    # with distinct the one shared draw is (10^8, 4, 2), 12.8 GB: refused
-    # before sampling
+    # ij_ji and distinct share one draw of 4 outcomes per trial; at 10^8
+    # trials its 2 pair traces and the products are 4.8 GB: refused before
+    # sampling, with the shared draw's 4 outcomes in the message
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 

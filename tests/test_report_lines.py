@@ -34,19 +34,19 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.000145 mc=+0.006651 stderr=0.031024\n"
-        "PASS  ij_kj     exact=+0.578337 mc=+0.598588 stderr=0.031255\n"
-        "PASS  ij_ji     exact=-0.951665 mc=-0.976623 stderr=0.041202\n"
-        "PASS  ij_ij     exact=+5.565415 mc=+5.550594 stderr=0.038987\n"
-        "PASS  distinct  exact=+0.000000 mc=-0.004336 stderr=0.028331\n",
+        "PASS  ij_jk     exact=+0.000145 mc=+0.025127 stderr=0.031500\n"
+        "PASS  ij_kj     exact=+0.578337 mc=+0.554158 stderr=0.031534\n"
+        "PASS  ij_ji     exact=-0.951665 mc=-0.909980 stderr=0.040887\n"
+        "PASS  ij_ij     exact=+5.565415 mc=+5.544375 stderr=0.038833\n"
+        "PASS  distinct  exact=+0.000000 mc=+0.075921 stderr=0.028243\n",
     ),
     "compare": (
         ["compare", "--trials", "200", "--seed", "1"],
         "     s      var_linear   var_quadratic           ratio     pred_linear  pred_quadratic\n"
-        "     8         2.19888          4.5571         2.07247               2           4.125\n"
-        "    16         1.21311         1.47538          1.2162               1          1.0625\n"
-        "    32        0.534933        0.367648        0.687279             0.5         0.28125\n"
-        "    64        0.238614        0.155117        0.650076            0.25        0.078125\n",
+        "     8         2.23396         6.24114         2.79376               2           4.125\n"
+        "    16          1.1932         1.37047         1.14857               1          1.0625\n"
+        "    32        0.561227        0.431856        0.769485             0.5         0.28125\n"
+        "    64         0.26772        0.119449        0.446173            0.25        0.078125\n",
     ),
 }
 
