@@ -30,6 +30,7 @@ from . import bhm as bhm_mod
 from . import moments
 from .ensembles import (
     BLOCK_ROWS,
+    MAX_OUTCOME_BYTES,
     RngStream,
     aligned_frame,
     require_outcome_budget,
@@ -41,7 +42,8 @@ from .estimators import (
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
 from .observables import (
-    Observable, random_observable, random_projector_observable, random_signature_observable,
+    Observable, frame_rank, random_observable, random_projector_observable,
+    random_signature_observable,
 )
 
 DEFAULT_SEED = 0
@@ -158,9 +160,9 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
-    jm and im share the block loop of _batch_estimates, whose memory guard
-    is a ValueError before any outcome is sampled, in trial 0 once O fixes
-    the record width.
+    O's frame, no smaller than the state, is size-checked before any draw;
+    the block loop of _batch_estimates, shared by jm and im, checks its block
+    in trial 0, before any outcome is sampled, once O fixes the record width.
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
     if config.mode == "jm":  # the linear estimator on one outcome of s copies
@@ -172,7 +174,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
         plan = (plan_linear_batches(B, eps, delta) if kind == "linear"
                 else plan_quadratic_batches(B, d, eps, delta))
         n, copies = plan.s, 1
-
+    frame_rank(d, B)
     rows = []
     for t in range(config.trials):
         rng = RngStream(config.seed, t + 1)
@@ -199,9 +201,14 @@ def compare_estimators(d: int, B: float, N: int, seed: int):
     the comparison vacuous).  The predictions, Tr(O^2)/s and
     Tr(O^2) d/s^2 + 1/s, read Tr(O^2) off the drawn observable.  A variance
     needs N >= 2 batches, and the predictions hold only for 1 <= B <= d.
+    The 2 N estimates and O's frame are size-checked before any draw.
     """
     if N < 2 or not 1 <= B <= d:
         raise ValueError("compare needs trials >= 2 and 1 <= B <= d")
+    if 16 * N > MAX_OUTCOME_BYTES:
+        raise ValueError(f"compare's 2 x {N} estimates would need {16 * N / 2**20:.0f} MiB, over "
+                         f"the {MAX_OUTCOME_BYTES / 2**20:.0f} MiB limit; use fewer trials")
+    frame_rank(d, B)
     rng = RngStream(seed, 0)
     phi = sample_haar_state(d, rng)
     O = random_signature_observable(d, B, rng)

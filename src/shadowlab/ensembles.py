@@ -112,6 +112,7 @@ def sample_haar_state(d: int, rng: RngStream) -> np.ndarray:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    require_outcome_budget(16 * d, f"a Haar state in d = {d} would", "use a smaller d")
     z = rng.gen.standard_normal((1, d)) + 1j * rng.gen.standard_normal((1, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z[0]
@@ -200,7 +201,7 @@ def require_outcome_budget(nbytes: int, what: str, remedy: str) -> None:
     """ValueError, with the size, unless nbytes fits in MAX_OUTCOME_BYTES."""
     if nbytes > MAX_OUTCOME_BYTES:
         raise ValueError(
-            f"{what} need {nbytes / 2**20:.0f} MiB of outcomes, over the "
+            f"{what} need {nbytes / 2**20:.0f} MiB, over the "
             f"{MAX_OUTCOME_BYTES / 2**20:.0f} MiB limit; {remedy}"
         )
 

@@ -13,9 +13,9 @@ it is enumerated once per process; a call forms I, rho, ..., rho^s once and
 reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that serves all the patterns it
 is asked for from one draw, made BLOCK_ROWS trials at a time into one reused
-block: past one block, its memory grows with the trial count only through
-the trace vectors.  A non-pure rho, or an O that is not finite, Hermitian
-and d x d, is a ValueError.
+block, and reads them off one complex array of pair traces; only those and
+a pattern's products grow with the trial count.  A non-pure rho, or an O
+that is not finite, Hermitian and d x d, is a ValueError.
 """
 
 from __future__ import annotations
@@ -47,7 +47,15 @@ from .linalg import (
 # Brute-force enumeration cap; these oracles are test-only.
 ENUM_BUDGET = 1_000_000
 
-COV_PATTERNS = ("ij_jk", "ij_kj", "ij_ji", "ij_ij", "distinct")
+# Shadow indices ((i, j), (k, l)) of Cov(Tr(O rhohat_i rhohat_j), Tr(O rhohat_k rhohat_l)).
+_PATTERNS = {
+    "ij_jk": ((0, 1), (1, 2)),
+    "ij_kj": ((0, 1), (2, 1)),
+    "ij_ji": ((0, 1), (1, 0)),
+    "ij_ij": ((0, 1), (0, 1)),
+    "distinct": ((0, 1), (2, 3)),
+}
+COV_PATTERNS = tuple(_PATTERNS)
 
 # Fewest Monte Carlo trials mc_covariances takes for a stable covariance estimate.
 MC_MIN_TRIALS = 1000
@@ -194,17 +202,10 @@ def exact_joint_variance(rho: np.ndarray, O: np.ndarray, s: int, d: int) -> floa
 
 
 def _pattern_indices(pattern: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Shadow indices (first trace, second trace) for each covariance pattern."""
-    table = {
-        "ij_jk": ((0, 1), (1, 2)),
-        "ij_kj": ((0, 1), (2, 1)),
-        "ij_ji": ((0, 1), (1, 0)),
-        "ij_ij": ((0, 1), (0, 1)),
-        "distinct": ((0, 1), (2, 3)),
-    }
-    if pattern not in table:
+    """The pattern's _PATTERNS entry; an unknown pattern is a ValueError."""
+    if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; one of {COV_PATTERNS}")
-    return table[pattern]
+    return _PATTERNS[pattern]
 
 
 def exact_covariance(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> float:
@@ -272,29 +273,28 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
 
 def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
     """Outcomes per trial in mc_covariances' draw, after its checks on N and on
-    its workspace; it draws nothing, so a caller can run it before its instance."""
+    the memory it holds; it draws nothing, so a caller can run it first."""
     return _mc_workspace(patterns, d, N)[2]
 
 
 def _mc_workspace(patterns, d: int, N: int):
-    """mc_covariances' (pairs, keys, n_shadows, block_len, size): each pattern's
-    index pairs, the unordered pairs traced, outcomes per trial, and the float
-    lengths of one block and of the whole workspace (the block, the traces and
-    one pattern's products).  A ValueError on a small N or an oversized size."""
+    """mc_covariances' (pairs, keys, n_shadows): each pattern's index pairs, the
+    unordered pairs traced and outcomes per trial.  A ValueError on a small N,
+    or if what mc_covariances holds at once exceeds MAX_OUTCOME_BYTES: the
+    block, a shadow_pair_traces call's three block-sized temporaries, the
+    traces and one pattern's two N-long complex products."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
     n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
     keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
-    block_len = 2 * min(N, BLOCK_ROWS) * n_shadows * d
-    size = block_len + 2 * (len(keys) + 1) * N
     require_outcome_budget(
-        8 * size,
+        16 * (min(N, BLOCK_ROWS) * (n_shadows + 3) * d + (len(keys) + 2) * N),
         f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}, "
         f"drawn {BLOCK_ROWS} trials a block, and {len(keys)} pair traces would",
         "use fewer trials or a smaller d",
     )
-    return pairs, keys, n_shadows, block_len, size
+    return pairs, keys, n_shadows
 
 
 def mc_covariance(
@@ -314,46 +314,28 @@ def mc_covariances(
     T(i, j) = Tr(O rhohat_i rhohat_j) once per unordered pair: O is Hermitian,
     so T(j, i) = conj T(i, j).  The outcomes are phi-aligned records, so O is
     reflected into their basis once, as H O H with ensembles.reflect; the
-    traces are basis-invariant.  The outcomes are drawn BLOCK_ROWS trials at
-    a time into one reused block, which is traced and then overwritten by the
-    next; only the N-long trace vectors outlive a block.  The block, the
-    trace vectors and the products' buffer are views of one workspace, so a
-    call allocates once.  A workspace larger than ensembles.MAX_OUTCOME_BYTES
-    is a ValueError before anything is sampled.
+    traces are basis-invariant.  They are drawn BLOCK_ROWS trials at a time
+    into one reused block; only the complex (pairs, N) trace array outlives
+    it.  A pattern's covariance is the mean of Re(x conj y) over the centred
+    traces, Re(x y) if one of its pairs is reversed.  A request that
+    mc_shadows_per_trial refuses is a ValueError before anything is sampled.
     """
-    pairs, keys, n_shadows, block_len, size = _mc_workspace(patterns, d, N)
+    pairs, keys, n_shadows = _mc_workspace(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
-    o_h = np.array(O, dtype=complex, order="F")
-    reflect(phi, o_h.T)  # O's columns: H O, then those of (H O)^H = O H, O Hermitian
-    o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # H O H
-    # one float workspace: the block of outcomes, a trace vector per unordered
-    # pair, then one pattern's products as their real and imaginary terms
-    work = np.empty(size)
-    block = work[:block_len].view(complex)
-    traces = dict(zip(keys, work[block_len:-2 * N].view(complex).reshape(len(keys), N)))
-    prods, imag = work[-2 * N:].reshape(2, N)
+    o_h = reflect(phi, np.array(O, dtype=complex, order="F").T).T  # O's columns: H O
+    o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # columns of (H O)^H = O H: H O H
+    block = np.empty((min(N, BLOCK_ROWS) * n_shadows, d), dtype=complex)
+    traces = np.empty((len(keys), N), dtype=complex)
     for lo in range(0, N, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, N - lo)
-        blk = block[:rows * n_shadows * d].reshape(rows * n_shadows, d)
-        blk = sample_aligned_posterior_states(1, rng, blk, d).reshape(rows, n_shadows, d)
-        for (i, j), t in traces.items():
-            t[lo:lo + rows] = shadow_pair_traces(o_h, blk[:, i], blk[:, j])
-    for t in traces.values():
-        t -= t.mean()
+        blk = sample_aligned_posterior_states(1, rng, block[:rows * n_shadows], d)
+        for t, (i, j) in zip(traces, keys):  # outcome i of every trial: rows i::n_shadows
+            t[lo:lo + rows] = shadow_pair_traces(o_h, blk[i::n_shadows], blk[j::n_shadows])
+    traces -= traces.mean(axis=1, keepdims=True)
     out = []
     for ab, ce in pairs:
-        # Re(x conj y) with x = T(ab), y = T(ce); a reversed pair reads the
-        # conjugate of its stored trace, which flips the imaginary term's sign
-        a = traces[tuple(sorted(ab))].view(float).reshape(N, 2)
-        c = traces[tuple(sorted(ce))].view(float).reshape(N, 2)
-        np.multiply(a[:, 0], c[:, 0], out=prods)
-        np.multiply(a[:, 1], c[:, 1], out=imag)
-        if (ab[0] > ab[1]) == (ce[0] > ce[1]):
-            prods += imag
-        else:
-            prods -= imag
-        mean = prods.mean()
-        prods -= mean
-        out.append((float(mean), math.sqrt(float(prods @ prods) / (N - 1) / N)))
+        x, y = (traces[keys.index(tuple(sorted(ij)))] for ij in (ab, ce))
+        p = (x * (y if (ab[0] > ab[1]) != (ce[0] > ce[1]) else y.conj())).real
+        out.append((float(p.mean()), float(p.std(ddof=1)) / math.sqrt(N)))
     return out

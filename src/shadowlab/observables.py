@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import RngStream
+from .ensembles import RngStream, require_outcome_budget
 from .linalg import hermitize
 
 EIGENVALUE_CUTOFF = 1e-10
@@ -55,8 +55,17 @@ class Observable:
         return hermitize((self.vecs * self.evals) @ self.vecs.conj().T)
 
 
+def frame_rank(d: int, B: float) -> int:
+    """floor(B) clipped to [1, d], the rank of the budget-B observables below,
+    once their (d, rank) frame passes its size check; it draws nothing."""
+    r = max(1, min(d, math.floor(B)))
+    require_outcome_budget(16 * d * r, f"O's {r}-frame in d = {d} would", "use a smaller d or B")
+    return r
+
+
 def _haar_frame(d: int, r: int, rng: RngStream) -> np.ndarray:
     """Orthonormal (d, r) basis of a Haar-random r-dimensional subspace."""
+    frame_rank(d, r)  # its size check before the draw; r is already in [1, d]
     z = rng.gen.standard_normal((d, r)) + 1j * rng.gen.standard_normal((d, r))
     return np.linalg.qr(z)[0]
 
@@ -73,7 +82,7 @@ def random_projector_observable(d: int, r: int, rng: RngStream) -> Observable:
 
 def random_observable(d: int, B: float, rng: RngStream) -> Observable:
     """Random member of the budget-B class: a rank-floor(B) projector."""
-    return random_projector_observable(d, max(1, min(d, math.floor(B))), rng)
+    return random_projector_observable(d, frame_rank(d, B), rng)
 
 
 def random_signature_observable(d: int, B: float, rng: RngStream) -> Observable:
@@ -84,7 +93,7 @@ def random_signature_observable(d: int, B: float, rng: RngStream) -> Observable:
     of the plain linear estimator, unlike projectors whose traceless part
     can be tiny.
     """
-    r = max(1, min(d, math.floor(B)))
+    r = frame_rank(d, B)
     evals = np.where(np.arange(r) % 2 == 0, 1.0, -1.0)
     return Observable(vecs=_haar_frame(d, r, rng), evals=evals)
 

@@ -709,6 +709,38 @@ def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeyp
     assert mib in err and err.count("\n") == 1
 
 
+class _RefusingGenerator:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) past the memory guard")
+
+
+def _stream_that_never_draws(seed, stream_id=0):
+    rng = RngStream(seed, stream_id)
+    rng.gen = _RefusingGenerator()
+    return rng
+
+
+@pytest.mark.parametrize("argv", [
+    # a d = 10^11 state is 1490 GiB; O's 4- and 16-frames, checked first, more
+    ["jm", "--d", "100000000000", "--trials", "1"],
+    ["im", "--d", "100000000000", "--trials", "1"],
+    ["compare", "--d", "100000000000"],
+    # compare's two columns of 10^11 estimates are 1490 GiB
+    ["compare", "--trials", "100000000000"],
+    # the 512 MiB state fits, O's 2048 MiB 4-frame does not
+    ["jm", "--d", "33554432", "--trials", "1"],
+], ids=["jm", "im", "compare-d", "compare-trials", "jm-frame"])
+def test_cli_oversized_instance_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, argv):
+    # every stream's generator is a tripwire, so a check that ran after the
+    # state or the frame was drawn fails here without allocating
+    monkeypatch.setattr(cli, "RngStream", _stream_that_never_draws)
+    out = tmp_path / "never.csv"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
+
+
 def _record_kernel_and_guard(monkeypatch):
     """Lists of the outcome arrays cli hands to batch_estimates and of the
     byte counts it passes to require_outcome_budget."""

@@ -20,7 +20,9 @@ from oracles import (
     traceless_part,
 )
 from shadowlab import moments
-from shadowlab.ensembles import BLOCK_ROWS, RngStream, sample_haar_state
+from shadowlab.ensembles import (
+    BLOCK_ROWS, RngStream, require_outcome_budget, sample_haar_state,
+)
 from shadowlab.linalg import (
     Permutation,
     all_permutations,
@@ -424,10 +426,21 @@ def test_covariance_bounds_hold():
                     assert exact <= covariance_bound(pattern, rho, O, d) + 1e-9
 
 
-def test_unknown_pattern_rejected():
-    rho = rand_rho(2, 59)
-    with pytest.raises(ValueError):
-        exact_covariance("ij_xx", rho, np.eye(2), 2)
+@pytest.mark.parametrize("call", [
+    lambda rho: exact_covariance("ij_xx", rho, np.eye(2), 2),
+    lambda rho: covariance_bound("ij_xx", rho, np.eye(2), 2),
+    lambda rho: mc_covariance("ij_xx", rho, np.eye(2), 2, 2000, RngStream(59)),
+    lambda rho: mc_covariances(("ij_ji", "ij_xx"), rho, np.eye(2), 2, 2000, RngStream(59)),
+], ids=["exact_covariance", "covariance_bound", "mc_covariance", "mc_covariances"])
+def test_unknown_pattern_rejected(monkeypatch, call):
+    # the sampler is a tripwire: the Monte Carlo entry points reject the
+    # pattern before they draw anything
+    def refuse(*args):
+        raise AssertionError("sampled an unknown pattern")
+
+    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    with pytest.raises(ValueError, match="unknown pattern 'ij_xx'"):
+        call(rand_rho(2, 59))
 
 
 def test_shadow_pair_traces_match_direct():
@@ -561,8 +574,10 @@ def test_mc_covariances_guard_the_shared_draw(monkeypatch):
 
 
 def test_mc_covariances_peak_near_the_shared_array():
-    # one (N, 4, d) draw serves all five patterns; the five trace variables
-    # and the blockwise pair traces add well under half of it
+    # one draw of 4 outcomes per trial serves all five patterns, streamed one
+    # BLOCK_ROWS block at a time; the block, the pair traces' block-sized
+    # temporaries and the 3 unordered pair traces stay under 1.5 times the
+    # (N, 4, d) draw that is never held whole
     d, N = 64, 20_000
     rng = RngStream(71)
     rho = density(sample_haar_state(d, rng))
@@ -578,8 +593,9 @@ def test_mc_covariances_peak_near_the_shared_array():
 
 @pytest.mark.parametrize("pattern", ["ij_ji", "distinct"])
 def test_mc_covariance_peaks_near_its_outcome_array(pattern):
-    # the N x n_shadows x d outcome array is the largest record; sampling
-    # and the pair traces may add half of it, not a second copy
+    # the outcomes are streamed one BLOCK_ROWS block at a time; the block,
+    # the pair traces' block-sized temporaries and the pair traces stay
+    # under 1.5 times the (N, n_shadows, d) draw that is never held whole
     d, N = 64, 20_000
     n_shadows = 2 if pattern == "ij_ji" else 4
     rng = RngStream(66)
@@ -612,6 +628,31 @@ def test_mc_covariances_hold_one_block_whatever_n():
             tracemalloc.stop()
         block, traces = BLOCK_ROWS * 4 * d * 16, 3 * N * 16  # 3 unordered pairs
         assert peak < 2 * (block + traces), N
+
+
+def test_mc_covariances_peak_within_the_guard_figure(monkeypatch):
+    # the figure mc_shadows_per_trial checks is what mc_covariances holds:
+    # the block, the three block-sized temporaries of a pair-trace call, the
+    # traces and one pattern's products; tracemalloc's peak stays within it
+    figures = []
+
+    def guard(nbytes, *args):
+        figures.append(nbytes)
+        return require_outcome_budget(nbytes, *args)
+
+    monkeypatch.setattr(moments, "require_outcome_budget", guard)
+    d = 64
+    rng = RngStream(77)
+    rho = density(sample_haar_state(d, rng))
+    O = random_projector_observable(d, 4, rng).matrix
+    for N in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
+        tracemalloc.start()
+        try:
+            mc_covariances(COV_PATTERNS, rho, O, d, N, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= figures[-1], (N, peak, figures[-1])
 
 
 def test_enumeration_budget_guard():

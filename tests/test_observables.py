@@ -20,6 +20,23 @@ ZERO = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 
+class _RefusingStream:
+    @property
+    def gen(self):
+        raise AssertionError("drew past the memory guard")
+
+
+def test_state_and_frame_are_size_checked_before_the_draw():
+    # 16 d bytes for the state and 16 d r for the frame, against the 1 GiB
+    # limit; the stream is a tripwire, so a late check fails here
+    with pytest.raises(ValueError, match="2048 MiB"):
+        sample_haar_state(2**27, _RefusingStream())
+    with pytest.raises(ValueError, match="2048 MiB"):
+        random_projector_observable(2**25, 4, _RefusingStream())
+    with pytest.raises(AssertionError, match="past the memory guard"):  # 1024 MiB fits
+        random_projector_observable(2**25, 2, _RefusingStream())
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         observable_from_matrix(np.diag([2.0, 0.0]).astype(complex))
