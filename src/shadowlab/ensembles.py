@@ -25,16 +25,33 @@ that reads them only through a few vectors reflects those instead
 columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
 per outcome: the phi one, r along a basis of the column span of H V without
 its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
+
+A draw of more than CHUNK_FLOATS floats is split into c row chunks, c the
+least power of two with c CHUNK_FLOATS >= 2 n m.  Chunk j is drawn, lifted
+and normalised from child j of the stream (spawn key (stream_id, i), i
+counting the children the stream has spawned), so the result depends on the
+seed, the stream and the shape, never on how many threads draw it.  The
+chunks run on the caller and a module-level pool of one thread fewer than
+the cores this process may run on (none on one core), created at the first
+multi-chunk draw: numpy's Gaussian and Gamma fills release the GIL.  A
+draw of one chunk comes from the stream itself, as it did before chunking.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
+import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import is_hermitian
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 PURITY_TOL = 1e-8
 
@@ -47,13 +64,21 @@ MAX_OUTCOME_BYTES = 2**30
 # Outcome rows drawn and reduced per step where a caller streams blocks.
 BLOCK_ROWS = 2**12
 
+# Floats per chunk of a sampled array; a larger draw is split into chunks,
+# each from its own child stream (sample_aligned_posterior_states).
+CHUNK_FLOATS = 2**15
+
 
 @dataclass
 class RngStream:
     """One reproducible random stream per Monte Carlo trial.
 
     Identical (seed, stream_id) pairs reproduce identical sample sequences.
-    A stream must not be shared across threads; spawn one per trial.
+    A stream must not be shared across threads; spawn one per trial.  A
+    multi-chunk outcome draw (sample_aligned_posterior_states) reads child
+    streams of gen, spawn keys (stream_id, i) for the stream's i-th child,
+    which no RngStream key (stream_id,) equals; it leaves gen's own state
+    as it was.
     """
 
     seed: int
@@ -156,7 +181,9 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     lifted by k = s, to the phi amplitude.  At m = d its outcome is H row
     (reflect); below d the first m - 1 coordinates are those aligned_frame
     reads, and the last is lifted by k = d - m, to the norm of the rest.
-    There is no (n, m) temporary.
+    There is no (n, m) temporary.  Over CHUNK_FLOATS floats, rows are drawn
+    in chunks from child streams, on the caller and the draw pool; a chunk
+    that raises is re-raised (the lowest-numbered) once every chunk is done.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
@@ -164,13 +191,71 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     m = out.shape[1]
     if not 2 <= m <= d:
         raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
+    c = max(1, -(-2 * out.size // CHUNK_FLOATS))
+    c = 1 << (c - 1).bit_length()  # the least power of two with c CHUNK_FLOATS >= 2 n m
+    if c == 1:
+        _draw_chunk(out, s, d, rng)
+        return out
+    n = out.shape[0]
+    children = _spawn(rng, c)
+    pool, threads = _pool()
+    workers = min(c, threads + 1)
+
+    def run(p):  # participant p's chunks p, p + workers, ...: each runs, failing or not
+        errors = []
+        for j in range(p, c, workers):
+            try:
+                _draw_chunk(out[j * n // c:(j + 1) * n // c], s, d, children[j])
+            except Exception as e:
+                errors.append((j, e))
+        return errors
+
+    futures = [pool.submit(run, p) for p in range(1, workers)]
+    try:
+        errors = run(0)
+    finally:
+        for f in futures:  # waits: no chunk is still being written once this returns or raises
+            f.exception()
+    for f in futures:
+        errors += f.result()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return out
+
+
+def _draw_chunk(out: np.ndarray, s: int, d: int, rng: RngStream) -> None:
+    """out's rows drawn from rng: complex Gaussians, lifted and normalised."""
     flat = out.view(float)
     rng.gen.standard_normal(out=flat)
     _lift(out[:, 0], s, rng)
-    if m < d:
-        _lift(out[:, -1], d - m, rng)
+    if out.shape[1] < d:
+        _lift(out[:, -1], d - out.shape[1], rng)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-    return out
+
+
+def _spawn(rng: RngStream, c: int) -> list[RngStream]:
+    """rng's next c child streams, each an RngStream with rng's fields."""
+    children = []
+    for gen in rng.gen.spawn(c):
+        child = copy.copy(rng)
+        child.gen = gen
+        children.append(child)
+    return children
+
+
+@functools.cache
+def _pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """(pool, threads): the chunk-drawing threads, one fewer than the cores
+    this process may run on, and no pool on one core."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at startup
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = (cores or 1) - 1
+    return (ThreadPoolExecutor(threads, "shadowlab-draw") if threads else None), threads
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.ndarray:

@@ -126,9 +126,13 @@ def batch_estimates(
     is still O's dimension.  Quadratic also needs the overlaps between
     outcomes, so it takes a frame only when the records carry every
     coordinate (m = d); S V is then computed in that basis, with the same
-    norms.  A linear batch with n > 2 m^2 / r reads Tr(O P) from P instead
-    of C, assembled from the real Gram of its records: (2m)^2 floats per
-    batch, fewer than the n r complex entries of C.
+    norms.  A batch with n > 2 m^2 / r reads Tr(O P) from P instead of C,
+    assembled from the real Gram of its records: (2m)^2 floats per batch,
+    fewer than the n r complex entries of C; quadratic then takes
+    S V = (d+1) P V - n V from the same P.  The real Gram runs at the
+    overlap products' serial speed without waking OpenBLAS's worker thread,
+    which the complex n-long products do: that thread then spins on a core
+    that the outcome draw's pool (ensembles) would use.
     """
     if kind not in ("linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -156,7 +160,8 @@ def batch_estimates(
         raise ValueError("outcome states must be unit norm")
     tr_o = lam.sum()
     n = outcomes.shape[1]
-    if kind == "linear" and 2 * V.shape[0] ** 2 < n * lam.size:
+    P = None
+    if _gram_pays(V.shape[0], n, lam.size):
         # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
         R = flat.transpose(0, 2, 1) @ flat
         P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
@@ -167,15 +172,21 @@ def batch_estimates(
     if kind == "linear":
         return ((d + copies) * tr_op - n * tr_o) / (copies * n)
     # S V over column chunks of the factor at most n wide, so no temporary
-    # outgrows the outcome block; r <= n is one chunk
+    # outgrows the outcome block; r <= n is one chunk, as is every Gram batch
     tr_os2 = np.zeros(outcomes.shape[0])
     for lo in range(0, lam.size, n):
-        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + n]
+        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + n] if P is None else P @ V[:, lo:lo + n]
         SV *= d + 1
         SV -= n * V[:, lo:lo + n]
         tr_os2 += (SV.real**2 + SV.imag**2).sum(axis=1) @ lam[lo:lo + n]
     tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * tr_o
     return (tr_os2 - tr_oq) / (n * (n - 1))
+
+
+def _gram_pays(m: int, n: int, r: int) -> bool:
+    """Whether batch_estimates reads a batch of n width-m records, against a
+    rank-r factor, through their (2m)^2-float real Gram: n > 2 m^2 / r."""
+    return 2 * m * m < n * r
 
 
 def _outcome_projector(psi: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that serves all the patterns it
 is asked for from one draw, made BLOCK_ROWS trials at a time into one reused
 block, and reads them off one complex array of pair traces; only those and
-a pattern's products grow with the trial count.  A non-pure rho, or an O
+one reused product buffer grow with the trial count.  A non-pure rho, or an O
 that is not finite, Hermitian and d x d, is a ValueError.
 """
 
@@ -282,7 +282,8 @@ def _mc_workspace(patterns, d: int, N: int):
     unordered pairs traced and outcomes per trial.  A ValueError on a small N,
     or if what mc_covariances holds at once exceeds MAX_OUTCOME_BYTES: the
     block, a shadow_pair_traces call's three block-sized temporaries, the
-    traces and one pattern's two N-long complex products."""
+    traces, the N-long complex product buffer and a standard deviation's
+    N-long float temporary, counted as a second complex one."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
@@ -333,9 +334,13 @@ def mc_covariances(
         for t, (i, j) in zip(traces, keys):  # outcome i of every trial: rows i::n_shadows
             t[lo:lo + rows] = shadow_pair_traces(o_h, blk[i::n_shadows], blk[j::n_shadows])
     traces -= traces.mean(axis=1, keepdims=True)
-    out = []
+    out, prod = [], np.empty(N, dtype=complex)  # one product buffer for every pattern
     for ab, ce in pairs:
         x, y = (traces[keys.index(tuple(sorted(ij)))] for ij in (ab, ce))
-        p = (x * (y if (ab[0] > ab[1]) != (ce[0] > ce[1]) else y.conj())).real
+        if (ab[0] > ab[1]) != (ce[0] > ce[1]):
+            np.multiply(x, y, out=prod)
+        else:
+            np.multiply(x, np.conjugate(y, out=prod), out=prod)
+        p = prod.real
         out.append((float(p.mean()), float(p.std(ddof=1)) / math.sqrt(N)))
     return out

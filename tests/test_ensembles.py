@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +9,9 @@ import pytest
 from scipy import stats
 
 from oracles import haar_states, sample_posterior_states as oracle_posterior_states
-from shadowlab import moments
+from shadowlab import ensembles, moments
 from shadowlab.ensembles import (
+    CHUNK_FLOATS,
     RngStream,
     _lift,
     aligned_frame,
@@ -408,3 +413,117 @@ def test_frames_and_mc_covariances_run_no_qr_on_the_full_space(monkeypatch):
     assert shapes == [(d - 1, 2)]
     with pytest.raises(ValueError, match="state vector"):  # vectors only
         aligned_frame(np.outer(phi, phi.conj()), vecs)
+
+
+class _InlinePool:
+    """A stand-in for the draw pool that runs each submitted participant at
+    once on the calling thread, so a pool of any size starts no thread."""
+
+    def submit(self, fn, *args):
+        f = Future()
+        f.set_result(fn(*args))
+        return f
+
+
+def _two_blocks(rng, n, m, d):
+    """Two consecutive draws of (n, m) records from one stream."""
+    return [sample_aligned_posterior_states(3, rng, np.empty((n, m), complex), d) for _ in "ab"]
+
+
+@pytest.mark.parametrize("m, d", [(4, 64), (32, 32)], ids=["reduced", "full"])
+def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
+    # 4 * CHUNK_FLOATS floats per block plus one row: 8 chunks of unequal size
+    n = 2 * CHUNK_FLOATS // m + 1
+    default = _two_blocks(RngStream(70, 2), n, m, d)
+    keys = []
+    spawn = ensembles._spawn
+
+    def recording_spawn(rng, c):
+        children = spawn(rng, c)
+        keys.extend(child.gen.bit_generator.seed_seq.spawn_key for child in children)
+        return children
+
+    monkeypatch.setattr(ensembles, "_spawn", recording_spawn)
+    for pool in ((None, 0), (_InlinePool(), 1), (_InlinePool(), 3), (_InlinePool(), 20)):
+        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+        for got, want in zip(_two_blocks(RngStream(70, 2), n, m, d), default):
+            assert np.array_equal(got, want)
+    assert not np.array_equal(*default)
+    assert np.abs(np.linalg.norm(default[1], axis=1) - 1).max() <= 1e-12
+    # each block's 8 children are keyed (stream_id, i), i counting the
+    # stream's children: distinct, and never an RngStream's (stream_id,)
+    assert keys[:16] == [(2, i) for i in range(16)] and keys[16:32] == keys[:16]
+    assert all(len(key) == 2 for key in keys)
+    assert RngStream(70, 2).gen.bit_generator.seed_seq.spawn_key == (2,)
+
+
+def test_a_draw_of_one_chunk_reads_the_stream_itself():
+    # at or below CHUNK_FLOATS floats, the parent stream's own calls: the
+    # Gaussian fill, then the phi coordinate's Gamma(s)
+    n, m, d, s = CHUNK_FLOATS // 8, 4, 4, 3
+    out = sample_aligned_posterior_states(s, RngStream(71), np.empty((n, m), complex), d)
+    gen = RngStream(71).gen
+    z = gen.standard_normal((n, 2 * m)).view(complex)
+    a = np.sqrt(np.abs(z[:, 0]) ** 2 + 2 * gen.gamma(s, size=n))
+    assert np.allclose(out[:, 0].real, a / np.sqrt(a**2 + (np.abs(z[:, 1:]) ** 2).sum(axis=1)))
+
+
+@pytest.mark.parametrize("pool", ["default", "none"])
+def test_a_failing_chunk_is_raised_after_every_other_chunk_is_written(monkeypatch, pool):
+    # chunk 1's generator raises; the others sleep before they draw, so a
+    # caller that did not wait would return while they still ran
+    if pool == "none":
+        monkeypatch.setattr(ensembles, "_pool", lambda: (None, 0))
+    n, m, d = 2 * CHUNK_FLOATS // 8, 8, 8  # four chunks of n / 4 rows
+    out = np.full((n, m), np.nan, dtype=complex)
+    lock, busy, done = threading.Lock(), [0], []
+    spawn, draw = ensembles._spawn, ensembles._draw_chunk
+
+    class Raising:
+        def standard_normal(self, *args, **kwargs):
+            raise RuntimeError("chunk 1")
+
+    def failing_spawn(rng, c):
+        children = spawn(rng, c)
+        children[1].gen = Raising()
+        return children
+
+    def slow_draw(chunk, s, d, rng):
+        with lock:
+            busy[0] += 1
+        try:
+            time.sleep(0.05)
+            draw(chunk, s, d, rng)
+            done.append(chunk.ctypes.data)
+        finally:
+            with lock:
+                busy[0] -= 1
+
+    monkeypatch.setattr(ensembles, "_spawn", failing_spawn)
+    monkeypatch.setattr(ensembles, "_draw_chunk", slow_draw)
+    with pytest.raises(RuntimeError, match="chunk 1"):
+        sample_aligned_posterior_states(2, RngStream(72), out, d)
+    assert busy[0] == 0 and len(done) == 3
+    q = n // 4
+    assert np.isnan(out[q:2 * q]).all()
+    rest = np.concatenate([out[:q], out[2 * q:]])
+    assert np.abs(np.linalg.norm(rest, axis=1) - 1).max() <= 1e-12
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_without_the_parent_s_pool_threads():
+    # a child forked after a multi-chunk draw inherits none of the pool's
+    # threads; its own multi-chunk draw must make a new pool, not wait on them
+    n, m, d = 4 * CHUNK_FLOATS // 8, 8, 8
+    want = sample_aligned_posterior_states(2, RngStream(73), np.empty((n, m), complex), d)
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 if the draw returns the parent's records
+        got = sample_aligned_posterior_states(2, RngStream(73), np.empty((n, m), complex), d)
+        os._exit(0 if np.array_equal(got, want) else 1)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

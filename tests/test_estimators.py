@@ -9,6 +9,7 @@ from scipy import stats
 from oracles import (
     haar_states, linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
 )
+from shadowlab import estimators
 from shadowlab.cli import _batch_estimates
 from shadowlab.ensembles import (
     RngStream,
@@ -517,6 +518,28 @@ def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
         full = batch_estimates(O, (records @ q_full.T).reshape(4, 6, d), "quadratic")
         got = batch_estimates(O, records.reshape(4, 6, d), "quadratic", frame=frame)
         assert np.abs(got - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("d, B, n", [(8, 2, 40), (32, 4, 1720), (6, None, 3)])
+def test_gram_and_overlap_paths_agree(monkeypatch, d, B, n, kind):
+    # the same records read through their real Gram P and through their
+    # overlaps C, with the full frame and, reflected to C^d, with no frame;
+    # at (32, 4, 1720), the im-quadratic-d32 batch, the rule picks the Gram
+    phi, O = _law_case(d, B, RngStream(39, d))
+    out = np.empty((3 * n, d), dtype=complex)
+    records = sample_aligned_posterior_states(1, RngStream(41, d), out, d)
+    outcomes = reflect(phi, records.copy()).reshape(3, n, d)
+    records = records.reshape(3, n, d)
+    frame = aligned_frame(phi, O.vecs, full=True)
+    assert estimators._gram_pays(d, n, O.evals.size) == (2 * d * d < n * O.evals.size)
+    got = {}
+    for gram in (True, False):
+        monkeypatch.setattr(estimators, "_gram_pays", lambda m, n, r, gram=gram: gram)
+        got[gram] = [batch_estimates(O, records, kind, frame=frame),
+                     batch_estimates(O, outcomes, kind)]
+    for a, b in zip(got[True], got[False]):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 @pytest.mark.parametrize("d, B", [(16, 2), (8, None)])
