@@ -30,19 +30,27 @@ A draw of more than CHUNK_FLOATS floats is split into c row chunks, c the
 least power of two with c CHUNK_FLOATS >= 2 n m.  Chunk j is drawn, lifted
 and normalised from child j of the stream (spawn key (stream_id, i), i
 counting the children the stream has spawned), so the result depends on the
-seed, the stream and the shape, never on how many threads draw it.  The
-chunks run on the caller and a module-level pool of one thread fewer than
-the cores this process may run on (none on one core), created at the first
-multi-chunk draw: numpy's Gaussian and Gamma fills release the GIL.  A
-draw of one chunk comes from the stream itself, as it did before chunking.
+seed, the stream and the shape, never on how many threads draw it.  With
+w the cores this process may run on (at most c), participant p draws
+chunks p, p + w, ...: the caller is participant 0, and each other one is a
+task on a module-level pool of one thread fewer than the cores, created at
+the first draw that needs it (none on one core); numpy's Gaussian and Gamma
+fills release the GIL.  The caller draws its share rather than only waiting
+on the pool: on two cores, a caller that only waited, or a task per chunk,
+made the im workloads slower.  A draw of one chunk comes from the stream
+itself, as it did before chunking.  The pool shares the cores with
+OpenBLAS's threads: a complex product over a few thousand outcome rows
+wakes OpenBLAS's worker thread, which then spins on a core the pool would
+use, so estimators.batch_estimates reads narrow quadratic batches through a
+real Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -51,7 +59,7 @@ import numpy as np
 from .linalg import is_hermitian
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Executor
 
 PURITY_TOL = 1e-8
 
@@ -78,7 +86,8 @@ class RngStream:
     multi-chunk outcome draw (sample_aligned_posterior_states) reads child
     streams of gen, spawn keys (stream_id, i) for the stream's i-th child,
     which no RngStream key (stream_id,) equals; it leaves gen's own state
-    as it was.
+    as it was.  The caller and the draw pool's threads each read only the
+    children of the chunks they draw, so no stream is shared.
     """
 
     seed: int
@@ -182,8 +191,8 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     (reflect); below d the first m - 1 coordinates are those aligned_frame
     reads, and the last is lifted by k = d - m, to the norm of the rest.
     There is no (n, m) temporary.  Over CHUNK_FLOATS floats, rows are drawn
-    in chunks from child streams, on the caller and the draw pool; a chunk
-    that raises is re-raised (the lowest-numbered) once every chunk is done.
+    in chunks from child streams, on the caller and the draw pool; once every
+    chunk is done, the lowest-numbered chunk that raised is re-raised.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
@@ -196,30 +205,25 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     if c == 1:
         _draw_chunk(out, s, d, rng)
         return out
-    n = out.shape[0]
-    children = _spawn(rng, c)
-    pool, threads = _pool()
-    workers = min(c, threads + 1)
+    n, children, w = out.shape[0], _spawn(rng, c), min(c, _cores())
+    errors = [None] * c
 
-    def run(p):  # participant p's chunks p, p + workers, ...: each runs, failing or not
-        errors = []
-        for j in range(p, c, workers):
+    def run(p):  # participant p's chunks p, p + w, ...: each is drawn, failing or not
+        for j in range(p, c, w):
             try:
                 _draw_chunk(out[j * n // c:(j + 1) * n // c], s, d, children[j])
             except Exception as e:
-                errors.append((j, e))
-        return errors
+                errors[j] = e
 
-    futures = [pool.submit(run, p) for p in range(1, workers)]
+    helpers = [_pool().submit(run, p) for p in range(1, w)]
     try:
-        errors = run(0)
+        run(0)
     finally:
-        for f in futures:  # waits: no chunk is still being written once this returns or raises
+        for f in helpers:  # waits: no chunk is still being written once this returns or raises
             f.exception()
-    for f in futures:
-        errors += f.result()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+    for e in errors:  # the lowest-numbered chunk's exception, if any
+        if e is not None:
+            raise e
     return out
 
 
@@ -243,19 +247,37 @@ def _spawn(rng: RngStream, c: int) -> list[RngStream]:
     return children
 
 
-@functools.cache
-def _pool() -> tuple[ThreadPoolExecutor | None, int]:
-    """(pool, threads): the chunk-drawing threads, one fewer than the cores
-    this process may run on, and no pool on one core."""
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at startup
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = (cores or 1) - 1
-    return (ThreadPoolExecutor(threads, "shadowlab-draw") if threads else None), threads
+def _cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+_pool_lock = threading.Lock()
+_executor = None
+
+
+def _pool() -> Executor:
+    """The chunk-drawing pool, one thread fewer than the cores (at least
+    one), created at its first use; the lock keeps it one pool when several
+    threads make their first multi-chunk draw at once."""
+    global _executor
+    with _pool_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: not at startup
+
+            _executor = ThreadPoolExecutor(max(1, _cores() - 1), "shadowlab-draw")
+        return _executor
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of the pool's threads, and whose copy
+    of the lock another thread of the parent may have held."""
+    global _executor, _pool_lock
+    _executor, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.ndarray:

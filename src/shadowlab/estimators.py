@@ -41,6 +41,13 @@ BATCH_FAILURE_P = 0.25
 # small to plan for is a ValueError rather than an endless doubling.
 MAX_PLAN_S = 2**53
 
+# Widest records a quadratic batch reads through their real Gram.  In one-
+# trial im sweeps timed end to end (2-core x86_64, ranks 1 to 16, median op
+# time; BENCH_draw_threads.json), the Gram was 22-30% faster than the
+# overlap path at widths 12 to 48, 2-11% slower at 64, and 11-14% slower at
+# 96 and 100.
+QUADRATIC_GRAM_MAX_WIDTH = 48
+
 
 @dataclass(frozen=True)
 class BatchPlan:
@@ -128,11 +135,10 @@ def batch_estimates(
     coordinate (m = d); S V is then computed in that basis, with the same
     norms.  A batch with n > 2 m^2 / r reads Tr(O P) from P instead of C,
     assembled from the real Gram of its records: (2m)^2 floats per batch,
-    fewer than the n r complex entries of C; quadratic then takes
-    S V = (d+1) P V - n V from the same P.  The real Gram runs at the
-    overlap products' serial speed without waking OpenBLAS's worker thread,
-    which the complex n-long products do: that thread then spins on a core
-    that the outcome draw's pool (ensembles) would use.
+    fewer than the n r complex entries of C.  Quadratic does so only up to
+    m = QUADRATIC_GRAM_MAX_WIDTH, where it was measured faster than the
+    overlap path (see ensembles on OpenBLAS's thread), and then takes
+    S V = (d+1) P V - n V from the same P.
     """
     if kind not in ("linear", "quadratic"):
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -161,7 +167,7 @@ def batch_estimates(
     tr_o = lam.sum()
     n = outcomes.shape[1]
     P = None
-    if _gram_pays(V.shape[0], n, lam.size):
+    if _gram_pays(kind, V.shape[0], n, lam.size):
         # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
         R = flat.transpose(0, 2, 1) @ flat
         P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
@@ -183,10 +189,11 @@ def batch_estimates(
     return (tr_os2 - tr_oq) / (n * (n - 1))
 
 
-def _gram_pays(m: int, n: int, r: int) -> bool:
+def _gram_pays(kind: EstimateKind, m: int, n: int, r: int) -> bool:
     """Whether batch_estimates reads a batch of n width-m records, against a
-    rank-r factor, through their (2m)^2-float real Gram: n > 2 m^2 / r."""
-    return 2 * m * m < n * r
+    rank-r factor, through their (2m)^2-float real Gram: n > 2 m^2 / r, and
+    for quadratic m <= QUADRATIC_GRAM_MAX_WIDTH."""
+    return 2 * m * m < n * r and (kind == "linear" or m <= QUADRATIC_GRAM_MAX_WIDTH)
 
 
 def _outcome_projector(psi: np.ndarray) -> np.ndarray:

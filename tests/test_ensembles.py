@@ -1,7 +1,8 @@
+import concurrent.futures
 import os
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -444,10 +445,15 @@ def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
         return children
 
     monkeypatch.setattr(ensembles, "_spawn", recording_spawn)
-    for pool in ((None, 0), (_InlinePool(), 1), (_InlinePool(), 3), (_InlinePool(), 20)):
+    # one core is the caller alone; the inline pool runs the other participants with no thread
+    for cores, pool in ((1, _InlinePool()), (2, _InlinePool()), (3, _InlinePool()), (20, _InlinePool()),
+                        (2, ThreadPoolExecutor(1)), (4, ThreadPoolExecutor(3))):
+        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
         monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
         for got, want in zip(_two_blocks(RngStream(70, 2), n, m, d), default):
             assert np.array_equal(got, want)
+        if isinstance(pool, ThreadPoolExecutor):
+            pool.shutdown()
     assert not np.array_equal(*default)
     assert np.abs(np.linalg.norm(default[1], axis=1) - 1).max() <= 1e-12
     # each block's 8 children are keyed (stream_id, i), i counting the
@@ -468,12 +474,15 @@ def test_a_draw_of_one_chunk_reads_the_stream_itself():
     assert np.allclose(out[:, 0].real, a / np.sqrt(a**2 + (np.abs(z[:, 1:]) ** 2).sum(axis=1)))
 
 
-@pytest.mark.parametrize("pool", ["default", "none"])
+@pytest.mark.parametrize("pool", ["default", "caller", "inline"])
 def test_a_failing_chunk_is_raised_after_every_other_chunk_is_written(monkeypatch, pool):
-    # chunk 1's generator raises; the others sleep before they draw, so a
-    # caller that did not wait would return while they still ran
-    if pool == "none":
-        monkeypatch.setattr(ensembles, "_pool", lambda: (None, 0))
+    # chunk 1's generator raises; the others sleep before they draw, longer
+    # on a pool thread, so a caller that did not wait would return while they
+    # still ran, and one that stopped at a failing chunk would leave the later
+    # ones unwritten
+    if pool != "default":  # the caller draws every chunk, or the pool draws its share inline
+        monkeypatch.setattr(ensembles, "_cores", lambda: 1 if pool == "caller" else 2)
+        monkeypatch.setattr(ensembles, "_pool", _InlinePool)
     n, m, d = 2 * CHUNK_FLOATS // 8, 8, 8  # four chunks of n / 4 rows
     out = np.full((n, m), np.nan, dtype=complex)
     lock, busy, done = threading.Lock(), [0], []
@@ -492,7 +501,7 @@ def test_a_failing_chunk_is_raised_after_every_other_chunk_is_written(monkeypatc
         with lock:
             busy[0] += 1
         try:
-            time.sleep(0.05)
+            time.sleep(0.02 if threading.current_thread() is threading.main_thread() else 0.1)
             draw(chunk, s, d, rng)
             done.append(chunk.ctypes.data)
         finally:
@@ -508,6 +517,32 @@ def test_a_failing_chunk_is_raised_after_every_other_chunk_is_written(monkeypatc
     assert np.isnan(out[q:2 * q]).all()
     rest = np.concatenate([out[:q], out[2 * q:]])
     assert np.abs(np.linalg.norm(rest, axis=1) - 1).max() <= 1e-12
+
+
+def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
+    # a slow constructor holds the first caller inside _pool while the
+    # other three arrive; each must get the one pool it made
+    made = []
+
+    def slow_executor(*args):
+        time.sleep(0.05)
+        made.append(object())
+        return made[-1]
+
+    monkeypatch.setattr(ensembles, "_executor", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow_executor)
+    barrier, got = threading.Barrier(4), []
+
+    def first_draw():
+        barrier.wait()
+        got.append(ensembles._pool())
+
+    threads = [threading.Thread(target=first_draw) for _ in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert len(made) == 1 and got == made * 4
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

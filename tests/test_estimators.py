@@ -532,14 +532,23 @@ def test_gram_and_overlap_paths_agree(monkeypatch, d, B, n, kind):
     outcomes = reflect(phi, records.copy()).reshape(3, n, d)
     records = records.reshape(3, n, d)
     frame = aligned_frame(phi, O.vecs, full=True)
-    assert estimators._gram_pays(d, n, O.evals.size) == (2 * d * d < n * O.evals.size)
+    assert estimators._gram_pays(kind, d, n, O.evals.size) == (2 * d * d < n * O.evals.size)
     got = {}
     for gram in (True, False):
-        monkeypatch.setattr(estimators, "_gram_pays", lambda m, n, r, gram=gram: gram)
+        monkeypatch.setattr(estimators, "_gram_pays", lambda kind, m, n, r, gram=gram: gram)
         got[gram] = [batch_estimates(O, records, kind, frame=frame),
                      batch_estimates(O, outcomes, kind)]
     for a, b in zip(got[True], got[False]):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def test_quadratic_reads_the_gram_only_up_to_its_measured_width():
+    w = estimators.QUADRATIC_GRAM_MAX_WIDTH
+    n = 2 * (w + 1) ** 2  # over 2 m^2 / r at both widths, for r = 4
+    assert estimators._gram_pays("quadratic", w, n, 4)
+    assert not estimators._gram_pays("quadratic", w + 1, n, 4)
+    assert estimators._gram_pays("linear", w + 1, n, 4)
+    assert not estimators._gram_pays("quadratic", 32, 512, 4)  # n = 2 m^2 / r, not over
 
 
 @pytest.mark.parametrize("d, B", [(16, 2), (8, None)])
