@@ -1,11 +1,13 @@
 """Simulation and validation toolkit for pure-state classical shadows.
 
-The classical record of k batches is a (k, n, d) array of outcome states,
-n per batch, each of a joint measurement on `copies` copies (jm: one of s
-copies; im: s of one copy); batch_estimates maps it and an Observable to
-the per-batch linear or quadratic estimates.  The sweeps sample each outcome
-from ensembles.sample_aligned_posterior_states, in a basis whose first
-vector is the state, one block of batches at a time.  The single-copy
+The classical record of k batches is k n outcome states, n per batch, each
+of a joint measurement on `copies` copies (jm: one of s copies; im: s of
+one copy); a BatchReduction maps it and an Observable to the per-batch
+linear or quadratic estimates, from runs of rows in any order.  The sweeps
+stream each trial's outcomes through
+ensembles.stream_aligned_posterior_states, in a basis whose first vector is
+the state, one buffer of a block of batches reused as a ring, each chunk
+reduced on the core that drew it.  The single-copy
 linear estimate reads an outcome only through its overlaps with O's
 eigenvectors, so its records keep only min(d, r+2) coordinates with the
 same law; the quadratic estimate and jm take all d.
@@ -26,8 +28,8 @@ Submodules:
 from .ensembles import RngStream, sample_haar_state
 from .estimators import (
     BatchPlan,
+    BatchReduction,
     affine_shadow,
-    batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
@@ -36,10 +38,10 @@ from .observables import Observable, distinguishing_observable, random_observabl
 
 __all__ = [
     "BatchPlan",
+    "BatchReduction",
     "Observable",
     "RngStream",
     "affine_shadow",
-    "batch_estimates",
     "choose_estimator",
     "distinguishing_observable",
     "median_estimate",

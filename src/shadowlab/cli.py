@@ -34,11 +34,11 @@ from .ensembles import (
     RngStream,
     aligned_frame,
     require_outcome_budget,
-    sample_aligned_posterior_states,
     sample_haar_state,
+    stream_aligned_posterior_states,
 )
 from .estimators import (
-    batch_estimates, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
+    BatchReduction, choose_estimator, plan_batches, plan_linear_batches, plan_quadratic_batches,
 )
 from .linalg import Permutation, kappa, perm_operator, sym_projector
 from .observables import (
@@ -128,12 +128,16 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
     """Per-batch estimates from k batches of n fresh outcomes, each on
     `copies` copies: jm is (n, copies) = (1, s), im (s, 1).
 
-    The outcomes are phi-aligned records, drawn a block of whole batches at
-    a time into one buffer and read with O's factor reflected into their
-    basis once.  The linear estimate reads each outcome only through
-    <psi|O.vecs>, so its records are reduced to span{phi, O.vecs} plus the
-    rest; quadratic needs every coordinate.  A buffer larger than
-    ensembles.MAX_OUTCOME_BYTES is a ValueError before anything is sampled.
+    The outcomes are phi-aligned records, streamed through one buffer of a
+    block of whole batches, and read with O's factor reflected into their
+    basis once.  Each chunk of the stream is reduced on the participant that
+    drew it (estimators.BatchReduction): whole batches at once, and a
+    batch's parts summed in chunk order, so the estimates do not depend on
+    the participant count or on timing.  The linear estimate reads each
+    outcome only through <psi|O.vecs>, so its records are reduced to
+    span{phi, O.vecs} plus the rest; quadratic needs every coordinate.  A
+    buffer larger than ensembles.MAX_OUTCOME_BYTES is a ValueError before
+    anything is sampled.
     """
     # quadratic reads the overlaps between outcomes; jm (copies > 1) keeps
     # the generator calls of sample_posterior_states, which a reduced
@@ -148,20 +152,17 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
         f"{mode} blocks ({step} batches, n = {n}, {m} of d = {d} coordinates) would",
         "use a smaller d, or a larger eps or delta",
     )
+    reduction = BatchReduction(O, kind, n, k, copies, frame)
     block = np.empty((step * n, m), dtype=complex)
-    vals = np.empty(k)
-    for lo in range(0, k, step):
-        rows = min(step, k - lo)
-        records = sample_aligned_posterior_states(copies, rng, block[: rows * n], d)
-        vals[lo:lo + rows] = batch_estimates(O, records.reshape(rows, n, m), kind, copies, frame)
-    return vals
+    stream_aligned_posterior_states(copies, rng, block, d, k * n, reduction.add)
+    return reduction.estimates
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
     O's frame, no smaller than the state, is size-checked before any draw;
-    the block loop of _batch_estimates, shared by jm and im, checks its block
+    the stream of _batch_estimates, shared by jm and im, checks its buffer
     in trial 0, before any outcome is sampled, once O fixes the record width.
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta

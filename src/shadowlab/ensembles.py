@@ -26,23 +26,26 @@ columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
 per outcome: the phi one, r along a basis of the column span of H V without
 its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
 
-A draw of more than CHUNK_FLOATS floats is split into c row chunks, c the
-least power of two with c CHUNK_FLOATS >= 2 n m.  Chunk j is drawn, lifted
-and normalised from child j of the stream (spawn key (stream_id, i), i
-counting the children the stream has spawned), so the result depends on the
-seed, the stream and the shape, never on how many threads draw it.  With
-w the cores this process may run on (at most c), participant p draws
-chunks p, p + w, ...: the caller is participant 0, and each other one is a
-task on a module-level pool of one thread fewer than the cores, created at
-the first draw that needs it (none on one core); numpy's Gaussian and Gamma
-fills release the GIL.  The caller draws its share rather than only waiting
-on the pool: on two cores, a caller that only waited, or a task per chunk,
-made the im workloads slower.  A draw of one chunk comes from the stream
-itself, as it did before chunking.  The pool shares the cores with
-OpenBLAS's threads: a complex product over a few thousand outcome rows
-wakes OpenBLAS's worker thread, which then spins on a core the pool would
-use, so estimators.batch_estimates reads narrow quadratic batches through a
-real Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
+stream_aligned_posterior_states draws a trial's records as consecutive
+blocks through one buffer, reused as a ring.  A block of n rows of width m
+with 2 n m > CHUNK_FLOATS is split into c row chunks, c the least power of
+two with c CHUNK_FLOATS >= 2 n m.  Chunk j is drawn, lifted and normalised
+from child j of the stream (spawn key (stream_id, i), i counting the
+children the stream has spawned, block by block), so the records depend on
+the seed, the stream and the block shapes, never on how many threads draw
+them; a block of one chunk comes from the stream itself, as it did before
+chunking.  The caller and a module-level pool of one thread fewer than the
+cores (created at the first draw that needs it, none on one core; built on
+threading and queue.SimpleQueue, which import no logging) claim chunks in
+one global order, block after block.  Each chunk is handed to the caller's
+reduction on the participant that drew it, and a chunk of the next block
+waits only for the chunks of this one that share its rows of the ring, so
+no barrier separates the blocks.  numpy's Gaussian and Gamma fills release
+the GIL.  The pool shares the cores with OpenBLAS's threads: a complex
+product over a few thousand outcome rows wakes OpenBLAS's worker thread,
+which then spins on a core the pool would use, so estimators.BatchReduction
+reads narrow quadratic batches through a real Gram instead
+(QUADRATIC_GRAM_MAX_WIDTH).
 """
 
 from __future__ import annotations
@@ -52,14 +55,10 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import is_hermitian
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 PURITY_TOL = 1e-8
 
@@ -72,8 +71,8 @@ MAX_OUTCOME_BYTES = 2**30
 # Outcome rows drawn and reduced per step where a caller streams blocks.
 BLOCK_ROWS = 2**12
 
-# Floats per chunk of a sampled array; a larger draw is split into chunks,
-# each from its own child stream (sample_aligned_posterior_states).
+# Floats per chunk of a sampled block; a larger block is split into chunks,
+# each from its own child stream (stream_aligned_posterior_states).
 CHUNK_FLOATS = 2**15
 
 
@@ -83,7 +82,7 @@ class RngStream:
 
     Identical (seed, stream_id) pairs reproduce identical sample sequences.
     A stream must not be shared across threads; spawn one per trial.  A
-    multi-chunk outcome draw (sample_aligned_posterior_states) reads child
+    multi-chunk outcome block (stream_aligned_posterior_states) reads child
     streams of gen, spawn keys (stream_id, i) for the stream's i-th child,
     which no RngStream key (stream_id,) equals; it leaves gen's own state
     as it was.  The caller and the draw pool's threads each read only the
@@ -190,51 +189,132 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     lifted by k = s, to the phi amplitude.  At m = d its outcome is H row
     (reflect); below d the first m - 1 coordinates are those aligned_frame
     reads, and the last is lifted by k = d - m, to the norm of the rest.
-    There is no (n, m) temporary.  Over CHUNK_FLOATS floats, rows are drawn
-    in chunks from child streams, on the caller and the draw pool; once every
-    chunk is done, the lowest-numbered chunk that raised is re-raised.
+    There is no (n, m) temporary.  This is the one-block stream of
+    stream_aligned_posterior_states, with no reduction.
+    """
+    return stream_aligned_posterior_states(s, rng, out, d, len(out))
+
+
+def stream_aligned_posterior_states(
+    s: int, rng: RngStream, out: np.ndarray, d: int, rows: int, reduce=None
+) -> np.ndarray:
+    """Draw rows records of sample_aligned_posterior_states's law as
+    consecutive blocks of len(out) rows, the last one shorter, each into out,
+    which is reused as a ring; returns out.
+
+    A block of more than CHUNK_FLOATS floats is split into row chunks, each
+    drawn from a child stream (see the module docstring); a block's children
+    are spawned in block order, when its first chunk is claimed, and a
+    one-chunk block reads rng itself.  reduce(start, records), if given,
+    runs on each chunk as soon as the participant that drew it is done,
+    start being the chunk's first row in the stream.  The caller and the
+    draw pool claim chunks in one global order, and a chunk starts only once
+    every chunk of the previous block that shares a row of out with it has
+    been reduced, so no barrier separates the blocks.  A chunk that raises
+    stops the stream: no chunk starts after it, the call returns once no
+    chunk is running, and the lowest-numbered chunk's exception is raised.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
     _check_outcome_law(d, s)
-    m = out.shape[1]
+    n, m = out.shape
     if not 2 <= m <= d:
         raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
-    c = max(1, -(-2 * out.size // CHUNK_FLOATS))
-    c = 1 << (c - 1).bit_length()  # the least power of two with c CHUNK_FLOATS >= 2 n m
-    if c == 1:
+    if rows < 0 or (rows and not n):
+        raise ValueError(f"cannot stream {rows} records through {n} rows")
+    if rows == n and 2 * n * m <= CHUNK_FLOATS:  # one chunk, from rng, at no scheduling cost
         _draw_chunk(out, s, d, rng)
+        if reduce is not None:
+            reduce(0, out)
         return out
-    n, children, w = out.shape[0], _spawn(rng, c), min(c, _cores())
-    errors = [None] * c
+    chunks, deps, prev, width = [], [], [], 1  # width: the most chunks of one block
+    for start in range(0, rows, max(n, 1)):
+        size = min(n, rows - start)
+        c = max(1, -(-2 * size * m // CHUNK_FLOATS))
+        c = 1 << (c - 1).bit_length()  # the least power of two with c CHUNK_FLOATS >= 2 size m
+        cur, width = [], max(width, c)
+        for j in range(c):
+            lo, hi = j * size // c, (j + 1) * size // c
+            deps.append([g for a, b, g in prev if a < hi and lo < b])
+            cur.append((lo, hi, len(chunks)))
+            chunks.append((start, lo, hi, j, c))
+        prev = cur
+    children = []
 
-    def run(p):  # participant p's chunks p, p + w, ...: each is drawn, failing or not
-        for j in range(p, c, w):
-            try:
-                _draw_chunk(out[j * n // c:(j + 1) * n // c], s, d, children[j])
-            except Exception as e:
-                errors[j] = e
+    def claim(g):  # in stream order: a block's children are spawned at its first chunk
+        start, lo, hi, j, c = chunks[g]
+        if j == 0:
+            children[:] = [rng] if c == 1 else _spawn(rng, c)
+        return start + lo, out[lo:hi], children[j]
 
-    helpers = [_pool().submit(run, p) for p in range(1, w)]
-    try:
-        run(0)
-    finally:
-        for f in helpers:  # waits: no chunk is still being written once this returns or raises
-            f.exception()
-    for e in errors:  # the lowest-numbered chunk's exception, if any
-        if e is not None:
-            raise e
+    def run(start, records, child):
+        _draw_chunk(records, s, d, child)
+        if reduce is not None:
+            reduce(start, records)
+
+    w = min(width, _cores()) if width > 1 else 1
+    if w == 1:  # the caller alone, in stream order
+        for g in range(len(chunks)):
+            run(*claim(g))
+        return out
+    cond, done, errors = threading.Condition(), [False] * len(chunks), {}
+    claimed, active = 0, w
+
+    def participate():  # the caller's, and each of w - 1 pool threads'
+        nonlocal claimed, active
+        g = -1
+        try:
+            while True:
+                with cond:
+                    if errors or claimed == len(chunks):
+                        return
+                    g, claimed = claimed, claimed + 1
+                    chunk = claim(g)
+                    cond.wait_for(lambda: errors or all(done[i] for i in deps[g]))
+                    if errors:
+                        return
+                run(*chunk)
+                with cond:
+                    done[g] = True
+                    cond.notify_all()
+        except BaseException as e:  # kept for the caller to raise once no chunk runs
+            with cond:
+                errors[g] = e
+        finally:
+            with cond:
+                active -= 1
+                cond.notify_all()
+
+    pool = _pool()
+    for _ in range(w - 1):
+        pool.submit(participate)
+    participate()
+    with cond:
+        cond.wait_for(lambda: not active)
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
 def _draw_chunk(out: np.ndarray, s: int, d: int, rng: RngStream) -> None:
-    """out's rows drawn from rng: complex Gaussians, lifted and normalised."""
+    """out's rows drawn from rng: complex Gaussians, lifted and normalised.
+
+    The broadcast division holds a numpy buffer of up to 8192 floats, more
+    than a chunk's norms, so one chunk at a time divides (_NORMALISE): with
+    every participant dividing at once, those buffers took an im-linear-d64
+    trial's tracemalloc peak past 1.5 times its 350 KiB block.
+    """
     flat = out.view(float)
     rng.gen.standard_normal(out=flat)
     _lift(out[:, 0], s, rng)
     if out.shape[1] < d:
         _lift(out[:, -1], d - out.shape[1], rng)
-    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    with _NORMALISE:
+        norms = np.einsum("ij,ij->i", flat, flat)
+        flat /= np.sqrt(norms, out=norms)[:, None]
+
+
+_NORMALISE = threading.Lock()
 
 
 def _spawn(rng: RngStream, c: int) -> list[RngStream]:
@@ -252,28 +332,44 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+class _Pool:
+    """Daemon threads that each run the callables put on one queue."""
+
+    def __init__(self, threads: int):
+        import queue  # at the first multi-chunk draw, not at startup
+
+        self._tasks = queue.SimpleQueue()
+        for _ in range(threads):
+            threading.Thread(target=self._serve, name="shadowlab-draw", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._tasks.get()()
+
+    def submit(self, fn) -> None:
+        self._tasks.put(fn)
+
+
 _pool_lock = threading.Lock()
-_executor = None
+_draw_pool = None
 
 
-def _pool() -> Executor:
-    """The chunk-drawing pool, one thread fewer than the cores (at least
-    one), created at its first use; the lock keeps it one pool when several
-    threads make their first multi-chunk draw at once."""
-    global _executor
+def _pool() -> _Pool:
+    """The draw pool, one thread fewer than the cores (at least one), created
+    at its first use; the lock keeps it one pool when several threads make
+    their first multi-chunk draw at once."""
+    global _draw_pool
     with _pool_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor  # imports logging: not at startup
-
-            _executor = ThreadPoolExecutor(max(1, _cores() - 1), "shadowlab-draw")
-        return _executor
+        if _draw_pool is None:
+            _draw_pool = _Pool(max(1, _cores() - 1))
+        return _draw_pool
 
 
 def _forget_pool() -> None:
-    """In a forked child, which has none of the pool's threads, and whose copy
-    of the lock another thread of the parent may have held."""
-    global _executor, _pool_lock
-    _executor, _pool_lock = None, threading.Lock()
+    """In a forked child, which has none of the pool's threads, and whose
+    copies of the locks another thread of the parent may have held."""
+    global _draw_pool, _pool_lock, _NORMALISE
+    _draw_pool, _pool_lock, _NORMALISE = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -323,8 +419,12 @@ def _check_outcome_law(d: int, s: int) -> None:
 def _lift(c: np.ndarray, k: int, rng: RngStream) -> None:
     """Each standard complex Gaussian of c, in place, becomes the real modulus
     sqrt(|c|^2 + 2 Gamma(k)), half whose square is Gamma(k + 1); k = 0 draws
-    no Gamma."""
-    m2 = c.real**2 + c.imag**2
+    no Gamma.  The arithmetic runs in place: two temporaries of c's length
+    at most, since every participant of a stream draws at once."""
+    m2 = c.real**2
+    m2 += c.imag**2
     if k:
-        m2 += 2 * rng.gen.gamma(k, size=m2.shape)
-    c[:] = np.sqrt(m2)
+        g = rng.gen.gamma(k, size=m2.shape)
+        g *= 2
+        m2 += g
+    c[:] = np.sqrt(m2, out=m2)

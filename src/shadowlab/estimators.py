@@ -7,9 +7,10 @@ Two unbiased estimators of a pure state rho from measurement outcomes:
 * quadratic  average of single-copy rho_i rho_j over pairs i != j,
   unbiased only for pure states (rho^2 = rho) and of unconstrained trace.
 
-batch_estimates is the estimator kernel: it maps the outcome vectors and the
+BatchReduction is the estimator kernel: it maps the outcome vectors and the
 spectral factor of O straight to the per-batch estimates Tr(O rhohat),
-never forming a d x d shadow or O itself.  affine_shadow and
+never forming a d x d shadow or O itself, from runs of rows that may
+arrive in any order, as the chunks of a stream do.  affine_shadow and
 median_estimate are the dense matrix form of the joint estimator, which
 the Boolean Hidden Matching protocol still runs on.
 
@@ -21,6 +22,7 @@ one search shared by the three planners.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -106,19 +108,15 @@ def plan_quadratic_batches(B: float, d: int, eps: float, delta: float) -> BatchP
     return _plan(lambda s: 16 * (B * d / s**2 + 1 / s), 2, B, eps, delta)
 
 
-def batch_estimates(
-    O: Observable,
-    outcomes: np.ndarray,
-    kind: EstimateKind,
-    copies: int = 1,
-    frame: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-batch estimates Tr(O rhohat) computed from the outcome vectors alone.
+class BatchReduction:
+    """Per-batch estimates Tr(O rhohat) of k batches of n outcomes, computed
+    from the outcome vectors alone, as they arrive in runs of consecutive
+    rows, in any order and from any thread: batch t is rows t n to (t + 1) n.
 
-    outcomes is (k, n, d): n outcomes psi_i per batch, each of one joint
-    measurement on c = copies copies.  With P = sum_i |psi_i><psi_i|, linear
-    is the mean of the n shadows ((d+c) Psi_i - I)/c, ((d+c) Tr(OP) - n Tr O)/(c n):
-    the joint estimator is (n, c) = (1, s), whose estimates equal
+    Each outcome psi_i is of one joint measurement on c = copies copies.
+    With P = sum_i |psi_i><psi_i| over a batch, linear is the mean of the n
+    shadows ((d+c) Psi_i - I)/c, ((d+c) Tr(OP) - n Tr O)/(c n): the joint
+    estimator is (n, c) = (1, s), whose estimates equal
     Tr(O affine_shadow(psi, s, d)), and the single-copy mean is (s, 1).
     Quadratic needs c = 1: with S = (d+1) P - n I and
     Q = ((d+1)^2 - 2(d+1)) P + n I, it is Tr(O (S^2 - Q))/(n(n-1)).
@@ -126,71 +124,134 @@ def batch_estimates(
     Everything runs on the factor O = V diag(lam) V^H: with C_ij = <psi_i|v_j>,
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
     where S V = (d+1) Psi^T C - n V.  The cost is O(k n d r) for rank r.
-
-    With a frame (m, r), the outcomes are (..., m) records in another basis,
+    With a frame (m, r), the outcomes are width-m records in another basis,
     such as those of ensembles.sample_aligned_posterior_states with their
     ensembles.aligned_frame, and C = <record|frame>, at O(k n m r) cost; d
     is still O's dimension.  Quadratic also needs the overlaps between
     outcomes, so it takes a frame only when the records carry every
     coordinate (m = d); S V is then computed in that basis, with the same
-    norms.  A batch with n > 2 m^2 / r reads Tr(O P) from P instead of C,
-    assembled from the real Gram of its records: (2m)^2 floats per batch,
-    fewer than the n r complex entries of C.  Quadratic does so only up to
-    m = QUADRATIC_GRAM_MAX_WIDTH, where it was measured faster than the
-    overlap path (see ensembles on OpenBLAS's thread), and then takes
-    S V = (d+1) P V - n V from the same P.
+    norms.
+
+    reduce turns runs of rows into additive statistics of the batch they
+    belong to: Tr(O P) and, for quadratic, Psi^T C.  A batch with
+    n > 2 m^2 / r is reduced instead to the real Gram R of its records,
+    (2m)^2 floats, fewer than the n r complex entries of C, and read as P.
+    Quadratic does so only up to m = QUADRATIC_GRAM_MAX_WIDTH, where it was
+    measured faster than the overlap path (see ensembles on OpenBLAS's
+    thread), and then takes S V = (d+1) P V - n V from the same P.  finish
+    turns a batch's summed statistics into its estimate.
+
+    add checks a run's norms once, reduces its whole batches in one
+    vectorised call and finishes them at once.  A batch split between runs
+    has its parts summed in row order, whatever order they arrive in, and is
+    finished when its last row is in; estimates is complete once every row
+    has been added.  Psi^T C is r / n times a batch's records, so a factor
+    wider than n reduces and finishes whole batches in groups of about
+    rows / r, which keeps that statistic near the run's size.
     """
-    if kind not in ("linear", "quadratic"):
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    outcomes = np.ascontiguousarray(outcomes, dtype=complex)
-    if outcomes.ndim != 3 or outcomes.size == 0:
-        raise ValueError(f"{kind} needs a non-empty (k, n, d) outcome array")
-    if copies < 1 or (kind == "quadratic" and copies != 1):
-        raise ValueError(f"copies must be >= 1, and 1 for quadratic: got {copies}")
-    if kind == "quadratic" and outcomes.shape[1] < 2:
-        raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
-    V, lam = O.vecs, O.evals
-    d = V.shape[0]
-    if frame is not None:
-        V = np.asarray(frame)
-        if kind == "quadratic" and V.shape[0] != d:
-            raise ValueError("quadratic estimator needs full outcome vectors, not reduced records")
-        if V.shape[1:] != lam.shape:
-            raise ValueError(f"frame must have shape (m, {lam.size}), got {V.shape}")
-    if outcomes.shape[-1] != V.shape[0]:
-        raise ValueError(f"outcome width {outcomes.shape[-1]} does not match {V.shape[0]}")
-    # |psi|^2 from the real and imaginary parts, without a complex temporary
-    flat = outcomes.view(float)
-    sq_norms = np.einsum("...i,...i->...", flat, flat)
-    if not np.abs(np.sqrt(sq_norms) - 1.0).max() <= UNIT_NORM_TOL:  # NaN fails too
-        raise ValueError("outcome states must be unit norm")
-    tr_o = lam.sum()
-    n = outcomes.shape[1]
-    P = None
-    if _gram_pays(kind, V.shape[0], n, lam.size):
-        # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
-        R = flat.transpose(0, 2, 1) @ flat
-        P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
-        tr_op = np.einsum("bca,ac->b", P, (V * lam) @ V.conj().T).real
-    else:
-        C = np.conj(outcomes @ V.conj())
-        tr_op = ((C.real**2 + C.imag**2) @ lam).sum(axis=1)  # Tr(O P)
-    if kind == "linear":
-        return ((d + copies) * tr_op - n * tr_o) / (copies * n)
-    # S V over column chunks of the factor at most n wide, so no temporary
-    # outgrows the outcome block; r <= n is one chunk, as is every Gram batch
-    tr_os2 = np.zeros(outcomes.shape[0])
-    for lo in range(0, lam.size, n):
-        SV = outcomes.transpose(0, 2, 1) @ C[:, :, lo:lo + n] if P is None else P @ V[:, lo:lo + n]
+
+    def __init__(self, O: Observable, kind: EstimateKind, n: int, k: int, copies: int = 1,
+                 frame: np.ndarray | None = None):
+        if kind not in ("linear", "quadratic"):
+            raise ValueError(f"unknown estimator kind {kind!r}")
+        if copies < 1 or (kind == "quadratic" and copies != 1):
+            raise ValueError(f"copies must be >= 1, and 1 for quadratic: got {copies}")
+        if kind == "quadratic" and n < 2:
+            raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
+        V, lam = O.vecs, O.evals
+        self.d = V.shape[0]
+        if frame is not None:
+            V = np.asarray(frame)
+            if kind == "quadratic" and V.shape[0] != self.d:
+                raise ValueError(
+                    "quadratic estimator needs full outcome vectors, not reduced records")
+            if V.shape[1:] != lam.shape:
+                raise ValueError(f"frame must have shape (m, {lam.size}), got {V.shape}")
+        self.kind, self.n, self.copies, self.V, self.lam = kind, n, copies, V, lam
+        self.gram = _gram_pays(kind, V.shape[0], n, lam.size)
+        self._wide = kind == "quadratic" and not self.gram and lam.size > n  # Psi^T C > records
+        if self.gram:  # Tr(O P) = sum(R * G) for the real Gram R, read as P below
+            w = (V * lam) @ V.conj().T
+            self._G = np.empty((2 * V.shape[0],) * 2)
+            self._G[::2, ::2] = self._G[1::2, 1::2] = w.real
+            self._G[1::2, ::2], self._G[::2, 1::2] = w.imag, -w.imag
+        self.estimates = np.empty(k)
+        self._lock = threading.Lock()
+        self._next = {}  # batch -> (its first row not yet summed, the sum of its rows below)
+        self._early = {}  # first row -> (end row, statistics) of a part ahead of its batch's sum
+
+    def add(self, start: int, records: np.ndarray) -> None:
+        """Reduce the C-contiguous (rows, m) records, rows start, start + 1,
+        ... of the k n, after checking that each is a unit vector to
+        UNIT_NORM_TOL; finish each batch whose last row this completes."""
+        if records.shape[-1] != self.V.shape[0]:
+            raise ValueError(f"outcome width {records.shape[-1]} does not match {self.V.shape[0]}")
+        # |psi|^2 from the real and imaginary parts, without a complex temporary
+        flat = records.view(float)
+        sq_norms = np.einsum("ij,ij->i", flat, flat)
+        tol = UNIT_NORM_TOL  # squared bounds of | |psi| - 1 | <= tol; NaN fails them too
+        if not (1 - tol) ** 2 <= sq_norms.min() <= sq_norms.max() <= (1 + tol) ** 2:
+            raise ValueError("outcome states must be unit norm")
+        n, stop = self.n, start + len(records)
+        lo, hi = -(-start // n), stop // n  # the whole batches
+        if lo < hi:
+            whole = records[lo * n - start:hi * n - start].reshape(hi - lo, n, -1)
+            step = max(1, (hi - lo) * n // self.lam.size) if self._wide else hi - lo
+            for b in range(lo, hi, step):
+                group = whole[b - lo:b - lo + step]
+                self.estimates[b:b + len(group)] = self.finish(self.reduce(group))
+        for t in {start // n, (stop - 1) // n}:
+            if not lo <= t < hi:  # a batch that the run holds only part of
+                a, b = max(start, t * n), min(stop, (t + 1) * n)
+                self._sum(t, a, b, self.reduce(records[a - start:b - start][None]))
+
+    def _sum(self, t: int, a: int, b: int, stats: tuple) -> None:
+        """Add rows a to b of batch t, in row order, and finish it once complete."""
+        with self._lock:
+            self._early[a] = b, stats
+            row, total = self._next.pop(t, (t * self.n, None))
+            while row in self._early:
+                row, part = self._early.pop(row)
+                if total is None:
+                    total = part
+                else:
+                    for x, y in zip(total, part):
+                        x += y
+            if row < (t + 1) * self.n:
+                self._next[t] = row, total
+                return
+        self.estimates[t] = self.finish(total)[0]
+
+    def reduce(self, records: np.ndarray) -> tuple:
+        """The statistics of each run of the (runs, rows, m) records."""
+        if self.gram:
+            flat = records.view(float)
+            return (flat.transpose(0, 2, 1) @ flat,)
+        C = np.conj(records @ self.V.conj())
+        tr_op = ((C.real**2 + C.imag**2) @ self.lam).sum(axis=1)  # Tr(O P)
+        return (tr_op,) if self.kind == "linear" else (tr_op, records.transpose(0, 2, 1) @ C)
+
+    def finish(self, stats: tuple) -> np.ndarray:
+        """The estimate of each batch from its whole statistics; a Psi^T C
+        among them is overwritten."""
+        d, n, c, V, lam = self.d, self.n, self.copies, self.V, self.lam
+        tr_op = np.einsum("bij,ij->b", stats[0], self._G) if self.gram else stats[0]
+        if self.kind == "linear":
+            return ((d + c) * tr_op - n * lam.sum()) / (c * n)
+        if self.gram:  # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
+            R = stats[0]
+            SV = (R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])) @ V
+        else:
+            SV = stats[1]
         SV *= d + 1
-        SV -= n * V[:, lo:lo + n]
-        tr_os2 += (SV.real**2 + SV.imag**2).sum(axis=1) @ lam[lo:lo + n]
-    tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * tr_o
-    return (tr_os2 - tr_oq) / (n * (n - 1))
+        SV -= n * V
+        tr_os2 = (SV.real**2 + SV.imag**2).sum(axis=1) @ lam
+        tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * lam.sum()
+        return (tr_os2 - tr_oq) / (n * (n - 1))
 
 
 def _gram_pays(kind: EstimateKind, m: int, n: int, r: int) -> bool:
-    """Whether batch_estimates reads a batch of n width-m records, against a
+    """Whether BatchReduction reads a batch of n width-m records, against a
     rank-r factor, through their (2m)^2-float real Gram: n > 2 m^2 / r, and
     for quadratic m <= QUADRATIC_GRAM_MAX_WIDTH."""
     return 2 * m * m < n * r and (kind == "linear" or m <= QUADRATIC_GRAM_MAX_WIDTH)

@@ -257,16 +257,17 @@ def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> n
     (d+1)|psi><psi| - I reduces each trace to inner products, avoiding
     per-sample matrices.  The swapped pair is the conjugate, Tr(O rhohat_j
     rhohat_i) = conj Tr(O rhohat_i rhohat_j), so one call per unordered pair.
+    The one (n, d) temporary is a buffer that holds O|psi_i>, then its
+    conjugate, then conj psi_i and last O|psi_j>.
     """
     d = O.shape[0]
     psi_i, psi_j = np.asarray(psi_i, dtype=complex), np.asarray(psi_j, dtype=complex)
-    # each row O|psi> (a BLAS product) and conjugate once; <psi|O|psi> on float views
-    ket_oj = psi_j @ O.T
-    bra_i = psi_i.conj()
-    out = np.conjugate(np.einsum("ni,ni->n", bra_i, ket_oj))  # <psi_j|O|psi_i>
-    out *= (d + 1) ** 2 * np.einsum("ni,ni->n", bra_i, psi_j)
-    diag = np.einsum("ni,ni->n", psi_i.view(float), (psi_i @ O.T).view(float))
-    diag += np.einsum("ni,ni->n", psi_j.view(float), ket_oj.view(float))
+    buf = np.matmul(psi_i, O.T)  # O|psi_i>; <psi|O|psi> on float views
+    diag = np.einsum("ni,ni->n", psi_i.view(float), buf.view(float))
+    out = np.einsum("ni,ni->n", np.conjugate(buf, out=buf), psi_j)  # <psi_i|O|psi_j>
+    np.conjugate(out, out=out)
+    out *= (d + 1) ** 2 * np.einsum("ni,ni->n", np.conjugate(psi_i, out=buf), psi_j)
+    diag += np.einsum("ni,ni->n", psi_j.view(float), np.matmul(psi_j, O.T, out=buf).view(float))
     out -= (d + 1) * diag - np.trace(O)
     return out
 
@@ -281,9 +282,10 @@ def _mc_workspace(patterns, d: int, N: int):
     """mc_covariances' (pairs, keys, n_shadows): each pattern's index pairs, the
     unordered pairs traced and outcomes per trial.  A ValueError on a small N,
     or if what mc_covariances holds at once exceeds MAX_OUTCOME_BYTES: the
-    block, a shadow_pair_traces call's three block-sized temporaries, the
-    traces, the N-long complex product buffer and a standard deviation's
-    N-long float temporary, counted as a second complex one."""
+    block, three block-sized temporaries for a shadow_pair_traces call (an
+    upper bound: it holds one), the traces, the N-long complex product
+    buffer and a standard deviation's N-long float temporary, counted as a
+    second complex one."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]

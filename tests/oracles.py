@@ -6,7 +6,7 @@ same law through a different construction, so two-sample tests between the
 two check the one-draw sampler without sharing its code.
 
 The dense shadows are the d x d matrix forms of the single-copy estimators
-that shadowlab.estimators.batch_estimates evaluates from outcome rows alone,
+that shadowlab.estimators.BatchReduction evaluates from outcome rows alone,
 and partial_trace is the dense reduction the moment oracles avoid.
 
 single_shadow_second_moment and dense_covariance assemble the covariance

@@ -24,10 +24,8 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
-from shadowlab.ensembles import (
-    BLOCK_ROWS, RngStream, require_outcome_budget, sample_aligned_posterior_states,
-)
-from shadowlab.estimators import batch_estimates, plan_batches
+from shadowlab.ensembles import RngStream, require_outcome_budget, stream_aligned_posterior_states
+from shadowlab.estimators import plan_batches
 
 
 def read_csv(path):
@@ -208,19 +206,19 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
 
     streams = []
 
-    def record(s, rng, out, d):
+    def record(s, rng, out, d, rows, reduce):
         streams.append((rng.stream_id, out.shape[1]))
-        return sample_aligned_posterior_states(s, rng, out, d)
+        return stream_aligned_posterior_states(s, rng, out, d, rows, reduce)
 
     monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
-    monkeypatch.setattr(cli, "sample_aligned_posterior_states", record)
+    monkeypatch.setattr(cli, "stream_aligned_posterior_states", record)
     for estimator in ("linear", "quadratic"):
         rows = run_sweep(ExperimentConfig(
             mode="im", estimator=estimator, d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3,
         ))
         assert [r.mode for r in rows] == [f"im-{estimator}"] * 2
     # linear records are min(d, r + 2) = 6 wide, quadratic ones d = 8
-    assert sorted(set(streams)) == [(1, 6), (1, 8), (2, 6), (2, 8)]
+    assert streams == [(1, 6), (2, 6), (1, 8), (2, 8)]  # one stream per trial
     streams.clear()
     rows = run_sweep(ExperimentConfig(mode="jm", d=8, B=4.0, eps=0.4, delta=0.1, trials=2, seed=3))
     assert [r.mode for r in rows] == ["jm"] * 2
@@ -699,7 +697,7 @@ def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeyp
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
-    monkeypatch.setattr(cli, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(cli, "stream_aligned_posterior_states", refuse)
     monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
     out = tmp_path / "never.csv"
     assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
@@ -742,22 +740,27 @@ def test_cli_oversized_instance_exits_2_before_any_draw(tmp_path, monkeypatch, c
     assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
 
 
-def _record_kernel_and_guard(monkeypatch):
-    """Lists of the outcome arrays cli hands to batch_estimates and of the
-    byte counts it passes to require_outcome_budget."""
-    arrays, budgets = [], []
+def _record_stream_and_guard(monkeypatch):
+    """Lists of the (buffer, rows) of each stream cli starts, of the record
+    runs it hands to the reduction, and of the byte counts it passes to
+    require_outcome_budget."""
+    streams, runs, budgets = [], [], []
 
-    def kernel(O, outcomes, *args, **kwargs):
-        arrays.append(outcomes)
-        return batch_estimates(O, outcomes, *args, **kwargs)
+    def stream(s, rng, out, d, rows, reduce):
+        def recording(start, records):
+            runs.append(records)
+            reduce(start, records)
+
+        streams.append((out, rows))
+        return stream_aligned_posterior_states(s, rng, out, d, rows, recording)
 
     def guard(nbytes, *args):
         budgets.append(nbytes)
         return require_outcome_budget(nbytes, *args)
 
-    monkeypatch.setattr(cli, "batch_estimates", kernel)
+    monkeypatch.setattr(cli, "stream_aligned_posterior_states", stream)
     monkeypatch.setattr(cli, "require_outcome_budget", guard)
-    return arrays, budgets
+    return streams, runs, budgets
 
 
 @pytest.mark.parametrize("mode, estimator, d, B, eps", [
@@ -768,25 +771,30 @@ def _record_kernel_and_guard(monkeypatch):
     ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > BLOCK_ROWS: one batch per block
 ])
 def test_sweep_guard_counts_the_largest_outcome_array(monkeypatch, mode, estimator, d, B, eps):
-    # the figure the memory guard checks is the largest array the kernel gets
-    arrays, budgets = _record_kernel_and_guard(monkeypatch)
+    # the figure the memory guard checks is the one buffer the trial's
+    # stream fills, and every run the reduction gets lies inside it
+    streams, runs, budgets = _record_stream_and_guard(monkeypatch)
     run_sweep(ExperimentConfig(
         mode=mode, estimator=estimator, d=d, B=B, eps=eps, delta=0.1, trials=1, seed=5,
     ))
-    assert len(budgets) == 1 and max(a.nbytes for a in arrays) == budgets[0]
+    ((out, rows),) = streams
+    assert budgets == [out.nbytes] and sum(len(r) for r in runs) == rows
+    assert all(np.shares_memory(r, out) for r in runs)
 
 
 def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
-    # N s = 6000 and 24000 outcomes per estimator and s: each reaches the
-    # kernel in blocks of whole batches, at most BLOCK_ROWS rows, and never
-    # more bytes than the memory guard was shown
-    arrays, budgets = _record_kernel_and_guard(monkeypatch)
+    # N s = 6000 and 24000 outcomes per estimator and s: each stream's buffer
+    # holds whole batches, at most BLOCK_ROWS rows, and never more bytes than
+    # the memory guard was shown; the runs the reduction gets lie inside it
+    streams, runs, budgets = _record_stream_and_guard(monkeypatch)
     monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
     compare_estimators(d=4, B=4.0, N=3000, seed=1)
-    assert [a.shape[:2] for a in arrays[:2]] == [(2048, 2), (952, 2)]  # linear, s = 2
-    assert len(arrays) == 2 * (2 + 6)
-    assert max(a.shape[0] * a.shape[1] for a in arrays) <= BLOCK_ROWS
-    assert max(a.nbytes for a in arrays) <= min(budgets)
+    assert [(out.shape, rows) for out, rows in streams] == [
+        ((4096, 4), 6000), ((4096, 4), 6000), ((4096, 4), 24000), ((4096, 4), 24000),
+    ]  # linear and quadratic at s = 2, then at s = 8: 2 and 6 blocks each
+    assert all(out.nbytes <= min(budgets) for out, _ in streams)
+    assert sum(len(r) for r in runs) == 2 * (6000 + 24000)
+    assert all(any(np.shares_memory(r, out) for out, _ in streams) for r in runs)
 
 
 @pytest.mark.parametrize("d, eps, label, s", [
@@ -794,21 +802,22 @@ def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
     (64, 0.3, "im-linear", 534),
 ], ids=["quadratic", "linear"])
 def test_im_trial_peaks_near_one_outcome_block(monkeypatch, d, eps, label, s):
-    # the largest outcome array a trial hands to the kernel is one block of
-    # whole batches; allocations may peak at 1.5x it, not at the (k s, m)
-    # array of every batch
-    arrays, _ = _record_kernel_and_guard(monkeypatch)
+    # the buffer a trial streams its blocks of whole batches through is the
+    # largest outcome array; allocations may peak at 1.5x it, not at the
+    # (k s, m) array of every batch
+    streams, _, _ = _record_stream_and_guard(monkeypatch)
     config = dict(mode="im", d=d, B=4.0, eps=eps, trials=1)
     run_sweep(ExperimentConfig(**config, seed=3))  # first-call allocations are not the trial's
-    arrays.clear()
+    streams.clear()
     tracemalloc.start()
     try:
         (row,) = run_sweep(ExperimentConfig(**config, seed=4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * max(a.nbytes for a in arrays)
-    assert row.mode == label and (row.s, row.k) == (s, 21) and len(arrays) > 1
+    ((out, rows),) = streams
+    assert peak < 1.5 * out.nbytes
+    assert row.mode == label and (row.s, row.k) == (s, 21) and rows > len(out)
 
 
 def test_cli_compare_subcommand(tmp_path):

@@ -1,8 +1,9 @@
-import concurrent.futures
 import os
+import subprocess
+import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy import stats
 
 from oracles import haar_states, sample_posterior_states as oracle_posterior_states
+import shadowlab
 from shadowlab import ensembles, moments
 from shadowlab.ensembles import (
     CHUNK_FLOATS,
@@ -20,7 +22,10 @@ from shadowlab.ensembles import (
     sample_aligned_posterior_states,
     sample_haar_state,
     sample_posterior_states,
+    stream_aligned_posterior_states,
 )
+from shadowlab.estimators import BatchReduction
+from shadowlab.observables import random_observable
 
 N_BIG = 100_000
 
@@ -420,10 +425,8 @@ class _InlinePool:
     """A stand-in for the draw pool that runs each submitted participant at
     once on the calling thread, so a pool of any size starts no thread."""
 
-    def submit(self, fn, *args):
-        f = Future()
-        f.set_result(fn(*args))
-        return f
+    def submit(self, fn):
+        fn()
 
 
 def _two_blocks(rng, n, m, d):
@@ -474,49 +477,119 @@ def test_a_draw_of_one_chunk_reads_the_stream_itself():
     assert np.allclose(out[:, 0].real, a / np.sqrt(a**2 + (np.abs(z[:, 1:]) ** 2).sum(axis=1)))
 
 
+def _recording_spawn(monkeypatch):
+    """The spawn keys of every child stream drawn from, in spawn order."""
+    keys, spawn = [], ensembles._spawn
+
+    def recording(rng, c):
+        children = spawn(rng, c)
+        keys.extend(child.gen.bit_generator.seed_seq.spawn_key for child in children)
+        return children
+
+    monkeypatch.setattr(ensembles, "_spawn", recording)
+    return keys
+
+
+# (ring rows, width, d, s, rows, batch n, B, kind): 20480 rows through an
+# 8192-row ring are blocks of 4, 4 and 2 chunks, and each 5120-row batch is
+# summed from 3 runs; 6144 rows through a 2048-row ring are blocks of one
+# chunk each, with batch 1 split between blocks 0 and 1
+_STREAMS = {
+    "multi-chunk": (8192, 8, 8, 1, 20480, 5120, 2, "quadratic"),
+    "one-chunk": (2048, 4, 16, 3, 6144, 1536, 2, "linear"),
+}
+
+
+def _reduction(case, seed):
+    """A BatchReduction of the case's batches, for an observable drawn from seed."""
+    _, m, d, s, rows, n, B, kind = _STREAMS[case]
+    phi = sample_haar_state(d, RngStream(seed, 1))
+    O = random_observable(d, B, RngStream(seed, 2))
+    return BatchReduction(O, kind, n, rows // n, s, aligned_frame(phi, O.vecs, full=m == d))
+
+
+def _stream(case, seed):
+    """(records, per-batch estimates) of one stream of the case, the records
+    gathered from the ring run by run."""
+    ring_rows, m, d, s, rows, *_ = _STREAMS[case]
+    reduction = _reduction(case, seed)
+    records = np.full((rows, m), np.nan, dtype=complex)
+
+    def reduce(start, run):
+        records[start:start + len(run)] = run
+        reduction.add(start, run)
+
+    ring = np.empty((ring_rows, m), dtype=complex)
+    assert stream_aligned_posterior_states(s, RngStream(seed, 3), ring, d, rows, reduce) is ring
+    return records, reduction.estimates
+
+
+@pytest.mark.parametrize("case", sorted(_STREAMS))
+def test_stream_does_not_depend_on_the_participant_count(monkeypatch, case):
+    ring_rows, m, d, s, rows, *_ = _STREAMS[case]
+    keys = _recording_spawn(monkeypatch)
+    # the records are consecutive one-block draws of the stream, with the same child keys
+    rng = RngStream(80, 3)
+    blocks = [min(ring_rows, rows - lo) for lo in range(0, rows, ring_rows)]
+    want = np.concatenate([sample_aligned_posterior_states(s, rng, np.empty((b, m), complex), d)
+                           for b in blocks])
+    want_keys = keys[:]
+    records, estimates = _stream(case, 80)
+    assert np.array_equal(records, want) and keys[len(want_keys):] == want_keys
+    assert len(blocks) == 3 and len(want_keys) == (10 if case == "multi-chunk" else 0)
+    whole = _reduction(case, 80)  # the batches reduced at once
+    whole.add(0, want)
+    assert np.abs(estimates - whole.estimates).max() <= 1e-12 * np.abs(whole.estimates).max()
+    # one core is the caller alone; the inline pool runs the other participants with no thread
+    for cores, pool in ((1, _InlinePool()), (2, _InlinePool()), (3, _InlinePool()), (20, _InlinePool()),
+                        (2, ThreadPoolExecutor(1)), (4, ThreadPoolExecutor(3))):
+        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+        got_records, got_estimates = _stream(case, 80)
+        assert np.array_equal(got_records, records) and np.array_equal(got_estimates, estimates)
+        if isinstance(pool, ThreadPoolExecutor):
+            pool.shutdown()
+
+
 @pytest.mark.parametrize("pool", ["default", "caller", "inline"])
-def test_a_failing_chunk_is_raised_after_every_other_chunk_is_written(monkeypatch, pool):
-    # chunk 1's generator raises; the others sleep before they draw, longer
-    # on a pool thread, so a caller that did not wait would return while they
-    # still ran, and one that stopped at a failing chunk would leave the later
-    # ones unwritten
+def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
+    # the second chunk of block 1 raises after a while; the other chunks are
+    # quick.  No chunk starts after it raises, in particular not block 2's
+    # second chunk, which shares its rows; none is running once the call
+    # returns; and its exception is the one raised
     if pool != "default":  # the caller draws every chunk, or the pool draws its share inline
         monkeypatch.setattr(ensembles, "_cores", lambda: 1 if pool == "caller" else 2)
         monkeypatch.setattr(ensembles, "_pool", _InlinePool)
-    n, m, d = 2 * CHUNK_FLOATS // 8, 8, 8  # four chunks of n / 4 rows
-    out = np.full((n, m), np.nan, dtype=complex)
-    lock, busy, done = threading.Lock(), [0], []
-    spawn, draw = ensembles._spawn, ensembles._draw_chunk
-
-    class Raising:
-        def standard_normal(self, *args, **kwargs):
-            raise RuntimeError("chunk 1")
-
-    def failing_spawn(rng, c):
-        children = spawn(rng, c)
-        children[1].gen = Raising()
-        return children
+    keys = _recording_spawn(monkeypatch)
+    ring_rows, m, d, *_ = _STREAMS["multi-chunk"]
+    lock, busy, events = threading.Lock(), [0], []
+    draw = ensembles._draw_chunk
 
     def slow_draw(chunk, s, d, rng):
+        key = rng.gen.bit_generator.seed_seq.spawn_key
         with lock:
             busy[0] += 1
+            events.append(("start", key))
         try:
-            time.sleep(0.02 if threading.current_thread() is threading.main_thread() else 0.1)
+            if key == (2, 5):
+                time.sleep(0.2)
+                with lock:
+                    events.append(("raise", key))
+                raise RuntimeError("block 1, chunk 1")
             draw(chunk, s, d, rng)
-            done.append(chunk.ctypes.data)
         finally:
             with lock:
                 busy[0] -= 1
 
-    monkeypatch.setattr(ensembles, "_spawn", failing_spawn)
     monkeypatch.setattr(ensembles, "_draw_chunk", slow_draw)
-    with pytest.raises(RuntimeError, match="chunk 1"):
-        sample_aligned_posterior_states(2, RngStream(72), out, d)
-    assert busy[0] == 0 and len(done) == 3
-    q = n // 4
-    assert np.isnan(out[q:2 * q]).all()
-    rest = np.concatenate([out[:q], out[2 * q:]])
-    assert np.abs(np.linalg.norm(rest, axis=1) - 1).max() <= 1e-12
+    ring = np.empty((ring_rows, m), dtype=complex)
+    with pytest.raises(RuntimeError, match="block 1, chunk 1"):
+        stream_aligned_posterior_states(1, RngStream(72, 2), ring, d, 20480)
+    assert busy[0] == 0 and keys[:8] == [(2, i) for i in range(8)]
+    raised = events.index(("raise", (2, 5)))
+    assert all(kind == "start" for kind, _ in events[:raised]) and events[raised + 1:] == []
+    started = {key for _, key in events[:raised]}
+    assert (2, 9) not in started and {(2, i) for i in range(6)} <= started
 
 
 def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
@@ -529,8 +602,8 @@ def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
         made.append(object())
         return made[-1]
 
-    monkeypatch.setattr(ensembles, "_executor", None)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", slow_executor)
+    monkeypatch.setattr(ensembles, "_draw_pool", None)
+    monkeypatch.setattr(ensembles, "_Pool", slow_executor)
     barrier, got = threading.Barrier(4), []
 
     def first_draw():
@@ -543,6 +616,26 @@ def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
     for th in threads:
         th.join()
     assert len(made) == 1 and got == made * 4
+
+
+def test_a_multi_chunk_trial_imports_neither_logging_nor_concurrent_futures():
+    # the draw pool runs on threading and a queue.SimpleQueue; pytest itself
+    # imports logging, so a fresh interpreter runs one multi-chunk im trial,
+    # with two cores allowed whatever the host has, so that the pool is made
+    src = os.path.dirname(os.path.dirname(shadowlab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "\n".join([
+        "import sys",
+        "from shadowlab import cli, ensembles",
+        "ensembles._cores = lambda: 2",
+        "assert cli.main(['im', '--d', '64', '--eps', '0.3', '--trials', '1']) == 0",
+        "assert ensembles._draw_pool is not None",
+        "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

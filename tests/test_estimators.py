@@ -22,8 +22,8 @@ from shadowlab.estimators import (
     BATCH_FAILURE_P,
     MAX_PLAN_S,
     BatchPlan,
+    BatchReduction,
     affine_shadow,
-    batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
@@ -36,6 +36,18 @@ from shadowlab.moments import (
     COV_PATTERNS, exact_covariance, exact_joint_variance, shadow_pair_traces,
 )
 from shadowlab.observables import random_observable, random_signature_observable
+
+
+def batch_estimates(O, outcomes, kind, copies=1, frame=None):
+    """The kernel's estimates of every batch of the (k, n, m) outcomes: a
+    BatchReduction that gets them as one run."""
+    outcomes = np.ascontiguousarray(outcomes, dtype=complex)
+    if outcomes.ndim != 3 or outcomes.size == 0:
+        raise ValueError(f"{kind} needs a non-empty (k, n, d) outcome array")
+    k, n, m = outcomes.shape
+    reduction = BatchReduction(O, kind, n, k, copies, frame)
+    reduction.add(0, outcomes.reshape(k * n, m))
+    return reduction.estimates
 
 
 def singles_from(phi, rng, count):
@@ -540,6 +552,35 @@ def test_gram_and_overlap_paths_agree(monkeypatch, d, B, n, kind):
                      batch_estimates(O, outcomes, kind)]
     for a, b in zip(got[True], got[False]):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind, B, n, run", [
+    ("linear", 2, 9, 20), ("linear", 2, 700, 150),
+    ("quadratic", 8, 9, 20), ("quadratic", 2, 700, 150),
+], ids=["linear-overlap", "linear-gram", "quadratic-overlap", "quadratic-gram"])
+def test_batch_reduction_sums_each_batch_in_row_order(kind, B, n, run):
+    # the same records added as runs of `run` rows, in order, reversed and
+    # shuffled: each batch is summed from several runs, and its estimate may
+    # not depend on the order they arrive in; at n = 9 a run also holds
+    # whole batches.  All orders agree with batch_estimates to 1e-12
+    d, k = 8, 5
+    phi, O = _law_case(d, B, RngStream(90, n))
+    frame = aligned_frame(phi, O.vecs, full=kind == "quadratic")
+    out = np.empty((k * n, frame.shape[0]), dtype=complex)
+    records = sample_aligned_posterior_states(1, RngStream(91, n), out, d)
+    assert estimators._gram_pays(kind, frame.shape[0], n, O.evals.size) == (n == 700)
+    bounds = [*range(0, k * n, run), k * n]
+    runs = list(zip(bounds, bounds[1:]))
+    got = []
+    shuffled = [runs[i] for i in np.random.default_rng(92).permutation(len(runs))]
+    for order in (runs, runs[::-1], shuffled):
+        reduction = BatchReduction(O, kind, n, k, 1, frame)
+        for a, b in order:
+            reduction.add(a, records[a:b])
+        got.append(reduction.estimates)
+    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+    want = batch_estimates(O, records.reshape(k, n, -1), kind, frame=frame)
+    assert np.abs(got[0] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_quadratic_reads_the_gram_only_up_to_its_measured_width():
