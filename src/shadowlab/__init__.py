@@ -3,7 +3,8 @@
 The classical record of k batches is k n outcome states, n per batch, each
 of a joint measurement on `copies` copies (jm: one of s copies; im: s of
 one copy); a BatchReduction maps it and an Observable to the per-batch
-linear or quadratic estimates, from runs of rows in any order.  The sweeps
+linear or quadratic estimates, from runs of rows in any order, and
+batch_estimates does so for a whole (k, n, m) record at once.  The sweeps
 stream each trial's outcomes through
 ensembles.stream_aligned_posterior_states, in a basis whose first vector is
 the state, one buffer of a block of batches reused as a ring, each chunk
@@ -30,6 +31,7 @@ from .estimators import (
     BatchPlan,
     BatchReduction,
     affine_shadow,
+    batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
@@ -42,6 +44,7 @@ __all__ = [
     "Observable",
     "RngStream",
     "affine_shadow",
+    "batch_estimates",
     "choose_estimator",
     "distinguishing_observable",
     "median_estimate",

@@ -53,6 +53,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -222,60 +223,52 @@ def stream_aligned_posterior_states(
         raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
     if rows < 0 or (rows and not n):
         raise ValueError(f"cannot stream {rows} records through {n} rows")
-    if rows == n and 2 * n * m <= CHUNK_FLOATS:  # one chunk, from rng, at no scheduling cost
-        _draw_chunk(out, s, d, rng)
-        if reduce is not None:
-            reduce(0, out)
-        return out
-    chunks, deps, prev, width = [], [], [], 1  # width: the most chunks of one block
-    for start in range(0, rows, max(n, 1)):
-        size = min(n, rows - start)
-        c = max(1, -(-2 * size * m // CHUNK_FLOATS))
-        c = 1 << (c - 1).bit_length()  # the least power of two with c CHUNK_FLOATS >= 2 size m
-        cur, width = [], max(width, c)
-        for j in range(c):
-            lo, hi = j * size // c, (j + 1) * size // c
-            deps.append([g for a, b, g in prev if a < hi and lo < b])
-            cur.append((lo, hi, len(chunks)))
-            chunks.append((start, lo, hi, j, c))
-        prev = cur
-    children = []
 
-    def claim(g):  # in stream order: a block's children are spawned at its first chunk
-        start, lo, hi, j, c = chunks[g]
-        if j == 0:
-            children[:] = [rng] if c == 1 else _spawn(rng, c)
-        return start + lo, out[lo:hi], children[j]
-
-    def run(start, records, child):
-        _draw_chunk(records, s, d, child)
-        if reduce is not None:
-            reduce(start, records)
-
-    w = min(width, _cores()) if width > 1 else 1
+    chunks = _chunks(rng, out, rows)
+    w = _chunk_count(min(n, rows), m)  # the first block has the most chunks
+    w = min(w, _cores()) if w > 1 else 1
     if w == 1:  # the caller alone, in stream order
-        for g in range(len(chunks)):
-            run(*claim(g))
-        return out
-    cond, done, errors = threading.Condition(), [False] * len(chunks), {}
-    claimed, active = 0, w
+        for chunk in chunks:
+            _run(chunk, s, d, reduce)
+    else:
+        _share(chunks, n, w, s, d, reduce)
+    return out
+
+
+def _run(chunk: tuple, s: int, d: int, reduce) -> None:
+    """Draw a chunk of _chunks, then hand it to reduce if given."""
+    start, records, child = chunk
+    _draw_chunk(records, s, d, child)
+    if reduce is not None:
+        reduce(start, records)
+
+
+def _share(chunks, n: int, w: int, s: int, d: int, reduce) -> None:
+    """Run the chunks of a stream through n rows on the caller and w - 1
+    threads of the draw pool.  Each takes the next chunk in stream order,
+    and draws it once no chunk taken before it that shares a row of the
+    ring is still running (stream_aligned_posterior_states)."""
+    cond, busy, errors, taken, active = threading.Condition(), {}, {}, 0, w
 
     def participate():  # the caller's, and each of w - 1 pool threads'
-        nonlocal claimed, active
+        nonlocal taken, active
         g = -1
         try:
             while True:
                 with cond:
-                    if errors or claimed == len(chunks):
+                    g, taken = taken, taken + 1  # also the key of an error in next
+                    if errors or (chunk := next(chunks, None)) is None:
                         return
-                    g, claimed = claimed, claimed + 1
-                    chunk = claim(g)
-                    cond.wait_for(lambda: errors or all(done[i] for i in deps[g]))
+                    lo = chunk[0] % n  # the chunk's rows of the ring
+                    hi = lo + len(chunk[1])
+                    busy[g] = lo, hi
+                    cond.wait_for(lambda: errors or not any(
+                        a < hi and lo < b for i, (a, b) in busy.items() if i < g))
                     if errors:
                         return
-                run(*chunk)
+                _run(chunk, s, d, reduce)
                 with cond:
-                    done[g] = True
+                    del busy[g]
                     cond.notify_all()
         except BaseException as e:  # kept for the caller to raise once no chunk runs
             with cond:
@@ -293,7 +286,6 @@ def stream_aligned_posterior_states(
         cond.wait_for(lambda: not active)
     if errors:
         raise errors[min(errors)]
-    return out
 
 
 def _draw_chunk(out: np.ndarray, s: int, d: int, rng: RngStream) -> None:
@@ -317,6 +309,27 @@ def _draw_chunk(out: np.ndarray, s: int, d: int, rng: RngStream) -> None:
 _NORMALISE = threading.Lock()
 
 
+def _chunks(rng: RngStream, out: np.ndarray, rows: int):
+    """(its first row in the stream, its rows of out, its stream) of each
+    chunk of a stream of rows records through out, in stream order.  A
+    block's children are spawned when its first chunk is taken."""
+    n, m = out.shape
+    for start in range(0, rows, max(n, 1)):
+        size = min(n, rows - start)
+        c = _chunk_count(size, m)
+        children = [rng] if c == 1 else _spawn(rng, c)
+        for j in range(c):
+            lo, hi = j * size // c, (j + 1) * size // c
+            yield start + lo, out[lo:hi], children[j]
+
+
+def _chunk_count(rows: int, m: int) -> int:
+    """The chunks of a block of rows records of width m: the least power of
+    two c with c CHUNK_FLOATS >= 2 rows m, and at least 1."""
+    c = max(1, -(-2 * rows * m // CHUNK_FLOATS))
+    return 1 << (c - 1).bit_length()
+
+
 def _spawn(rng: RngStream, c: int) -> list[RngStream]:
     """rng's next c child streams, each an RngStream with rng's fields."""
     children = []
@@ -333,7 +346,12 @@ def _cores() -> int:
 
 
 class _Pool:
-    """Daemon threads that each run the callables put on one queue."""
+    """Daemon threads that each run the callables put on one queue.
+
+    A callable is expected to keep its own exceptions, as participate does;
+    one that escapes is reported through sys.excepthook, and the thread goes
+    on serving.
+    """
 
     def __init__(self, threads: int):
         import queue  # at the first multi-chunk draw, not at startup
@@ -344,7 +362,10 @@ class _Pool:
 
     def _serve(self) -> None:
         while True:
-            self._tasks.get()()
+            try:
+                self._tasks.get()()
+            except Exception:  # a failed task must not take its thread with it
+                sys.excepthook(*sys.exc_info())
 
     def submit(self, fn) -> None:
         self._tasks.put(fn)

@@ -10,7 +10,8 @@ Two unbiased estimators of a pure state rho from measurement outcomes:
 BatchReduction is the estimator kernel: it maps the outcome vectors and the
 spectral factor of O straight to the per-batch estimates Tr(O rhohat),
 never forming a d x d shadow or O itself, from runs of rows that may
-arrive in any order, as the chunks of a stream do.  affine_shadow and
+arrive in any order, as the chunks of a stream do; batch_estimates is its
+reduce-then-finish form for a whole (k, n, m) outcome array.  affine_shadow and
 median_estimate are the dense matrix form of the joint estimator, which
 the Boolean Hidden Matching protocol still runs on.
 
@@ -156,6 +157,9 @@ class BatchReduction:
             raise ValueError(f"unknown estimator kind {kind!r}")
         if copies < 1 or (kind == "quadratic" and copies != 1):
             raise ValueError(f"copies must be >= 1, and 1 for quadratic: got {copies}")
+        if n < 1 or k < 1:
+            raise ValueError(f"{kind} needs at least one batch of at least one outcome: "
+                             f"got k = {k}, n = {n}")
         if kind == "quadratic" and n < 2:
             raise ValueError("quadratic estimator needs at least 2 outcomes per batch")
         V, lam = O.vecs, O.evals
@@ -168,6 +172,7 @@ class BatchReduction:
             if V.shape[1:] != lam.shape:
                 raise ValueError(f"frame must have shape (m, {lam.size}), got {V.shape}")
         self.kind, self.n, self.copies, self.V, self.lam = kind, n, copies, V, lam
+        self._tr_o = lam.sum()  # Tr O
         self.gram = _gram_pays(kind, V.shape[0], n, lam.size)
         self._wide = kind == "quadratic" and not self.gram and lam.size > n  # Psi^T C > records
         if self.gram:  # Tr(O P) = sum(R * G) for the real Gram R, read as P below
@@ -184,8 +189,13 @@ class BatchReduction:
         """Reduce the C-contiguous (rows, m) records, rows start, start + 1,
         ... of the k n, after checking that each is a unit vector to
         UNIT_NORM_TOL; finish each batch whose last row this completes."""
-        if records.shape[-1] != self.V.shape[0]:
-            raise ValueError(f"outcome width {records.shape[-1]} does not match {self.V.shape[0]}")
+        if records.ndim != 2 or not len(records):
+            raise ValueError(f"a run must be a non-empty (rows, m) array, not {records.shape}")
+        if records.shape[1] != self.V.shape[0]:
+            raise ValueError(f"outcome width {records.shape[1]} does not match {self.V.shape[0]}")
+        if not 0 <= start <= len(self.estimates) * self.n - len(records):
+            raise ValueError(f"rows {start} to {start + len(records)} are not all among the "
+                             f"{len(self.estimates) * self.n} of the batches")
         # |psi|^2 from the real and imaginary parts, without a complex temporary
         flat = records.view(float)
         sq_norms = np.einsum("ij,ij->i", flat, flat)
@@ -237,7 +247,7 @@ class BatchReduction:
         d, n, c, V, lam = self.d, self.n, self.copies, self.V, self.lam
         tr_op = np.einsum("bij,ij->b", stats[0], self._G) if self.gram else stats[0]
         if self.kind == "linear":
-            return ((d + c) * tr_op - n * lam.sum()) / (c * n)
+            return ((d + c) * tr_op - n * self._tr_o) / (c * n)
         if self.gram:  # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
             R = stats[0]
             SV = (R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])) @ V
@@ -246,8 +256,27 @@ class BatchReduction:
         SV *= d + 1
         SV -= n * V
         tr_os2 = (SV.real**2 + SV.imag**2).sum(axis=1) @ lam
-        tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * lam.sum()
+        tr_oq = ((d + 1) ** 2 - 2 * (d + 1)) * tr_op + n * self._tr_o
         return (tr_os2 - tr_oq) / (n * (n - 1))
+
+
+def batch_estimates(
+    O: Observable,
+    outcomes: np.ndarray,
+    kind: EstimateKind,
+    copies: int = 1,
+    frame: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-batch estimates Tr(O rhohat) of the (k, n, m) outcomes, k batches
+    of n: a BatchReduction(O, kind, n, k, copies, frame) that is given them as
+    one run, which reduces and finishes every batch at once."""
+    outcomes = np.ascontiguousarray(outcomes, dtype=complex)
+    if outcomes.ndim != 3:
+        raise ValueError(f"{kind} needs a (k, n, m) outcome array, got shape {outcomes.shape}")
+    k, n, m = outcomes.shape
+    reduction = BatchReduction(O, kind, n, k, copies, frame)
+    reduction.add(0, outcomes.reshape(k * n, m))
+    return reduction.estimates
 
 
 def _gram_pays(kind: EstimateKind, m: int, n: int, r: int) -> bool:

@@ -618,6 +618,20 @@ def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
     assert len(made) == 1 and got == made * 4
 
 
+def test_a_pool_thread_outlives_a_task_that_raises(capsys):
+    # an exception that escapes a task is reported and does not end its
+    # thread: the next task on the pool's one thread still runs
+    pool, ran = ensembles._Pool(1), threading.Event()
+
+    def fails():
+        raise RuntimeError("escapes its task")
+
+    pool.submit(fails)
+    pool.submit(ran.set)
+    assert ran.wait(10)
+    assert "RuntimeError: escapes its task" in capsys.readouterr().err
+
+
 def test_a_multi_chunk_trial_imports_neither_logging_nor_concurrent_futures():
     # the draw pool runs on threading and a queue.SimpleQueue; pytest itself
     # imports logging, so a fresh interpreter runs one multi-chunk im trial,

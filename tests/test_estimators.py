@@ -24,6 +24,7 @@ from shadowlab.estimators import (
     BatchPlan,
     BatchReduction,
     affine_shadow,
+    batch_estimates,
     choose_estimator,
     median_estimate,
     plan_batches,
@@ -36,18 +37,6 @@ from shadowlab.moments import (
     COV_PATTERNS, exact_covariance, exact_joint_variance, shadow_pair_traces,
 )
 from shadowlab.observables import random_observable, random_signature_observable
-
-
-def batch_estimates(O, outcomes, kind, copies=1, frame=None):
-    """The kernel's estimates of every batch of the (k, n, m) outcomes: a
-    BatchReduction that gets them as one run."""
-    outcomes = np.ascontiguousarray(outcomes, dtype=complex)
-    if outcomes.ndim != 3 or outcomes.size == 0:
-        raise ValueError(f"{kind} needs a non-empty (k, n, d) outcome array")
-    k, n, m = outcomes.shape
-    reduction = BatchReduction(O, kind, n, k, copies, frame)
-    reduction.add(0, outcomes.reshape(k * n, m))
-    return reduction.estimates
 
 
 def singles_from(phi, rng, count):
@@ -409,6 +398,26 @@ def test_batch_estimates_validation():
             batch_estimates(O, unit[:, None], kind)
     with pytest.raises(ValueError):  # O is 2 x 2, the outcomes live in d = 3
         batch_estimates(O, np.eye(3, dtype=complex)[:, None], "linear")
+
+
+def test_batch_reduction_refuses_runs_outside_its_batches():
+    O = observable_from_matrix(np.diag([1.0, 0.0]))
+    unit = np.array([[1, 0], [0, 1]], dtype=complex)
+    for k, n in ((0, 1), (1, 0)):  # no batch, or batches of no outcome
+        with pytest.raises(ValueError):
+            BatchReduction(O, "linear", n, k)
+    reduction = BatchReduction(O, "linear", 1, 2)
+    for start, records in (
+        (0, unit[0]),  # a run is (rows, m): one outcome is one row of it
+        (0, unit[None]),
+        (0, unit[:0]),  # an empty run
+        (-1, unit[:1]),  # rows before the first batch
+        (1, unit),  # row 2 is past the last of k n = 2
+    ):
+        with pytest.raises(ValueError):
+            reduction.add(start, records)
+    reduction.add(0, unit)  # the refused runs left nothing behind
+    assert np.allclose(reduction.estimates, [2.0, -1.0])
 
 
 def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
