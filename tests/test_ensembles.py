@@ -534,6 +534,16 @@ def test_stream_does_not_depend_on_the_participant_count(monkeypatch, case):
     want = np.concatenate([sample_aligned_posterior_states(s, rng, np.empty((b, m), complex), d)
                            for b in blocks])
     want_keys = keys[:]
+    draw = ensembles._draw_chunk
+
+    def late_first_chunk(chunk, s, d, rng):
+        # block 0's first chunk is reduced late, so a stream that let block
+        # 1's chunk on the same rows of the ring start early would overwrite it
+        draw(chunk, s, d, rng)
+        if rng.gen.bit_generator.seed_seq.spawn_key == (3, 0):
+            time.sleep(0.05)
+
+    monkeypatch.setattr(ensembles, "_draw_chunk", late_first_chunk)
     records, estimates = _stream(case, 80)
     assert np.array_equal(records, want) and keys[len(want_keys):] == want_keys
     assert len(blocks) == 3 and len(want_keys) == (10 if case == "multi-chunk" else 0)
