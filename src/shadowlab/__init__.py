@@ -7,10 +7,10 @@ linear or quadratic estimates, from runs of rows in any order, and
 batch_estimates does so for a whole (k, n, m) record at once.  The sweeps
 stream each trial's outcomes through
 ensembles.stream_aligned_posterior_states, in a basis whose first vector is
-the state, one buffer of a block of batches reused as a ring, each chunk
-reduced on the core that drew it.  The single-copy
-linear estimate reads an outcome only through its overlaps with O's
-eigenvectors, so its records keep only min(d, r+2) coordinates with the
+the state, each chunk drawn into a one-chunk buffer of the thread that
+claimed it and reduced there, so a trial holds no array of outcomes.  The
+single-copy linear estimate reads an outcome only through its overlaps with
+O's eigenvectors, so its records keep only min(d, r+2) coordinates with the
 same law; the quadratic estimate and jm take all d.
 affine_shadow and median_estimate are the dense d x d form of the joint
 estimator, kept for the Boolean Hidden Matching protocol.

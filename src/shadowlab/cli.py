@@ -33,7 +33,6 @@ from .ensembles import (
     MAX_OUTCOME_BYTES,
     RngStream,
     aligned_frame,
-    require_outcome_budget,
     sample_haar_state,
     stream_aligned_posterior_states,
 )
@@ -128,33 +127,27 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
     """Per-batch estimates from k batches of n fresh outcomes, each on
     `copies` copies: jm is (n, copies) = (1, s), im (s, 1).
 
-    The outcomes are phi-aligned records, streamed through one buffer of a
-    block of whole batches, and read with O's factor reflected into their
-    basis once.  Each chunk of the stream is reduced on the participant that
-    drew it (estimators.BatchReduction): whole batches at once, and a
-    batch's parts summed in chunk order, so the estimates do not depend on
-    the participant count or on timing.  The linear estimate reads each
-    outcome only through <psi|O.vecs>, so its records are reduced to
-    span{phi, O.vecs} plus the rest; quadratic needs every coordinate.  A
-    buffer larger than ensembles.MAX_OUTCOME_BYTES is a ValueError before
-    anything is sampled.
+    The outcomes are phi-aligned records, streamed in blocks of whole
+    batches, at most BLOCK_ROWS rows or one batch, and read with O's factor
+    reflected into their basis once.  The block size fixes only the chunk
+    layout, and with it the records: each chunk of the stream is reduced on
+    the participant that drew it, from that participant's one-chunk buffer
+    (estimators.BatchReduction), whole batches at once, and a batch's parts
+    summed in chunk order, so the estimates do not depend on the
+    participant count or on timing, and a trial holds one chunk per
+    participant whatever s is.  The linear estimate reads each outcome only
+    through <psi|O.vecs>, so its records are reduced to span{phi, O.vecs}
+    plus the rest; quadratic needs every coordinate.
     """
     # quadratic reads the overlaps between outcomes; jm (copies > 1) keeps
     # the generator calls of sample_posterior_states, which a reduced
     # record's extra Gamma draw would change, and with them its estimates
     full = kind == "quadratic" or copies > 1
     frame = aligned_frame(phi, O.vecs, full=full)
-    d, m = O.vecs.shape[0], frame.shape[0]
-    step = min(k, max(1, BLOCK_ROWS // n))
-    mode = "jm" if copies > 1 else f"im-{kind}"
-    require_outcome_budget(
-        step * n * m * 16,
-        f"{mode} blocks ({step} batches, n = {n}, {m} of d = {d} coordinates) would",
-        "use a smaller d, or a larger eps or delta",
-    )
     reduction = BatchReduction(O, kind, n, k, copies, frame)
-    block = np.empty((step * n, m), dtype=complex)
-    stream_aligned_posterior_states(copies, rng, block, d, k * n, reduction.add)
+    block_rows = min(k, max(1, BLOCK_ROWS // n)) * n
+    stream_aligned_posterior_states(
+        copies, rng, O.vecs.shape[0], frame.shape[0], k * n, block_rows, reduction.add)
     return reduction.estimates
 
 
@@ -162,8 +155,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
     O's frame, no smaller than the state, is size-checked before any draw;
-    the stream of _batch_estimates, shared by jm and im, checks its buffer
-    in trial 0, before any outcome is sampled, once O fixes the record width.
+    it is the sweep's memory check, since a trial's stream holds one chunk
+    per participant and the per-batch statistics, whatever s is.
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta
     if config.mode == "jm":  # the linear estimator on one outcome of s copies

@@ -27,30 +27,30 @@ per outcome: the phi one, r along a basis of the column span of H V without
 its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
 
 stream_aligned_posterior_states draws a trial's records as consecutive
-blocks through one buffer, reused as a ring.  A block of n rows of width m
-with 2 n m > CHUNK_FLOATS is split into c row chunks, c the least power of
-two with c CHUNK_FLOATS >= 2 n m.  Chunk j is drawn, lifted and normalised
-from child j of the stream (spawn key (stream_id, i), i counting the
-children the stream has spawned, block by block), so the records depend on
-the seed, the stream and the block shapes, never on how many threads draw
-them; a block of one chunk comes from the stream itself, as it did before
-chunking.  The caller and a module-level pool of one thread fewer than the
-cores (created at the first draw that needs it, none on one core; built on
-threading and queue.SimpleQueue, which import no logging) claim chunks in
-one global order, block after block.  Each chunk is handed to the caller's
-reduction on the participant that drew it, and a chunk of the next block
-waits only for the chunks of this one that share its rows of the ring, so
-no barrier separates the blocks.  numpy's Gaussian and Gamma fills release
-the GIL.  The pool shares the cores with OpenBLAS's threads: a complex
-product over a few thousand outcome rows wakes OpenBLAS's worker thread,
-which then spins on a core the pool would use, so estimators.BatchReduction
-reads narrow quadratic batches through a real Gram instead
-(QUADRATIC_GRAM_MAX_WIDTH).
+blocks and hands them to the caller's reduction chunk by chunk; nothing
+holds a block.  A block of n rows of width m with 2 n m > CHUNK_FLOATS is
+split into c row chunks, c the least power of two with c CHUNK_FLOATS >=
+2 n m, and a chunk with no rows is skipped.  Chunk j is drawn, lifted and
+normalised from child j of the stream (spawn key (stream_id, i), i counting
+the children the stream has spawned, block by block), so the records
+depend on the seed, the stream and the block shapes, never on how many
+threads draw them; a block of one chunk comes from the stream itself, as it
+did before chunking.  The caller and a module-level pool of one thread
+fewer than the cores (created at the first draw that needs it, none on one
+core; built on threading and queue.SimpleQueue, which import no logging)
+claim chunks in one global order, block after block.  Each draws the chunks
+it claims into a buffer of its own, one chunk long, and reduces each there
+before it claims the next, so a stream holds one chunk per participant
+whatever its length, and no chunk waits for another.  numpy's Gaussian and
+Gamma fills release the GIL.  The pool shares the cores with OpenBLAS's
+threads: a complex product over a few thousand outcome rows wakes
+OpenBLAS's worker thread, which then spins on a core the pool would use, so
+estimators.BatchReduction reads narrow quadratic batches through a real
+Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import sys
@@ -84,10 +84,10 @@ class RngStream:
     Identical (seed, stream_id) pairs reproduce identical sample sequences.
     A stream must not be shared across threads; spawn one per trial.  A
     multi-chunk outcome block (stream_aligned_posterior_states) reads child
-    streams of gen, spawn keys (stream_id, i) for the stream's i-th child,
+    generators of gen, spawn keys (stream_id, i) for the stream's i-th child,
     which no RngStream key (stream_id,) equals; it leaves gen's own state
-    as it was.  The caller and the draw pool's threads each read only the
-    children of the chunks they draw, so no stream is shared.
+    as it was.  Each chunk's child is spawned when a participant takes the
+    chunk, and only that participant reads it.
     """
 
     seed: int
@@ -190,86 +190,87 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     lifted by k = s, to the phi amplitude.  At m = d its outcome is H row
     (reflect); below d the first m - 1 coordinates are those aligned_frame
     reads, and the last is lifted by k = d - m, to the norm of the rest.
-    There is no (n, m) temporary.  This is the one-block stream of
-    stream_aligned_posterior_states, with no reduction.
-    """
-    return stream_aligned_posterior_states(s, rng, out, d, len(out))
-
-
-def stream_aligned_posterior_states(
-    s: int, rng: RngStream, out: np.ndarray, d: int, rows: int, reduce=None
-) -> np.ndarray:
-    """Draw rows records of sample_aligned_posterior_states's law as
-    consecutive blocks of len(out) rows, the last one shorter, each into out,
-    which is reused as a ring; returns out.
-
-    A block of more than CHUNK_FLOATS floats is split into row chunks, each
-    drawn from a child stream (see the module docstring); a block's children
-    are spawned in block order, when its first chunk is claimed, and a
-    one-chunk block reads rng itself.  reduce(start, records), if given,
-    runs on each chunk as soon as the participant that drew it is done,
-    start being the chunk's first row in the stream.  The caller and the
-    draw pool claim chunks in one global order, and a chunk starts only once
-    every chunk of the previous block that shares a row of out with it has
-    been reduced, so no barrier separates the blocks.  A chunk that raises
-    stops the stream: no chunk starts after it, the call returns once no
-    chunk is running, and the lowest-numbered chunk's exception is raised.
+    There is no (n, m) temporary.  out is one block of
+    stream_aligned_posterior_states, each chunk drawn straight into its rows.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
-    _check_outcome_law(d, s)
     n, m = out.shape
-    if not 2 <= m <= d:
-        raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
-    if rows < 0 or (rows and not n):
-        raise ValueError(f"cannot stream {rows} records through {n} rows")
+    _check_outcome_law(d, s, m)
 
-    chunks = _chunks(rng, out, rows)
-    w = _chunk_count(min(n, rows), m)  # the first block has the most chunks
-    w = min(w, _cores()) if w > 1 else 1
-    if w == 1:  # the caller alone, in stream order
-        for chunk in chunks:
-            _run(chunk, s, d, reduce)
-    else:
-        _share(chunks, n, w, s, d, reduce)
+    def fill(lo, hi, gen):
+        _draw_chunk(out[lo:hi], s, d, gen)
+
+    _each_chunk(rng, n, max(n, 1), m, lambda: fill)
     return out
 
 
-def _run(chunk: tuple, s: int, d: int, reduce) -> None:
-    """Draw a chunk of _chunks, then hand it to reduce if given."""
-    start, records, child = chunk
-    _draw_chunk(records, s, d, child)
-    if reduce is not None:
-        reduce(start, records)
+def stream_aligned_posterior_states(
+    s: int, rng: RngStream, d: int, m: int, rows: int, block_rows: int, reduce
+) -> None:
+    """Draw rows records of sample_aligned_posterior_states's law, m wide,
+    as consecutive blocks of block_rows rows, the last one shorter, and
+    hand each chunk to reduce(start, records), start being its first row in
+    the stream; the records are valid only for the call.
+
+    A block of more than CHUNK_FLOATS floats is split into row chunks, each
+    drawn from a child stream (see the module docstring) spawned when the
+    chunk is taken; a one-chunk block reads rng itself.  The caller and the
+    draw pool take chunks in one global order, and each draws every chunk it
+    takes into a buffer of its own, one chunk long, which reduce gets and
+    which is then reused.  A chunk that raises stops the stream: no chunk is
+    taken after it, the call returns once no chunk is running, and the
+    lowest-numbered chunk's exception is raised.
+    """
+    _check_outcome_law(d, s, m)
+    if rows < 0 or block_rows < 1:
+        raise ValueError(f"cannot stream {rows} records in blocks of {block_rows} rows")
+    longest = min(-(-CHUNK_FLOATS // (2 * m)), block_rows, rows)  # rows of the longest chunk
+
+    def participant():
+        buf = np.empty((longest, m), dtype=complex)
+
+        def run(lo, hi, gen):
+            records = buf[:hi - lo]
+            _draw_chunk(records, s, d, gen)
+            reduce(lo, records)
+        return run
+
+    _each_chunk(rng, rows, block_rows, m, participant)
 
 
-def _share(chunks, n: int, w: int, s: int, d: int, reduce) -> None:
-    """Run the chunks of a stream through n rows on the caller and w - 1
-    threads of the draw pool.  Each takes the next chunk in stream order,
-    and draws it once no chunk taken before it that shares a row of the
-    ring is still running (stream_aligned_posterior_states)."""
-    cond, busy, errors, taken, active = threading.Condition(), {}, {}, 0, w
+def _each_chunk(rng: RngStream, rows: int, block_rows: int, m: int, participant) -> None:
+    """Run each chunk of _chunks on a participant's run(lo, hi, gen), made by
+    participant() once per participant: the caller alone, in stream order,
+    if the first block (the one with the most chunks) has one chunk or the
+    process one core; else the caller and threads of the draw pool."""
+    chunks = _chunks(rng, rows, block_rows, m)
+    w = min(_chunk_count(min(block_rows, rows), m), _cores())
+    if w == 1:
+        run = participant()
+        for chunk in chunks:
+            run(*chunk)
+    else:
+        _share(chunks, w, participant)
+
+
+def _share(chunks, w: int, participant) -> None:
+    """Run the chunks on the caller and w - 1 threads of the draw pool, each
+    taking the next chunk in stream order until none is left or one has
+    raised (stream_aligned_posterior_states)."""
+    cond, errors, taken, active = threading.Condition(), {}, 0, w
 
     def participate():  # the caller's, and each of w - 1 pool threads'
         nonlocal taken, active
         g = -1
         try:
+            run = participant()
             while True:
                 with cond:
                     g, taken = taken, taken + 1  # also the key of an error in next
                     if errors or (chunk := next(chunks, None)) is None:
                         return
-                    lo = chunk[0] % n  # the chunk's rows of the ring
-                    hi = lo + len(chunk[1])
-                    busy[g] = lo, hi
-                    cond.wait_for(lambda: errors or not any(
-                        a < hi and lo < b for i, (a, b) in busy.items() if i < g))
-                    if errors:
-                        return
-                _run(chunk, s, d, reduce)
-                with cond:
-                    del busy[g]
-                    cond.notify_all()
+                run(*chunk)
         except BaseException as e:  # kept for the caller to raise once no chunk runs
             with cond:
                 errors[g] = e
@@ -288,39 +289,31 @@ def _share(chunks, n: int, w: int, s: int, d: int, reduce) -> None:
         raise errors[min(errors)]
 
 
-def _draw_chunk(out: np.ndarray, s: int, d: int, rng: RngStream) -> None:
-    """out's rows drawn from rng: complex Gaussians, lifted and normalised.
-
-    The broadcast division holds a numpy buffer of up to 8192 floats, more
-    than a chunk's norms, so one chunk at a time divides (_NORMALISE): with
-    every participant dividing at once, those buffers took an im-linear-d64
-    trial's tracemalloc peak past 1.5 times its 350 KiB block.
-    """
+def _draw_chunk(out: np.ndarray, s: int, d: int, gen: np.random.Generator) -> None:
+    """out's rows drawn from gen: complex Gaussians, lifted and normalised."""
     flat = out.view(float)
-    rng.gen.standard_normal(out=flat)
-    _lift(out[:, 0], s, rng)
+    gen.standard_normal(out=flat)
+    _lift(out[:, 0], s, gen)
     if out.shape[1] < d:
-        _lift(out[:, -1], d - out.shape[1], rng)
-    with _NORMALISE:
-        norms = np.einsum("ij,ij->i", flat, flat)
-        flat /= np.sqrt(norms, out=norms)[:, None]
+        _lift(out[:, -1], d - out.shape[1], gen)
+    norms = np.einsum("ij,ij->i", flat, flat)
+    flat /= np.sqrt(norms, out=norms)[:, None]
 
 
-_NORMALISE = threading.Lock()
-
-
-def _chunks(rng: RngStream, out: np.ndarray, rows: int):
-    """(its first row in the stream, its rows of out, its stream) of each
-    chunk of a stream of rows records through out, in stream order.  A
-    block's children are spawned when its first chunk is taken."""
-    n, m = out.shape
-    for start in range(0, rows, max(n, 1)):
-        size = min(n, rows - start)
+def _chunks(rng: RngStream, rows: int, block_rows: int, m: int):
+    """(first row, end row, generator) of each chunk of a stream of rows
+    records of width m in blocks of block_rows, in stream order.  A chunk's
+    child stream is spawned when it is taken; a chunk with no rows, of a
+    block with fewer rows than chunks, is skipped after its spawn, so the
+    others keep their keys."""
+    for start in range(0, rows, block_rows):
+        size = min(block_rows, rows - start)
         c = _chunk_count(size, m)
-        children = [rng] if c == 1 else _spawn(rng, c)
         for j in range(c):
-            lo, hi = j * size // c, (j + 1) * size // c
-            yield start + lo, out[lo:hi], children[j]
+            gen = rng.gen if c == 1 else rng.gen.spawn(1)[0]
+            lo, hi = start + j * size // c, start + (j + 1) * size // c
+            if lo < hi:
+                yield lo, hi, gen
 
 
 def _chunk_count(rows: int, m: int) -> int:
@@ -328,16 +321,6 @@ def _chunk_count(rows: int, m: int) -> int:
     two c with c CHUNK_FLOATS >= 2 rows m, and at least 1."""
     c = max(1, -(-2 * rows * m // CHUNK_FLOATS))
     return 1 << (c - 1).bit_length()
-
-
-def _spawn(rng: RngStream, c: int) -> list[RngStream]:
-    """rng's next c child streams, each an RngStream with rng's fields."""
-    children = []
-    for gen in rng.gen.spawn(c):
-        child = copy.copy(rng)
-        child.gen = gen
-        children.append(child)
-    return children
 
 
 def _cores() -> int:
@@ -388,9 +371,9 @@ def _pool() -> _Pool:
 
 def _forget_pool() -> None:
     """In a forked child, which has none of the pool's threads, and whose
-    copies of the locks another thread of the parent may have held."""
-    global _draw_pool, _pool_lock, _NORMALISE
-    _draw_pool, _pool_lock, _NORMALISE = None, threading.Lock(), threading.Lock()
+    copy of the lock another thread of the parent may have held."""
+    global _draw_pool, _pool_lock
+    _draw_pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -430,14 +413,16 @@ def require_outcome_budget(nbytes: int, what: str, remedy: str) -> None:
         )
 
 
-def _check_outcome_law(d: int, s: int) -> None:
+def _check_outcome_law(d: int, s: int, m: int = 2) -> None:
     if s < 0:
         raise ValueError("s must be >= 0")
     if d < 2:
         raise ValueError("d must be >= 2")
+    if not 2 <= m <= d:
+        raise ValueError(f"records must be 2 to d = {d} wide, not {m}")
 
 
-def _lift(c: np.ndarray, k: int, rng: RngStream) -> None:
+def _lift(c: np.ndarray, k: int, gen: np.random.Generator) -> None:
     """Each standard complex Gaussian of c, in place, becomes the real modulus
     sqrt(|c|^2 + 2 Gamma(k)), half whose square is Gamma(k + 1); k = 0 draws
     no Gamma.  The arithmetic runs in place: two temporaries of c's length
@@ -445,7 +430,7 @@ def _lift(c: np.ndarray, k: int, rng: RngStream) -> None:
     m2 = c.real**2
     m2 += c.imag**2
     if k:
-        g = rng.gen.gamma(k, size=m2.shape)
+        g = gen.gamma(k, size=m2.shape)
         g *= 2
         m2 += g
     c[:] = np.sqrt(m2, out=m2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shadowlab
-from shadowlab import bhm as bhm_mod, cli, linalg, measurement, moments
+from shadowlab import bhm as bhm_mod, cli, ensembles, linalg, measurement, moments
 from shadowlab.cli import (
     ExperimentConfig,
     RESULT_FIELDS,
@@ -24,7 +24,7 @@ from shadowlab.cli import (
     wilson_interval,
     write_rows,
 )
-from shadowlab.ensembles import RngStream, require_outcome_budget, stream_aligned_posterior_states
+from shadowlab.ensembles import CHUNK_FLOATS, RngStream, stream_aligned_posterior_states
 from shadowlab.estimators import plan_batches
 
 
@@ -206,9 +206,9 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
 
     streams = []
 
-    def record(s, rng, out, d, rows, reduce):
-        streams.append((rng.stream_id, out.shape[1]))
-        return stream_aligned_posterior_states(s, rng, out, d, rows, reduce)
+    def record(s, rng, d, m, rows, block_rows, reduce):
+        streams.append((rng.stream_id, m))
+        return stream_aligned_posterior_states(s, rng, d, m, rows, block_rows, reduce)
 
     monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", record)
@@ -682,30 +682,32 @@ def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, 
     assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, mib", [
-    # s = 7111240 per batch: one quadratic block is a single 3.4 GiB batch
-    (["im", "--estimator", "quadratic", "--d", "32", "--B", "4", "--eps", "0.003"], "3472 MiB"),
-    # s = 12000000 per batch: one linear block is a single batch of
-    # 6-wide reduced records, 1.1 GiB
-    (["im", "--estimator", "linear", "--d", "64", "--B", "4", "--eps", "0.002"], "1099 MiB"),
-    # k = 3203 batches of one d-wide joint outcome: one block of all k, 1.6 GiB
-    (["jm", "--d", "32768", "--B", "1", "--eps", "0.9", "--delta", "1e-200"], "1602 MiB"),
-])
-def test_cli_sweep_outcome_memory_guard_exits_2_with_no_output(tmp_path, monkeypatch, capsys,
-                                                               argv, mib):
-    # the samplers are tripwires, so a broken guard fails here without allocating
-    def refuse(*args):
-        raise AssertionError("sampled past the memory guard")
+class _FirstDraw(Exception):
+    pass
 
-    monkeypatch.setattr(cli, "stream_aligned_posterior_states", refuse)
-    monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
-    out = tmp_path / "never.csv"
-    assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
-    # the loop's guard names the mode and the block it would hold
-    assert err.startswith(f"error: {argv[0]}") and "blocks" in err
-    assert mib in err and err.count("\n") == 1
+
+@pytest.mark.parametrize("config, m, rows, block_rows", [
+    # s = 7111240 per batch, k = 21: one batch per block, d-wide records
+    (dict(mode="im", estimator="quadratic", d=32, eps=0.003), 32, 21 * 7111240, 7111240),
+    # s = 12000000 per batch, k = 21: 6-wide reduced records
+    (dict(mode="im", estimator="linear", d=64, eps=0.002), 6, 21 * 12000000, 12000000),
+    # k = 3203 batches of one d-wide joint outcome, all in one block
+    (dict(mode="jm", d=32768, B=1.0, eps=0.9, delta=1e-200), 32768, 3203, 3203),
+], ids=["im-quadratic-d32", "im-linear-d64", "jm-d32768"])
+def test_large_batch_sweeps_reach_their_first_draw(monkeypatch, config, m, rows, block_rows):
+    # a trial holds one chunk per participant whatever s is, so no request
+    # whose frame fits is refused for its batches: each reaches the stream,
+    # here a tripwire that raises before it draws anything
+    streams = []
+
+    def tripwire(s, rng, d, m, rows, block_rows, reduce):
+        streams.append((m, rows, block_rows))
+        raise _FirstDraw
+
+    monkeypatch.setattr(cli, "stream_aligned_posterior_states", tripwire)
+    with pytest.raises(_FirstDraw):
+        run_sweep(ExperimentConfig(**{"B": 4.0, **config}, trials=1, seed=1))
+    assert streams == [(m, rows, block_rows)]
 
 
 class _RefusingGenerator:
@@ -740,27 +742,33 @@ def test_cli_oversized_instance_exits_2_before_any_draw(tmp_path, monkeypatch, c
     assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
 
 
-def _record_stream_and_guard(monkeypatch):
-    """Lists of the (buffer, rows) of each stream cli starts, of the record
-    runs it hands to the reduction, and of the byte counts it passes to
-    require_outcome_budget."""
-    streams, runs, budgets = [], [], []
+def _record_streams(monkeypatch):
+    """Lists of the (m, rows, block_rows) of each stream cli starts and of
+    the (stream, start, rows, width) of each record run it hands to the
+    reduction, stream counting the streams."""
+    streams, runs = [], []
 
-    def stream(s, rng, out, d, rows, reduce):
+    def stream(s, rng, d, m, rows, block_rows, reduce):
         def recording(start, records):
-            runs.append(records)
+            runs.append((i, start, *records.shape))
             reduce(start, records)
 
-        streams.append((out, rows))
-        return stream_aligned_posterior_states(s, rng, out, d, rows, recording)
-
-    def guard(nbytes, *args):
-        budgets.append(nbytes)
-        return require_outcome_budget(nbytes, *args)
+        i = len(streams)
+        streams.append((m, rows, block_rows))
+        return stream_aligned_posterior_states(s, rng, d, m, rows, block_rows, recording)
 
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", stream)
-    monkeypatch.setattr(cli, "require_outcome_budget", guard)
-    return streams, runs, budgets
+    return streams, runs
+
+
+def _assert_one_chunk_runs(streams, runs):
+    """Each run is one chunk, at most CHUNK_FLOATS floats rounded up to a
+    whole row, and not empty; each stream's runs cover its rows once."""
+    for i, (m, rows, _) in enumerate(streams):
+        mine = sorted((start, n, w) for j, start, n, w in runs if j == i)
+        assert all(w == m and 1 <= n <= -(-CHUNK_FLOATS // (2 * m)) for _, n, w in mine)
+        ends = [start + n for start, n, _ in mine]
+        assert [start for start, _, _ in mine] == [0, *ends[:-1]] and ends[-1] == rows
 
 
 @pytest.mark.parametrize("mode, estimator, d, B, eps", [
@@ -770,54 +778,62 @@ def _record_stream_and_guard(monkeypatch):
     ("im", "quadratic", 8, 4.0, 0.4),  # s = 430: 9 batches per block
     ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > BLOCK_ROWS: one batch per block
 ])
-def test_sweep_guard_counts_the_largest_outcome_array(monkeypatch, mode, estimator, d, B, eps):
-    # the figure the memory guard checks is the one buffer the trial's
-    # stream fills, and every run the reduction gets lies inside it
-    streams, runs, budgets = _record_stream_and_guard(monkeypatch)
-    run_sweep(ExperimentConfig(
+def test_sweep_hands_the_reduction_one_chunk_at_a_time(monkeypatch, mode, estimator, d, B, eps):
+    streams, runs = _record_streams(monkeypatch)
+    (row,) = run_sweep(ExperimentConfig(
         mode=mode, estimator=estimator, d=d, B=B, eps=eps, delta=0.1, trials=1, seed=5,
     ))
-    ((out, rows),) = streams
-    assert budgets == [out.nbytes] and sum(len(r) for r in runs) == rows
-    assert all(np.shares_memory(r, out) for r in runs)
+    n = 1 if mode == "jm" else row.s
+    ((_, rows, block_rows),) = streams
+    assert rows == row.k * n and block_rows == min(row.k, max(1, 4096 // n)) * n
+    _assert_one_chunk_runs(streams, runs)
+
+
+def test_jm_at_d_16384_skips_empty_chunks(monkeypatch, capsys):
+    # k = 21 rows of 2^15 floats in one block are 32 chunks, 11 of them with
+    # no rows; the reduction, which refuses an empty run, gets none of them
+    streams, runs = _record_streams(monkeypatch)
+    assert main(["jm", "--d", "16384", "--trials", "1"]) == 0
+    assert streams == [(16384, 21, 21)] and len(runs) == 21
+    _assert_one_chunk_runs(streams, runs)
+    assert capsys.readouterr().out.startswith("trials=1 ")
 
 
 def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
-    # N s = 6000 and 24000 outcomes per estimator and s: each stream's buffer
-    # holds whole batches, at most BLOCK_ROWS rows, and never more bytes than
-    # the memory guard was shown; the runs the reduction gets lie inside it
-    streams, runs, budgets = _record_stream_and_guard(monkeypatch)
+    # N s = 6000 and 24000 outcomes per estimator and s, in blocks of whole
+    # batches of at most BLOCK_ROWS rows; the reduction gets them one chunk
+    # at a time, each row once
+    streams, runs = _record_streams(monkeypatch)
     monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
     compare_estimators(d=4, B=4.0, N=3000, seed=1)
-    assert [(out.shape, rows) for out, rows in streams] == [
-        ((4096, 4), 6000), ((4096, 4), 6000), ((4096, 4), 24000), ((4096, 4), 24000),
-    ]  # linear and quadratic at s = 2, then at s = 8: 2 and 6 blocks each
-    assert all(out.nbytes <= min(budgets) for out, _ in streams)
-    assert sum(len(r) for r in runs) == 2 * (6000 + 24000)
-    assert all(any(np.shares_memory(r, out) for out, _ in streams) for r in runs)
+    assert streams == [(4, 6000, 4096), (4, 6000, 4096), (4, 24000, 4096), (4, 24000, 4096)]
+    _assert_one_chunk_runs(streams, runs)
 
 
-@pytest.mark.parametrize("d, eps, label, s", [
-    (32, 0.2, "im-quadratic", 1720),
-    (64, 0.3, "im-linear", 534),
+@pytest.mark.parametrize("d, eps, label", [
+    (32, (0.2, 0.1), "im-quadratic"),  # s = 1720, then 6526
+    (64, (0.3, 0.03), "im-linear"),  # s = 534, then 53334
 ], ids=["quadratic", "linear"])
-def test_im_trial_peaks_near_one_outcome_block(monkeypatch, d, eps, label, s):
-    # the buffer a trial streams its blocks of whole batches through is the
-    # largest outcome array; allocations may peak at 1.5x it, not at the
-    # (k s, m) array of every batch
-    streams, _, _ = _record_stream_and_guard(monkeypatch)
-    config = dict(mode="im", d=d, B=4.0, eps=eps, trials=1)
-    run_sweep(ExperimentConfig(**config, seed=3))  # first-call allocations are not the trial's
-    streams.clear()
-    tracemalloc.start()
-    try:
-        (row,) = run_sweep(ExperimentConfig(**config, seed=4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    ((out, rows),) = streams
-    assert peak < 1.5 * out.nbytes
-    assert row.mode == label and (row.s, row.k) == (s, 21) and rows > len(out)
+def test_im_trial_peak_does_not_grow_with_s(monkeypatch, d, eps, label):
+    # a trial holds one chunk per participant and its batches' statistics,
+    # never a block of whole batches, so its allocations peak within 1.25x
+    # as high at the larger s as at the smaller.  The caller draws alone:
+    # with the pool, the peak also depends on how far one participant gets
+    # ahead of another, whose chunks' statistics wait to be summed in order
+    monkeypatch.setattr(ensembles, "_cores", lambda: 1)
+    config = dict(mode="im", estimator=label[3:], d=d, B=4.0, trials=1)
+    run_sweep(ExperimentConfig(**config, eps=eps[0], seed=3))  # first-call allocations are not the trial's
+    peaks, sizes = [], []
+    for e in eps:
+        tracemalloc.start()
+        try:
+            (row,) = run_sweep(ExperimentConfig(**config, eps=e, seed=4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert row.mode == label and row.k == 21
+        sizes.append(row.s)
+    assert sizes[1] > 3 * sizes[0] and peaks[1] <= 1.25 * peaks[0]
 
 
 def test_cli_compare_subcommand(tmp_path):

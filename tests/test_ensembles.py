@@ -172,7 +172,7 @@ def test_lift_gives_the_phi_amplitude_law(k):
     n = 20_000
     c = RngStream(26, k).gen.standard_normal((n, 2)).view(complex)[:, 0]
     a = c.copy()
-    _lift(a, k, RngStream(27, k))
+    _lift(a, k, RngStream(27, k).gen)
     assert not a.imag.any() and (a.real >= 0).all()
     gammas = np.random.default_rng(28 + k).gamma(k + 1, size=n)
     assert stats.ks_2samp(a.real**2 / 2, gammas).pvalue > 1e-3
@@ -185,7 +185,7 @@ def test_reduced_records_lift_the_rest_coordinate():
     # is Gamma(d - m + 1)/Gamma(2)
     d, m, n = 16, 4, 20_000
     c = RngStream(29).gen.standard_normal((n, 2)).view(complex)[:, 0]
-    _lift(c, d - m, RngStream(30))
+    _lift(c, d - m, RngStream(30).gen)
     ref = np.random.default_rng(31)
     assert stats.ks_2samp(c.real**2 / 2, ref.gamma(d - m + 1, size=n)).pvalue > 1e-3
     records = sample_aligned_posterior_states(2, RngStream(32), np.empty((n, m), complex), d)
@@ -439,15 +439,7 @@ def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
     # 4 * CHUNK_FLOATS floats per block plus one row: 8 chunks of unequal size
     n = 2 * CHUNK_FLOATS // m + 1
     default = _two_blocks(RngStream(70, 2), n, m, d)
-    keys = []
-    spawn = ensembles._spawn
-
-    def recording_spawn(rng, c):
-        children = spawn(rng, c)
-        keys.extend(child.gen.bit_generator.seed_seq.spawn_key for child in children)
-        return children
-
-    monkeypatch.setattr(ensembles, "_spawn", recording_spawn)
+    keys = _recording_draws(monkeypatch)
     # one core is the caller alone; the inline pool runs the other participants with no thread
     for cores, pool in ((1, _InlinePool()), (2, _InlinePool()), (3, _InlinePool()), (20, _InlinePool()),
                         (2, ThreadPoolExecutor(1)), (4, ThreadPoolExecutor(3))):
@@ -460,7 +452,8 @@ def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
     assert not np.array_equal(*default)
     assert np.abs(np.linalg.norm(default[1], axis=1) - 1).max() <= 1e-12
     # each block's 8 children are keyed (stream_id, i), i counting the
-    # stream's children: distinct, and never an RngStream's (stream_id,)
+    # stream's children: distinct, and never an RngStream's (stream_id,);
+    # the caller alone, and an inline pool, draw them in stream order
     assert keys[:16] == [(2, i) for i in range(16)] and keys[16:32] == keys[:16]
     assert all(len(key) == 2 for key in keys)
     assert RngStream(70, 2).gen.bit_generator.seed_seq.spawn_key == (2,)
@@ -477,23 +470,36 @@ def test_a_draw_of_one_chunk_reads_the_stream_itself():
     assert np.allclose(out[:, 0].real, a / np.sqrt(a**2 + (np.abs(z[:, 1:]) ** 2).sum(axis=1)))
 
 
-def _recording_spawn(monkeypatch):
-    """The spawn keys of every child stream drawn from, in spawn order."""
-    keys, spawn = [], ensembles._spawn
+def test_a_chunk_with_no_rows_is_skipped_and_the_others_keep_their_keys(monkeypatch):
+    # 3 rows of width CHUNK_FLOATS / 2 are 4 chunks, the first with no rows:
+    # it is never drawn or reduced, and chunks 1 to 3 read children 1 to 3
+    m = CHUNK_FLOATS // 2
+    keys, runs = _recording_draws(monkeypatch), []
+    stream_aligned_posterior_states(2, RngStream(74, 5), m, m, 3, 3,
+                                    lambda start, records: runs.append((start, len(records))))
+    assert sorted(keys) == [(5, 1), (5, 2), (5, 3)] and sorted(runs) == [(0, 1), (1, 1), (2, 1)]
+    out = sample_aligned_posterior_states(2, RngStream(74, 5), np.empty((3, m), complex), m)
+    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() <= 1e-12
 
-    def recording(rng, c):
-        children = spawn(rng, c)
-        keys.extend(child.gen.bit_generator.seed_seq.spawn_key for child in children)
-        return children
 
-    monkeypatch.setattr(ensembles, "_spawn", recording)
+def _recording_draws(monkeypatch):
+    """The spawn keys of the generator of every chunk drawn, in draw order:
+    (stream_id, i) for a child, (stream_id,) for the stream itself."""
+    keys, draw, lock = [], ensembles._draw_chunk, threading.Lock()
+
+    def recording(out, s, d, gen):
+        with lock:
+            keys.append(gen.bit_generator.seed_seq.spawn_key)
+        draw(out, s, d, gen)
+
+    monkeypatch.setattr(ensembles, "_draw_chunk", recording)
     return keys
 
 
-# (ring rows, width, d, s, rows, batch n, B, kind): 20480 rows through an
-# 8192-row ring are blocks of 4, 4 and 2 chunks, and each 5120-row batch is
-# summed from 3 runs; 6144 rows through a 2048-row ring are blocks of one
-# chunk each, with batch 1 split between blocks 0 and 1
+# (block rows, width, d, s, rows, batch n, B, kind): 20480 rows in blocks of
+# 8192 are blocks of 4, 4 and 2 chunks, and each 5120-row batch is summed
+# from 3 runs; 6144 rows in blocks of 2048 are blocks of one chunk each,
+# with batch 1 split between blocks 0 and 1
 _STREAMS = {
     "multi-chunk": (8192, 8, 8, 1, 20480, 5120, 2, "quadratic"),
     "one-chunk": (2048, 4, 16, 3, 6144, 1536, 2, "linear"),
@@ -510,8 +516,8 @@ def _reduction(case, seed):
 
 def _stream(case, seed):
     """(records, per-batch estimates) of one stream of the case, the records
-    gathered from the ring run by run."""
-    ring_rows, m, d, s, rows, *_ = _STREAMS[case]
+    gathered run by run."""
+    block_rows, m, d, s, rows, *_ = _STREAMS[case]
     reduction = _reduction(case, seed)
     records = np.full((rows, m), np.nan, dtype=complex)
 
@@ -519,34 +525,24 @@ def _stream(case, seed):
         records[start:start + len(run)] = run
         reduction.add(start, run)
 
-    ring = np.empty((ring_rows, m), dtype=complex)
-    assert stream_aligned_posterior_states(s, RngStream(seed, 3), ring, d, rows, reduce) is ring
+    stream_aligned_posterior_states(s, RngStream(seed, 3), d, m, rows, block_rows, reduce)
     return records, reduction.estimates
 
 
 @pytest.mark.parametrize("case", sorted(_STREAMS))
 def test_stream_does_not_depend_on_the_participant_count(monkeypatch, case):
-    ring_rows, m, d, s, rows, *_ = _STREAMS[case]
-    keys = _recording_spawn(monkeypatch)
-    # the records are consecutive one-block draws of the stream, with the same child keys
+    block_rows, m, d, s, rows, *_ = _STREAMS[case]
+    keys = _recording_draws(monkeypatch)
+    # the records are consecutive one-block draws of the stream, with the same chunk keys
     rng = RngStream(80, 3)
-    blocks = [min(ring_rows, rows - lo) for lo in range(0, rows, ring_rows)]
+    blocks = [min(block_rows, rows - lo) for lo in range(0, rows, block_rows)]
     want = np.concatenate([sample_aligned_posterior_states(s, rng, np.empty((b, m), complex), d)
                            for b in blocks])
-    want_keys = keys[:]
-    draw = ensembles._draw_chunk
-
-    def late_first_chunk(chunk, s, d, rng):
-        # block 0's first chunk is reduced late, so a stream that let block
-        # 1's chunk on the same rows of the ring start early would overwrite it
-        draw(chunk, s, d, rng)
-        if rng.gen.bit_generator.seed_seq.spawn_key == (3, 0):
-            time.sleep(0.05)
-
-    monkeypatch.setattr(ensembles, "_draw_chunk", late_first_chunk)
+    want_keys = sorted(keys)
     records, estimates = _stream(case, 80)
-    assert np.array_equal(records, want) and keys[len(want_keys):] == want_keys
-    assert len(blocks) == 3 and len(want_keys) == (10 if case == "multi-chunk" else 0)
+    assert np.array_equal(records, want) and sorted(keys[len(want_keys):]) == want_keys
+    assert len(blocks) == 3 and want_keys == (
+        [(3, i) for i in range(10)] if case == "multi-chunk" else [(3,)] * 3)
     whole = _reduction(case, 80)  # the batches reduced at once
     whole.add(0, want)
     assert np.abs(estimates - whole.estimates).max() <= 1e-12 * np.abs(whole.estimates).max()
@@ -564,19 +560,17 @@ def test_stream_does_not_depend_on_the_participant_count(monkeypatch, case):
 @pytest.mark.parametrize("pool", ["default", "caller", "inline"])
 def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
     # the second chunk of block 1 raises after a while; the other chunks are
-    # quick.  No chunk starts after it raises, in particular not block 2's
-    # second chunk, which shares its rows; none is running once the call
+    # quick.  No chunk starts after it raises; none is running once the call
     # returns; and its exception is the one raised
     if pool != "default":  # the caller draws every chunk, or the pool draws its share inline
         monkeypatch.setattr(ensembles, "_cores", lambda: 1 if pool == "caller" else 2)
         monkeypatch.setattr(ensembles, "_pool", _InlinePool)
-    keys = _recording_spawn(monkeypatch)
-    ring_rows, m, d, *_ = _STREAMS["multi-chunk"]
+    block_rows, m, d, *_ = _STREAMS["multi-chunk"]
     lock, busy, events = threading.Lock(), [0], []
     draw = ensembles._draw_chunk
 
-    def slow_draw(chunk, s, d, rng):
-        key = rng.gen.bit_generator.seed_seq.spawn_key
+    def slow_draw(chunk, s, d, gen):
+        key = gen.bit_generator.seed_seq.spawn_key
         with lock:
             busy[0] += 1
             events.append(("start", key))
@@ -586,20 +580,22 @@ def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
                 with lock:
                     events.append(("raise", key))
                 raise RuntimeError("block 1, chunk 1")
-            draw(chunk, s, d, rng)
+            draw(chunk, s, d, gen)
         finally:
             with lock:
                 busy[0] -= 1
 
     monkeypatch.setattr(ensembles, "_draw_chunk", slow_draw)
-    ring = np.empty((ring_rows, m), dtype=complex)
     with pytest.raises(RuntimeError, match="block 1, chunk 1"):
-        stream_aligned_posterior_states(1, RngStream(72, 2), ring, d, 20480)
-    assert busy[0] == 0 and keys[:8] == [(2, i) for i in range(8)]
+        stream_aligned_posterior_states(1, RngStream(72, 2), d, m, 20480, block_rows, _no_reduce)
+    assert busy[0] == 0
     raised = events.index(("raise", (2, 5)))
     assert all(kind == "start" for kind, _ in events[:raised]) and events[raised + 1:] == []
-    started = {key for _, key in events[:raised]}
-    assert (2, 9) not in started and {(2, i) for i in range(6)} <= started
+    assert {(2, i) for i in range(6)} <= {key for _, key in events[:raised]}
+
+
+def _no_reduce(start, records):
+    pass
 
 
 def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):

@@ -9,7 +9,10 @@ __init__ does not count.  A public helper that only tests call fails here.
 
 A private top-level function or class must be used by the package itself,
 outside its own definition: a helper left behind once its callers are gone
-fails here, even if a test still reaches it.
+fails here, even if a test still reaches it.  So must a private module-level
+name that the package assigns, such as a lock or a cache: one that no code
+in the package reads (an assignment or a global statement is not a read)
+fails here, so removing a mechanism cannot leave its state behind.
 """
 
 import ast
@@ -30,7 +33,7 @@ def _used_names(tree, skip=()):
     inside = {id(n) for top in skip for n in ast.walk(top)}
     used = set()
     for node in ast.walk(tree):
-        if id(node) in inside:
+        if id(node) in inside or not isinstance(getattr(node, "ctx", None), ast.Load):
             continue
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -103,3 +106,30 @@ def test_every_private_name_is_used_in_the_package():
     for name in unused:
         print(f"unused: {name}")
     assert unused == []
+
+
+def _private_globals(trees):
+    """(path, name) of each private name a module-level statement assigns,
+    dunders such as __all__ aside."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id.startswith("_")
+                            and not name.id.startswith("__")):
+                        yield path, name.id
+
+
+def test_every_private_global_is_read_in_the_package():
+    trees = _package_trees()
+    read = set().union(*(_used_names(tree) for tree in trees.values()))
+    unread = [f"{path.stem}.{name}" for path, name in _private_globals(trees) if name not in read]
+    for name in unread:
+        print(f"unread: {name}")
+    assert unread == []
