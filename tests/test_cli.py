@@ -749,12 +749,13 @@ def _record_streams(monkeypatch):
     streams, runs = [], []
 
     def stream(s, rng, d, m, rows, block_rows, reduce):
+        i = len(streams)
+        streams.append((m, rows, block_rows))
+
         def recording(start, records):
             runs.append((i, start, *records.shape))
             reduce(start, records)
 
-        i = len(streams)
-        streams.append((m, rows, block_rows))
         return stream_aligned_posterior_states(s, rng, d, m, rows, block_rows, recording)
 
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", stream)

@@ -587,15 +587,12 @@ def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
 
     monkeypatch.setattr(ensembles, "_draw_chunk", slow_draw)
     with pytest.raises(RuntimeError, match="block 1, chunk 1"):
-        stream_aligned_posterior_states(1, RngStream(72, 2), d, m, 20480, block_rows, _no_reduce)
+        stream_aligned_posterior_states(1, RngStream(72, 2), d, m, 20480, block_rows,
+                                        lambda start, records: None)
     assert busy[0] == 0
     raised = events.index(("raise", (2, 5)))
     assert all(kind == "start" for kind, _ in events[:raised]) and events[raised + 1:] == []
     assert {(2, i) for i in range(6)} <= {key for _, key in events[:raised]}
-
-
-def _no_reduce(start, records):
-    pass
 
 
 def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):
