@@ -21,12 +21,13 @@ One rule maps them to C^d: reflect applies the Householder reflection H,
 Hermitian and unitary with first column phi up to a phase, at O(d) per
 vector.  sample_posterior_states reflects the records themselves; a caller
 that reads them only through a few vectors reflects those instead
-(aligned_frame, moments.mc_covariances).  Overlaps <psi|v_j> with the r
+(aligned_frame, which the sweeps and moments.mc_covariances read O's
+eigenvectors through).  Overlaps <psi|v_j> with the r
 columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
 per outcome: the phi one, r along a basis of the column span of H V without
 its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
 
-stream_aligned_posterior_states draws a trial's records as consecutive
+stream_aligned_posterior_states draws a stream of records as consecutive
 blocks and hands them to the caller's reduction chunk by chunk; nothing
 holds a block.  A block of n rows of width m with 2 n m > CHUNK_FLOATS is
 split into c row chunks, c the least power of two with c CHUNK_FLOATS >=

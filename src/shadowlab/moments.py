@@ -12,27 +12,29 @@ by its count.  The class table depends only on n and the kept positions, so
 it is enumerated once per process; a call forms I, rho, ..., rho^s once and
 reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that serves all the patterns it
-is asked for from one draw, made BLOCK_ROWS trials at a time into one reused
-block, and reads them off one complex array of pair traces; only those and
-one reused product buffer grow with the trial count.  A non-pure rho, or an O
-that is not finite, Hermitian and d x d, is a ValueError.
+is asked for from one stream of draws and reads them off one complex array
+of pair traces.  Each chunk of the stream is traced on the participant that
+drew it, through O's spectral factor, at O(d r) per outcome; only the
+traces and one product buffer grow with the trial count.  A non-pure rho,
+or an O that is not finite, Hermitian and d x d, is a ValueError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
 from .ensembles import (
     BLOCK_ROWS,
     RngStream,
+    aligned_frame,
     pure_state_vector,
-    reflect,
     require_outcome_budget,
     require_pure_state,
-    sample_aligned_posterior_states,
+    stream_aligned_posterior_states,
 )
 from .linalg import (
     Permutation,
@@ -43,6 +45,7 @@ from .linalg import (
     perm_operator,
     sym_projector,
 )
+from .observables import EIGENVALUE_CUTOFF
 
 # Brute-force enumeration cap; these oracles are test-only.
 ENUM_BUDGET = 1_000_000
@@ -250,25 +253,37 @@ def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
     return (d + 2) * t2 + (3 * d - 2) * o_norm2  # ij_ij
 
 
-def shadow_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
-    """Vectorized Tr(O rhohat_i rhohat_j) from single-copy outcome vectors.
-
-    psi_i, psi_j have shape (n, d) and O is Hermitian; expanding the shadows
-    (d+1)|psi><psi| - I reduces each trace to inner products, avoiding
-    per-sample matrices.  The swapped pair is the conjugate, Tr(O rhohat_j
-    rhohat_i) = conj Tr(O rhohat_i rhohat_j), so one call per unordered pair.
-    The one (n, d) temporary is a buffer that holds O|psi_i>, then its
-    conjugate, then conj psi_i and last O|psi_j>.
+def shadow_pair_traces(frame: np.ndarray, lam: np.ndarray, records: np.ndarray,
+                       pairs) -> np.ndarray:
+    """T(i, j) = Tr(O rhohat_i rhohat_j) of each (i, j) of pairs for each of
+    the n trials of the (n, k, d) single-copy outcome vectors records, as a
+    (len(pairs), n) array, through O = F diag(lam) F^H, F the (d, r) frame in
+    the records' basis.  With C = records @ conj(F), expanding the shadows
+    (d+1)|psi><psi| - I gives T(i, j) = (d+1)^2 <psi_j|O|psi_i><psi_i|psi_j>
+    - (d+1)(|C_i|^2 lam + |C_j|^2 lam) + Tr O, <psi_j|O|psi_i> = sum_q lam_q
+    conj(C_jq) C_iq, at O(n k d r) and no d x d matrix; T(j, i) = conj T(i, j).
+    One product gives C and (d+1)^2 lam C, one row per frame column, so the
+    later steps run along the outcomes as einsums and ufuncs: a BLAS product
+    with lam would wake OpenBLAS's worker thread on a draw-pool core.
     """
-    d = O.shape[0]
-    psi_i, psi_j = np.asarray(psi_i, dtype=complex), np.asarray(psi_j, dtype=complex)
-    buf = np.matmul(psi_i, O.T)  # O|psi_i>; <psi|O|psi> on float views
-    diag = np.einsum("ni,ni->n", psi_i.view(float), buf.view(float))
-    out = np.einsum("ni,ni->n", np.conjugate(buf, out=buf), psi_j)  # <psi_i|O|psi_j>
-    np.conjugate(out, out=out)
-    out *= (d + 1) ** 2 * np.einsum("ni,ni->n", np.conjugate(psi_i, out=buf), psi_j)
-    diag += np.einsum("ni,ni->n", psi_j.view(float), np.matmul(psi_j, O.T, out=buf).view(float))
-    out -= (d + 1) * diag - np.trace(O)
+    n, k, d = records.shape
+    r = lam.size
+    weighted = np.concatenate([frame, frame * ((d + 1) ** 2 * lam)], axis=1)
+    ct = weighted.T.conj() @ records.reshape(n * k, d).T  # (2r, n k): C^T over (d+1)^2 lam C^T
+    c, lc = ct[:r], ct[r:]
+    # u = (d+1) <psi|O|psi> - Tr O / 2 of every outcome, so T(i, j) = (d+1)^2 ... - u_i - u_j
+    u = np.einsum("qm,qm->m", c.real, lc.real)
+    u += np.einsum("qm,qm->m", c.imag, lc.imag)
+    u /= d + 1
+    u -= lam.sum() / 2
+    u = u.reshape(n, k)
+    np.conjugate(c, out=c)
+    bra = np.conjugate(records)
+    out = np.empty((len(pairs), n), dtype=complex)
+    for t, (i, j) in zip(out, pairs):
+        np.einsum("qm,qm->m", c[:, j::k], lc[:, i::k], out=t)  # (d+1)^2 <psi_j|O|psi_i>
+        t *= np.einsum("mi,mi->m", bra[:, i], records[:, j])  # <psi_i|psi_j>
+        t -= u[:, i] + u[:, j]
     return out
 
 
@@ -281,11 +296,14 @@ def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
 def _mc_workspace(patterns, d: int, N: int):
     """mc_covariances' (pairs, keys, n_shadows): each pattern's index pairs, the
     unordered pairs traced and outcomes per trial.  A ValueError on a small N,
-    or if what mc_covariances holds at once exceeds MAX_OUTCOME_BYTES: the
-    block, three block-sized temporaries for a shadow_pair_traces call (an
-    upper bound: it holds one), the traces, the N-long complex product
-    buffer and a standard deviation's N-long float temporary, counted as a
-    second complex one."""
+    or if this figure exceeds MAX_OUTCOME_BYTES: a block of BLOCK_ROWS
+    trials, three block-sized temporaries, the traces, the N-long complex
+    product buffer and a standard deviation's N-long float temporary,
+    counted as a second complex one.  mc_covariances holds no block: it
+    streams one chunk per participant and traces it through O's factor, so
+    the block terms are a deliberate over-count, kept while the exact side's
+    dense d x d rho and O (2 GiB at d = 8192), which the figure leaves out,
+    are not counted."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
@@ -315,26 +333,48 @@ def mc_covariances(
     Independent cross-check of exact_covariance: draws N trials of fresh
     single-copy outcomes, as many per trial as the patterns index, and forms
     T(i, j) = Tr(O rhohat_i rhohat_j) once per unordered pair: O is Hermitian,
-    so T(j, i) = conj T(i, j).  The outcomes are phi-aligned records, so O is
-    reflected into their basis once, as H O H with ensembles.reflect; the
-    traces are basis-invariant.  They are drawn BLOCK_ROWS trials at a time
-    into one reused block; only the complex (pairs, N) trace array outlives
-    it.  A pattern's covariance is the mean of Re(x conj y) over the centred
-    traces, Re(x y) if one of its pairs is reversed.  A request that
-    mc_shadows_per_trial refuses is a ValueError before anything is sampled.
+    so T(j, i) = conj T(i, j).  O is factored with one eigh, keeping the
+    eigenpairs with |lam| > EIGENVALUE_CUTOFF ||O||, and its frame reflected
+    into the phi-aligned records' basis (aligned_frame); the traces are
+    basis-invariant.  The records are streamed in blocks of BLOCK_ROWS trials
+    (stream_aligned_posterior_states), and each chunk's whole trials are
+    traced by shadow_pair_traces on the participant that drew it, into the
+    complex (pairs, N) trace array; a trial that a chunk edge cuts has its
+    rows copied out under a lock and is traced once complete.  A pattern's
+    covariance is the mean of Re(x conj y) over the centred traces, Re(x y)
+    if one of its pairs is reversed.  A request that mc_shadows_per_trial
+    refuses is a ValueError before anything is sampled.
     """
     pairs, keys, n_shadows = _mc_workspace(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
-    o_h = reflect(phi, np.array(O, dtype=complex, order="F").T).T  # O's columns: H O
-    o_h = reflect(phi, np.conjugate(o_h, order="C")).T  # columns of (H O)^H = O H: H O H
-    block = np.empty((min(N, BLOCK_ROWS) * n_shadows, d), dtype=complex)
+    lam, vecs = np.linalg.eigh(O)
+    keep = np.abs(lam) > EIGENVALUE_CUTOFF * np.abs(lam).max()
+    lam, frame = lam[keep], aligned_frame(phi, vecs[:, keep], full=True)
     traces = np.empty((len(keys), N), dtype=complex)
-    for lo in range(0, N, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, N - lo)
-        blk = sample_aligned_posterior_states(1, rng, block[:rows * n_shadows], d)
-        for t, (i, j) in zip(traces, keys):  # outcome i of every trial: rows i::n_shadows
-            t[lo:lo + rows] = shadow_pair_traces(o_h, blk[i::n_shadows], blk[j::n_shadows])
+    cut, lock = {}, threading.Lock()  # trial -> (its rows, how many are still to come)
+
+    def reduce(start, records):  # a chunk: trace its whole trials, keep a cut one's rows
+        stop = start + len(records)
+        lo, hi = -(-start // n_shadows), stop // n_shadows
+        if lo < hi:
+            whole = records[lo * n_shadows - start:hi * n_shadows - start]
+            traces[:, lo:hi] = shadow_pair_traces(
+                frame, lam, whole.reshape(hi - lo, n_shadows, d), keys)
+        for t in {start // n_shadows, (stop - 1) // n_shadows}:
+            if not lo <= t < hi:  # a trial that a chunk edge cuts: traced once complete
+                a, b = max(start, t * n_shadows), min(stop, (t + 1) * n_shadows)
+                with lock:
+                    rows, left = cut.pop(t, None) or (np.empty((n_shadows, d), complex), n_shadows)
+                    rows[a - t * n_shadows:b - t * n_shadows] = records[a - start:b - start]
+                    left -= b - a
+                    if left:
+                        cut[t] = rows, left
+                if not left:
+                    traces[:, t] = shadow_pair_traces(frame, lam, rows[None], keys)[:, 0]
+
+    stream_aligned_posterior_states(
+        1, rng, d, d, N * n_shadows, BLOCK_ROWS * n_shadows, reduce)
     traces -= traces.mean(axis=1, keepdims=True)
     out, prod = [], np.empty(N, dtype=complex)  # one product buffer for every pattern
     for ab, ce in pairs:

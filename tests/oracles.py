@@ -31,9 +31,11 @@ haar_states is the batched Haar draw that sample_haar_state makes one row of.
 ordered_pair_covariances is the Monte Carlo covariance loop that
 shadowlab.moments.mc_covariances replaced: on the same draw it forms every
 ordered trace variable T(i, j) = Tr(O rhohat_i rhohat_j) on its own, from
-outcomes drawn block by block as the library draws them and reflected back
-to the standard basis, where the library forms one per unordered pair in
-the phi-aligned basis and reads T(j, i) as conj T(i, j).
+outcomes drawn block by block as the library's stream draws them and
+reflected back to the standard basis, where the library forms one per
+unordered pair in the phi-aligned basis, chunk by chunk through O's factor,
+and reads T(j, i) as conj T(i, j).  dense_pair_traces is the library's
+former pair-trace kernel, on the dense O.
 """
 
 from __future__ import annotations
@@ -345,6 +347,27 @@ PATTERN_PAIRS = {
     "ij_ij": ((0, 1), (0, 1)),
     "distinct": ((0, 1), (2, 3)),
 }
+
+
+def dense_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:
+    """Tr(O rhohat_i rhohat_j) of each row of the (n, d) outcome vectors,
+    through the dense d x d O: the reference for the factor form of
+    shadowlab.moments.shadow_pair_traces.
+
+    Expanding the shadows (d+1)|psi><psi| - I reduces each trace to inner
+    products.  The one (n, d) temporary is a buffer that holds O|psi_i>,
+    then its conjugate, then conj psi_i and last O|psi_j>.
+    """
+    d = O.shape[0]
+    psi_i, psi_j = np.asarray(psi_i, dtype=complex), np.asarray(psi_j, dtype=complex)
+    buf = np.matmul(psi_i, O.T)  # O|psi_i>; <psi|O|psi> on float views
+    diag = np.einsum("ni,ni->n", psi_i.view(float), buf.view(float))
+    out = np.einsum("ni,ni->n", np.conjugate(buf, out=buf), psi_j)  # <psi_i|O|psi_j>
+    np.conjugate(out, out=out)
+    out *= (d + 1) ** 2 * np.einsum("ni,ni->n", np.conjugate(psi_i, out=buf), psi_j)
+    diag += np.einsum("ni,ni->n", psi_j.view(float), np.matmul(psi_j, O.T, out=buf).view(float))
+    out -= (d + 1) * diag - np.trace(O)
+    return out
 
 
 def _ordered_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) -> np.ndarray:

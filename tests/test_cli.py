@@ -667,15 +667,15 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
-    # at d = 8192 one block of 4096 trials x 4 outcomes is 2 GiB of outcomes;
-    # the instance draws and the sampler are tripwires, so a guard that ran late
+    # at d = 8192 the guard's figure counts one block of 4096 trials x 4
+    # outcomes, 2 GiB; the instance draws and the sampler are tripwires, so a guard that ran late
     # (after the O(d^3) work on the state and the observable) fails here
     def refuse(*args):
         raise AssertionError("drew past the memory guard")
 
     monkeypatch.setattr(cli, "sample_haar_state", refuse)
     monkeypatch.setattr(cli, "random_projector_observable", refuse)
-    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(moments, "stream_aligned_posterior_states", refuse)
     assert main(["cov-check", "--d", "8192", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -632,9 +632,9 @@ def test_record_consumers_ignore_each_outcome_s_global_phase(d, B):
     joint = reflect(phi, draw(s, 5, d, 84))
     same(batch_estimates(O, joint[:, None], "linear", s),
          batch_estimates(O, rephased(joint)[:, None], "linear", s))
-    psi_i, psi_j = full[0], full[1]
-    same(shadow_pair_traces(O.matrix, psi_i, psi_j),
-         shadow_pair_traces(O.matrix, rephased(psi_i), rephased(psi_j)))
+    pair = full[:2].transpose(1, 0, 2)  # 6 trials of outcomes 0 and 1
+    same(shadow_pair_traces(O.vecs, O.evals, pair, [(0, 1)]),
+         shadow_pair_traces(O.vecs, O.evals, rephased(pair), [(0, 1)]))
     for psi in joint:
         same(affine_shadow(psi, s, d), affine_shadow(rephased(psi[None])[0], s, d))
 

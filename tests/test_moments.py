@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     dense_covariance,
+    dense_pair_traces,
     haar_states,
     ordered_pair_covariances,
     partial_trace,
@@ -19,9 +22,9 @@ from oracles import (
     trace_joint_variance,
     traceless_part,
 )
-from shadowlab import moments
+from shadowlab import ensembles, moments
 from shadowlab.ensembles import (
-    BLOCK_ROWS, RngStream, require_outcome_budget, sample_haar_state,
+    BLOCK_ROWS, CHUNK_FLOATS, RngStream, require_outcome_budget, sample_haar_state,
 )
 from shadowlab.linalg import (
     Permutation,
@@ -438,29 +441,35 @@ def test_unknown_pattern_rejected(monkeypatch, call):
     def refuse(*args):
         raise AssertionError("sampled an unknown pattern")
 
-    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(moments, "stream_aligned_posterior_states", refuse)
     with pytest.raises(ValueError, match="unknown pattern 'ij_xx'"):
         call(rand_rho(2, 59))
 
 
 def test_shadow_pair_traces_match_direct():
+    # the factor-form kernel against the dense reference trace by trace, and
+    # against per-sample shadow matrices, for a Hermitian O of both signs at
+    # rank below d and at rank d
     d, n = 3, 50
-    rng = RngStream(60)
-    phi = sample_haar_state(d, rng)
-    O = random_projector_observable(d, 2, rng).matrix
     from shadowlab.ensembles import sample_posterior_states
 
-    a = sample_posterior_states(phi, 1, rng, n)
-    b = sample_posterior_states(phi, 1, rng, n)
-    fast = shadow_pair_traces(O, a, b)
-    for i in range(n):
-        sa = (d + 1) * np.outer(a[i], a[i].conj()) - np.eye(d)
-        sb = (d + 1) * np.outer(b[i], b[i].conj()) - np.eye(d)
-        direct = np.trace(O @ sa @ sb)
-        assert abs(fast[i] - direct) < 1e-9
-    # O Hermitian: the swapped pair is the conjugate, and not trivially so
-    assert np.abs(shadow_pair_traces(O, b, a) - fast.conj()).max() < 1e-12
-    assert np.abs(fast.imag).max() > 1e-3
+    for r in (2, d):
+        rng = RngStream(60, r)
+        phi = sample_haar_state(d, rng)
+        O = random_signature_observable(d, r, rng)
+        a = sample_posterior_states(phi, 1, rng, n)
+        b = sample_posterior_states(phi, 1, rng, n)
+        pair = np.stack([a, b], axis=1)
+        fast, swapped = shadow_pair_traces(O.vecs, O.evals, pair, [(0, 1), (1, 0)])
+        assert np.abs(fast - dense_pair_traces(O.matrix, a, b)).max() <= 1e-12
+        for i in range(n):
+            sa = (d + 1) * np.outer(a[i], a[i].conj()) - np.eye(d)
+            sb = (d + 1) * np.outer(b[i], b[i].conj()) - np.eye(d)
+            direct = np.trace(O.matrix @ sa @ sb)
+            assert abs(fast[i] - direct) < 1e-9
+        # O Hermitian: the swapped pair is the conjugate, and not trivially so
+        assert np.abs(swapped - fast.conj()).max() < 1e-12
+        assert np.abs(fast.imag).max() > 1e-3
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
@@ -481,19 +490,65 @@ def test_mc_covariances_match_the_ordered_pair_loop(d):
     (("ij_jk", "ij_kj", "ij_ji", "ij_ij"), 2),  # the gate's: {0,1}, {1,2}
     (("ij_ji",), 1),
 ], ids=["all", "gate", "ij_ji"])
-def test_mc_covariances_trace_each_unordered_pair_once_per_block(monkeypatch, patterns, unordered):
+def test_mc_covariances_trace_each_unordered_pair_once_per_trial(monkeypatch, patterns, unordered):
     rows = []
 
-    def counting(O, psi_i, psi_j):
-        rows.append(len(psi_i))
-        return shadow_pair_traces(O, psi_i, psi_j)
+    def counting(frame, lam, records, pairs):
+        rows.append(len(records) * len(pairs))
+        return shadow_pair_traces(frame, lam, records, pairs)
 
     monkeypatch.setattr(moments, "shadow_pair_traces", counting)
     N = 2 * BLOCK_ROWS + 17
     rho = rand_rho(3, 75)
     mc_covariances(patterns, rho, np.diag([1.0, -0.5, 0.0]), 3, N, RngStream(75))
-    assert len(rows) == unordered * math.ceil(N / BLOCK_ROWS)
     assert sum(rows) == unordered * N
+
+
+def test_mc_covariances_trace_a_trial_cut_by_a_chunk_edge(monkeypatch):
+    # d = 8, N = 1001 is one block of 4004 rows in two chunks, whose edge at
+    # row 2002 cuts trial 500: its rows are gathered from both chunks and
+    # traced alone, and the covariances still match the ordered-pair loop
+    d, N = 8, 1001
+    alone = []
+
+    def recording(frame, lam, records, pairs):
+        alone.append(len(records) == 1)
+        return shadow_pair_traces(frame, lam, records, pairs)
+
+    monkeypatch.setattr(moments, "shadow_pair_traces", recording)
+    rng = RngStream(78, d)
+    rho = density(sample_haar_state(d, rng))
+    O = random_signature_observable(d, 4, rng).matrix
+    got = mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(79, d))
+    ref = ordered_pair_covariances(COV_PATTERNS, rho, O, d, N, RngStream(79, d))
+    assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
+    assert sorted(alone) == [False, False, True]
+
+
+@pytest.mark.parametrize("d, N", [(8, 1001), (64, 1001)])
+def test_mc_covariances_do_not_depend_on_the_participant_count(monkeypatch, d, N):
+    # each chunk is traced on the participant that drew it, and a cut trial
+    # by whichever completes it (one trial at d = 8, 12 of the 15 chunk
+    # edges at d = 64): bit-identical at 1 and 2 participants, and at 8 on
+    # a pool of 7 threads that switch every microsecond, where a lost update
+    # to the cut trials would leave a trace unwritten or wrong
+    rng = RngStream(80, d)
+    rho = density(sample_haar_state(d, rng))
+    O = random_signature_observable(d, 4, rng).matrix
+    results = []
+    for cores in (1, 2):
+        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+        results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(81, d)))
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(7) as pool:
+        monkeypatch.setattr(ensembles, "_cores", lambda: 8)
+        monkeypatch.setattr(ensembles, "_pool", lambda: pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(81, d)))
+        finally:
+            sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("pattern", COV_PATTERNS)
@@ -554,7 +609,7 @@ def test_mc_covariance_outcome_memory_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
-    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(moments, "stream_aligned_posterior_states", refuse)
     rho = rand_rho(2, 65)
     with pytest.raises(ValueError, match="MiB"):
         mc_covariance("distinct", rho, np.eye(2), 2, 10**8, RngStream(65))
@@ -567,7 +622,7 @@ def test_mc_covariances_guard_the_shared_draw(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled past the memory guard")
 
-    monkeypatch.setattr(moments, "sample_aligned_posterior_states", refuse)
+    monkeypatch.setattr(moments, "stream_aligned_posterior_states", refuse)
     rho = rand_rho(2, 70)
     with pytest.raises(ValueError, match="4 outcomes"):
         mc_covariances(("ij_ji", "distinct"), rho, np.eye(2), 2, 10**8, RngStream(70))
@@ -610,24 +665,25 @@ def test_mc_covariance_peaks_near_its_outcome_array(pattern):
     assert peak < 1.5 * N * n_shadows * d * 16
 
 
-def test_mc_covariances_hold_one_block_whatever_n():
-    # the outcomes are drawn and traced one BLOCK_ROWS block at a time, so
-    # at 4 N the peak still sits under one block plus the trace vectors;
-    # the slack covers the pair traces' per-block temporaries.  An (N, 4, d)
-    # array held whole is over the bound at N and four times it at 4 N
-    d = 64
+def test_mc_covariances_hold_no_block(monkeypatch):
+    # the records are streamed and traced one chunk per participant, so the
+    # peak is the 3 unordered pair traces and the product buffer, (3 + 1) N
+    # complex, plus at most 4 chunks' floats per participant (measured at 2
+    # participants: 2.86 MB, 0.77 MB over the arrays, against a 4.19 MB
+    # bound).  A whole block of BLOCK_ROWS trials is 16.8 MB here, over the
+    # bound: the block loop peaked at 22.9 MB
+    monkeypatch.setattr(ensembles, "_cores", lambda: 2)
+    d, N = 64, 8 * BLOCK_ROWS
     rng = RngStream(76)
     rho = density(sample_haar_state(d, rng))
     O = random_projector_observable(d, 4, rng).matrix
-    for N in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
-        tracemalloc.start()
-        try:
-            mc_covariances(COV_PATTERNS, rho, O, d, N, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block, traces = BLOCK_ROWS * 4 * d * 16, 3 * N * 16  # 3 unordered pairs
-        assert peak < 2 * (block + traces), N
+    tracemalloc.start()
+    try:
+        mc_covariances(COV_PATTERNS, rho, O, d, N, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 + 1) * N * 16 + 2 * 4 * CHUNK_FLOATS * 8, peak
 
 
 def test_mc_covariances_peak_within_the_guard_figure(monkeypatch):
