@@ -187,10 +187,11 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     in a basis whose first vector is phi; returns out.
 
     Row i is a standard complex Gaussian drawn in place, then normalised on
-    the float view (a real divisor).  Before that its first coordinate is
-    lifted by k = s, to the phi amplitude.  At m = d its outcome is H row
-    (reflect); below d the first m - 1 coordinates are those aligned_frame
-    reads, and the last is lifted by k = d - m, to the norm of the rest.
+    the float view (times the real 1/||row||).  Before that its first
+    coordinate is lifted by k = s, to the phi amplitude.  At m = d its
+    outcome is H row (reflect); below d the first m - 1 coordinates are those
+    aligned_frame reads, and the last is lifted by k = d - m, to the norm of
+    the rest.
     There is no (n, m) temporary.  out is one block of
     stream_aligned_posterior_states, each chunk drawn straight into its rows.
     """
@@ -298,7 +299,7 @@ def _draw_chunk(out: np.ndarray, s: int, d: int, gen: np.random.Generator) -> No
     if out.shape[1] < d:
         _lift(out[:, -1], d - out.shape[1], gen)
     norms = np.einsum("ij,ij->i", flat, flat)
-    flat /= np.sqrt(norms, out=norms)[:, None]
+    flat *= np.divide(1.0, np.sqrt(norms, out=norms), out=norms)[:, None]
 
 
 def _chunks(rng: RngStream, rows: int, block_rows: int, m: int):
