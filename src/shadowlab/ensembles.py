@@ -36,14 +36,16 @@ normalised from child j of the stream (spawn key (stream_id, i), i counting
 the children the stream has spawned, block by block), so the records
 depend on the seed, the stream and the block shapes, never on how many
 threads draw them; a block of one chunk comes from the stream itself, as it
-did before chunking.  The caller and a module-level pool of one thread
-fewer than the cores (created at the first draw that needs it, none on one
-core; built on threading and queue.SimpleQueue, which import no logging)
-claim chunks in one global order, block after block.  Each draws the chunks
-it claims into a buffer of its own, one chunk long, and reduces each there
-before it claims the next, so a stream holds one chunk per participant
-whatever its length, and no chunk waits for another.  numpy's Gaussian and
-Gamma fills release the GIL.  The pool shares the cores with OpenBLAS's
+did before chunking.  Every stream and child is an SFC64 generator
+(RngStream), whose Gaussian fill is the cheapest of numpy's bit generators.
+The caller and a module-level pool of one thread fewer than the cores
+(created at the first draw that needs it, none on one core; built on
+threading and queue.SimpleQueue, which import no logging) claim chunks in
+one global order, block after block.  Each draws the chunks it claims into
+a buffer of its own, one chunk long, and reduces each there before it
+claims the next, so a stream holds one chunk per participant whatever its
+length, and no chunk waits for another.  numpy's Gaussian and Gamma fills
+release the GIL.  The pool shares the cores with OpenBLAS's
 threads: a complex product over a few thousand outcome rows wakes
 OpenBLAS's worker thread, which then spins on a core the pool would use, so
 estimators.BatchReduction reads narrow quadratic batches through a real
@@ -83,6 +85,9 @@ class RngStream:
     """One reproducible random stream per Monte Carlo trial.
 
     Identical (seed, stream_id) pairs reproduce identical sample sequences.
+    The bit generator is SFC64, seeded from SeedSequence(entropy=seed,
+    spawn_key=(stream_id,)): its Gaussian fill, most of every draw's cost, is
+    about a fifth cheaper than PCG64's, and spawned children are SFC64 too.
     A stream must not be shared across threads; spawn one per trial.  A
     multi-chunk outcome block (stream_aligned_posterior_states) reads child
     generators of gen, spawn keys (stream_id, i) for the stream's i-th child,
@@ -97,7 +102,7 @@ class RngStream:
 
     def __post_init__(self):
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self.gen = np.random.Generator(np.random.PCG64(ss))
+        self.gen = np.random.Generator(np.random.SFC64(ss))
 
 
 def require_pure_state(rho: np.ndarray) -> np.ndarray:
@@ -191,8 +196,7 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     coordinate is lifted by k = s, to the phi amplitude.  At m = d its
     outcome is H row (reflect); below d the first m - 1 coordinates are those
     aligned_frame reads, and the last is lifted by k = d - m, to the norm of
-    the rest.
-    There is no (n, m) temporary.  out is one block of
+    the rest.  There is no (n, m) temporary.  out is one block of
     stream_aligned_posterior_states, each chunk drawn straight into its rows.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:

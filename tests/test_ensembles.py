@@ -387,7 +387,7 @@ def test_posterior_states_are_the_aligned_draw_reflected(s, size):
     a, b = RngStream(51, s), RngStream(51, s)
     full = sample_posterior_states(phi, s, a, size)
     records = sample_aligned_posterior_states(s, b, np.empty((size, d), dtype=complex), d)
-    assert a.gen.bit_generator.state == b.gen.bit_generator.state
+    np.testing.assert_equal(a.gen.bit_generator.state, b.gen.bit_generator.state)
     assert np.abs(full - reflect(phi, records)).max() <= 1e-15
     with pytest.raises(ValueError):  # phi must be a unit vector
         sample_posterior_states(2 * phi, s, a, size)
@@ -457,6 +457,16 @@ def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
     assert keys[:16] == [(2, i) for i in range(16)] and keys[16:32] == keys[:16]
     assert all(len(key) == 2 for key in keys)
     assert RngStream(70, 2).gen.bit_generator.seed_seq.spawn_key == (2,)
+
+
+def test_streams_and_their_chunks_draw_from_sfc64():
+    # a block of two chunks reads two spawned children, a one-row block the
+    # stream itself: every one an SFC64 generator, as RngStream's own is
+    m = 4
+    rng = RngStream(75, 3)
+    gens = [gen for _, _, gen in ensembles._chunks(rng, CHUNK_FLOATS // m + 1, CHUNK_FLOATS // m, m)]
+    assert len(gens) == 3 and gens[2] is rng.gen
+    assert all(type(gen.bit_generator) is np.random.SFC64 for gen in gens)
 
 
 def test_a_draw_of_one_chunk_reads_the_stream_itself():

@@ -34,19 +34,19 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.000145 mc=+0.017995 stderr=0.031443\n"
-        "PASS  ij_kj     exact=+0.578337 mc=+0.575268 stderr=0.031753\n"
-        "PASS  ij_ji     exact=-0.951665 mc=-0.979811 stderr=0.041571\n"
-        "PASS  ij_ij     exact=+5.565415 mc=+5.589590 stderr=0.039531\n"
-        "PASS  distinct  exact=+0.000000 mc=+0.008306 stderr=0.028379\n",
+        "PASS  ij_jk     exact=+0.032068 mc=-0.028394 stderr=0.035007\n"
+        "PASS  ij_kj     exact=+0.888271 mc=+0.954026 stderr=0.034941\n"
+        "PASS  ij_ji     exact=-0.937198 mc=-0.888999 stderr=0.046858\n"
+        "PASS  ij_ij     exact=+6.289132 mc=+6.330215 stderr=0.043974\n"
+        "PASS  distinct  exact=+0.000000 mc=-0.011855 stderr=0.031826\n",
     ),
     "compare": (
         ["compare", "--trials", "200", "--seed", "1"],
         "     s      var_linear   var_quadratic           ratio     pred_linear  pred_quadratic\n"
-        "     8         1.97883         4.81065         2.43106               2           4.125\n"
-        "    16         1.02898         1.75386         1.70447               1          1.0625\n"
-        "    32        0.564049        0.389907        0.691265             0.5         0.28125\n"
-        "    64        0.255744        0.164357         0.64266            0.25        0.078125\n",
+        "     8         1.96831         5.95298          3.0244               2           4.125\n"
+        "    16        0.992609         1.82046         1.83402               1          1.0625\n"
+        "    32        0.586313        0.387428        0.660786             0.5         0.28125\n"
+        "    64        0.250794        0.123832         0.49376            0.25        0.078125\n",
     ),
 }
 
