@@ -3,12 +3,13 @@
 The classical record of k batches is k n outcome states, n per batch, each
 of a joint measurement on `copies` copies (jm: one of s copies; im: s of
 one copy); a BatchReduction maps it and an Observable to the per-batch
-linear or quadratic estimates, from runs of rows in any order, and
-batch_estimates does so for a whole (k, n, m) record at once.  The sweeps
-stream each trial's outcomes through
-ensembles.stream_aligned_posterior_states, in a basis whose first vector is
-the state, each chunk drawn into a one-chunk buffer of the thread that
-claimed it and reduced there, so a trial holds no array of outcomes.  The
+linear or quadratic estimates, from whole batches or one batch's parts,
+in any order, and batch_estimates does so for a whole (k, n, m) record at
+once.  The sweeps stream each trial's outcomes through
+ensembles.stream_aligned_posterior_states in groups of one batch, in a
+basis whose first vector is the state, each chunk drawn into a one-part
+buffer of the thread that claimed it and reduced there, so a trial holds no
+array of outcomes.  The
 single-copy linear estimate reads an outcome only through its overlaps with
 O's eigenvectors, so its records keep only min(d, r+2) coordinates with the
 same law; the quadratic estimate and jm take all d.

@@ -29,7 +29,6 @@ import numpy as np
 from . import bhm as bhm_mod
 from . import moments
 from .ensembles import (
-    BLOCK_ROWS,
     MAX_OUTCOME_BYTES,
     RngStream,
     aligned_frame,
@@ -127,14 +126,12 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
     """Per-batch estimates from k batches of n fresh outcomes, each on
     `copies` copies: jm is (n, copies) = (1, s), im (s, 1).
 
-    The outcomes are phi-aligned records, streamed in blocks of whole
-    batches, at most BLOCK_ROWS rows or one batch, and read with O's factor
-    reflected into their basis once.  The block size fixes only the chunk
-    layout, and with it the records: each chunk of the stream is reduced on
-    the participant that drew it, from that participant's one-chunk buffer
-    (estimators.BatchReduction), whole batches at once, and a batch's parts
-    summed in chunk order, so the estimates do not depend on the
-    participant count or on timing, and a trial holds one chunk per
+    The outcomes are phi-aligned records, streamed in groups of one batch,
+    and read with O's factor reflected into their basis once.  Each chunk of
+    the stream, whole batches or one batch in parts, is reduced on the
+    participant that drew it, from that participant's one-part buffer
+    (estimators.BatchReduction), so the estimates do not depend on the
+    participant count or on timing, and a trial holds one part per
     participant whatever s is.  The linear estimate reads each outcome only
     through <psi|O.vecs>, so its records are reduced to span{phi, O.vecs}
     plus the rest; quadratic needs every coordinate.
@@ -145,9 +142,8 @@ def _batch_estimates(phi, O, n, k, rng, kind, copies=1):
     full = kind == "quadratic" or copies > 1
     frame = aligned_frame(phi, O.vecs, full=full)
     reduction = BatchReduction(O, kind, n, k, copies, frame)
-    block_rows = min(k, max(1, BLOCK_ROWS // n)) * n
     stream_aligned_posterior_states(
-        copies, rng, O.vecs.shape[0], frame.shape[0], k * n, block_rows, reduction.add)
+        copies, rng, O.vecs.shape[0], frame.shape[0], k, n, reduction.add)
     return reduction.estimates
 
 
@@ -155,7 +151,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Run the configured pipeline over fresh random (state, observable) pairs.
 
     O's frame, no smaller than the state, is size-checked before any draw;
-    it is the sweep's memory check, since a trial's stream holds one chunk
+    it is the sweep's memory check, since a trial's stream holds one part
     per participant and the per-batch statistics, whatever s is.
     """
     d, B, eps, delta = config.d, config.B, config.eps, config.delta

@@ -27,29 +27,30 @@ columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
 per outcome: the phi one, r along a basis of the column span of H V without
 its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
 
-stream_aligned_posterior_states draws a stream of records as consecutive
-blocks and hands them to the caller's reduction chunk by chunk; nothing
-holds a block.  A block of n rows of width m with 2 n m > CHUNK_FLOATS is
-split into c row chunks, c the least power of two with c CHUNK_FLOATS >=
-2 n m, and a chunk with no rows is skipped.  Chunk j is drawn, lifted and
-normalised from child j of the stream (spawn key (stream_id, i), i counting
-the children the stream has spawned, block by block), so the records
-depend on the seed, the stream and the block shapes, never on how many
-threads draw them; a block of one chunk comes from the stream itself, as it
-did before chunking.  Every stream and child is an SFC64 generator
-(RngStream), whose Gaussian fill is the cheapest of numpy's bit generators.
+stream_aligned_posterior_states draws a stream of records in groups of the
+caller's size (a batch, a covariance trial, or one row) and hands them to
+the caller's reduction chunk by chunk; nothing holds the stream.  Records
+that fit in CHUNK_FLOATS floats are one chunk, drawn from the stream's own
+generator.  Otherwise a chunk is as many whole groups as fit, the groups
+split evenly over the chunks, or one group wider than that, drawn in even
+parts, in order, by one participant; the call takes one child (stream_id,
+i) of the stream's seed sequence, and part p of chunk j is drawn, lifted and
+normalised from the SFC64 generator keyed (stream_id, i, j, p).  So the
+records depend on the seed, the stream, the calls before on it and the
+group shape, never on how many threads draw them, and a reduction gets
+whole groups, or one group's parts in order.
+
 The caller and a module-level pool of one thread fewer than the cores
 (created at the first draw that needs it, none on one core; built on
 threading and queue.SimpleQueue, which import no logging) claim chunks in
-one global order, block after block.  Each draws the chunks it claims into
-a buffer of its own, one chunk long, and reduces each there before it
-claims the next, so a stream holds one chunk per participant whatever its
-length, and no chunk waits for another.  numpy's Gaussian and Gamma fills
-release the GIL.  The pool shares the cores with OpenBLAS's
-threads: a complex product over a few thousand outcome rows wakes
-OpenBLAS's worker thread, which then spins on a core the pool would use, so
-estimators.BatchReduction reads narrow quadratic batches through a real
-Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
+stream order.  Each draws the chunks it claims into a buffer of its own,
+one part long, and reduces each there before it claims the next, so a
+stream holds one part per participant whatever its length, and no chunk
+waits for another.  numpy's Gaussian and Gamma fills release the GIL.  The
+pool shares the cores with OpenBLAS's threads: a complex product over a
+few thousand outcome rows wakes OpenBLAS's worker thread, which then spins
+on a core the pool would use, so estimators.BatchReduction reads narrow
+quadratic batches through a real Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
 """
 
 from __future__ import annotations
@@ -72,11 +73,8 @@ UNIT_NORM_TOL = 1e-10
 # Largest outcome array, in bytes, that any caller samples at once.
 MAX_OUTCOME_BYTES = 2**30
 
-# Outcome rows drawn and reduced per step where a caller streams blocks.
-BLOCK_ROWS = 2**12
-
-# Floats per chunk of a sampled block; a larger block is split into chunks,
-# each from its own child stream (stream_aligned_posterior_states).
+# Floats per chunk of a stream (stream_aligned_posterior_states): records
+# beyond one chunk are drawn from keyed children of the stream, a chunk each.
 CHUNK_FLOATS = 2**15
 
 
@@ -88,12 +86,12 @@ class RngStream:
     The bit generator is SFC64, seeded from SeedSequence(entropy=seed,
     spawn_key=(stream_id,)): its Gaussian fill, most of every draw's cost, is
     about a fifth cheaper than PCG64's, and spawned children are SFC64 too.
-    A stream must not be shared across threads; spawn one per trial.  A
-    multi-chunk outcome block (stream_aligned_posterior_states) reads child
-    generators of gen, spawn keys (stream_id, i) for the stream's i-th child,
-    which no RngStream key (stream_id,) equals; it leaves gen's own state
-    as it was.  Each chunk's child is spawned when a participant takes the
-    chunk, and only that participant reads it.
+    A stream must not be shared across threads; make one per trial.  A
+    stream_aligned_posterior_states call of more than one chunk spawns one
+    child of gen's seed sequence, (stream_id, i) for the stream's i-th such
+    call, and its chunks read generators keyed (stream_id, i, j, p), which
+    no RngStream key (stream_id,) equals; it leaves gen's own state as it
+    was.  Each chunk's generators are made by the participant that draws it.
     """
 
     seed: int
@@ -196,68 +194,67 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     coordinate is lifted by k = s, to the phi amplitude.  At m = d its
     outcome is H row (reflect); below d the first m - 1 coordinates are those
     aligned_frame reads, and the last is lifted by k = d - m, to the norm of
-    the rest.  There is no (n, m) temporary.  out is one block of
-    stream_aligned_posterior_states, each chunk drawn straight into its rows.
+    the rest.  There is no (n, m) temporary: out is a stream of n groups of
+    one row (stream_aligned_posterior_states), each chunk drawn straight
+    into its rows.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
     n, m = out.shape
     _check_outcome_law(d, s, m)
 
-    def fill(lo, hi, gen):
-        _draw_chunk(out[lo:hi], s, d, gen)
+    def fill(g0, g1, parts):
+        for lo, hi, key in parts:
+            _draw_chunk(out[lo:hi], s, d, _generator(rng, key))
 
-    _each_chunk(rng, n, max(n, 1), m, lambda: fill)
+    _each_chunk(rng, n, 1, m, lambda longest: fill)
     return out
 
 
 def stream_aligned_posterior_states(
-    s: int, rng: RngStream, d: int, m: int, rows: int, block_rows: int, reduce
+    s: int, rng: RngStream, d: int, m: int, groups: int, group_rows: int, reduce
 ) -> None:
-    """Draw rows records of sample_aligned_posterior_states's law, m wide,
-    as consecutive blocks of block_rows rows, the last one shorter, and
-    hand each chunk to reduce(start, records), start being its first row in
-    the stream; the records are valid only for the call.
+    """Draw groups groups of group_rows records of sample_aligned_posterior_
+    states's law, m wide, and hand each chunk to reduce(g0, g1, parts): its
+    groups g0 to g1, as an iterator of record arrays whose rows, in stream
+    order, are those groups' (one array unless one group is wider than a
+    chunk); each array is valid only until the next is taken.
 
-    A block of more than CHUNK_FLOATS floats is split into row chunks, each
-    drawn from a child stream (see the module docstring) spawned when the
-    chunk is taken; a one-chunk block reads rng itself.  The caller and the
-    draw pool take chunks in one global order, and each draws every chunk it
-    takes into a buffer of its own, one chunk long, which reduce gets and
-    which is then reused.  A chunk that raises stops the stream: no chunk is
-    taken after it, the call returns once no chunk is running, and the
+    The chunks are those of _chunks (see the module docstring).  The caller
+    and the draw pool take them in stream order, and each draws every part
+    of a chunk it takes into a buffer of its own, one part long, which is
+    then reused.  A chunk that raises stops the stream: no chunk is taken
+    after it, the call returns once no chunk is running, and the
     lowest-numbered chunk's exception is raised.
     """
     _check_outcome_law(d, s, m)
-    if rows < 0 or block_rows < 1:
-        raise ValueError(f"cannot stream {rows} records in blocks of {block_rows} rows")
-    longest = min(-(-CHUNK_FLOATS // (2 * m)), block_rows, rows)  # rows of the longest chunk
+    if groups < 0 or group_rows < 1:
+        raise ValueError(f"cannot stream {groups} groups of {group_rows} records")
 
-    def participant():
+    def participant(longest):
         buf = np.empty((longest, m), dtype=complex)
 
-        def run(lo, hi, gen):
-            records = buf[:hi - lo]
-            _draw_chunk(records, s, d, gen)
-            reduce(lo, records)
+        def run(g0, g1, parts):
+            reduce(g0, g1, (_draw_chunk(buf[:hi - lo], s, d, _generator(rng, key))
+                            for lo, hi, key in parts))
         return run
 
-    _each_chunk(rng, rows, block_rows, m, participant)
+    _each_chunk(rng, groups, group_rows, m, participant)
 
 
-def _each_chunk(rng: RngStream, rows: int, block_rows: int, m: int, participant) -> None:
-    """Run each chunk of _chunks on a participant's run(lo, hi, gen), made by
-    participant() once per participant: the caller alone, in stream order,
-    if the first block (the one with the most chunks) has one chunk or the
-    process one core; else the caller and threads of the draw pool."""
-    chunks = _chunks(rng, rows, block_rows, m)
-    w = min(_chunk_count(min(block_rows, rows), m), _cores())
-    if w == 1:
-        run = participant()
+def _each_chunk(rng: RngStream, groups: int, group_rows: int, m: int, participant) -> None:
+    """Run each chunk of _chunks on a participant's run(g0, g1, parts), made
+    by participant(longest) once per participant: the caller alone, in
+    stream order, if there is one chunk or the process has one core; else
+    the caller and threads of the draw pool."""
+    count, longest, chunks = _chunks(rng, groups, group_rows, m)
+    w = min(count, _cores())
+    if w <= 1:
+        run = participant(longest)
         for chunk in chunks:
             run(*chunk)
     else:
-        _share(chunks, w, participant)
+        _share(chunks, w, lambda: participant(longest))
 
 
 def _share(chunks, w: int, participant) -> None:
@@ -295,8 +292,9 @@ def _share(chunks, w: int, participant) -> None:
         raise errors[min(errors)]
 
 
-def _draw_chunk(out: np.ndarray, s: int, d: int, gen: np.random.Generator) -> None:
-    """out's rows drawn from gen: complex Gaussians, lifted and normalised."""
+def _draw_chunk(out: np.ndarray, s: int, d: int, gen: np.random.Generator) -> np.ndarray:
+    """out's rows drawn from gen: complex Gaussians, lifted and normalised;
+    returns out."""
     flat = out.view(float)
     gen.standard_normal(out=flat)
     _lift(out[:, 0], s, gen)
@@ -304,29 +302,46 @@ def _draw_chunk(out: np.ndarray, s: int, d: int, gen: np.random.Generator) -> No
         _lift(out[:, -1], d - out.shape[1], gen)
     norms = np.einsum("ij,ij->i", flat, flat)
     flat *= np.divide(1.0, np.sqrt(norms, out=norms), out=norms)[:, None]
+    return out
 
 
-def _chunks(rng: RngStream, rows: int, block_rows: int, m: int):
-    """(first row, end row, generator) of each chunk of a stream of rows
-    records of width m in blocks of block_rows, in stream order.  A chunk's
-    child stream is spawned when it is taken; a chunk with no rows, of a
-    block with fewer rows than chunks, is skipped after its spawn, so the
-    others keep their keys."""
-    for start in range(0, rows, block_rows):
-        size = min(block_rows, rows - start)
-        c = _chunk_count(size, m)
+def _chunks(rng: RngStream, groups: int, group_rows: int, m: int):
+    """(count, longest, chunks) of a stream of groups groups of group_rows
+    records of width m: chunks yields each of its count chunks in stream
+    order as (g0, g1, parts), for its groups g0 to g1 and the (first row,
+    end row, spawn key) of each of its parts, the key None for the stream's
+    own generator; no part has more than longest rows.  Records that fit in
+    one chunk are that chunk, on rng.gen.  Otherwise the call spawns one
+    child of rng's seed sequence, (stream_id, i), and part p of chunk j
+    reads the key (stream_id, i, j, p): a chunk is as many whole groups as
+    fit, the groups split evenly over the fewest such chunks, or one group
+    wider than a chunk in the fewest even parts that fit."""
+    rows, fit = groups * group_rows, CHUNK_FLOATS // (2 * m)  # fit: the rows of a chunk
+    if rows <= fit:
+        chunks = [(0, groups, [(0, rows, None)])] if rows else []
+        return len(chunks), rows, iter(chunks)
+    call = rng.gen.bit_generator.seed_seq.spawn(1)[0].spawn_key
+    if group_rows <= fit:
+        c, q = -(-groups // (fit // group_rows)), 1
+    else:
+        c, q = groups, -(-group_rows // max(fit, 1))
+
+    def chunks():
         for j in range(c):
-            gen = rng.gen if c == 1 else rng.gen.spawn(1)[0]
-            lo, hi = start + j * size // c, start + (j + 1) * size // c
-            if lo < hi:
-                yield lo, hi, gen
+            g0, g1 = j * groups // c, (j + 1) * groups // c
+            lo, size = g0 * group_rows, (g1 - g0) * group_rows
+            yield g0, g1, [(lo + p * size // q, lo + (p + 1) * size // q, (*call, j, p))
+                           for p in range(q)]
+
+    return c, -(-(-(-groups // c) * group_rows) // q), chunks()
 
 
-def _chunk_count(rows: int, m: int) -> int:
-    """The chunks of a block of rows records of width m: the least power of
-    two c with c CHUNK_FLOATS >= 2 rows m, and at least 1."""
-    c = max(1, -(-2 * rows * m // CHUNK_FLOATS))
-    return 1 << (c - 1).bit_length()
+def _generator(rng: RngStream, key) -> np.random.Generator:
+    """rng.gen for the key None, else the SFC64 generator of rng's seed at
+    spawn key key."""
+    if key is None:
+        return rng.gen
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(rng.seed, spawn_key=key)))
 
 
 def _cores() -> int:

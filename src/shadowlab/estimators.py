@@ -9,9 +9,9 @@ Two unbiased estimators of a pure state rho from measurement outcomes:
 
 BatchReduction is the estimator kernel: it maps the outcome vectors and the
 spectral factor of O straight to the per-batch estimates Tr(O rhohat),
-never forming a d x d shadow or O itself, from runs of rows that may
-arrive in any order, as the chunks of a stream do; batch_estimates is its
-reduce-then-finish form for a whole (k, n, m) outcome array.  affine_shadow and
+never forming a d x d shadow or O itself, from whole batches or one
+batch's consecutive parts, as the chunks of a stream arrive; batch_estimates
+is its reduce-then-finish form for a whole (k, n, m) outcome array.  affine_shadow and
 median_estimate are the dense matrix form of the joint estimator, which
 the Boolean Hidden Matching protocol still runs on.
 
@@ -23,7 +23,6 @@ one search shared by the three planners.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -111,8 +110,8 @@ def plan_quadratic_batches(B: float, d: int, eps: float, delta: float) -> BatchP
 
 class BatchReduction:
     """Per-batch estimates Tr(O rhohat) of k batches of n outcomes, computed
-    from the outcome vectors alone, as they arrive in runs of consecutive
-    rows, in any order and from any thread: batch t is rows t n to (t + 1) n.
+    from the outcome vectors alone, as they arrive a chunk at a time, in any
+    order and from any thread: whole batches, or one batch in parts.
 
     Each outcome psi_i is of one joint measurement on c = copies copies.
     With P = sum_i |psi_i><psi_i| over a batch, linear is the mean of the n
@@ -133,8 +132,8 @@ class BatchReduction:
     coordinate (m = d); S V is then computed in that basis, with the same
     norms.
 
-    reduce turns runs of rows into additive statistics of the batch they
-    belong to: Tr(O P) and, for quadratic, Psi^T C.  A batch with
+    reduce turns a batch's rows, or a part of them, into additive
+    statistics: Tr(O P) and, for quadratic, Psi^T C.  A batch with
     n > 2 m^2 / r is reduced instead to the real Gram R of its records,
     (2m)^2 floats, fewer than the n r complex entries of C, and read as P.
     Quadratic does so only up to m = QUADRATIC_GRAM_MAX_WIDTH, where it was
@@ -142,13 +141,13 @@ class BatchReduction:
     thread), and then takes S V = (d+1) P V - n V from the same P.  finish
     turns a batch's summed statistics into its estimate.
 
-    add checks a run's norms once, reduces its whole batches in one
-    vectorised call and finishes them at once.  A batch split between runs
-    has its parts summed in row order, whatever order they arrive in, and is
-    finished when its last row is in; estimates is complete once every row
-    has been added.  Psi^T C is r / n times a batch's records, so a factor
-    wider than n reduces and finishes whole batches in groups of about
-    rows / r, which keeps that statistic near the run's size.
+    add checks each part's norms once.  It reduces the whole batches of one
+    part in one vectorised call and finishes them at once, or sums one
+    batch's parts in the order they come and finishes it after the last;
+    estimates is complete once every batch has been added.  Psi^T C is
+    r / n times a batch's records, so a factor wider than n reduces and
+    finishes whole batches in groups of about rows / r, which keeps that
+    statistic near the part's size.
     """
 
     def __init__(self, O: Observable, kind: EstimateKind, n: int, k: int, copies: int = 1,
@@ -181,59 +180,52 @@ class BatchReduction:
             self._G[::2, ::2] = self._G[1::2, 1::2] = w.real
             self._G[1::2, ::2], self._G[::2, 1::2] = w.imag, -w.imag
         self.estimates = np.empty(k)
-        self._lock = threading.Lock()
-        self._next = {}  # batch -> (its first row not yet summed, the sum of its rows below)
-        self._early = {}  # first row -> (end row, statistics) of a part ahead of its batch's sum
 
-    def add(self, start: int, records: np.ndarray) -> None:
-        """Reduce the C-contiguous (rows, m) records, rows start, start + 1,
-        ... of the k n, after checking that each is a unit vector to
-        UNIT_NORM_TOL; finish each batch whose last row this completes."""
-        if records.ndim != 2 or not len(records):
-            raise ValueError(f"a run must be a non-empty (rows, m) array, not {records.shape}")
-        if records.shape[1] != self.V.shape[0]:
-            raise ValueError(f"outcome width {records.shape[1]} does not match {self.V.shape[0]}")
-        if not 0 <= start <= len(self.estimates) * self.n - len(records):
-            raise ValueError(f"rows {start} to {start + len(records)} are not all among the "
-                             f"{len(self.estimates) * self.n} of the batches")
-        # |psi|^2 from the real and imaginary parts, without a complex temporary
-        flat = records.view(float)
-        sq_norms = np.einsum("ij,ij->i", flat, flat)
-        tol = UNIT_NORM_TOL  # squared bounds of | |psi| - 1 | <= tol; NaN fails them too
-        if not (1 - tol) ** 2 <= sq_norms.min() <= sq_norms.max() <= (1 + tol) ** 2:
-            raise ValueError("outcome states must be unit norm")
-        n, stop = self.n, start + len(records)
-        lo, hi = -(-start // n), stop // n  # the whole batches
-        if lo < hi:
-            whole = records[lo * n - start:hi * n - start].reshape(hi - lo, n, -1)
-            step = max(1, (hi - lo) * n // self.lam.size) if self._wide else hi - lo
-            for b in range(lo, hi, step):
-                group = whole[b - lo:b - lo + step]
-                self.estimates[b:b + len(group)] = self.finish(self.reduce(group))
-        for t in {start // n, (stop - 1) // n}:
-            if not lo <= t < hi:  # a batch that the run holds only part of
-                a, b = max(start, t * n), min(stop, (t + 1) * n)
-                self._sum(t, a, b, self.reduce(records[a - start:b - start][None]))
-
-    def _sum(self, t: int, a: int, b: int, stats: tuple) -> None:
-        """Add rows a to b of batch t, in row order, and finish it once complete."""
-        with self._lock:
-            self._early[a] = b, stats
-            row, total = self._next.pop(t, (t * self.n, None))
-            while row in self._early:
-                row, part = self._early.pop(row)
-                if total is None:
-                    total = part
-                else:
-                    for x, y in zip(total, part):
-                        x += y
-            if row < (t + 1) * self.n:
-                self._next[t] = row, total
-                return
-        self.estimates[t] = self.finish(total)[0]
+    def add(self, g0: int, g1: int, parts) -> None:
+        """Reduce and finish batches g0 to g1 from parts, an iterable of
+        C-contiguous (rows, m) record arrays, after checking that each record
+        is a unit vector to UNIT_NORM_TOL: either one array of the batches'
+        (g1 - g0) n rows, or one batch's rows in consecutive parts, whose
+        statistics are summed in order."""
+        k, n = len(self.estimates), self.n
+        if not 0 <= g0 < g1 <= k:
+            raise ValueError(f"batches {g0} to {g1} are not among the {k}")
+        want, rows, total = (g1 - g0) * n, 0, None
+        for records in parts:
+            if records.ndim != 2 or not len(records):
+                raise ValueError(f"a part must be a non-empty (rows, m) array: {records.shape}")
+            if records.shape[1] != self.V.shape[0]:
+                raise ValueError(f"outcome width {records.shape[1]} is not {self.V.shape[0]}")
+            rows += len(records)
+            if rows > want or g1 - g0 > 1 and rows < want:
+                raise ValueError(f"batches {g0} to {g1} are {want} rows, in one part or, for one "
+                                 f"batch, in several: not {rows}")
+            # |psi|^2 from the real and imaginary parts, without a complex temporary
+            flat = records.view(float)
+            sq_norms = np.einsum("ij,ij->i", flat, flat)
+            tol = UNIT_NORM_TOL  # squared bounds of | |psi| - 1 | <= tol; NaN fails them too
+            if not (1 - tol) ** 2 <= sq_norms.min() <= sq_norms.max() <= (1 + tol) ** 2:
+                raise ValueError("outcome states must be unit norm")
+            if len(records) == want:  # whole batches in one part
+                whole = records.reshape(g1 - g0, n, -1)
+                step = max(1, len(records) // self.lam.size) if self._wide else g1 - g0
+                for b in range(0, g1 - g0, step):
+                    group = whole[b:b + step]
+                    self.estimates[g0 + b:g0 + b + len(group)] = self.finish(self.reduce(group))
+                continue
+            stats = self.reduce(records[None])
+            if total is None:
+                total = stats
+            else:
+                for x, y in zip(total, stats):
+                    x += y
+        if rows < want:
+            raise ValueError(f"batches {g0} to {g1} are {want} rows, not {rows}")
+        if total is not None:
+            self.estimates[g0] = self.finish(total)[0]
 
     def reduce(self, records: np.ndarray) -> tuple:
-        """The statistics of each run of the (runs, rows, m) records."""
+        """The statistics of each batch, or part, of the (batches, rows, m) records."""
         if self.gram:
             flat = records.view(float)
             return (flat.transpose(0, 2, 1) @ flat,)
@@ -269,13 +261,13 @@ def batch_estimates(
 ) -> np.ndarray:
     """Per-batch estimates Tr(O rhohat) of the (k, n, m) outcomes, k batches
     of n: a BatchReduction(O, kind, n, k, copies, frame) that is given them as
-    one run, which reduces and finishes every batch at once."""
+    one part, which reduces and finishes every batch at once."""
     outcomes = np.ascontiguousarray(outcomes, dtype=complex)
     if outcomes.ndim != 3:
         raise ValueError(f"{kind} needs a (k, n, m) outcome array, got shape {outcomes.shape}")
     k, n, m = outcomes.shape
     reduction = BatchReduction(O, kind, n, k, copies, frame)
-    reduction.add(0, outcomes.reshape(k * n, m))
+    reduction.add(0, k, [outcomes.reshape(k * n, m)])
     return reduction.estimates
 
 

@@ -13,9 +13,9 @@ it is enumerated once per process; a call forms I, rho, ..., rho^s once and
 reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that serves all the patterns it
 is asked for from one stream of draws and reads them off one complex array
-of pair traces.  Each chunk of the stream is traced on the participant that
-drew it, through O's spectral factor, at O(d r) per outcome; only the
-traces and one product buffer grow with the trial count.  A non-pure rho,
+of pair traces.  Each chunk of the stream, whole trials, is traced on the
+participant that drew it, through O's spectral factor, at O(d r) per
+outcome; only the traces and one product buffer grow with the trial count.  A non-pure rho,
 or an O that is not finite, Hermitian and d x d, is a ValueError.
 """
 
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
 from .ensembles import (
-    BLOCK_ROWS,
+    CHUNK_FLOATS,
     RngStream,
+    _cores,
     aligned_frame,
     pure_state_vector,
     require_outcome_budget,
@@ -296,23 +296,22 @@ def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
 def _mc_workspace(patterns, d: int, N: int):
     """mc_covariances' (pairs, keys, n_shadows): each pattern's index pairs, the
     unordered pairs traced and outcomes per trial.  A ValueError on a small N,
-    or if this figure exceeds MAX_OUTCOME_BYTES: a block of BLOCK_ROWS
-    trials, three block-sized temporaries, the traces, the N-long complex
-    product buffer and a standard deviation's N-long float temporary,
-    counted as a second complex one.  mc_covariances holds no block: it
-    streams one chunk per participant and traces it through O's factor, so
-    the block terms are a deliberate over-count, kept while the exact side's
-    dense d x d rho and O (2 GiB at d = 8192), which the figure leaves out,
-    are not counted."""
+    or if what mc_covariances holds exceeds MAX_OUTCOME_BYTES: the traces,
+    the N-long complex product buffer and a standard deviation's N-long
+    float temporary, counted as a second complex one; the dense d x d rho
+    and O; and per participant four chunks, or trials if a trial is wider:
+    its buffer, the trial's parts copied out of it and gathered, and the
+    pair traces' conjugate of the records."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
     n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
     keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
+    held = 4 * max(CHUNK_FLOATS // 2, n_shadows * d) * _cores()
     require_outcome_budget(
-        16 * (min(N, BLOCK_ROWS) * (n_shadows + 3) * d + (len(keys) + 2) * N),
+        16 * ((len(keys) + 2) * N + 2 * d * d + held),
         f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}, "
-        f"drawn {BLOCK_ROWS} trials a block, and {len(keys)} pair traces would",
+        f"{len(keys)} pair traces and the dense rho and O would",
         "use fewer trials or a smaller d",
     )
     return pairs, keys, n_shadows
@@ -336,13 +335,13 @@ def mc_covariances(
     so T(j, i) = conj T(i, j).  O is factored with one eigh, keeping the
     eigenpairs with |lam| > EIGENVALUE_CUTOFF ||O||, and its frame reflected
     into the phi-aligned records' basis (aligned_frame); the traces are
-    basis-invariant.  The records are streamed in blocks of BLOCK_ROWS trials
-    (stream_aligned_posterior_states), and each chunk's whole trials are
-    traced by shadow_pair_traces on the participant that drew it, into the
-    complex (pairs, N) trace array; a trial that a chunk edge cuts has its
-    rows copied out under a lock and is traced once complete.  A pattern's
-    covariance is the mean of Re(x conj y) over the centred traces, Re(x y)
-    if one of its pairs is reversed.  A request that mc_shadows_per_trial
+    basis-invariant.  The records are streamed in groups of one trial
+    (stream_aligned_posterior_states), and each chunk's trials are traced by
+    shadow_pair_traces on the participant that drew it, into the complex
+    (pairs, N) trace array; a trial wider than a chunk comes in parts, whose
+    rows are gathered first.  A pattern's covariance is the mean of
+    Re(x conj y) over the centred traces, Re(x y) if one of its pairs is
+    reversed.  A request that mc_shadows_per_trial
     refuses is a ValueError before anything is sampled.
     """
     pairs, keys, n_shadows = _mc_workspace(patterns, d, N)
@@ -352,29 +351,15 @@ def mc_covariances(
     keep = np.abs(lam) > EIGENVALUE_CUTOFF * np.abs(lam).max()
     lam, frame = lam[keep], aligned_frame(phi, vecs[:, keep], full=True)
     traces = np.empty((len(keys), N), dtype=complex)
-    cut, lock = {}, threading.Lock()  # trial -> (its rows, how many are still to come)
 
-    def reduce(start, records):  # a chunk: trace its whole trials, keep a cut one's rows
-        stop = start + len(records)
-        lo, hi = -(-start // n_shadows), stop // n_shadows
-        if lo < hi:
-            whole = records[lo * n_shadows - start:hi * n_shadows - start]
-            traces[:, lo:hi] = shadow_pair_traces(
-                frame, lam, whole.reshape(hi - lo, n_shadows, d), keys)
-        for t in {start // n_shadows, (stop - 1) // n_shadows}:
-            if not lo <= t < hi:  # a trial that a chunk edge cuts: traced once complete
-                a, b = max(start, t * n_shadows), min(stop, (t + 1) * n_shadows)
-                with lock:
-                    rows, left = cut.pop(t, None) or (np.empty((n_shadows, d), complex), n_shadows)
-                    rows[a - t * n_shadows:b - t * n_shadows] = records[a - start:b - start]
-                    left -= b - a
-                    if left:
-                        cut[t] = rows, left
-                if not left:
-                    traces[:, t] = shadow_pair_traces(frame, lam, rows[None], keys)[:, 0]
+    def reduce(g0, g1, parts):  # whole trials, or one trial in parts
+        records = next(parts)
+        if len(records) < (g1 - g0) * n_shadows:
+            records = np.concatenate([records.copy(), *(part.copy() for part in parts)])
+        traces[:, g0:g1] = shadow_pair_traces(
+            frame, lam, records.reshape(g1 - g0, n_shadows, d), keys)
 
-    stream_aligned_posterior_states(
-        1, rng, d, d, N * n_shadows, BLOCK_ROWS * n_shadows, reduce)
+    stream_aligned_posterior_states(1, rng, d, d, N, n_shadows, reduce)
     traces -= traces.mean(axis=1, keepdims=True)
     out, prod = [], np.empty(N, dtype=complex)  # one product buffer for every pattern
     for ab, ce in pairs:

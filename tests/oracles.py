@@ -31,8 +31,8 @@ haar_states is the batched Haar draw that sample_haar_state makes one row of.
 ordered_pair_covariances is the Monte Carlo covariance loop that
 shadowlab.moments.mc_covariances replaced: on the same draw it forms every
 ordered trace variable T(i, j) = Tr(O rhohat_i rhohat_j) on its own, from
-outcomes drawn block by block as the library's stream draws them and
-reflected back to the standard basis, where the library forms one per
+the library's stream of outcomes, one trial a group, reflected back to the
+standard basis, where the library forms one per
 unordered pair in the phi-aligned basis, chunk by chunk through O's factor,
 and reads T(j, i) as conj T(i, j).  dense_pair_traces is the library's
 former pair-trace kernel, on the dense O.
@@ -47,11 +47,10 @@ import math
 import numpy as np
 
 from shadowlab.ensembles import (
-    BLOCK_ROWS,
     RngStream,
     pure_state_vector,
     reflect,
-    sample_aligned_posterior_states,
+    stream_aligned_posterior_states,
 )
 from shadowlab.estimators import UNIT_NORM_TOL
 from shadowlab.linalg import (
@@ -385,19 +384,20 @@ def _ordered_pair_traces(O: np.ndarray, psi_i: np.ndarray, psi_j: np.ndarray) ->
 def ordered_pair_covariances(patterns, rho: np.ndarray, O: np.ndarray, d: int, N: int,
                              rng: RngStream) -> list[tuple[float, float]]:
     """(covariance, standard error) per pattern from the draw mc_covariances
-    makes with the same stream, BLOCK_ROWS trials at a time, with one trace
+    makes with the same stream, in groups of one trial, with one trace
     variable per ordered pair."""
     pairs = [PATTERN_PAIRS[p] for p in patterns]
     n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
     phi = pure_state_vector(rho)
     traces = {ij: np.empty(N, dtype=complex) for pair in pairs for ij in pair}
-    for lo in range(0, N, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, N - lo)
-        psis = np.empty((rows * n_shadows, d), dtype=complex)
-        psis = reflect(phi, sample_aligned_posterior_states(1, rng, psis, d))
-        psis = psis.reshape(rows, n_shadows, d)
+
+    def reduce(g0, g1, parts):
+        psis = reflect(phi, np.concatenate([part.copy() for part in parts]))
+        psis = psis.reshape(g1 - g0, n_shadows, d)
         for (i, j), t in traces.items():
-            t[lo:lo + rows] = _ordered_pair_traces(O, psis[:, i], psis[:, j])
+            t[g0:g1] = _ordered_pair_traces(O, psis[:, i], psis[:, j])
+
+    stream_aligned_posterior_states(1, rng, d, d, N, n_shadows, reduce)
     for t in traces.values():
         t -= t.mean()
     out = []

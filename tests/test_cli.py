@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,9 +148,9 @@ def test_run_sweep_deterministic(tmp_path):
 # Estimates of the one-draw outcome sampler, its phi and rest coordinates
 # lifted to real moduli, its phi-aligned records mapped to C^d by the Householder reflection of
 # ensembles.reflect (jm: the records reflected; im: O's factor reflected,
-# reduced for linear, the records drawn a block of BLOCK_ROWS // s batches at
-# a time, a block over CHUNK_FLOATS floats in chunks from child streams: here
-# only im-quadratic's), and their truths, all on SFC64 streams.  phi and O are
+# reduced for linear, the records drawn in groups of one batch, a stream over
+# CHUNK_FLOATS floats in chunks of whole batches from keyed children: here
+# both im streams, not jm's), and their truths, all on SFC64 streams.  phi and O are
 # drawn before any outcome, so a change of sampler moves the estimates but
 # not the truths; a change of bit generator moves both.
 PINNED_SWEEPS = {
@@ -158,11 +159,11 @@ PINNED_SWEEPS = {
         (0.2872026572436713, 0.4814179054304376, 0.49875665459921603),
     ),
     ("im-linear", 2.0, 0.4, 12): (
-        (0.38237218117550903, 0.39030947998751253, 0.0757672275415066),
+        (0.37167889703591755, 0.37262429945033226, 0.05673098348304347),
         (0.3900515828401903, 0.37004412323687824, 0.08262083341720963),
     ),
     ("im-quadratic", 4.0, 0.4, 13): (
-        (0.5146441253866877, 0.710357673719373, 0.35148150259302136),
+        (0.5005570061153415, 0.7680672331805845, 0.38633208673673625),
         (0.5261431069019927, 0.7514670006758659, 0.37261972850541564),
     ),
 }
@@ -206,9 +207,9 @@ def test_linear_paths_never_sample_full_outcome_vectors(monkeypatch):
 
     streams = []
 
-    def record(s, rng, d, m, rows, block_rows, reduce):
+    def record(s, rng, d, m, groups, group_rows, reduce):
         streams.append((rng.stream_id, m))
-        return stream_aligned_posterior_states(s, rng, d, m, rows, block_rows, reduce)
+        return stream_aligned_posterior_states(s, rng, d, m, groups, group_rows, reduce)
 
     monkeypatch.setattr(measurement, "sample_posterior_states", refuse)
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", record)
@@ -673,8 +674,8 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
-    # at d = 8192 the guard's figure counts one block of 4096 trials x 4
-    # outcomes, 2 GiB; the instance draws and the sampler are tripwires, so a guard that ran late
+    # at d = 8192 the guard's figure counts the dense rho and O, 2 GiB; the
+    # instance draws and the sampler are tripwires, so a guard that ran late
     # (after the O(d^3) work on the state and the observable) fails here
     def refuse(*args):
         raise AssertionError("drew past the memory guard")
@@ -692,28 +693,28 @@ class _FirstDraw(Exception):
     pass
 
 
-@pytest.mark.parametrize("config, m, rows, block_rows", [
-    # s = 7111240 per batch, k = 21: one batch per block, d-wide records
-    (dict(mode="im", estimator="quadratic", d=32, eps=0.003), 32, 21 * 7111240, 7111240),
+@pytest.mark.parametrize("config, m, groups, group_rows", [
+    # s = 7111240 per batch, k = 21: d-wide records
+    (dict(mode="im", estimator="quadratic", d=32, eps=0.003), 32, 21, 7111240),
     # s = 12000000 per batch, k = 21: 6-wide reduced records
-    (dict(mode="im", estimator="linear", d=64, eps=0.002), 6, 21 * 12000000, 12000000),
-    # k = 3203 batches of one d-wide joint outcome, all in one block
-    (dict(mode="jm", d=32768, B=1.0, eps=0.9, delta=1e-200), 32768, 3203, 3203),
+    (dict(mode="im", estimator="linear", d=64, eps=0.002), 6, 21, 12000000),
+    # k = 3203 batches of one d-wide joint outcome
+    (dict(mode="jm", d=32768, B=1.0, eps=0.9, delta=1e-200), 32768, 3203, 1),
 ], ids=["im-quadratic-d32", "im-linear-d64", "jm-d32768"])
-def test_large_batch_sweeps_reach_their_first_draw(monkeypatch, config, m, rows, block_rows):
+def test_large_batch_sweeps_reach_their_first_draw(monkeypatch, config, m, groups, group_rows):
     # a trial holds one chunk per participant whatever s is, so no request
     # whose frame fits is refused for its batches: each reaches the stream,
     # here a tripwire that raises before it draws anything
     streams = []
 
-    def tripwire(s, rng, d, m, rows, block_rows, reduce):
-        streams.append((m, rows, block_rows))
+    def tripwire(s, rng, d, m, groups, group_rows, reduce):
+        streams.append((m, groups, group_rows))
         raise _FirstDraw
 
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", tripwire)
     with pytest.raises(_FirstDraw):
         run_sweep(ExperimentConfig(**{"B": 4.0, **config}, trials=1, seed=1))
-    assert streams == [(m, rows, block_rows)]
+    assert streams == [(m, groups, group_rows)]
 
 
 class _RefusingGenerator:
@@ -749,98 +750,112 @@ def test_cli_oversized_instance_exits_2_before_any_draw(tmp_path, monkeypatch, c
 
 
 def _record_streams(monkeypatch):
-    """Lists of the (m, rows, block_rows) of each stream cli starts and of
-    the (stream, start, rows, width) of each record run it hands to the
+    """Lists of the (m, groups, group_rows) of each stream cli starts and of
+    the (stream, g0, g1, part rows, width) of each part it hands to the
     reduction, stream counting the streams."""
-    streams, runs = [], []
+    streams, parts_seen = [], []
 
-    def stream(s, rng, d, m, rows, block_rows, reduce):
+    def stream(s, rng, d, m, groups, group_rows, reduce):
         i = len(streams)
-        streams.append((m, rows, block_rows))
+        streams.append((m, groups, group_rows))
 
-        def recording(start, records):
-            runs.append((i, start, *records.shape))
-            reduce(start, records)
+        def recording(g0, g1, parts):
+            def seen():
+                for part in parts:
+                    parts_seen.append((i, g0, g1, *part.shape))
+                    yield part
+            reduce(g0, g1, seen())
 
-        return stream_aligned_posterior_states(s, rng, d, m, rows, block_rows, recording)
+        return stream_aligned_posterior_states(s, rng, d, m, groups, group_rows, recording)
 
     monkeypatch.setattr(cli, "stream_aligned_posterior_states", stream)
-    return streams, runs
+    return streams, parts_seen
 
 
-def _assert_one_chunk_runs(streams, runs):
-    """Each run is one chunk, at most CHUNK_FLOATS floats rounded up to a
-    whole row, and not empty; each stream's runs cover its rows once."""
-    for i, (m, rows, _) in enumerate(streams):
-        mine = sorted((start, n, w) for j, start, n, w in runs if j == i)
-        assert all(w == m and 1 <= n <= -(-CHUNK_FLOATS // (2 * m)) for _, n, w in mine)
-        ends = [start + n for start, n, _ in mine]
-        assert [start for start, _, _ in mine] == [0, *ends[:-1]] and ends[-1] == rows
+def _assert_whole_group_chunks(streams, parts_seen):
+    """Each part is at most CHUNK_FLOATS floats, or one row, and not empty;
+    each chunk is whole groups, in one part, or one group in parts; each
+    stream's chunks cover its groups once."""
+    for i, (m, groups, group_rows) in enumerate(streams):
+        mine = [(g0, g1, n, w) for j, g0, g1, n, w in parts_seen if j == i]
+        assert all(w == m and 1 <= n <= max(1, CHUNK_FLOATS // (2 * m)) for *_, n, w in mine)
+        chunks = {}
+        for g0, g1, n, _ in mine:
+            chunks.setdefault((g0, g1), []).append(n)
+        for (g0, g1), rows in chunks.items():
+            assert sum(rows) == (g1 - g0) * group_rows and (len(rows) == 1 or g1 == g0 + 1)
+        edges = sorted(chunks)
+        assert [g0 for g0, _ in edges] == [0, *(g1 for _, g1 in edges[:-1])]
+        assert edges[-1][1] == groups
 
 
 @pytest.mark.parametrize("mode, estimator, d, B, eps", [
     ("jm", "auto", 8, 4.0, 0.4),
     ("im", "linear", 8, 2.0, 0.4),  # r = 2: records of width 4
     ("im", "linear", 4, 4.0, 0.6),  # r = d: records of width d
-    ("im", "quadratic", 8, 4.0, 0.4),  # s = 430: 9 batches per block
-    ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > BLOCK_ROWS: one batch per block
+    ("im", "quadratic", 8, 4.0, 0.4),  # s = 430: 4 batches per chunk
+    ("im", "quadratic", 4, 4.0, 0.05),  # s = 25616 > 4096 rows: one batch in 7 parts
 ])
 def test_sweep_hands_the_reduction_one_chunk_at_a_time(monkeypatch, mode, estimator, d, B, eps):
-    streams, runs = _record_streams(monkeypatch)
+    streams, parts_seen = _record_streams(monkeypatch)
     (row,) = run_sweep(ExperimentConfig(
         mode=mode, estimator=estimator, d=d, B=B, eps=eps, delta=0.1, trials=1, seed=5,
     ))
     n = 1 if mode == "jm" else row.s
-    ((_, rows, block_rows),) = streams
-    assert rows == row.k * n and block_rows == min(row.k, max(1, 4096 // n)) * n
-    _assert_one_chunk_runs(streams, runs)
+    ((_, groups, group_rows),) = streams
+    assert (groups, group_rows) == (row.k, n)
+    _assert_whole_group_chunks(streams, parts_seen)
 
 
-def test_jm_at_d_16384_skips_empty_chunks(monkeypatch, capsys):
-    # k = 21 rows of 2^15 floats in one block are 32 chunks, 11 of them with
-    # no rows; the reduction, which refuses an empty run, gets none of them
-    streams, runs = _record_streams(monkeypatch)
+def test_jm_at_d_16384_draws_one_outcome_a_chunk(monkeypatch, capsys):
+    # k = 21 rows of 2^15 floats each fill a chunk: 21 chunks of one row
+    streams, parts_seen = _record_streams(monkeypatch)
     assert main(["jm", "--d", "16384", "--trials", "1"]) == 0
-    assert streams == [(16384, 21, 21)] and len(runs) == 21
-    _assert_one_chunk_runs(streams, runs)
+    assert streams == [(16384, 21, 1)] and len(parts_seen) == 21
+    _assert_whole_group_chunks(streams, parts_seen)
     assert capsys.readouterr().out.startswith("trials=1 ")
 
 
 def test_compare_hands_the_kernel_one_block_at_a_time(monkeypatch):
-    # N s = 6000 and 24000 outcomes per estimator and s, in blocks of whole
-    # batches of at most BLOCK_ROWS rows; the reduction gets them one chunk
-    # at a time, each row once
-    streams, runs = _record_streams(monkeypatch)
+    # N s = 6000 and 24000 outcomes per estimator and s, in groups of one
+    # batch; the reduction gets them one chunk of whole batches at a time,
+    # each batch once
+    streams, parts_seen = _record_streams(monkeypatch)
     monkeypatch.setattr(cli, "_COMPARE_S_GRID", (2, 8))
     compare_estimators(d=4, B=4.0, N=3000, seed=1)
-    assert streams == [(4, 6000, 4096), (4, 6000, 4096), (4, 24000, 4096), (4, 24000, 4096)]
-    _assert_one_chunk_runs(streams, runs)
+    assert streams == [(4, 3000, 2), (4, 3000, 2), (4, 3000, 8), (4, 3000, 8)]
+    _assert_whole_group_chunks(streams, parts_seen)
 
 
 @pytest.mark.parametrize("d, eps, label", [
-    (32, (0.2, 0.1), "im-quadratic"),  # s = 1720, then 6526
-    (64, (0.3, 0.03), "im-linear"),  # s = 534, then 53334
+    (32, (0.1, 0.05), "im-quadratic"),  # s = 6526, then 25727
+    (64, (0.1, 0.03), "im-linear"),  # s = 4800, then 53334
 ], ids=["quadratic", "linear"])
 def test_im_trial_peak_does_not_grow_with_s(monkeypatch, d, eps, label):
-    # a trial holds one chunk per participant and its batches' statistics,
-    # never a block of whole batches, so its allocations peak within 1.25x
-    # as high at the larger s as at the smaller.  The caller draws alone:
-    # with the pool, the peak also depends on how far one participant gets
-    # ahead of another, whose chunks' statistics wait to be summed in order
-    monkeypatch.setattr(ensembles, "_cores", lambda: 1)
+    # a trial holds one part per participant and its batches' statistics,
+    # never a batch, so its allocations peak within 1.25x as high at the
+    # larger s as at the smaller, at 1, 2 and 4 participants on real pool
+    # threads; at both s each batch is a chunk in parts, 21 chunks
     config = dict(mode="im", estimator=label[3:], d=d, B=4.0, trials=1)
-    run_sweep(ExperimentConfig(**config, eps=eps[0], seed=3))  # first-call allocations are not the trial's
-    peaks, sizes = [], []
-    for e in eps:
-        tracemalloc.start()
-        try:
-            (row,) = run_sweep(ExperimentConfig(**config, eps=e, seed=4))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert row.mode == label and row.k == 21
-        sizes.append(row.s)
-    assert sizes[1] > 3 * sizes[0] and peaks[1] <= 1.25 * peaks[0]
+    for cores in (1, 2, 4):
+        pool = ThreadPoolExecutor(cores - 1) if cores > 1 else None
+        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+        # first-call allocations, the pool's threads among them, are not the trial's
+        run_sweep(ExperimentConfig(**config, eps=eps[0], seed=3))
+        peaks, sizes = [], []
+        for e in eps:
+            tracemalloc.start()
+            try:
+                (row,) = run_sweep(ExperimentConfig(**config, eps=e, seed=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert row.mode == label and row.k == 21
+            sizes.append(row.s)
+        if pool:
+            pool.shutdown()
+        assert sizes[1] > 3 * sizes[0] and peaks[1] <= 1.25 * peaks[0], (cores, peaks)
 
 
 def test_cli_compare_subcommand(tmp_path):

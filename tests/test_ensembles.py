@@ -434,38 +434,52 @@ def _two_blocks(rng, n, m, d):
     return [sample_aligned_posterior_states(3, rng, np.empty((n, m), complex), d) for _ in "ab"]
 
 
+# Participant counts, each with a draw pool: one is the caller alone; the
+# inline pool runs the other participants on the caller with no thread, and
+# a thread pool on real threads
+_PARTICIPANTS = ((1, _InlinePool), (2, _InlinePool), (3, _InlinePool), (20, _InlinePool),
+                 (2, lambda: ThreadPoolExecutor(1)), (8, lambda: ThreadPoolExecutor(7)))
+
+
+def _each_participant_count(monkeypatch):
+    """Yield each entry of _PARTICIPANTS after making it ensembles' cores and pool."""
+    for cores, make in _PARTICIPANTS:
+        pool = make()
+        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+        yield cores
+        if isinstance(pool, ThreadPoolExecutor):
+            pool.shutdown()
+
+
 @pytest.mark.parametrize("m, d", [(4, 64), (32, 32)], ids=["reduced", "full"])
 def test_draw_does_not_depend_on_the_thread_count(monkeypatch, m, d):
-    # 4 * CHUNK_FLOATS floats per block plus one row: 8 chunks of unequal size
+    # 4 * CHUNK_FLOATS floats plus one row: 5 chunks of unequal size
     n = 2 * CHUNK_FLOATS // m + 1
     default = _two_blocks(RngStream(70, 2), n, m, d)
     keys = _recording_draws(monkeypatch)
-    # one core is the caller alone; the inline pool runs the other participants with no thread
-    for cores, pool in ((1, _InlinePool()), (2, _InlinePool()), (3, _InlinePool()), (20, _InlinePool()),
-                        (2, ThreadPoolExecutor(1)), (4, ThreadPoolExecutor(3))):
-        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
-        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+    for _ in _each_participant_count(monkeypatch):
         for got, want in zip(_two_blocks(RngStream(70, 2), n, m, d), default):
             assert np.array_equal(got, want)
-        if isinstance(pool, ThreadPoolExecutor):
-            pool.shutdown()
     assert not np.array_equal(*default)
     assert np.abs(np.linalg.norm(default[1], axis=1) - 1).max() <= 1e-12
-    # each block's 8 children are keyed (stream_id, i), i counting the
-    # stream's children: distinct, and never an RngStream's (stream_id,);
-    # the caller alone, and an inline pool, draw them in stream order
-    assert keys[:16] == [(2, i) for i in range(16)] and keys[16:32] == keys[:16]
-    assert all(len(key) == 2 for key in keys)
+    # chunk j of a stream's i-th call is keyed (stream_id, i, j, 0): distinct,
+    # and never an RngStream's (stream_id,); the caller alone, and an inline
+    # pool, draw them in stream order
+    assert keys[:10] == [(2, i, j, 0) for i in range(2) for j in range(5)]
+    assert keys[10:20] == keys[:10]
     assert RngStream(70, 2).gen.bit_generator.seed_seq.spawn_key == (2,)
 
 
 def test_streams_and_their_chunks_draw_from_sfc64():
-    # a block of two chunks reads two spawned children, a one-row block the
-    # stream itself: every one an SFC64 generator, as RngStream's own is
+    # a call of two chunks reads two keyed generators, a call of one chunk
+    # the stream itself: every one an SFC64 generator, as RngStream's own is
     m = 4
     rng = RngStream(75, 3)
-    gens = [gen for _, _, gen in ensembles._chunks(rng, CHUNK_FLOATS // m + 1, CHUNK_FLOATS // m, m)]
-    assert len(gens) == 3 and gens[2] is rng.gen
+    keys = [key for n in (CHUNK_FLOATS // (2 * m) + 1, 1)
+            for *_, parts in ensembles._chunks(rng, n, 1, m)[2] for *_, key in parts]
+    gens = [ensembles._generator(rng, key) for key in keys]
+    assert keys == [(3, 0, 0, 0), (3, 0, 1, 0), None] and gens[2] is rng.gen
     assert all(type(gen.bit_generator) is np.random.SFC64 for gen in gens)
 
 
@@ -480,102 +494,139 @@ def test_a_draw_of_one_chunk_reads_the_stream_itself():
     assert np.allclose(out[:, 0].real, a / np.sqrt(a**2 + (np.abs(z[:, 1:]) ** 2).sum(axis=1)))
 
 
-def test_a_chunk_with_no_rows_is_skipped_and_the_others_keep_their_keys(monkeypatch):
-    # 3 rows of width CHUNK_FLOATS / 2 are 4 chunks, the first with no rows:
-    # it is never drawn or reduced, and chunks 1 to 3 read children 1 to 3
-    m = CHUNK_FLOATS // 2
-    keys, runs = _recording_draws(monkeypatch), []
-    stream_aligned_posterior_states(2, RngStream(74, 5), m, m, 3, 3,
-                                    lambda start, records: runs.append((start, len(records))))
-    assert sorted(keys) == [(5, 1), (5, 2), (5, 3)] and sorted(runs) == [(0, 1), (1, 1), (2, 1)]
-    out = sample_aligned_posterior_states(2, RngStream(74, 5), np.empty((3, m), complex), m)
-    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() <= 1e-12
+def _call_keys(rng, groups, group_rows, m):
+    """The spawn keys of every part of one stream call on rng; draws nothing."""
+    return [key for *_, parts in ensembles._chunks(rng, groups, group_rows, m)[2]
+            for *_, key in parts]
+
+
+def test_chunk_keys_are_injective_across_each_subcommand_s_streams():
+    # each subcommand's streams and calls, at a multi-chunk layout of its
+    # own: run_sweep's trials t + 1 (im-linear-d64: 21 batches of 534 rows,
+    # 6 wide), compare's ids 0 to 2n (n = 4 grid entries; 0 draws only the
+    # instance), verify_all's 777 streamed twice (d = 2 and 3 covariance
+    # trials), cov-check's 5 and bhm's runs r + 1, each drawn twice (full
+    # 64-wide rows).  No key repeats within a subcommand, two calls on one
+    # stream share none, and none is an RngStream's (stream_id,)
+    subcommands = {
+        "im": [(t + 1, [(21, 534, 6)]) for t in range(3)],
+        "compare": [(i, [(200, 8, 16)]) for i in range(1, 9)],
+        "verify-moments": [(777, [(20_000, 3, 2), (20_000, 3, 3)])],
+        "cov-check": [(5, [(50_000, 5, 3)])],
+        "bhm": [(r + 1, [(600, 1, 64), (600, 1, 64)]) for r in range(3)],
+    }
+    for name, streams in subcommands.items():
+        keys = []
+        for stream_id, calls in streams:
+            rng = RngStream(1, stream_id)
+            mine = [_call_keys(rng, *call) for call in calls]
+            assert all(len(call) > 1 for call in mine), name  # multi-chunk layouts
+            if len(mine) == 2:
+                assert set(mine[0]).isdisjoint(mine[1]), name
+            keys += sum(mine, [])
+        assert len(set(keys)) == len(keys), name
+        assert set(keys).isdisjoint({(stream_id,) for stream_id, _ in streams}), name
+
+
+def test_a_group_wider_than_a_chunk_is_drawn_in_even_parts_by_one_participant():
+    # 3 groups of 5000 rows, 8 wide (2048 rows a chunk): each group is a
+    # chunk of 3 parts of 1666 or 1667 rows, in order, keyed (id, 0, g, p)
+    count, longest, chunks = ensembles._chunks(RngStream(76, 4), 3, 5000, 8)
+    chunks = list(chunks)
+    assert count == 3 and longest == 1667
+    assert chunks[1] == (1, 2, [(5000, 6666, (4, 0, 1, 0)), (6666, 8333, (4, 0, 1, 1)),
+                                (8333, 10000, (4, 0, 1, 2))])
+    # 7 groups of 700 rows fit 2 to a chunk: 4 chunks of 1 or 2 groups
+    count, longest, chunks = ensembles._chunks(RngStream(76, 4), 7, 700, 8)
+    assert count == 4 and longest == 1400
+    assert [chunk[:2] for chunk in chunks] == [(0, 1), (1, 3), (3, 5), (5, 7)]
 
 
 def _recording_draws(monkeypatch):
-    """The spawn keys of the generator of every chunk drawn, in draw order:
-    (stream_id, i) for a child, (stream_id,) for the stream itself."""
+    """The spawn keys of the generator of every part drawn, in draw order:
+    (stream_id, i, j, p) for a keyed part, (stream_id,) for the stream itself."""
     keys, draw, lock = [], ensembles._draw_chunk, threading.Lock()
 
     def recording(out, s, d, gen):
         with lock:
             keys.append(gen.bit_generator.seed_seq.spawn_key)
-        draw(out, s, d, gen)
+        return draw(out, s, d, gen)
 
     monkeypatch.setattr(ensembles, "_draw_chunk", recording)
     return keys
 
 
-# (block rows, width, d, s, rows, batch n, B, kind): 20480 rows in blocks of
-# 8192 are blocks of 4, 4 and 2 chunks, and each 5120-row batch is summed
-# from 3 runs; 6144 rows in blocks of 2048 are blocks of one chunk each,
-# with batch 1 split between blocks 0 and 1
+# (width, d, s, groups k, group rows n, B, kind): 7 batches of 700 rows, 8
+# wide, are 4 chunks of whole batches; 3 batches of 5000 rows are a chunk
+# each, drawn in 3 parts; 4 batches of 96 rows, 16 wide, fit in one chunk,
+# drawn from the stream itself
 _STREAMS = {
-    "multi-chunk": (8192, 8, 8, 1, 20480, 5120, 2, "quadratic"),
-    "one-chunk": (2048, 4, 16, 3, 6144, 1536, 2, "linear"),
+    "multi-chunk": (8, 8, 1, 7, 700, 2, "quadratic"),
+    "sub-chunked": (8, 8, 1, 3, 5000, 2, "quadratic"),
+    "one-chunk": (4, 16, 3, 4, 96, 2, "linear"),
 }
 
 
 def _reduction(case, seed):
     """A BatchReduction of the case's batches, for an observable drawn from seed."""
-    _, m, d, s, rows, n, B, kind = _STREAMS[case]
+    m, d, s, k, n, B, kind = _STREAMS[case]
     phi = sample_haar_state(d, RngStream(seed, 1))
     O = random_observable(d, B, RngStream(seed, 2))
-    return BatchReduction(O, kind, n, rows // n, s, aligned_frame(phi, O.vecs, full=m == d))
+    return BatchReduction(O, kind, n, k, s, aligned_frame(phi, O.vecs, full=m == d))
 
 
 def _stream(case, seed):
     """(records, per-batch estimates) of one stream of the case, the records
-    gathered run by run."""
-    block_rows, m, d, s, rows, *_ = _STREAMS[case]
+    gathered part by part."""
+    m, d, s, k, n, *_ = _STREAMS[case]
     reduction = _reduction(case, seed)
-    records = np.full((rows, m), np.nan, dtype=complex)
+    records = np.full((k * n, m), np.nan, dtype=complex)
 
-    def reduce(start, run):
-        records[start:start + len(run)] = run
-        reduction.add(start, run)
+    def reduce(g0, g1, parts):
+        def gathered():
+            row = g0 * n
+            for part in parts:
+                records[row:row + len(part)] = part
+                row += len(part)
+                yield part
+        reduction.add(g0, g1, gathered())
 
-    stream_aligned_posterior_states(s, RngStream(seed, 3), d, m, rows, block_rows, reduce)
+    stream_aligned_posterior_states(s, RngStream(seed, 3), d, m, k, n, reduce)
     return records, reduction.estimates
 
 
 @pytest.mark.parametrize("case", sorted(_STREAMS))
 def test_stream_does_not_depend_on_the_participant_count(monkeypatch, case):
-    block_rows, m, d, s, rows, *_ = _STREAMS[case]
+    m, d, s, k, n, *_ = _STREAMS[case]
     keys = _recording_draws(monkeypatch)
-    # the records are consecutive one-block draws of the stream, with the same chunk keys
+    # each part's records are drawn from its key alone, the one chunk from the stream itself
     rng = RngStream(80, 3)
-    blocks = [min(block_rows, rows - lo) for lo in range(0, rows, block_rows)]
-    want = np.concatenate([sample_aligned_posterior_states(s, rng, np.empty((b, m), complex), d)
-                           for b in blocks])
-    want_keys = sorted(keys)
+    count, _, chunks = ensembles._chunks(RngStream(80, 3), k, n, m)
+    want = np.concatenate([ensembles._draw_chunk(np.empty((hi - lo, m), complex), s, d,
+                                                 ensembles._generator(rng, key))
+                           for *_, parts in chunks for lo, hi, key in parts])
+    want_keys = keys[:]
     records, estimates = _stream(case, 80)
     assert np.array_equal(records, want) and sorted(keys[len(want_keys):]) == want_keys
-    assert len(blocks) == 3 and want_keys == (
-        [(3, i) for i in range(10)] if case == "multi-chunk" else [(3,)] * 3)
+    assert (count, len(want_keys)) == {"multi-chunk": (4, 4), "sub-chunked": (3, 9),
+                                       "one-chunk": (1, 1)}[case]
     whole = _reduction(case, 80)  # the batches reduced at once
-    whole.add(0, want)
+    whole.add(0, k, [want])
     assert np.abs(estimates - whole.estimates).max() <= 1e-12 * np.abs(whole.estimates).max()
-    # one core is the caller alone; the inline pool runs the other participants with no thread
-    for cores, pool in ((1, _InlinePool()), (2, _InlinePool()), (3, _InlinePool()), (20, _InlinePool()),
-                        (2, ThreadPoolExecutor(1)), (4, ThreadPoolExecutor(3))):
-        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
-        monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+    for _ in _each_participant_count(monkeypatch):
         got_records, got_estimates = _stream(case, 80)
         assert np.array_equal(got_records, records) and np.array_equal(got_estimates, estimates)
-        if isinstance(pool, ThreadPoolExecutor):
-            pool.shutdown()
 
 
 @pytest.mark.parametrize("pool", ["default", "caller", "inline"])
 def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
-    # the second chunk of block 1 raises after a while; the other chunks are
-    # quick.  No chunk starts after it raises; none is running once the call
-    # returns; and its exception is the one raised
+    # 20 groups of 1024 rows, 8 wide, are 10 chunks.  Chunk 5 raises after a
+    # while, chunk 7 at once; the other chunks are quick.  No chunk starts
+    # after chunk 5 raises; none is running once the call returns; and the
+    # exception raised is chunk 5's, the lowest-numbered
     if pool != "default":  # the caller draws every chunk, or the pool draws its share inline
         monkeypatch.setattr(ensembles, "_cores", lambda: 1 if pool == "caller" else 2)
         monkeypatch.setattr(ensembles, "_pool", _InlinePool)
-    block_rows, m, d, *_ = _STREAMS["multi-chunk"]
     lock, busy, events = threading.Lock(), [0], []
     draw = ensembles._draw_chunk
 
@@ -585,24 +636,26 @@ def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
             busy[0] += 1
             events.append(("start", key))
         try:
-            if key == (2, 5):
-                time.sleep(0.2)
+            if key in ((2, 0, 5, 0), (2, 0, 7, 0)):
+                if key[2] == 5:
+                    time.sleep(0.2)
                 with lock:
                     events.append(("raise", key))
-                raise RuntimeError("block 1, chunk 1")
-            draw(chunk, s, d, gen)
+                raise RuntimeError(f"chunk {key[2]}")
+            return draw(chunk, s, d, gen)
         finally:
             with lock:
                 busy[0] -= 1
 
     monkeypatch.setattr(ensembles, "_draw_chunk", slow_draw)
-    with pytest.raises(RuntimeError, match="block 1, chunk 1"):
-        stream_aligned_posterior_states(1, RngStream(72, 2), d, m, 20480, block_rows,
-                                        lambda start, records: None)
+    with pytest.raises(RuntimeError, match="chunk 5"):
+        stream_aligned_posterior_states(1, RngStream(72, 2), 8, 8, 20, 1024,
+                                        lambda g0, g1, parts: list(parts))
     assert busy[0] == 0
-    raised = events.index(("raise", (2, 5)))
-    assert all(kind == "start" for kind, _ in events[:raised]) and events[raised + 1:] == []
-    assert {(2, i) for i in range(6)} <= {key for _, key in events[:raised]}
+    raised = events.index(("raise", (2, 0, 5, 0)))
+    assert all(kind == "start" or key[2] == 7 for kind, key in events[:raised])
+    assert events[raised + 1:] == []
+    assert {(2, 0, j, 0) for j in range(6)} <= {key for _, key in events[:raised]}
 
 
 def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):

@@ -407,17 +407,27 @@ def test_batch_reduction_refuses_runs_outside_its_batches():
         with pytest.raises(ValueError):
             BatchReduction(O, "linear", n, k)
     reduction = BatchReduction(O, "linear", 1, 2)
-    for start, records in (
-        (0, unit[0]),  # a run is (rows, m): one outcome is one row of it
-        (0, unit[None]),
-        (0, unit[:0]),  # an empty run
-        (-1, unit[:1]),  # rows before the first batch
-        (1, unit),  # row 2 is past the last of k n = 2
+    pair = BatchReduction(O, "linear", 2, 2)  # batches of two rows
+    for target, g0, g1, parts in (
+        (reduction, 0, 1, [unit[0]]),  # a part is (rows, m): one outcome is one row of it
+        (reduction, 0, 2, [unit[None]]),
+        (reduction, 0, 1, [unit[:0]]),  # an empty part
+        (reduction, -1, 1, [unit]),  # a batch before the first
+        (reduction, 1, 3, [unit]),  # batch 2 is past the last of k = 2
+        (reduction, 1, 1, []),  # no batch at all
+        (reduction, 0, 2, [unit[:1]]),  # parts short of their batches' rows
+        (reduction, 0, 2, [unit[:1], unit[1:]]),  # two batches in parts
+        (reduction, 0, 1, [unit]),  # parts over their batch's rows
+        (pair, 0, 1, [unit[:1]]),
+        (pair, 0, 1, [unit[:1], unit]),
+        (pair, 0, 1, []),
     ):
         with pytest.raises(ValueError):
-            reduction.add(start, records)
-    reduction.add(0, unit)  # the refused runs left nothing behind
+            target.add(g0, g1, parts)
+    reduction.add(0, 2, [unit])  # the refused parts left nothing behind
     assert np.allclose(reduction.estimates, [2.0, -1.0])
+    pair.add(1, 2, [unit[:1], unit[1:]])
+    assert np.allclose(pair.estimates[1], 0.5)
 
 
 def test_linear_kernel_on_small_batches_stays_below_its_outcome_array():
@@ -564,32 +574,34 @@ def test_gram_and_overlap_paths_agree(monkeypatch, d, B, n, kind):
 
 
 @pytest.mark.parametrize("kind, B, n, run", [
-    ("linear", 2, 9, 20), ("linear", 2, 700, 150),
-    ("quadratic", 8, 9, 20), ("quadratic", 2, 700, 150),
+    ("linear", 2, 9, 2), ("linear", 2, 700, 150),
+    ("quadratic", 8, 9, 2), ("quadratic", 2, 700, 150),
 ], ids=["linear-overlap", "linear-gram", "quadratic-overlap", "quadratic-gram"])
 def test_batch_reduction_sums_each_batch_in_row_order(kind, B, n, run):
-    # the same records added as runs of `run` rows, in order, reversed and
-    # shuffled: each batch is summed from several runs, and its estimate may
-    # not depend on the order they arrive in; at n = 9 a run also holds
-    # whole batches.  All orders agree with batch_estimates to 1e-12
+    # the same records added as whole batches, `run` of them to a part, or
+    # each batch in parts of `run` rows, the last shorter, summed in row
+    # order; the batches arrive in order, reversed and shuffled, and no
+    # estimate may depend on that order.  All agree with batch_estimates to 1e-12
     d, k = 8, 5
     phi, O = _law_case(d, B, RngStream(90, n))
     frame = aligned_frame(phi, O.vecs, full=kind == "quadratic")
     out = np.empty((k * n, frame.shape[0]), dtype=complex)
     records = sample_aligned_posterior_states(1, RngStream(91, n), out, d)
     assert estimators._gram_pays(kind, frame.shape[0], n, O.evals.size) == (n == 700)
-    bounds = [*range(0, k * n, run), k * n]
-    runs = list(zip(bounds, bounds[1:]))
+    whole = [(g, min(g + run, k)) for g in range(0, k, run)]
+    one = [(t, t + 1) for t in range(k)]
+    shuffled = [one[i] for i in np.random.default_rng(92).permutation(k)]
     got = []
-    shuffled = [runs[i] for i in np.random.default_rng(92).permutation(len(runs))]
-    for order in (runs, runs[::-1], shuffled):
+    for groups, parted in ((whole, False), (one, True), (one[::-1], True), (shuffled, True)):
         reduction = BatchReduction(O, kind, n, k, 1, frame)
-        for a, b in order:
-            reduction.add(a, records[a:b])
+        for g0, g1 in groups:
+            rows = records[g0 * n:g1 * n]
+            reduction.add(g0, g1, (rows[a:a + run] for a in range(0, n, run)) if parted else [rows])
         got.append(reduction.estimates)
-    assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+    assert all(np.array_equal(got[1], g) for g in got[2:])
     want = batch_estimates(O, records.reshape(k, n, -1), kind, frame=frame)
-    assert np.abs(got[0] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for g in got:
+        assert np.abs(g - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_quadratic_reads_the_gram_only_up_to_its_measured_width():

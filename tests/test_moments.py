@@ -24,7 +24,7 @@ from oracles import (
 )
 from shadowlab import ensembles, moments
 from shadowlab.ensembles import (
-    BLOCK_ROWS, CHUNK_FLOATS, RngStream, require_outcome_budget, sample_haar_state,
+    CHUNK_FLOATS, RngStream, require_outcome_budget, sample_haar_state,
 )
 from shadowlab.linalg import (
     Permutation,
@@ -46,6 +46,7 @@ from shadowlab.moments import (
     exact_second_moment,
     mc_covariance,
     mc_covariances,
+    mc_shadows_per_trial,
     shadow_pair_traces,
 )
 from shadowlab.observables import random_projector_observable, random_signature_observable
@@ -475,8 +476,8 @@ def test_shadow_pair_traces_match_direct():
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_mc_covariances_match_the_ordered_pair_loop(d):
     # the same draw as the ordered-pair reference, which forms T(j, i) on its
-    # own in the standard basis; N leaves a partial last block
-    N = 2 * BLOCK_ROWS + 17
+    # own in the standard basis; N splits unevenly over the chunks
+    N = 8209
     rng = RngStream(73, d)
     rho = density(sample_haar_state(d, rng))
     O = random_signature_observable(d, d, rng).matrix  # both signs, complex entries
@@ -498,40 +499,19 @@ def test_mc_covariances_trace_each_unordered_pair_once_per_trial(monkeypatch, pa
         return shadow_pair_traces(frame, lam, records, pairs)
 
     monkeypatch.setattr(moments, "shadow_pair_traces", counting)
-    N = 2 * BLOCK_ROWS + 17
+    N = 8209
     rho = rand_rho(3, 75)
     mc_covariances(patterns, rho, np.diag([1.0, -0.5, 0.0]), 3, N, RngStream(75))
     assert sum(rows) == unordered * N
 
 
-def test_mc_covariances_trace_a_trial_cut_by_a_chunk_edge(monkeypatch):
-    # d = 8, N = 1001 is one block of 4004 rows in two chunks, whose edge at
-    # row 2002 cuts trial 500: its rows are gathered from both chunks and
-    # traced alone, and the covariances still match the ordered-pair loop
-    d, N = 8, 1001
-    alone = []
-
-    def recording(frame, lam, records, pairs):
-        alone.append(len(records) == 1)
-        return shadow_pair_traces(frame, lam, records, pairs)
-
-    monkeypatch.setattr(moments, "shadow_pair_traces", recording)
-    rng = RngStream(78, d)
-    rho = density(sample_haar_state(d, rng))
-    O = random_signature_observable(d, 4, rng).matrix
-    got = mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(79, d))
-    ref = ordered_pair_covariances(COV_PATTERNS, rho, O, d, N, RngStream(79, d))
-    assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
-    assert sorted(alone) == [False, False, True]
-
-
 @pytest.mark.parametrize("d, N", [(8, 1001), (64, 1001)])
 def test_mc_covariances_do_not_depend_on_the_participant_count(monkeypatch, d, N):
-    # each chunk is traced on the participant that drew it, and a cut trial
-    # by whichever completes it (one trial at d = 8, 12 of the 15 chunk
-    # edges at d = 64): bit-identical at 1 and 2 participants, and at 8 on
-    # a pool of 7 threads that switch every microsecond, where a lost update
-    # to the cut trials would leave a trace unwritten or wrong
+    # each chunk of whole trials is traced on the participant that drew it
+    # (2 chunks at d = 8, 16 at d = 64): bit-identical at 1 and 2
+    # participants, and at 8 on a pool of 7 threads that switch every
+    # microsecond, where a trace written by the wrong participant or at the
+    # wrong trials would differ
     rng = RngStream(80, d)
     rho = density(sample_haar_state(d, rng))
     O = random_signature_observable(d, 4, rng).matrix
@@ -549,6 +529,37 @@ def test_mc_covariances_do_not_depend_on_the_participant_count(monkeypatch, d, N
         finally:
             sys.setswitchinterval(interval)
     assert results[0] == results[1] == results[2]
+
+
+def test_mc_covariances_gather_a_trial_wider_than_a_chunk(monkeypatch):
+    # at CHUNK_FLOATS = 64, a trial of 4 outcomes in d = 16 is a chunk of 2
+    # parts: its rows are gathered before they are traced.  The covariances
+    # match the ordered-pair loop on the same draw, and are bit-identical at
+    # 1, 2 and 8 participants
+    monkeypatch.setattr(ensembles, "CHUNK_FLOATS", 64)
+    d, N = 16, 1001
+    assert list(ensembles._chunks(RngStream(0), N, 4, d)[2])[0][2] == [
+        (0, 2, (0, 0, 0, 0)), (2, 4, (0, 0, 0, 1))]
+    rng = RngStream(82, d)
+    rho = density(sample_haar_state(d, rng))
+    O = random_signature_observable(d, 4, rng).matrix
+    ref = ordered_pair_covariances(COV_PATTERNS, rho, O, d, N, RngStream(83, d))
+    results = []
+    for cores in (1, 2, 8):
+        with ThreadPoolExecutor(cores - 1 or 1) as pool:
+            monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+            monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
+            results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(83, d)))
+    assert results[0] == results[1] == results[2]
+    assert np.abs(np.array(results[0]) - np.array(ref)).max() < 1e-12
+
+
+def test_mc_guard_counts_the_dense_matrices_not_a_block():
+    # d = 4096 at 50000 trials holds 512 MiB of dense rho and O, a few MiB
+    # of traces and a few chunks; d = 8192's dense pair alone is 2 GiB
+    assert mc_shadows_per_trial(COV_PATTERNS, 4096, 50_000) == 4
+    with pytest.raises(ValueError, match="MiB"):
+        mc_shadows_per_trial(COV_PATTERNS, 8192, 1000)
 
 
 @pytest.mark.parametrize("pattern", COV_PATTERNS)
@@ -630,7 +641,7 @@ def test_mc_covariances_guard_the_shared_draw(monkeypatch):
 
 def test_mc_covariances_peak_near_the_shared_array():
     # one draw of 4 outcomes per trial serves all five patterns, streamed one
-    # BLOCK_ROWS block at a time; the block, the pair traces' block-sized
+    # chunk per participant; the chunks, the pair traces' chunk-sized
     # temporaries and the 3 unordered pair traces stay under 1.5 times the
     # (N, 4, d) draw that is never held whole
     d, N = 64, 20_000
@@ -648,9 +659,9 @@ def test_mc_covariances_peak_near_the_shared_array():
 
 @pytest.mark.parametrize("pattern", ["ij_ji", "distinct"])
 def test_mc_covariance_peaks_near_its_outcome_array(pattern):
-    # the outcomes are streamed one BLOCK_ROWS block at a time; the block,
-    # the pair traces' block-sized temporaries and the pair traces stay
-    # under 1.5 times the (N, n_shadows, d) draw that is never held whole
+    # the outcomes are streamed one chunk per participant; the chunks, the
+    # pair traces' chunk-sized temporaries and the pair traces stay under
+    # 1.5 times the (N, n_shadows, d) draw that is never held whole
     d, N = 64, 20_000
     n_shadows = 2 if pattern == "ij_ji" else 4
     rng = RngStream(66)
@@ -670,10 +681,10 @@ def test_mc_covariances_hold_no_block(monkeypatch):
     # peak is the 3 unordered pair traces and the product buffer, (3 + 1) N
     # complex, plus at most 4 chunks' floats per participant (measured at 2
     # participants: 2.86 MB, 0.77 MB over the arrays, against a 4.19 MB
-    # bound).  A whole block of BLOCK_ROWS trials is 16.8 MB here, over the
-    # bound: the block loop peaked at 22.9 MB
+    # bound).  The trials' records are 134 MB, and 4096 trials of them
+    # 16.8 MB, over the bound
     monkeypatch.setattr(ensembles, "_cores", lambda: 2)
-    d, N = 64, 8 * BLOCK_ROWS
+    d, N = 64, 32768
     rng = RngStream(76)
     rho = density(sample_haar_state(d, rng))
     O = random_projector_observable(d, 4, rng).matrix
@@ -688,8 +699,8 @@ def test_mc_covariances_hold_no_block(monkeypatch):
 
 def test_mc_covariances_peak_within_the_guard_figure(monkeypatch):
     # the figure mc_shadows_per_trial checks is what mc_covariances holds:
-    # the block, the three block-sized temporaries of a pair-trace call, the
-    # traces and one pattern's products; tracemalloc's peak stays within it
+    # the traces, one pattern's products, the dense rho and O, and four
+    # chunks per participant; tracemalloc's peak stays within it
     figures = []
 
     def guard(nbytes, *args):
@@ -701,7 +712,7 @@ def test_mc_covariances_peak_within_the_guard_figure(monkeypatch):
     rng = RngStream(77)
     rho = density(sample_haar_state(d, rng))
     O = random_projector_observable(d, 4, rng).matrix
-    for N in (2 * BLOCK_ROWS, 8 * BLOCK_ROWS):
+    for N in (8192, 32768):
         tracemalloc.start()
         try:
             mc_covariances(COV_PATTERNS, rho, O, d, N, rng)

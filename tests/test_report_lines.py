@@ -34,19 +34,19 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.032068 mc=-0.028394 stderr=0.035007\n"
-        "PASS  ij_kj     exact=+0.888271 mc=+0.954026 stderr=0.034941\n"
-        "PASS  ij_ji     exact=-0.937198 mc=-0.888999 stderr=0.046858\n"
-        "PASS  ij_ij     exact=+6.289132 mc=+6.330215 stderr=0.043974\n"
-        "PASS  distinct  exact=+0.000000 mc=-0.011855 stderr=0.031826\n",
+        "PASS  ij_jk     exact=+0.032068 mc=+0.009396 stderr=0.035879\n"
+        "PASS  ij_kj     exact=+0.888271 mc=+0.985550 stderr=0.035922\n"
+        "PASS  ij_ji     exact=-0.937198 mc=-1.036204 stderr=0.046943\n"
+        "PASS  ij_ij     exact=+6.289132 mc=+6.324080 stderr=0.043770\n"
+        "PASS  distinct  exact=+0.000000 mc=+0.035593 stderr=0.031929\n",
     ),
     "compare": (
         ["compare", "--trials", "200", "--seed", "1"],
         "     s      var_linear   var_quadratic           ratio     pred_linear  pred_quadratic\n"
-        "     8         1.96831         5.95298          3.0244               2           4.125\n"
-        "    16        0.992609         1.82046         1.83402               1          1.0625\n"
-        "    32        0.586313        0.387428        0.660786             0.5         0.28125\n"
-        "    64        0.250794        0.123832         0.49376            0.25        0.078125\n",
+        "     8         2.48859         5.18618         2.08399               2           4.125\n"
+        "    16        0.911903         1.96885         2.15906               1          1.0625\n"
+        "    32        0.547356        0.430721        0.786912             0.5         0.28125\n"
+        "    64        0.255846        0.148924        0.582085            0.25        0.078125\n",
     ),
 }
 
