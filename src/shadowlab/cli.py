@@ -29,9 +29,9 @@ import numpy as np
 from . import bhm as bhm_mod
 from . import moments
 from .ensembles import (
-    MAX_OUTCOME_BYTES,
     RngStream,
     aligned_frame,
+    require_outcome_budget,
     sample_haar_state,
     stream_aligned_posterior_states,
 )
@@ -195,9 +195,7 @@ def compare_estimators(d: int, B: float, N: int, seed: int):
     """
     if N < 2 or not 1 <= B <= d:
         raise ValueError("compare needs trials >= 2 and 1 <= B <= d")
-    if 16 * N > MAX_OUTCOME_BYTES:
-        raise ValueError(f"compare's 2 x {N} estimates would need {16 * N / 2**20:.0f} MiB, over "
-                         f"the {MAX_OUTCOME_BYTES / 2**20:.0f} MiB limit; use fewer trials")
+    require_outcome_budget(16 * N, f"compare's 2 x {N} estimates would", "use fewer trials")
     frame_rank(d, B)
     rng = RngStream(seed, 0)
     phi = sample_haar_state(d, rng)

@@ -16,16 +16,17 @@ phase keeps the relative phases uniform.  There is no rejection step, and
 the cost is O(d) per outcome independent of s.
 
 sample_aligned_posterior_states draws psi in coordinates whose first basis
-vector is phi, straight into the caller's array and independently of phi.
-One rule maps them to C^d: reflect applies the Householder reflection H,
-Hermitian and unitary with first column phi up to a phase, at O(d) per
-vector.  sample_posterior_states reflects the records themselves; a caller
-that reads them only through a few vectors reflects those instead
-(aligned_frame, which the sweeps and moments.mc_covariances read O's
-eigenvectors through).  Overlaps <psi|v_j> with the r
-columns of V need only m = min(d, r + 2) coordinates, drawn at O(r) cost
-per outcome: the phi one, r along a basis of the column span of H V without
-its first row, and, below d, the rest's norm, lifted as c is to Gamma(d-m+1).
+vector is phi, independently of phi, as a stream of one-row groups whose
+chunks it copies into the caller's array.  One rule maps them to C^d:
+reflect applies the Householder reflection H, Hermitian and unitary with
+first column phi up to a phase, at O(d) per vector.
+sample_posterior_states reflects the records themselves; a caller that
+reads them only through a few vectors reflects those instead (aligned_frame,
+which the sweeps and moments.mc_covariances read O's eigenvectors through).
+Overlaps <psi|v_j> with the r columns of V need only m = min(d, r + 2)
+coordinates, drawn at O(r) cost per outcome: the phi one, r along a basis
+of the column span of H V without its first row, and, below d, the rest's
+norm, lifted as c is to Gamma(d-m+1).
 
 stream_aligned_posterior_states draws a stream of records in groups of the
 caller's size (a batch, a covariance trial, or one row) and hands them to
@@ -43,14 +44,15 @@ whole groups, or one group's parts in order.
 The caller and a module-level pool of one thread fewer than the cores
 (created at the first draw that needs it, none on one core; built on
 threading and queue.SimpleQueue, which import no logging) claim chunks in
-stream order.  Each draws the chunks it claims into a buffer of its own,
-one part long, and reduces each there before it claims the next, so a
-stream holds one part per participant whatever its length, and no chunk
-waits for another.  numpy's Gaussian and Gamma fills release the GIL.  The
-pool shares the cores with OpenBLAS's threads: a complex product over a
-few thousand outcome rows wakes OpenBLAS's worker thread, which then spins
-on a core the pool would use, so estimators.BatchReduction reads narrow
-quadratic batches through a real Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
+stream order; a stream of one chunk runs on the caller alone.  Each draws
+the chunks it claims into a buffer of its own, one part long, and reduces
+each there before it claims the next, so a stream holds one part per
+participant whatever its length, and no chunk waits for another.
+numpy's Gaussian and Gamma fills release the GIL.  The pool shares the
+cores with OpenBLAS's threads: a complex product over a few thousand
+outcome rows wakes OpenBLAS's worker thread, which then spins on a core the
+pool would use, so estimators.BatchReduction reads narrow quadratic batches
+through a real Gram instead (QUADRATIC_GRAM_MAX_WIDTH).
 """
 
 from __future__ import annotations
@@ -194,20 +196,17 @@ def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: 
     coordinate is lifted by k = s, to the phi amplitude.  At m = d its
     outcome is H row (reflect); below d the first m - 1 coordinates are those
     aligned_frame reads, and the last is lifted by k = d - m, to the norm of
-    the rest.  There is no (n, m) temporary: out is a stream of n groups of
-    one row (stream_aligned_posterior_states), each chunk drawn straight
-    into its rows.
+    the rest.  out is a stream of n groups of one row
+    (stream_aligned_posterior_states): each chunk is drawn into a
+    participant's buffer and copied into its rows of out.
     """
     if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex (n, m) array")
-    n, m = out.shape
-    _check_outcome_law(d, s, m)
 
-    def fill(g0, g1, parts):
-        for lo, hi, key in parts:
-            _draw_chunk(out[lo:hi], s, d, _generator(rng, key))
+    def copy(g0, g1, parts):  # groups of one row: rows g0 to g1, in one part
+        out[g0:g1] = next(parts)
 
-    _each_chunk(rng, n, 1, m, lambda longest: fill)
+    stream_aligned_posterior_states(s, rng, d, out.shape[1], len(out), 1, copy)
     return out
 
 
@@ -220,18 +219,20 @@ def stream_aligned_posterior_states(
     order, are those groups' (one array unless one group is wider than a
     chunk); each array is valid only until the next is taken.
 
-    The chunks are those of _chunks (see the module docstring).  The caller
-    and the draw pool take them in stream order, and each draws every part
-    of a chunk it takes into a buffer of its own, one part long, which is
-    then reused.  A chunk that raises stops the stream: no chunk is taken
-    after it, the call returns once no chunk is running, and the
-    lowest-numbered chunk's exception is raised.
+    The chunks are those of _chunks (see the module docstring), run by
+    _share on one participant per core, and no more than there are chunks:
+    the caller and threads of the draw pool.  Each draws every part of a
+    chunk it takes into a buffer of its own, one part long, which is then
+    reused.  A chunk that raises stops the stream: no chunk is taken after
+    it, the call returns once no chunk is running, and the lowest-numbered
+    chunk's exception is raised.
     """
     _check_outcome_law(d, s, m)
     if groups < 0 or group_rows < 1:
         raise ValueError(f"cannot stream {groups} groups of {group_rows} records")
+    count, longest, chunks = _chunks(rng, groups, group_rows, m)
 
-    def participant(longest):
+    def participant():
         buf = np.empty((longest, m), dtype=complex)
 
         def run(g0, g1, parts):
@@ -239,28 +240,15 @@ def stream_aligned_posterior_states(
                             for lo, hi, key in parts))
         return run
 
-    _each_chunk(rng, groups, group_rows, m, participant)
-
-
-def _each_chunk(rng: RngStream, groups: int, group_rows: int, m: int, participant) -> None:
-    """Run each chunk of _chunks on a participant's run(g0, g1, parts), made
-    by participant(longest) once per participant: the caller alone, in
-    stream order, if there is one chunk or the process has one core; else
-    the caller and threads of the draw pool."""
-    count, longest, chunks = _chunks(rng, groups, group_rows, m)
-    w = min(count, _cores())
-    if w <= 1:
-        run = participant(longest)
-        for chunk in chunks:
-            run(*chunk)
-    else:
-        _share(chunks, w, lambda: participant(longest))
+    # at least the caller, so that a stream of no chunks still ends
+    _share(chunks, max(1, min(count, _cores())), participant)
 
 
 def _share(chunks, w: int, participant) -> None:
     """Run the chunks on the caller and w - 1 threads of the draw pool, each
     taking the next chunk in stream order until none is left or one has
-    raised (stream_aligned_posterior_states)."""
+    raised (stream_aligned_posterior_states).  At w = 1 the caller runs
+    every chunk, and no pool is asked for."""
     cond, errors, taken, active = threading.Condition(), {}, 0, w
 
     def participate():  # the caller's, and each of w - 1 pool threads'
@@ -282,9 +270,8 @@ def _share(chunks, w: int, participant) -> None:
                 active -= 1
                 cond.notify_all()
 
-    pool = _pool()
     for _ in range(w - 1):
-        pool.submit(participate)
+        _pool().submit(participate)
     participate()
     with cond:
         cond.wait_for(lambda: not active)

@@ -135,11 +135,12 @@ class BatchReduction:
     reduce turns a batch's rows, or a part of them, into additive
     statistics: Tr(O P) and, for quadratic, Psi^T C.  A batch with
     n > 2 m^2 / r is reduced instead to the real Gram R of its records,
-    (2m)^2 floats, fewer than the n r complex entries of C, and read as P.
-    Quadratic does so only up to m = QUADRATIC_GRAM_MAX_WIDTH, where it was
-    measured faster than the overlap path (see ensembles on OpenBLAS's
-    thread), and then takes S V = (d+1) P V - n V from the same P.  finish
-    turns a batch's summed statistics into its estimate.
+    (2m)^2 floats, fewer than the n r complex entries of C; finish reads it
+    as P, for Tr(O P) against O's matrix W = V diag(lam) V^H in the
+    records' basis and quadratic's S V = (d+1) P V - n V.  Quadratic does
+    so only up to m = QUADRATIC_GRAM_MAX_WIDTH, where it was measured
+    faster than the overlap path (see ensembles on OpenBLAS's thread).
+    finish turns a batch's summed statistics into its estimate.
 
     add checks each part's norms once.  It reduces the whole batches of one
     part in one vectorised call and finishes them at once, or sums one
@@ -174,11 +175,8 @@ class BatchReduction:
         self._tr_o = lam.sum()  # Tr O
         self.gram = _gram_pays(kind, V.shape[0], n, lam.size)
         self._wide = kind == "quadratic" and not self.gram and lam.size > n  # Psi^T C > records
-        if self.gram:  # Tr(O P) = sum(R * G) for the real Gram R, read as P below
-            w = (V * lam) @ V.conj().T
-            self._G = np.empty((2 * V.shape[0],) * 2)
-            self._G[::2, ::2] = self._G[1::2, 1::2] = w.real
-            self._G[1::2, ::2], self._G[::2, 1::2] = w.imag, -w.imag
+        if self.gram:  # O in the records' basis: Tr(O P) = sum(P * W.T)
+            self._W = (V * lam) @ V.conj().T
         self.estimates = np.empty(k)
 
     def add(self, g0: int, g1: int, parts) -> None:
@@ -237,14 +235,15 @@ class BatchReduction:
         """The estimate of each batch from its whole statistics; a Psi^T C
         among them is overwritten."""
         d, n, c, V, lam = self.d, self.n, self.copies, self.V, self.lam
-        tr_op = np.einsum("bij,ij->b", stats[0], self._G) if self.gram else stats[0]
-        if self.kind == "linear":
-            return ((d + c) * tr_op - n * self._tr_o) / (c * n)
         if self.gram:  # P[c, a] = sum_i psi_i[c] conj(psi_i[a]) from the real Gram R
             R = stats[0]
-            SV = (R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])) @ V
+            P = R[:, ::2, ::2] + R[:, 1::2, 1::2] + 1j * (R[:, 1::2, ::2] - R[:, ::2, 1::2])
+            tr_op = np.einsum("bca,ac->b", P, self._W).real
         else:
-            SV = stats[1]
+            tr_op = stats[0]
+        if self.kind == "linear":
+            return ((d + c) * tr_op - n * self._tr_o) / (c * n)
+        SV = P @ V if self.gram else stats[1]
         SV *= d + 1
         SV -= n * V
         tr_os2 = (SV.real**2 + SV.imag**2).sum(axis=1) @ lam

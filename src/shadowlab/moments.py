@@ -298,10 +298,12 @@ def _mc_workspace(patterns, d: int, N: int):
     unordered pairs traced and outcomes per trial.  A ValueError on a small N,
     or if what mc_covariances holds exceeds MAX_OUTCOME_BYTES: the traces,
     the N-long complex product buffer and a standard deviation's N-long
-    float temporary, counted as a second complex one; the dense d x d rho
-    and O; and per participant four chunks, or trials if a trial is wider:
-    its buffer, the trial's parts copied out of it and gathered, and the
-    pair traces' conjugate of the records."""
+    float temporary, counted as a second complex one; eight dense d x d
+    arrays, measured at a covariance gate's peak (rho, O, rho @ rho, the
+    eigh of rho and of O, O @ rho and LAPACK's workspace); and per
+    participant four chunks, or trials if a trial is wider: its buffer, the
+    trial's parts copied out of it and gathered, and the pair traces'
+    conjugate of the records."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
@@ -309,9 +311,9 @@ def _mc_workspace(patterns, d: int, N: int):
     keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
     held = 4 * max(CHUNK_FLOATS // 2, n_shadows * d) * _cores()
     require_outcome_budget(
-        16 * ((len(keys) + 2) * N + 2 * d * d + held),
+        16 * ((len(keys) + 2) * N + 8 * d * d + held),
         f"{', '.join(patterns)}: {N} trials x {n_shadows} outcomes x d = {d}, "
-        f"{len(keys)} pair traces and the dense rho and O would",
+        f"{len(keys)} pair traces and eight dense d x d arrays would",
         "use fewer trials or a smaller d",
     )
     return pairs, keys, n_shadows

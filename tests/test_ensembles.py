@@ -12,7 +12,7 @@ from scipy import stats
 
 from oracles import haar_states, sample_posterior_states as oracle_posterior_states
 import shadowlab
-from shadowlab import ensembles, moments
+from shadowlab import bhm, cli, ensembles, moments
 from shadowlab.ensembles import (
     CHUNK_FLOATS,
     RngStream,
@@ -656,6 +656,43 @@ def test_a_failing_chunk_stops_the_stream(monkeypatch, pool):
     assert all(kind == "start" or key[2] == 7 for kind, key in events[:raised])
     assert events[raised + 1:] == []
     assert {(2, 0, j, 0) for j in range(6)} <= {key for _, key in events[:raised]}
+
+
+def test_zero_records_return_at_once():
+    # a stream of no chunks still has its caller as a participant, so it
+    # ends: the calls run on a daemon thread, and a hang fails the join
+    # instead of stalling the test run
+    phi = sample_haar_state(5, RngStream(84))
+    got, reduced = [], []
+
+    def draw():
+        got.append(sample_posterior_states(phi, 1, RngStream(85), 0))
+        stream_aligned_posterior_states(1, RngStream(86), 5, 5, 0, 3,
+                                        lambda *chunk: reduced.append(chunk))
+
+    thread = threading.Thread(target=draw, daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive(), "a zero-record draw did not return"
+    assert got[0].shape == (0, 5) and reduced == []
+
+
+def test_one_chunk_streams_create_no_pool(monkeypatch):
+    # on two cores, a jm trial, a bhm run and a one-chunk draw each run
+    # their one chunk on the caller: none asks for the draw pool
+    def tripwire():
+        raise AssertionError("a one-chunk stream asked for the draw pool")
+
+    monkeypatch.setattr(ensembles, "_cores", lambda: 2)
+    monkeypatch.setattr(ensembles, "_pool", tripwire)
+    config = cli.ExperimentConfig(mode="jm", d=16, B=4.0, eps=0.2, delta=0.05, trials=1,
+                                  seed=87, estimator="auto")
+    (row,) = cli.run_sweep(config)
+    assert row.mode == "jm"
+    rng = RngStream(88, 1)
+    bhm.run_protocol(bhm.gen_instance(16, 0.25, 1, rng), 0.05, rng)
+    records = sample_posterior_states(sample_haar_state(8, rng), 2, rng, 100)
+    assert records.shape == (100, 8)
 
 
 def test_threads_that_make_their_first_draw_at_once_share_one_pool(monkeypatch):

@@ -22,7 +22,7 @@ from oracles import (
     trace_joint_variance,
     traceless_part,
 )
-from shadowlab import ensembles, moments
+from shadowlab import cli, ensembles, moments
 from shadowlab.ensembles import (
     CHUNK_FLOATS, RngStream, require_outcome_budget, sample_haar_state,
 )
@@ -555,11 +555,34 @@ def test_mc_covariances_gather_a_trial_wider_than_a_chunk(monkeypatch):
 
 
 def test_mc_guard_counts_the_dense_matrices_not_a_block():
-    # d = 4096 at 50000 trials holds 512 MiB of dense rho and O, a few MiB
-    # of traces and a few chunks; d = 8192's dense pair alone is 2 GiB
-    assert mc_shadows_per_trial(COV_PATTERNS, 4096, 50_000) == 4
-    with pytest.raises(ValueError, match="MiB"):
-        mc_shadows_per_trial(COV_PATTERNS, 8192, 1000)
+    # the guard counts eight dense d x d arrays, a few MiB of traces and a
+    # few chunks: d = 2048 at 50000 trials is 512 MiB of dense arrays,
+    # admitted; d = 4096's are 2 GiB, and d = 8192's 8 GiB, refused
+    assert mc_shadows_per_trial(COV_PATTERNS, 2048, 50_000) == 4
+    for d in (4096, 8192):
+        with pytest.raises(ValueError, match="MiB"):
+            mc_shadows_per_trial(COV_PATTERNS, d, 1000)
+
+
+def test_covariance_gate_peaks_within_the_guard_figure(monkeypatch):
+    # the whole gate, its instance drawn while traced: rho, O, rho @ rho,
+    # the eigh of rho and of O and O @ rho peak near five dense d x d
+    # arrays (20.1 MiB at d = 512), over the two that the guard once
+    # counted (10.1 MiB)
+    figures = []
+
+    def guard(nbytes, *args):
+        figures.append(nbytes)
+        return require_outcome_budget(nbytes, *args)
+
+    monkeypatch.setattr(moments, "require_outcome_budget", guard)
+    tracemalloc.start()
+    try:
+        cli._covariance_rows(COV_PATTERNS, 512, 1000, RngStream(78))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= figures[-1], (peak, figures[-1])
 
 
 @pytest.mark.parametrize("pattern", COV_PATTERNS)
