@@ -15,14 +15,14 @@ is dropped: an outcome is read only through |psi><psi|, and h's uniform
 phase keeps the relative phases uniform.  There is no rejection step, and
 the cost is O(d) per outcome independent of s.
 
-sample_aligned_posterior_states draws psi in coordinates whose first basis
-vector is phi, independently of phi, as a stream of one-row groups whose
-chunks it copies into the caller's array.  One rule maps them to C^d:
+stream_aligned_posterior_states draws psi in coordinates whose first
+basis vector is phi, independently of phi.  One rule maps them to C^d:
 reflect applies the Householder reflection H, Hermitian and unitary with
 first column phi up to a phase, at O(d) per vector.
-sample_posterior_states reflects the records themselves; a caller that
-reads them only through a few vectors reflects those instead (aligned_frame,
-which the sweeps and moments.mc_covariances read O's eigenvectors through).
+sample_posterior_states copies a stream of one-row groups into its array
+and reflects the records themselves; a caller that reads them only through
+a few vectors reflects those instead (aligned_frame, which the sweeps and
+moments.mc_covariances read O's eigenvectors through).
 Overlaps <psi|v_j> with the r columns of V need only m = min(d, r + 2)
 coordinates, drawn at O(r) cost per outcome: the phi one, r along a basis
 of the column span of H V without its first row, and, below d, the rest's
@@ -161,13 +161,20 @@ def sample_haar_state(d: int, rng: RngStream) -> np.ndarray:
 def sample_posterior_states(phi: np.ndarray, s: int, rng: RngStream, size: int) -> np.ndarray:
     """size outcomes of the joint measurement on phi^(x s); shape (size, d).
 
-    The aligned draw at full width, reflected in place: the same generator
-    calls in the same order.  phi must be a unit vector, to UNIT_NORM_TOL.
+    A stream of size one-row groups at full width, each chunk copied into
+    its rows, then reflected in place.  phi must be a unit vector, to
+    UNIT_NORM_TOL.
     """
     if phi.ndim != 1 or not abs(np.vdot(phi, phi).real - 1.0) <= UNIT_NORM_TOL:
         raise ValueError("phi must be a unit vector")
     d = phi.shape[0]
-    return reflect(phi, sample_aligned_posterior_states(s, rng, np.empty((size, d), complex), d))
+    out = np.empty((size, d), complex)
+
+    def copy(g0, g1, parts):  # groups of one row: rows g0 to g1, in one part
+        out[g0:g1] = next(parts)
+
+    stream_aligned_posterior_states(s, rng, d, d, size, 1, copy)
+    return reflect(phi, out)
 
 
 def reflect(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,35 +193,12 @@ def reflect(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sample_aligned_posterior_states(s: int, rng: RngStream, out: np.ndarray, d: int) -> np.ndarray:
-    """Fill out, a C-contiguous complex (n, m) array with 2 <= m <= d, with
-    n outcomes of the joint measurement on phi^(x s) in C^d, as coordinates
-    in a basis whose first vector is phi; returns out.
-
-    Row i is a standard complex Gaussian drawn in place, then normalised on
-    the float view (times the real 1/||row||).  Before that its first
-    coordinate is lifted by k = s, to the phi amplitude.  At m = d its
-    outcome is H row (reflect); below d the first m - 1 coordinates are those
-    aligned_frame reads, and the last is lifted by k = d - m, to the norm of
-    the rest.  out is a stream of n groups of one row
-    (stream_aligned_posterior_states): each chunk is drawn into a
-    participant's buffer and copied into its rows of out.
-    """
-    if out.ndim != 2 or out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous complex (n, m) array")
-
-    def copy(g0, g1, parts):  # groups of one row: rows g0 to g1, in one part
-        out[g0:g1] = next(parts)
-
-    stream_aligned_posterior_states(s, rng, d, out.shape[1], len(out), 1, copy)
-    return out
-
-
 def stream_aligned_posterior_states(
     s: int, rng: RngStream, d: int, m: int, groups: int, group_rows: int, reduce
 ) -> None:
-    """Draw groups groups of group_rows records of sample_aligned_posterior_
-    states's law, m wide, and hand each chunk to reduce(g0, g1, parts): its
+    """Draw groups groups of group_rows outcomes of the joint measurement on
+    phi^(x s) in C^d, as m-wide records (2 <= m <= d, the module docstring's
+    aligned coordinates), and hand each chunk to reduce(g0, g1, parts): its
     groups g0 to g1, as an iterator of record arrays whose rows, in stream
     order, are those groups' (one array unless one group is wider than a
     chunk); each array is valid only until the next is taken.
@@ -389,9 +373,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def aligned_frame(phi: np.ndarray, vecs: np.ndarray, full: bool = False) -> np.ndarray:
-    """The (m, r) frame with which records of sample_aligned_posterior_states
-    give the overlaps with the columns of vecs (d, r): records @ frame.conj()
-    has the law of sample_posterior_states(phi, ...) @ vecs.conj().
+    """The (m, r) frame with which the m-wide records of
+    stream_aligned_posterior_states give the overlaps with the columns of
+    vecs (d, r): records @ frame.conj() has the law of
+    sample_posterior_states(phi, ...) @ vecs.conj().
 
     The full frame (m = d) is H vecs, for H of reflect.  Otherwise m =
     min(d, r + 2): the rows of H vecs after the first become the R factor of

@@ -125,8 +125,8 @@ class BatchReduction:
     <psi_i|O|psi_i> = |C_i|^2 @ lam and Tr(O S^2) = sum_j lam_j ||S v_j||^2,
     where S V = (d+1) Psi^T C - n V.  The cost is O(k n d r) for rank r.
     With a frame (m, r), the outcomes are width-m records in another basis,
-    such as those of ensembles.sample_aligned_posterior_states with their
-    ensembles.aligned_frame, and C = <record|frame>, at O(k n m r) cost; d
+    such as the stream ensembles.stream_aligned_posterior_states hands out,
+    with ensembles.aligned_frame, and C = <record|frame>, at O(k n m r) cost; d
     is still O's dimension.  Quadratic also needs the overlaps between
     outcomes, so it takes a frame only when the records carry every
     coordinate (m = d); S V is then computed in that basis, with the same
@@ -277,13 +277,6 @@ def _gram_pays(kind: EstimateKind, m: int, n: int, r: int) -> bool:
     return 2 * m * m < n * r and (kind == "linear" or m <= QUADRATIC_GRAM_MAX_WIDTH)
 
 
-def _outcome_projector(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for one outcome row, which must be a unit vector."""
-    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError("outcome state must be unit norm")
-    return np.outer(psi, np.conj(psi))
-
-
 def affine_shadow(psi: np.ndarray, s: int, d: int) -> np.ndarray:
     """Unbiased trace-1 shadow ((d+s) |psi><psi| - I)/s from a joint outcome on s copies.
 
@@ -292,7 +285,9 @@ def affine_shadow(psi: np.ndarray, s: int, d: int) -> np.ndarray:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    return hermitize(((d + s) * _outcome_projector(psi) - np.eye(d)) / s)
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError("outcome state must be unit norm")
+    return hermitize(((d + s) * np.outer(psi, np.conj(psi)) - np.eye(d)) / s)
 
 
 def median_estimate(O: np.ndarray, shadows: Sequence[np.ndarray]) -> float:

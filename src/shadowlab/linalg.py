@@ -39,12 +39,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self * other)(i) = self(other(i))."""
         return Permutation(tuple(self.images[j] for j in other.images))
@@ -104,18 +98,10 @@ def perm_operator(pi: Permutation, d: int) -> np.ndarray:
         raise ValueError("d must be >= 2")
     s = pi.size
     dim = _check_budget(d, s)
-    cols = np.arange(dim)
-    digits = np.empty((s, dim), dtype=np.int64)
-    rem = cols
-    for pos in range(s - 1, -1, -1):
-        digits[pos] = rem % d
-        rem = rem // d
-    inv = pi.inverse()
-    rows = np.zeros(dim, dtype=np.int64)
-    for pos in range(s):
-        rows = rows * d + digits[inv(pos)]
+    # digit i of column x moves to digit pi(i) of its row
+    rows = np.arange(dim).reshape((d,) * s).transpose(pi.images).ravel()
     W = np.zeros((dim, dim), dtype=complex)
-    W[rows, cols] = 1.0
+    W[rows, np.arange(dim)] = 1.0
     return W
 
 

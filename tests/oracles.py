@@ -36,6 +36,10 @@ standard basis, where the library forms one per
 unordered pair in the phi-aligned basis, chunk by chunk through O's factor,
 and reads T(j, i) as conj T(i, j).  dense_pair_traces is the library's
 former pair-trace kernel, on the dense O.
+
+aligned_records collects the library's stream of phi-aligned records, at
+any width, into one array, as sample_posterior_states does at full width
+before it reflects them.
 """
 
 from __future__ import annotations
@@ -404,4 +408,16 @@ def ordered_pair_covariances(patterns, rho: np.ndarray, O: np.ndarray, d: int, N
     for ab, ce in pairs:
         prods = traces[ab] * traces[ce].conj()
         out.append((float(prods.mean().real), float(prods.real.std(ddof=1) / math.sqrt(N))))
+    return out
+
+
+def aligned_records(s: int, rng: RngStream, d: int, m: int, n: int) -> np.ndarray:
+    """n m-wide records of the library's stream, one row a group, each chunk
+    copied into its rows of one (n, m) array."""
+    out = np.empty((n, m), dtype=complex)
+
+    def copy(g0, g1, parts):
+        out[g0:g1] = next(parts)
+
+    stream_aligned_posterior_states(s, rng, d, m, n, 1, copy)
     return out

@@ -674,7 +674,7 @@ def test_cli_cov_check_prints_nothing_before_an_error(monkeypatch, capsys):
 
 
 def test_cli_cov_check_outcome_memory_guard_exits_2_with_no_output(monkeypatch, capsys):
-    # at d = 8192 the guard's figure counts the dense rho and O, 2 GiB; the
+    # at d = 8192 the guard's figure counts eight dense d x d arrays, 8 GiB; the
     # instance draws and the sampler are tripwires, so a guard that ran late
     # (after the O(d^3) work on the state and the observable) fails here
     def refuse(*args):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import haar_states, sample_posterior_states as oracle_posterior_states
+from oracles import aligned_records, haar_states, sample_posterior_states as oracle_posterior_states
 import shadowlab
 from shadowlab import bhm, cli, ensembles, moments
 from shadowlab.ensembles import (
@@ -19,7 +19,6 @@ from shadowlab.ensembles import (
     _lift,
     aligned_frame,
     reflect,
-    sample_aligned_posterior_states,
     sample_haar_state,
     sample_posterior_states,
     stream_aligned_posterior_states,
@@ -128,15 +127,14 @@ def test_posterior_overlap_distribution_ks():
 def aligned_states(phi, s, rng, n):
     """Outcomes of the phi-aligned sampler, reflected to the standard basis."""
     d = phi.shape[0]
-    records = sample_aligned_posterior_states(s, rng, np.empty((n, d), dtype=complex), d)
+    records = aligned_records(s, rng, d, d, n)
     return reflect(phi, records)
 
 
 def reduced_records(phi, vecs, s, rng, n):
     """(records, frame): aligned records reduced to what <psi|vecs> reads."""
     frame = aligned_frame(phi, vecs)
-    out = np.empty((n, frame.shape[0]), dtype=complex)
-    return sample_aligned_posterior_states(s, rng, out, phi.shape[0]), frame
+    return aligned_records(s, rng, phi.shape[0], frame.shape[0], n), frame
 
 
 @pytest.mark.parametrize("s, d", [(0, 2), (1, 8), (3, 64), (500, 16)])
@@ -188,7 +186,7 @@ def test_reduced_records_lift_the_rest_coordinate():
     _lift(c, d - m, RngStream(30).gen)
     ref = np.random.default_rng(31)
     assert stats.ks_2samp(c.real**2 / 2, ref.gamma(d - m + 1, size=n)).pvalue > 1e-3
-    records = sample_aligned_posterior_states(2, RngStream(32), np.empty((n, m), complex), d)
+    records = aligned_records(2, RngStream(32), d, m, n)
     assert not records[:, -1].imag.any() and (records[:, -1].real >= 0).all()
     ratio = records[:, -1].real ** 2 / (np.abs(records[:, 1:-1]) ** 2).sum(axis=1)
     want = ref.gamma(d - m + 1, size=n) / ref.gamma(m - 2, size=n)
@@ -288,7 +286,7 @@ def test_reduced_sampler_guards():
         aligned_frame(np.ones(1), np.ones((1, 1)))
     for m, d in ((4, 3), (1, 3)):  # records are 2 to d wide
         with pytest.raises(ValueError):
-            sample_aligned_posterior_states(1, RngStream(0), np.empty((3, m), dtype=complex), d)
+            aligned_records(1, RngStream(0), d, m, 3)
     # an unnormalised phi is normalised, as by measure_joint_batch
     assert np.allclose(aligned_frame(3 * phi, np.eye(3, 2)), aligned_frame(phi, np.eye(3, 2)))
     # widths: span{phi, V} plus the rest, or every coordinate
@@ -320,8 +318,8 @@ def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
     rng = SimpleNamespace(gen=_ZeroPhiGenerator())
     phi = np.eye(d, dtype=complex)[0]
     full = sample_posterior_states(phi, s, rng, 3)
-    aligned = sample_aligned_posterior_states(s, rng, np.empty((3, d), dtype=complex), d)
-    reduced = sample_aligned_posterior_states(s, rng, np.empty((3, 3), dtype=complex), d)
+    aligned = aligned_records(s, rng, d, d, 3)
+    reduced = aligned_records(s, rng, d, 3, 3)
     for rows in (full, aligned, reduced):
         assert np.isfinite(rows).all()
         assert np.abs(np.linalg.norm(rows, axis=1) - 1).max() < 1e-12
@@ -336,15 +334,11 @@ def test_samplers_give_a_unit_row_when_the_phi_coordinate_is_zero(s):
 def test_aligned_sampler_guards():
     rng = RngStream(0)
     with pytest.raises(ValueError):  # d = 1
-        sample_aligned_posterior_states(1, rng, np.empty((3, 1), dtype=complex), 1)
+        aligned_records(1, rng, 1, 1, 3)
     with pytest.raises(ValueError):
-        sample_aligned_posterior_states(-1, rng, np.empty((3, 2), dtype=complex), 2)
-    for out in (np.empty((3, 4)), np.empty((4, 3), dtype=complex).T, np.empty(4, dtype=complex)):
-        with pytest.raises(ValueError):  # complex, C-contiguous and (n, m) only
-            sample_aligned_posterior_states(1, rng, out, 4)
-    # the draws fill out in place, and do not depend on phi
-    out = np.empty((5, 3), dtype=complex)
-    assert sample_aligned_posterior_states(2, RngStream(1), out, 3) is out
+        aligned_records(-1, rng, 2, 2, 3)
+    # the draws do not depend on phi
+    out = aligned_records(2, RngStream(1), 3, 3, 5)
     assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
 
 
@@ -386,7 +380,7 @@ def test_posterior_states_are_the_aligned_draw_reflected(s, size):
     phi = sample_haar_state(d, RngStream(50))
     a, b = RngStream(51, s), RngStream(51, s)
     full = sample_posterior_states(phi, s, a, size)
-    records = sample_aligned_posterior_states(s, b, np.empty((size, d), dtype=complex), d)
+    records = aligned_records(s, b, d, d, size)
     np.testing.assert_equal(a.gen.bit_generator.state, b.gen.bit_generator.state)
     assert np.abs(full - reflect(phi, records)).max() <= 1e-15
     with pytest.raises(ValueError):  # phi must be a unit vector
@@ -431,7 +425,7 @@ class _InlinePool:
 
 def _two_blocks(rng, n, m, d):
     """Two consecutive draws of (n, m) records from one stream."""
-    return [sample_aligned_posterior_states(3, rng, np.empty((n, m), complex), d) for _ in "ab"]
+    return [aligned_records(3, rng, d, m, n) for _ in "ab"]
 
 
 # Participant counts, each with a draw pool: one is the caller alone; the
@@ -487,7 +481,7 @@ def test_a_draw_of_one_chunk_reads_the_stream_itself():
     # at or below CHUNK_FLOATS floats, the parent stream's own calls: the
     # Gaussian fill, then the phi coordinate's Gamma(s)
     n, m, d, s = CHUNK_FLOATS // 8, 4, 4, 3
-    out = sample_aligned_posterior_states(s, RngStream(71), np.empty((n, m), complex), d)
+    out = aligned_records(s, RngStream(71), d, m, n)
     gen = RngStream(71).gen
     z = gen.standard_normal((n, 2 * m)).view(complex)
     a = np.sqrt(np.abs(z[:, 0]) ** 2 + 2 * gen.gamma(s, size=n))
@@ -760,10 +754,10 @@ def test_a_forked_child_draws_without_the_parent_s_pool_threads():
     # a child forked after a multi-chunk draw inherits none of the pool's
     # threads; its own multi-chunk draw must make a new pool, not wait on them
     n, m, d = 4 * CHUNK_FLOATS // 8, 8, 8
-    want = sample_aligned_posterior_states(2, RngStream(73), np.empty((n, m), complex), d)
+    want = aligned_records(2, RngStream(73), d, m, n)
     pid = os.fork()
     if pid == 0:  # the child: exit 0 if the draw returns the parent's records
-        got = sample_aligned_posterior_states(2, RngStream(73), np.empty((n, m), complex), d)
+        got = aligned_records(2, RngStream(73), d, m, n)
         os._exit(0 if np.array_equal(got, want) else 1)
     deadline = time.monotonic() + 30
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:

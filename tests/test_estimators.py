@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import (
-    haar_states, linear_mean_shadow, observable_from_matrix, quadratic_shadow, single_copy_shadow,
+    aligned_records, haar_states, linear_mean_shadow, observable_from_matrix, quadratic_shadow,
+    single_copy_shadow,
 )
 from shadowlab import estimators
 from shadowlab.cli import _batch_estimates
@@ -15,7 +16,6 @@ from shadowlab.ensembles import (
     RngStream,
     aligned_frame,
     reflect,
-    sample_aligned_posterior_states,
     sample_haar_state,
 )
 from shadowlab.estimators import (
@@ -483,7 +483,7 @@ def test_batch_estimates_reduced_record_validation():
     with pytest.raises(ValueError):  # reduced records from the sampler, m = 4 < d = 8
         obs = random_observable(8, 2, RngStream(1))
         frame = aligned_frame(sample_haar_state(8, RngStream(2)), obs.vecs)
-        reduced = sample_aligned_posterior_states(1, RngStream(3), np.empty((6, 4), complex), 8)
+        reduced = aligned_records(1, RngStream(3), 8, 4, 6)
         batch_estimates(obs, reduced.reshape(2, 3, -1), "quadratic", frame=frame)
     with pytest.raises(ValueError):  # record width and frame rows disagree
         batch_estimates(O, records, "linear", frame=np.eye(4, 2, dtype=complex))
@@ -508,7 +508,7 @@ def test_reduced_linear_estimates_match_full_vectors(d, B):
     frame = aligned_frame(phi, O.vecs)
     m = min(d, O.evals.size + 2)
     assert frame.shape == (m, O.evals.size)
-    records = sample_aligned_posterior_states(1, RngStream(31, d), np.empty((n * s, m), complex), d)
+    records = aligned_records(1, RngStream(31, d), d, m, n * s)
     new = batch_estimates(O, records.reshape(n, s, m), "linear", frame=frame)
     full = measure_independent_batch(phi, RngStream(32, d), n * s).reshape(n, s, d)
     old = batch_estimates(O, full, "linear")
@@ -530,9 +530,7 @@ def test_aligned_records_give_the_full_vector_quadratic_estimates(d, B):
     # coordinate outside span{phi, V}: a full change of basis too
     phi, O = _law_case(d, B, RngStream(33, d))
     h = reflect(phi, np.eye(d, dtype=complex)).T  # row i of I becomes H e_i
-    records = sample_aligned_posterior_states(
-        1, RngStream(34, d), np.empty((24, d), dtype=complex), d
-    )
+    records = aligned_records(1, RngStream(34, d), d, d, 24)
     frame = aligned_frame(phi, O.vecs, full=True)
     assert np.abs(frame - h @ O.vecs).max() < 1e-14
     full = batch_estimates(O, (records @ h.T).reshape(4, 6, d), "quadratic")
@@ -558,8 +556,7 @@ def test_gram_and_overlap_paths_agree(monkeypatch, d, B, n, kind):
     # overlaps C, with the full frame and, reflected to C^d, with no frame;
     # at (32, 4, 1720), the im-quadratic-d32 batch, the rule picks the Gram
     phi, O = _law_case(d, B, RngStream(39, d))
-    out = np.empty((3 * n, d), dtype=complex)
-    records = sample_aligned_posterior_states(1, RngStream(41, d), out, d)
+    records = aligned_records(1, RngStream(41, d), d, d, 3 * n)
     outcomes = reflect(phi, records.copy()).reshape(3, n, d)
     records = records.reshape(3, n, d)
     frame = aligned_frame(phi, O.vecs, full=True)
@@ -585,8 +582,7 @@ def test_batch_reduction_sums_each_batch_in_row_order(kind, B, n, run):
     d, k = 8, 5
     phi, O = _law_case(d, B, RngStream(90, n))
     frame = aligned_frame(phi, O.vecs, full=kind == "quadratic")
-    out = np.empty((k * n, frame.shape[0]), dtype=complex)
-    records = sample_aligned_posterior_states(1, RngStream(91, n), out, d)
+    records = aligned_records(1, RngStream(91, n), d, frame.shape[0], k * n)
     assert estimators._gram_pays(kind, frame.shape[0], n, O.evals.size) == (n == 700)
     whole = [(g, min(g + run, k)) for g in range(0, k, run)]
     one = [(t, t + 1) for t in range(k)]
@@ -629,8 +625,7 @@ def test_record_consumers_ignore_each_outcome_s_global_phase(d, B):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def draw(s, n, m, seed):
-        out = np.empty((n, m), dtype=complex)
-        return sample_aligned_posterior_states(s, RngStream(seed, d), out, d)
+        return aligned_records(s, RngStream(seed, d), d, m, n)
 
     frame = aligned_frame(phi, O.vecs)
     for n in (3, 64):

@@ -13,6 +13,11 @@ fails here, even if a test still reaches it.  So must a private module-level
 name that the package assigns, such as a lock or a cache: one that no code
 in the package reads (an assignment or a global statement is not a read)
 fails here, so removing a mechanism cannot leave its state behind.
+
+A public method of a class in the package must be read as an attribute by
+the package outside the method's own body, by a script or by the
+benchmark; dunders and private methods are exempt.  So a method whose last
+caller is gone fails here, even if a test still calls it.
 """
 
 import ast
@@ -40,6 +45,13 @@ def _used_names(tree, skip=()):
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     return used
+
+
+def _attributes_read(tree, skip=()):
+    """Attribute names read in tree, outside the nodes in skip."""
+    inside = {id(n) for top in skip for n in ast.walk(top)}
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in inside}
 
 
 def _layer_names():
@@ -130,6 +142,24 @@ def test_every_private_global_is_read_in_the_package():
     trees = _package_trees()
     read = set().union(*(_used_names(tree) for tree in trees.values()))
     unread = [f"{path.stem}.{name}" for path, name in _private_globals(trees) if name not in read]
+    for name in unread:
+        print(f"unread: {name}")
+    assert unread == []
+
+
+def test_every_public_method_is_read_outside_its_body():
+    outside = set()
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        outside |= _attributes_read(_parse(path))
+    trees = _package_trees()
+    unread = [
+        f"{path.stem}.{cls.name}.{fn.name}"
+        for path, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        if fn.name not in outside
+        and not any(fn.name in _attributes_read(t, [fn] if p == path else [])
+                    for p, t in trees.items())
+    ]
     for name in unread:
         print(f"unread: {name}")
     assert unread == []
