@@ -12,10 +12,14 @@ by its count.  The class table depends only on n and the kept positions, so
 it is enumerated once per process; a call forms I, rho, ..., rho^s once and
 reads each class's powers and traces from them, at poly(d) per class.
 The covariances have a Monte Carlo sampler that serves all the patterns it
-is asked for from one stream of draws and reads them off one complex array
-of pair traces.  Each chunk of the stream, whole trials, is traced on the
+is asked for from one stream of draws.  It conditions ij_jk and ij_kj on
+their shared outcome, which reads only the single-copy shadow's
+unbiasedness, not the second moment that exact_covariance contracts, and
+leaves an error that does not grow with d; the other patterns it reads off
+pair traces.  Each chunk of the stream, whole trials, is reduced on the
 participant that drew it, through O's spectral factor, at O(d r) per
-outcome; only the traces and one product buffer grow with the trial count.  A non-pure rho,
+outcome; only the pair traces and one product buffer grow with the trial
+count.  A non-pure rho,
 or an O that is not finite, Hermitian and d x d, is a ValueError.
 """
 
@@ -59,6 +63,9 @@ _PATTERNS = {
     "distinct": ((0, 1), (2, 3)),
 }
 COV_PATTERNS = tuple(_PATTERNS)
+
+# The patterns that mc_covariances conditions on their shared outcome.
+_CONDITIONED = ("ij_jk", "ij_kj")
 
 # Fewest Monte Carlo trials mc_covariances takes for a stable covariance estimate.
 MC_MIN_TRIALS = 1000
@@ -253,6 +260,13 @@ def covariance_bound(pattern: str, rho: np.ndarray, O: np.ndarray, d: int) -> fl
     return (d + 2) * t2 + (3 * d - 2) * o_norm2  # ij_ij
 
 
+def _weights(frame: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The (2r, d) rows whose product with the records' transpose is C^T over
+    (d+1)^2 lam C^T, C = records @ conj(F)."""
+    d = frame.shape[0]
+    return np.concatenate([frame, frame * ((d + 1) ** 2 * lam)], axis=1).T.conj()
+
+
 def shadow_pair_traces(frame: np.ndarray, lam: np.ndarray, records: np.ndarray,
                        pairs) -> np.ndarray:
     """T(i, j) = Tr(O rhohat_i rhohat_j) of each (i, j) of pairs for each of
@@ -262,15 +276,19 @@ def shadow_pair_traces(frame: np.ndarray, lam: np.ndarray, records: np.ndarray,
     (d+1)|psi><psi| - I gives T(i, j) = (d+1)^2 <psi_j|O|psi_i><psi_i|psi_j>
     - (d+1)(|C_i|^2 lam + |C_j|^2 lam) + Tr O, <psi_j|O|psi_i> = sum_q lam_q
     conj(C_jq) C_iq, at O(n k d r) and no d x d matrix; T(j, i) = conj T(i, j).
-    One product gives C and (d+1)^2 lam C, one row per frame column, so the
-    later steps run along the outcomes as einsums and ufuncs: a BLAS product
-    with lam would wake OpenBLAS's worker thread on a draw-pool core.
+    One product gives C and (d+1)^2 lam C (_weights), so the later steps run
+    along the outcomes as einsums and ufuncs: a BLAS product with lam would
+    wake OpenBLAS's worker thread on a draw-pool core.
     """
     n, k, d = records.shape
-    r = lam.size
-    weighted = np.concatenate([frame, frame * ((d + 1) ** 2 * lam)], axis=1)
-    ct = weighted.T.conj() @ records.reshape(n * k, d).T  # (2r, n k): C^T over (d+1)^2 lam C^T
-    c, lc = ct[:r], ct[r:]
+    return _pair_traces(_weights(frame, lam) @ records.reshape(n * k, d).T, lam, records, pairs)
+
+
+def _pair_traces(ct, lam, records, pairs):
+    """shadow_pair_traces from the records' product ct with _weights;
+    conjugates its C^T rows in place."""
+    n, k, d = records.shape
+    c, lc = ct[:lam.size], ct[lam.size:]
     # u = (d+1) <psi|O|psi> - Tr O / 2 of every outcome, so T(i, j) = (d+1)^2 ... - u_i - u_j
     u = np.einsum("qm,qm->m", c.real, lc.real)
     u += np.einsum("qm,qm->m", c.imag, lc.imag)
@@ -294,8 +312,9 @@ def mc_shadows_per_trial(patterns, d: int, N: int) -> int:
 
 
 def _mc_workspace(patterns, d: int, N: int):
-    """mc_covariances' (pairs, keys, n_shadows): each pattern's index pairs, the
-    unordered pairs traced and outcomes per trial.  A ValueError on a small N,
+    """mc_covariances' (pairs, keys, n_shadows, conditioned): each pattern's
+    index pairs, the unordered pairs of the plain patterns, outcomes per
+    trial and whether a pattern is conditioned.  A ValueError on a small N,
     or if what mc_covariances holds exceeds MAX_OUTCOME_BYTES: the traces,
     the N-long complex product buffer and a standard deviation's N-long
     float temporary, counted as a second complex one; eight dense d x d
@@ -303,12 +322,15 @@ def _mc_workspace(patterns, d: int, N: int):
     eigh of rho and of O, O @ rho and LAPACK's workspace); and per
     participant four chunks, or trials if a trial is wider: its buffer, the
     trial's parts copied out of it and gathered, and the pair traces'
-    conjugate of the records."""
+    conjugate of the records.  The conditioned patterns hold only a 5 x 5
+    Gram matrix per chunk, which it does not count."""
     if N < MC_MIN_TRIALS:
         raise ValueError(f"need N >= {MC_MIN_TRIALS} for a stable covariance estimate")
     pairs = [_pattern_indices(p) for p in patterns]
-    n_shadows = max(max(ab + ce) for ab, ce in pairs) + 1
-    keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in pairs for ij in pair))
+    plain = [pair for p, pair in zip(patterns, pairs) if p not in _CONDITIONED]
+    conditioned = len(plain) < len(pairs)
+    n_shadows = max((max(ab + ce) + 1 for ab, ce in plain), default=1)
+    keys = list(dict.fromkeys(tuple(sorted(ij)) for pair in plain for ij in pair))
     held = 4 * max(CHUNK_FLOATS // 2, n_shadows * d) * _cores()
     require_outcome_budget(
         16 * ((len(keys) + 2) * N + 8 * d * d + held),
@@ -316,13 +338,34 @@ def _mc_workspace(patterns, d: int, N: int):
         f"{len(keys)} pair traces and eight dense d x d arrays would",
         "use fewer trials or a smaller d",
     )
-    return pairs, keys, n_shadows
+    return pairs, keys, n_shadows, conditioned
+
+
+def _conditioned_rows(gram: np.ndarray, k: int, N: int) -> dict:
+    """ij_jk's and ij_kj's (covariance, standard error) from the Gram matrix,
+    over the N trials, of z = (1, s, t, x, y): a trial's sums over its k
+    outcomes of Re A, Im A, (Re A)^2 and (Im A)^2.  With A_c = A minus its
+    sample mean, a trial's values are its means of Re A_c^2 = (Re A_c)^2 -
+    (Im A_c)^2 and of |A_c|^2, their sum: each is w . z for one w, so its
+    sum over the trials is w . gram[:, 0] and its sum of squares w gram w."""
+    scale = np.array([1.0] + [1 / k] * 4)
+    gram = gram * np.outer(scale, scale)  # of the trials' means
+    a, b = gram[0, 1] / N, gram[0, 2] / N  # the sample means of Re A and Im A
+    out = {}
+    for pattern, sign in (("ij_jk", -1), ("ij_kj", 1)):
+        w = np.array([a * a + sign * b * b, -2 * a, -2 * sign * b, 1, sign])
+        mean = float(w @ gram[:, 0]) / N
+        var = (float(w @ gram @ w) - N * mean * mean) / (N - 1)
+        out[pattern] = (mean, math.sqrt(var / N))
+    return out
 
 
 def mc_covariance(
     pattern: str, rho: np.ndarray, O: np.ndarray, d: int, N: int, rng: RngStream
 ) -> tuple[float, float]:
-    """Monte Carlo covariance for a pattern, with its standard error: mc_covariances for one."""
+    """Monte Carlo covariance for a pattern, with its standard error:
+    mc_covariances for one, so ij_jk and ij_kj draw one outcome per trial and
+    read it through A, and the others draw the outcomes their pairs index."""
     return mc_covariances((pattern,), rho, O, d, N, rng)[0]
 
 
@@ -332,39 +375,72 @@ def mc_covariances(
     """Monte Carlo covariance and its standard error for each pattern, from one draw.
 
     Independent cross-check of exact_covariance: draws N trials of fresh
-    single-copy outcomes, as many per trial as the patterns index, and forms
-    T(i, j) = Tr(O rhohat_i rhohat_j) once per unordered pair: O is Hermitian,
-    so T(j, i) = conj T(i, j).  O is factored with one eigh, keeping the
-    eigenpairs with |lam| > EIGENVALUE_CUTOFF ||O||, and its frame reflected
-    into the phi-aligned records' basis (aligned_frame); the traces are
-    basis-invariant.  The records are streamed in groups of one trial
-    (stream_aligned_posterior_states), and each chunk's trials are traced by
-    shadow_pair_traces on the participant that drew it, into the complex
-    (pairs, N) trace array; a trial wider than a chunk comes in parts, whose
-    rows are gathered first.  A pattern's covariance is the mean of
-    Re(x conj y) over the centred traces, Re(x y) if one of its pairs is
-    reversed.  A request that mc_shadows_per_trial
-    refuses is a ValueError before anything is sampled.
+    single-copy outcomes, as many per trial as the plain patterns index (one
+    if there are none).  ij_jk and ij_kj are conditioned on their shared
+    outcome (a Rao-Blackwell step that reads only E[rhohat] = rho): their
+    covariances are those of A(psi) = (d+1) <psi|O phi><phi|psi>, read from
+    every outcome drawn.  With A_c = A minus its sample mean, ij_jk is the
+    mean of Re A_c^2 and ij_kj of |A_c|^2, at an error that does not grow
+    with d.  The plain patterns read T(i, j) = Tr(O rhohat_i rhohat_j),
+    formed once per unordered pair (O is Hermitian, so T(j, i) =
+    conj T(i, j)): a covariance is the mean of Re(x conj y) over the centred
+    traces, Re(x y) if one of its pairs is reversed.  A trial's value is the
+    mean over its outcomes, and the standard error is that of the N values.
+
+    O is factored with one eigh, keeping the eigenpairs with |lam| >
+    EIGENVALUE_CUTOFF ||O||, and its frame F reflected into the phi-aligned
+    records' basis (aligned_frame).  There phi is the first basis vector up
+    to a phase that A cancels, so A = (d+1) psi_0 conj(sum_q lam_q F[0, q]
+    <f_q|psi>), and the traces are basis-invariant.  The records are
+    streamed in groups of one trial (stream_aligned_posterior_states).  Each
+    chunk is reduced on the participant that drew it, from one product with
+    the frame (_weights), to its trials' pair traces and to the Gram matrix
+    of their sums of Re A, Im A and their squares (_conditioned_rows).  A
+    trial wider than a chunk comes in parts, whose rows are gathered first.
+    A request that mc_shadows_per_trial refuses is a ValueError before
+    anything is sampled.
     """
-    pairs, keys, n_shadows = _mc_workspace(patterns, d, N)
+    pairs, keys, n_shadows, conditioned = _mc_workspace(patterns, d, N)
     phi = pure_state_vector(rho)
     _check_observable(O, d)
     lam, vecs = np.linalg.eigh(O)
     keep = np.abs(lam) > EIGENVALUE_CUTOFF * np.abs(lam).max()
     lam, frame = lam[keep], aligned_frame(phi, vecs[:, keep], full=True)
+    weights = _weights(frame, lam)
+    f0 = frame[0] / (d + 1)  # A = psi_0 conj(f0 . (d+1)^2 lam C)
     traces = np.empty((len(keys), N), dtype=complex)
+    grams = {}  # the conditioned patterns' Gram matrix of each chunk, by its first trial
 
     def reduce(g0, g1, parts):  # whole trials, or one trial in parts
         records = next(parts)
         if len(records) < (g1 - g0) * n_shadows:
             records = np.concatenate([records.copy(), *(part.copy() for part in parts)])
-        traces[:, g0:g1] = shadow_pair_traces(
-            frame, lam, records.reshape(g1 - g0, n_shadows, d), keys)
+        records = records.reshape(g1 - g0, n_shadows, d)
+        ct = weights @ records.reshape(-1, d).T
+        if conditioned:  # an einsum: a BLAS product would wake OpenBLAS's worker thread
+            lc = ct[lam.size:].reshape(-1, g1 - g0, n_shadows)
+            a = np.einsum("q,qtj->jt", f0, lc, order="C")
+            np.conjugate(a, out=a)
+            a *= records[:, :, 0].T
+            re_im = a.view(float).reshape(n_shadows, g1 - g0, 2)  # Re A, Im A by outcome
+            z = np.empty((5, g1 - g0))
+            z[0] = 1
+            z[1:3] = re_im.sum(axis=0).T  # the trials' sums over their outcomes
+            z[3:] = np.square(re_im, out=re_im).sum(axis=0).T
+            grams[g0] = np.einsum("it,jt->ij", z, z)
+        if keys:
+            traces[:, g0:g1] = _pair_traces(ct, lam, records, keys)
 
     stream_aligned_posterior_states(1, rng, d, d, N, n_shadows, reduce)
+    done = {}
+    if conditioned:  # the chunks' Gram matrices summed in stream order
+        done = _conditioned_rows(sum(grams[g] for g in sorted(grams)), n_shadows, N)
     traces -= traces.mean(axis=1, keepdims=True)
-    out, prod = [], np.empty(N, dtype=complex)  # one product buffer for every pattern
-    for ab, ce in pairs:
+    out, prod = [], np.empty(N, dtype=complex) if keys else None  # one for every plain pattern
+    for pattern, (ab, ce) in zip(patterns, pairs):
+        if pattern in done:
+            out.append(done[pattern])
+            continue
         x, y = (traces[keys.index(tuple(sorted(ij)))] for ij in (ab, ce))
         if (ab[0] > ab[1]) != (ce[0] > ce[1]):
             np.multiply(x, y, out=prod)

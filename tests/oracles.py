@@ -34,7 +34,9 @@ ordered trace variable T(i, j) = Tr(O rhohat_i rhohat_j) on its own, from
 the library's stream of outcomes, one trial a group, reflected back to the
 standard basis, where the library forms one per
 unordered pair in the phi-aligned basis, chunk by chunk through O's factor,
-and reads T(j, i) as conj T(i, j).  dense_pair_traces is the library's
+and reads T(j, i) as conj T(i, j); the library's ij_jk and ij_kj are
+conditioned on their shared outcome instead, and agree with this loop's
+within their joint error.  dense_pair_traces is the library's
 former pair-trace kernel, on the dense O.
 
 aligned_records collects the library's stream of phi-aligned records, at

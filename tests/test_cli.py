@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import os
 import subprocess
@@ -360,6 +361,43 @@ def test_covariance_gates_fail_when_o_squared_is_misread(monkeypatch, capsys):
                 assert f"d={d}" in failed, (name, d)
                 argv = ["cov-check", "--d", str(d), "--trials", "20000", "--seed", "1"]
                 assert main(argv) == 1, (name, d)
+
+
+def test_covariance_gates_fail_at_large_d_when_a_formula_is_broken(monkeypatch, capsys):
+    # the conditioned ij_jk and ij_kj keep an error of order 1/sqrt(trials) at
+    # every d, where the plain pair products' grows with d and from d = 16 on
+    # passed an exact value of 0; each mutant fails cov-check at d = 16 and
+    # 64 on the rows named, at 5000 trials (6 sigma about 0.02)
+    exact, scalars = moments.exact_covariance, moments._scalars
+    source = inspect.getsource(exact)
+    line = "c, e, aa = (d + 1) / (d + 2), 1 / (d + 2), a * a"
+    assert line in source
+    swapped = dict(vars(moments))
+    exec(source.replace(line, "e, c, aa = (d + 1) / (d + 2), 1 / (d + 2), a * a"), swapped)
+
+    def zeroed(pattern, rho, O, d):
+        return 0.0 if pattern in ("ij_jk", "ij_kj", "ij_ji") else exact(pattern, rho, O, d)
+
+    def b_as_a(rho, O, d):
+        t1, t2, a, _ = scalars(rho, O, d)
+        return t1, t2, a, a
+
+    mutants = {  # name: (the attribute, its mutant, the rows that must fail)
+        "ij_jk, ij_kj, ij_ji := 0": ("exact_covariance", zeroed, {"ij_jk", "ij_kj"}),
+        "b := a": ("_scalars", b_as_a, {"ij_kj"}),
+        "c <-> e": ("exact_covariance", swapped["exact_covariance"], {"ij_jk", "ij_kj"}),
+    }
+    for d in ("16", "64"):
+        argv = ["cov-check", "--d", d, "--trials", "5000", "--seed", "1"]
+        assert main(argv) == 0, d
+        for name, (attr, mutant, rows) in mutants.items():
+            with monkeypatch.context() as m:
+                m.setattr(moments, attr, mutant)
+                capsys.readouterr()
+                assert main(argv) == 1, (name, d)
+            failed = {line.split()[1] for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("FAIL")}
+            assert rows <= failed, (name, d, failed)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -473,62 +473,103 @@ def test_shadow_pair_traces_match_direct():
         assert np.abs(fast.imag).max() > 1e-3
 
 
+PLAIN_PATTERNS = ("ij_ji", "ij_ij", "distinct")  # read off the pair traces
+
+
+def _plain_rows(results):
+    """The plain patterns' (covariance, standard error) of results over COV_PATTERNS."""
+    return np.array([results[COV_PATTERNS.index(p)] for p in PLAIN_PATTERNS])
+
+
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_mc_covariances_match_the_ordered_pair_loop(d):
     # the same draw as the ordered-pair reference, which forms T(j, i) on its
-    # own in the standard basis; N splits unevenly over the chunks
+    # own in the standard basis; N splits unevenly over the chunks.  The
+    # conditioned rows are checked against the loop in
+    # test_conditioned_and_plain_covariances_agree
     N = 8209
     rng = RngStream(73, d)
     rho = density(sample_haar_state(d, rng))
     O = random_signature_observable(d, d, rng).matrix  # both signs, complex entries
     got = mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(74, d))
     ref = ordered_pair_covariances(COV_PATTERNS, rho, O, d, N, RngStream(74, d))
-    assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
+    assert np.abs(_plain_rows(got) - _plain_rows(ref)).max() < 1e-12
 
 
-@pytest.mark.parametrize("patterns, unordered", [
-    (COV_PATTERNS, 3),  # {0,1}, {1,2}, {2,3}
-    (("ij_jk", "ij_kj", "ij_ji", "ij_ij"), 2),  # the gate's: {0,1}, {1,2}
-    (("ij_ji",), 1),
-], ids=["all", "gate", "ij_ji"])
-def test_mc_covariances_trace_each_unordered_pair_once_per_trial(monkeypatch, patterns, unordered):
-    rows = []
+@pytest.mark.parametrize("d", [2, 3])
+def test_conditioned_and_plain_covariances_agree(d):
+    # at d = 2 and 3, where the plain pair products resolve ij_jk and ij_kj,
+    # the conditioned estimates agree with the ordered-pair loop's within 4
+    # joint sigma, on independent draws, at under a quarter of their error
+    N = 20_000
+    rho, O = cli._covariance_instance(d, RngStream(84, d))
+    patterns = ("ij_jk", "ij_kj")
+    conditioned = mc_covariances(patterns, rho, O, d, N, RngStream(85, d))
+    plain = ordered_pair_covariances(patterns, rho, O, d, N, RngStream(86, d))
+    for pattern, (c, c_err), (p, p_err) in zip(patterns, conditioned, plain):
+        assert abs(c - p) <= 4 * math.hypot(c_err, p_err), (pattern, c, p)
+        assert c_err < p_err / 4, (pattern, c_err, p_err)
 
-    def counting(frame, lam, records, pairs):
+
+@pytest.mark.parametrize("patterns, outcomes, unordered", [
+    (COV_PATTERNS, 4, 2),  # {0,1}, {2,3}
+    (("ij_jk", "ij_kj", "ij_ji", "ij_ij"), 2, 1),  # the gate's: {0,1}
+    (("ij_ji",), 2, 1),
+    (("ij_jk", "ij_kj"), 1, 0),  # conditioned only
+], ids=["all", "gate", "ij_ji", "conditioned"])
+def test_mc_covariances_trace_each_unordered_pair_once_per_trial(
+        monkeypatch, patterns, outcomes, unordered):
+    # the conditioned patterns read every outcome and trace no pair; a trial
+    # draws only the outcomes the plain patterns index
+    drawn, rows = [], []
+    stream, pair_traces = moments.stream_aligned_posterior_states, moments._pair_traces
+
+    def counting_stream(s, rng, d, m, groups, group_rows, reduce):
+        drawn.append(groups * group_rows)
+        return stream(s, rng, d, m, groups, group_rows, reduce)
+
+    def counting_traces(ct, lam, records, pairs):
         rows.append(len(records) * len(pairs))
-        return shadow_pair_traces(frame, lam, records, pairs)
+        return pair_traces(ct, lam, records, pairs)
 
-    monkeypatch.setattr(moments, "shadow_pair_traces", counting)
+    monkeypatch.setattr(moments, "stream_aligned_posterior_states", counting_stream)
+    monkeypatch.setattr(moments, "_pair_traces", counting_traces)
     N = 8209
     rho = rand_rho(3, 75)
     mc_covariances(patterns, rho, np.diag([1.0, -0.5, 0.0]), 3, N, RngStream(75))
+    assert mc_shadows_per_trial(patterns, 3, N) == outcomes
+    assert sum(drawn) == outcomes * N
     assert sum(rows) == unordered * N
 
 
 @pytest.mark.parametrize("d, N", [(8, 1001), (64, 1001)])
 def test_mc_covariances_do_not_depend_on_the_participant_count(monkeypatch, d, N):
     # each chunk of whole trials is traced on the participant that drew it
-    # (2 chunks at d = 8, 16 at d = 64): bit-identical at 1 and 2
+    # (2 chunks at d = 8, 16 at d = 64; 1 and 4 for the conditioned-only
+    # request, which draws 1 outcome a trial): bit-identical at 1 and 2
     # participants, and at 8 on a pool of 7 threads that switch every
     # microsecond, where a trace written by the wrong participant or at the
     # wrong trials would differ
     rng = RngStream(80, d)
     rho = density(sample_haar_state(d, rng))
     O = random_signature_observable(d, 4, rng).matrix
-    results = []
-    for cores in (1, 2):
-        monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
-        results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(81, d)))
-    interval = sys.getswitchinterval()
-    with ThreadPoolExecutor(7) as pool:
-        monkeypatch.setattr(ensembles, "_cores", lambda: 8)
-        monkeypatch.setattr(ensembles, "_pool", lambda: pool)
-        sys.setswitchinterval(1e-6)
-        try:
-            results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(81, d)))
-        finally:
-            sys.setswitchinterval(interval)
-    assert results[0] == results[1] == results[2]
+    # the conditioned rows too, whose chunks' Gram matrices are summed in
+    # stream order
+    for patterns in (COV_PATTERNS, ("ij_jk", "ij_kj")):
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(ensembles, "_cores", lambda cores=cores: cores)
+            results.append(mc_covariances(patterns, rho, O, d, N, RngStream(81, d)))
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(7) as pool, monkeypatch.context() as m:
+            m.setattr(ensembles, "_cores", lambda: 8)
+            m.setattr(ensembles, "_pool", lambda: pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(mc_covariances(patterns, rho, O, d, N, RngStream(81, d)))
+            finally:
+                sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2], patterns
 
 
 def test_mc_covariances_gather_a_trial_wider_than_a_chunk(monkeypatch):
@@ -551,7 +592,7 @@ def test_mc_covariances_gather_a_trial_wider_than_a_chunk(monkeypatch):
             monkeypatch.setattr(ensembles, "_pool", lambda pool=pool: pool)
             results.append(mc_covariances(COV_PATTERNS, rho, O, d, N, RngStream(83, d)))
     assert results[0] == results[1] == results[2]
-    assert np.abs(np.array(results[0]) - np.array(ref)).max() < 1e-12
+    assert np.abs(_plain_rows(results[0]) - _plain_rows(ref)).max() < 1e-12
 
 
 def test_mc_guard_counts_the_dense_matrices_not_a_block():
@@ -665,8 +706,9 @@ def test_mc_covariances_guard_the_shared_draw(monkeypatch):
 def test_mc_covariances_peak_near_the_shared_array():
     # one draw of 4 outcomes per trial serves all five patterns, streamed one
     # chunk per participant; the chunks, the pair traces' chunk-sized
-    # temporaries and the 3 unordered pair traces stay under 1.5 times the
-    # (N, 4, d) draw that is never held whole
+    # temporaries and the 2 unordered pair traces (the conditioned patterns
+    # hold a 5 x 5 Gram matrix per chunk) stay under 1.5 times the (N, 4, d)
+    # draw that is never held whole
     d, N = 64, 20_000
     rng = RngStream(71)
     rho = density(sample_haar_state(d, rng))
@@ -701,11 +743,12 @@ def test_mc_covariance_peaks_near_its_outcome_array(pattern):
 
 def test_mc_covariances_hold_no_block(monkeypatch):
     # the records are streamed and traced one chunk per participant, so the
-    # peak is the 3 unordered pair traces and the product buffer, (3 + 1) N
+    # peak is the 2 unordered pair traces and the product buffer, (2 + 1) N
     # complex, plus at most 4 chunks' floats per participant (measured at 2
-    # participants: 2.86 MB, 0.77 MB over the arrays, against a 4.19 MB
-    # bound).  The trials' records are 134 MB, and 4096 trials of them
-    # 16.8 MB, over the bound
+    # participants: 2.53 MB, 0.96 MB over the arrays, against a 4.19 MB
+    # bound that still counts the 3 pair traces the draw once held).  The
+    # trials' records are 134 MB, and 4096 trials of them 16.8 MB, over the
+    # bound
     monkeypatch.setattr(ensembles, "_cores", lambda: 2)
     d, N = 64, 32768
     rng = RngStream(76)

@@ -34,8 +34,8 @@ PINNED = {
     ),
     "cov-check": (
         ["cov-check", "--d", "3", "--trials", "20000", "--seed", "1"],
-        "PASS  ij_jk     exact=+0.032068 mc=+0.009396 stderr=0.035879\n"
-        "PASS  ij_kj     exact=+0.888271 mc=+0.985550 stderr=0.035922\n"
+        "PASS  ij_jk     exact=+0.032068 mc=+0.029614 stderr=0.002649\n"
+        "PASS  ij_kj     exact=+0.888271 mc=+0.886709 stderr=0.002046\n"
         "PASS  ij_ji     exact=-0.937198 mc=-1.036204 stderr=0.046943\n"
         "PASS  ij_ij     exact=+6.289132 mc=+6.324080 stderr=0.043770\n"
         "PASS  distinct  exact=+0.000000 mc=+0.035593 stderr=0.031929\n",
